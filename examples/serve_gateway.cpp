@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       endpoints.push_back(net::Endpoint::unix_path(value));
       ++a;
     } else if (arg == "--workers" && value) {
-      options.num_workers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      options.engine.num_workers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
       ++a;
     } else if (arg == "--queue" && value) {
       options.engine.queue_capacity = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     std::printf("listening on %s\n", bound.to_string().c_str());
   }
   std::printf("serving %.0f Hz, %.0f s windows / %.0f s stride, %zu worker%s (model seed %llu)\n",
-              config.fs_hz, config.window_s, config.stride_s, options.num_workers,
-              options.num_workers == 1 ? "" : "s", static_cast<unsigned long long>(seed));
+              config.fs_hz, config.window_s, config.stride_s, options.engine.num_workers,
+              options.engine.num_workers == 1 ? "" : "s", static_cast<unsigned long long>(seed));
   std::fflush(stdout);  // Drivers wait for the "listening on" lines.
   gateway.start();
 

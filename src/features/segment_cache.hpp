@@ -100,7 +100,7 @@ class SegmentFeatureCache {
   };
 
   /// The geometry for a stream configuration, or nullopt when it is not
-  /// stride-aligned (the extractor then runs its legacy whole-window path):
+  /// stride-aligned (rt::WindowExtractor rejects such configurations):
   /// alignment requires the EDR grid to advance an integral number of
   /// points per stride (stride_samples * edr_fs_hz / fs_hz integral) and
   /// the window to be an integral number of strides. The Welch segment

@@ -17,16 +17,16 @@ ServeGateway::ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::Stre
                            GatewayOptions options)
     : options_(options),
       engine_(std::move(registry), config, [this, &options] {
-        // Unified engine configuration: options.engine carries everything
-        // (workers, queues, placement, stealing, deadline); the deprecated
-        // GatewayOptions::num_workers still wins when it asks for more. The
-        // gateway owns delivery, so its routing sink replaces any
-        // user-provided one.
+        // options.engine carries everything (workers, queues, placement,
+        // stealing, deadline); the gateway owns delivery, so its routing
+        // sink replaces any user-provided one.
         rt::EngineOptions engine = std::move(options.engine);
-        engine.num_workers = std::max(engine.num_workers, options.num_workers);
         engine.sink = [this](std::span<const rt::WindowResult> batch) { deliver(batch); };
         return engine;
-      }()) {}
+      }()) {
+  if (options_.send_queue_capacity == 0)
+    throw std::invalid_argument("ServeGateway: send_queue_capacity must be > 0");
+}
 
 ServeGateway::~ServeGateway() { stop(); }
 

@@ -71,15 +71,14 @@
 namespace svt::net {
 
 struct GatewayOptions {
-  /// Deprecated alias for engine.num_workers (the larger of the two wins).
-  std::size_t num_workers = 1;
   /// Unified configuration for the embedded engine: workers, shard-queue
   /// sizing/backpressure, placement policy, work stealing, deadline mode
   /// (rt::EngineOptions). The sink field is ignored — the gateway installs
   /// its own routing sink.
   rt::EngineOptions engine;
   /// Encoded decision batches queued per connection before the sink applies
-  /// backpressure (0 = unbounded).
+  /// backpressure; must be > 0 (the gateway throws std::invalid_argument at
+  /// construction on 0).
   std::size_t send_queue_capacity = 1024;
   rt::BackpressurePolicy send_backpressure = rt::BackpressurePolicy::kBlock;
   /// Writer coalescing bound: queued frames are batched into one buffer up
@@ -106,6 +105,8 @@ class ServeGateway {
  public:
   /// Serve `registry` through an embedded ShardedStreamClassifier. The
   /// gateway installs its own ResultSink on the engine; do not replace it.
+  /// Throws std::invalid_argument on anything the engine rejects or on
+  /// send_queue_capacity == 0.
   ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::StreamConfig config = {},
                GatewayOptions options = {});
   ~ServeGateway();

@@ -8,8 +8,7 @@
 //  * rt::EngineOptions carries everything an engine needs beyond the model
 //    registry and StreamConfig — worker count, queue sizing/backpressure,
 //    placement policy, work stealing, deadline mode, and the result sink —
-//    and is consumed uniformly by all three entry points (the old
-//    positional signatures survive as thin deprecated shims).
+//    and is consumed uniformly by all three entry points.
 //
 //  * rt::Engine is the minimal interface a driver needs to stream against
 //    (push_samples / end_stream / flush / stats), implemented by both the
@@ -64,11 +63,8 @@ struct StealConfig {
 /// *before* breach — first widening the effective window stride (x2, then
 /// x4: fewer overlapping windows per sample), then forcing drop-oldest
 /// shedding on the shard queues — and backs off symmetrically once the tail
-/// recovers. Every action is counted in SchedulerStats.
-/// Requires a bounded queue: the sharded engine rejects target_p99_s > 0
-/// with EngineOptions::queue_capacity == 0 at construction, because the
-/// final shedding level evicts against the queue bound and would otherwise
-/// be a silent no-op.
+/// recovers. Every action is counted in SchedulerStats. The final shedding
+/// level evicts against the (always bounded) shard queue capacity.
 struct DeadlineConfig {
   double target_p99_s = 0.0;  ///< 0 disables the controller.
   double poll_interval_s = 0.05;
@@ -85,7 +81,8 @@ struct DeadlineConfig {
 /// consumed uniformly by ShardedStreamClassifier, CohortReplayer, and
 /// net::ServeGateway.
 struct EngineOptions {
-  /// Maximum raw-sample chunks queued per shard; 0 = unbounded (legacy).
+  /// Maximum raw-sample chunks queued per shard; must be > 0 (engines throw
+  /// std::invalid_argument at construction on 0).
   std::size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Worker threads / shards (clamped to >= 1).

@@ -13,11 +13,8 @@ ShardedStreamClassifier::ShardedStreamClassifier(std::shared_ptr<ModelRegistry> 
     : registry_(std::move(registry)), config_(config), options_(std::move(options)) {
   if (!registry_)
     throw std::invalid_argument("ShardedStreamClassifier: null model registry");
-  if (options_.deadline.target_p99_s > 0.0 && options_.queue_capacity == 0)
-    throw std::invalid_argument(
-        "ShardedStreamClassifier: deadline mode requires a bounded queue — "
-        "level-3 forced shedding evicts against queue_capacity, so capacity 0 "
-        "(unbounded) would make it a silent no-op");
+  if (options_.queue_capacity == 0)
+    throw std::invalid_argument("ShardedStreamClassifier: queue_capacity must be > 0");
   if (options_.sink) sink_ = std::make_shared<const ResultSink>(std::move(options_.sink));
   placement_ =
       options_.placement ? options_.placement : std::make_shared<FibonacciPlacement>();
@@ -194,7 +191,7 @@ features::SegmentCacheStats ShardedStreamClassifier::cache_stats() const {
   // cache lives in no extractor, so fold parked state in here.
   const std::lock_guard<std::mutex> lock(route_mutex_);
   for (const auto& [pid, route] : routes_)
-    if (route.parked && route.parked->cache) total += route.parked->cache->stats();
+    if (route.parked) total += route.parked->cache->stats();
   return total;
 }
 

@@ -132,8 +132,7 @@ class ShardedStreamClassifier final : public Engine {
   /// comes through rt::EngineOptions (worker count, queue sizing, placement,
   /// stealing, deadline mode, sink). Throws std::invalid_argument on a null
   /// registry, a bad stream config (same rules as WindowExtractor), or
-  /// deadline mode over an unbounded queue (deadline.target_p99_s > 0 with
-  /// queue_capacity == 0 — forced shedding needs a bound to evict against).
+  /// queue_capacity == 0.
   ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config = {},
                           EngineOptions options = {});
 
@@ -230,7 +229,6 @@ class ShardedStreamClassifier final : public Engine {
 
   /// Aggregate segment-cache counters (hits / misses / evictions of the
   /// incremental feature pipeline) summed over every shard's extractor.
-  /// All zeros when the stream configuration is not stride-aligned.
   /// Quiescent read: fence with flush() first — the extractors are
   /// worker-owned, and the fence is what orders their counters with this
   /// call (same contract as an exact shard_of()).
@@ -254,8 +252,7 @@ class ShardedStreamClassifier final : public Engine {
   /// space, since that is part of the latency a submitter observes. Bounded:
   /// each shard keeps a fixed-size reservoir of the most recent batches
   /// (kLatencyReservoir), so long-running engines report a recent-window
-  /// percentile view at constant memory. Drives the continuous path's
-  /// p50/p99 tracking in bench/rt_throughput AND the deadline controller.
+  /// percentile view at constant memory. Drives the deadline controller.
   /// Snapshot is consistent mid-stream (per-shard mutex); for an exact
   /// account of everything pushed, fence with flush() first.
   std::vector<double> delivery_latencies_s() const;

@@ -41,9 +41,10 @@ class StreamClassifier final : public Engine {
   /// network gateway serve, so a gateway reference run needs no training).
   /// The model's SVM is packed once up front when it uses the quadratic
   /// kernel (other kernels fall back to the per-window float path). Throws
-  /// std::invalid_argument on a non-positive sampling rate, window, or
-  /// stride, stride_s > window_s, or a config registering more than one
-  /// workload (this overload serves exactly one).
+  /// std::invalid_argument on a stream config WindowExtractor rejects
+  /// (including a window that is not a whole number of strides or a stride
+  /// that is not a whole number of EDR grid points), or a config
+  /// registering more than one workload (this overload serves exactly one).
   explicit StreamClassifier(ServableModel model, StreamConfig config = {});
 
   /// Serve one model per registered workload (models[w] classifies workload
@@ -87,8 +88,7 @@ class StreamClassifier final : public Engine {
   /// Windows rejected for having fewer than min_beats R peaks.
   std::size_t rejected_windows() const { return extractor_.rejected_windows(); }
 
-  /// Segment-cache counters of the incremental feature pipeline (all zeros
-  /// on non-stride-aligned configurations).
+  /// Segment-cache counters of the incremental feature pipeline.
   features::SegmentCacheStats cache_stats() const { return extractor_.cache_stats(); }
 
   /// Quality-gate counters (all zeros when the gate is off).

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "dsp/resample.hpp"
 #include "dsp/statistics.hpp"
 
 namespace svt::rt {
@@ -49,13 +48,18 @@ WindowExtractor::WindowExtractor(StreamConfig config) : config_(config) {
   // allocate nothing until a lane is claimed, so the probe is cheap.
   const ecg::LaneQrsDetector probe(config.fs_hz);
   emission_lag_samples_ = static_cast<std::size_t>(probe.finality_lag());
-  // Stride-aligned configurations run the incremental (segment-cached)
-  // pipeline; others keep the legacy whole-window path. The layout is
-  // computed even with incremental=false so the parity reference runs the
+  // Windows are assembled from per-stride chunks, so the geometry must tile:
+  // whole strides per window, whole EDR grid points per stride. The layout
+  // is the same with incremental=false, so the parity reference runs the
   // same chunked code with memoization off.
-  cache_layout_ = features::SegmentFeatureCache::plan(
+  const auto layout = features::SegmentFeatureCache::plan(
       config_.fs_hz, config_.edr_fs_hz, static_cast<std::int64_t>(stride_samples_),
       static_cast<std::int64_t>(window_samples_));
+  if (!layout)
+    throw std::invalid_argument(
+        "WindowExtractor: window_s must be a whole number of strides and stride_s a whole "
+        "number of EDR grid points (stride_s * edr_fs_hz integral)");
+  cache_layout_ = *layout;
   // Resolve the workload list: empty = the single-apnea default (workload 0
   // is the paper's pipeline, bit-identical to the pre-workload engine).
   workloads_ = config_.workloads.empty()
@@ -106,9 +110,7 @@ WindowExtractor::PatientState& WindowExtractor::find_or_create(int patient_id) {
   PatientState state;
   state.pack = pack_idx;
   state.lane = pack.detector.add_lane();
-  if (cache_layout_)
-    state.cache =
-        std::make_unique<features::SegmentFeatureCache>(*cache_layout_, config_.incremental);
+  state.cache = std::make_unique<features::SegmentFeatureCache>(cache_layout_, config_.incremental);
   if (config_.quality.enable)
     state.gate = std::make_unique<ecg::SignalQualityGate>(config_.quality, config_.fs_hz);
   ++pack.active;
@@ -149,10 +151,9 @@ void WindowExtractor::attach_patient(int patient_id, DetachedPatient&& detached)
   state.gate = std::move(detached.gate);
   // A detached stream from a matching configuration carries its cache; be
   // robust to one that does not (correctness never depends on warm entries).
-  if (cache_layout_ && !state.cache)
+  if (!state.cache)
     state.cache =
-        std::make_unique<features::SegmentFeatureCache>(*cache_layout_, config_.incremental);
-  if (!cache_layout_) state.cache.reset();
+        std::make_unique<features::SegmentFeatureCache>(cache_layout_, config_.incremental);
   // Same robustness for the gate (a fresh gate loses history; a matching
   // migration always carries one, so this only covers mismatched configs).
   if (config_.quality.enable && !state.gate)
@@ -163,7 +164,7 @@ void WindowExtractor::attach_patient(int patient_id, DetachedPatient&& detached)
 }
 
 void WindowExtractor::release_patient(PatientState& state) {
-  if (state.cache) retired_cache_stats_ += state.cache->stats();
+  retired_cache_stats_ += state.cache->stats();
   if (state.gate) retired_quality_stats_ += state.gate->stats();
   Pack& pack = *packs_[state.pack];
   pack.detector.remove_lane(state.lane);
@@ -228,19 +229,13 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
   const auto window = static_cast<std::int64_t>(window_samples_);
   auto& detector = packs_[state.pack]->detector;
   while (frontier >= state.consumed + window) {
-    if (state.cache) {
-      emit_window_cached(patient_id, state, sink);
-    } else {
-      emit_window(patient_id, state, sink);
-    }
+    emit_window(patient_id, state, sink);
     // stride_factor_ > 1 is the deadline controller's degradation: windows
     // hop further apart, shedding the overlap work (and its results).
     state.consumed += static_cast<std::int64_t>(stride_samples_ * stride_factor_);
     // The chunked pipeline keeps one stride of left context behind the next
     // window (a chunk at m interpolates from beats in [(m-1)*S, (m+1)*S)).
-    const std::int64_t retain =
-        state.cache ? state.consumed - static_cast<std::int64_t>(stride_samples_)
-                    : state.consumed;
+    const std::int64_t retain = state.consumed - static_cast<std::int64_t>(stride_samples_);
     detector.drop_beats_before(state.lane, retain);
     // Artifact spans behind the retained horizon can never overlap a future
     // window; drop them so span memory tracks the window, not the stream.
@@ -249,56 +244,6 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
 }
 
 void WindowExtractor::emit_window(int patient_id, PatientState& state, const WindowSink& sink) {
-  const std::int64_t start = state.consumed;
-  const std::int64_t end = start + static_cast<std::int64_t>(window_samples_);
-
-  // Slice the window's beats out of the ring (the head is already >= start:
-  // the stride advance drops older beats). Times are window-relative, so
-  // identical beat patterns give bit-identical features anywhere in the
-  // stream.
-  const auto& ring = packs_[state.pack]->detector.beats(state.lane);
-  beat_times_.clear();
-  beat_amps_.clear();
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    const ecg::Beat& beat = ring[i];
-    if (beat.sample_index >= end) break;
-    beat_times_.push_back(static_cast<double>(beat.sample_index - start) / config_.fs_hz);
-    beat_amps_.push_back(beat.amplitude_mv);
-  }
-  const std::size_t nbeats = beat_times_.size();
-  if (nbeats < config_.min_beats || nbeats < 2) {
-    ++rejected_;
-    return;
-  }
-
-  // RR tachogram, same construction as QrsDetection::to_rr_series.
-  rr_scratch_.beat_times_s.clear();
-  rr_scratch_.rr_s.clear();
-  for (std::size_t i = 1; i < nbeats; ++i) {
-    rr_scratch_.beat_times_s.push_back(beat_times_[i]);
-    rr_scratch_.rr_s.push_back(beat_times_[i] - beat_times_[i - 1]);
-  }
-
-  // EDR series, same construction as QrsDetection::to_edr.
-  double edr_start = 0.0;
-  dsp::resample_linear_into(beat_times_, beat_amps_, config_.edr_fs_hz, edr_start,
-                            edr_scratch_.values);
-  edr_scratch_.fs_hz = config_.edr_fs_hz;
-  dsp::remove_mean(edr_scratch_.values);
-
-  // Substrate computed once; every registered workload extracts from it.
-  // The null PSD source selects the direct whole-window Welch computation —
-  // bit-identical to the pre-workload extract_features path.
-  WindowSubstrate substrate;
-  substrate.rr_s = rr_scratch_.rr_s;
-  substrate.edr = edr_scratch_.values;
-  substrate.edr_fs_hz = config_.edr_fs_hz;
-  substrate.num_beats = nbeats;
-  emit_for_workloads(patient_id, state, start, substrate, sink);
-}
-
-void WindowExtractor::emit_window_cached(int patient_id, PatientState& state,
-                                         const WindowSink& sink) {
   features::SegmentFeatureCache& cache = *state.cache;
   const auto& layout = cache.layout();
   const std::int64_t start = state.consumed;
@@ -315,23 +260,6 @@ void WindowExtractor::emit_window_cached(int patient_id, PatientState& state,
     return;
   }
 
-  // Same substrate contract as the legacy path, but over the assembled
-  // spans — and the PSD source serves the average of the memoized
-  // per-segment periodograms instead of re-running Welch over the window
-  // (applying compute_psd_features' gates to the assembled EDR first).
-  CachePsdSource psd_source(cache, m0, view.edr);
-  WindowSubstrate substrate;
-  substrate.rr_s = view.rr;
-  substrate.edr = view.edr;
-  substrate.edr_fs_hz = config_.edr_fs_hz;
-  substrate.num_beats = view.beats;
-  substrate.psd = &psd_source;
-  emit_for_workloads(patient_id, state, start, substrate, sink);
-}
-
-void WindowExtractor::emit_for_workloads(int patient_id, PatientState& state,
-                                         std::int64_t start, const WindowSubstrate& substrate,
-                                         const WindowSink& sink) {
   // Quality gating happens once per window position, before any workload
   // runs: every workload of a suppressed window is withheld together, and
   // an annotated window carries the same flags on every workload's result.
@@ -339,7 +267,7 @@ void WindowExtractor::emit_for_workloads(int patient_id, PatientState& state,
   if (state.gate) {
     const std::int64_t end = start + static_cast<std::int64_t>(window_samples_);
     if (state.gate->overlaps_artifact(start, end)) flags |= ecg::quality_flags::kArtifact;
-    const std::size_t outliers = ecg::count_rr_outliers(substrate.rr_s, config_.quality);
+    const std::size_t outliers = ecg::count_rr_outliers(view.rr, config_.quality);
     if (outliers > 0) {
       state.gate->note_rr_outliers(outliers);
       flags |= ecg::quality_flags::kRrOutliers;
@@ -355,12 +283,23 @@ void WindowExtractor::emit_for_workloads(int patient_id, PatientState& state,
     }
   }
 
+  // The substrate is built once and shared by every registered workload.
+  // Its PSD source serves the average of the memoized per-segment
+  // periodograms instead of re-running Welch over the window (applying
+  // compute_psd_features' gates to the assembled EDR first).
+  CachePsdSource psd_source(cache, m0, view.edr);
+  WindowSubstrate substrate;
+  substrate.rr_s = view.rr;
+  substrate.edr = view.edr;
+  substrate.edr_fs_hz = config_.edr_fs_hz;
+  substrate.num_beats = view.beats;
+  substrate.psd = &psd_source;
   for (std::uint32_t w = 0; w < workloads_.size(); ++w) {
     const Workload& workload = *workloads_[w];
     ExtractedWindow out;
     out.patient_id = patient_id;
     out.start_s = static_cast<double>(start) / config_.fs_hz;
-    out.num_beats = substrate.num_beats;
+    out.num_beats = view.beats;
     out.workload = w;
     out.quality = flags;
     out.num_features = workload.num_features();
@@ -412,8 +351,7 @@ std::uint64_t WindowExtractor::lane_scalar_samples() const {
 
 features::SegmentCacheStats WindowExtractor::cache_stats() const {
   features::SegmentCacheStats total = retired_cache_stats_;
-  for (const auto& [id, state] : patients_)
-    if (state.cache) total += state.cache->stats();
+  for (const auto& [id, state] : patients_) total += state.cache->stats();
   return total;
 }
 

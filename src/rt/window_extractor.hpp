@@ -3,19 +3,22 @@
 //
 //   push_batch({patient, chunk}...)
 //   ┌──────────────────────────┐ beats ┌───────────────────────────────────┐
-//   │ lane packs: up to 8      │ ring  │ slice beats in [start, start+W)   │  sink(
-//   │ patients' Pan-Tompkins   │ ────> │ -> RR + EDR series (scratch)      │ ─ ExtractedWindow)
-//   │ chains in SIMD lockstep  │       │ -> 53 raw features (zero-alloc)   │
+//   │ lane packs: up to 8      │ ring  │ per-stride chunks (RR, EDR, Welch)│  sink(
+//   │ patients' Pan-Tompkins   │ ────> │ -> memoized, assembled per window │ ─ ExtractedWindow)
+//   │ chains in SIMD lockstep  │       │ -> raw features per workload      │
 //   └──────────────────────────┘       └───────────────────────────────────┘
 //
 // Extraction is *incremental*: each raw sample runs through the online
 // Pan-Tompkins chain exactly once as it arrives, and a window is assembled
-// by slicing the beats that fall inside [start, start + window_s) out of
-// the patient's beat ring — overlapping strides therefore cost O(1) work
-// per sample instead of re-running the whole filter chain window_s/stride_s
-// times per sample, and emission performs no heap allocation in steady
-// state (one features::FeatureScratch per extractor, reused across every
-// patient and window).
+// from per-stride chunk products (RR slice, EDR grid values, Welch segment
+// periodograms) that features::SegmentFeatureCache builds once and reuses
+// for every window covering the stride — overlapping windows therefore
+// neither re-run the filter chain nor rebuild the products they share, and
+// emission performs no heap allocation in steady state (one
+// features::FeatureScratch per extractor, reused across every patient and
+// window). The geometry must tile for this: the window is a whole number of
+// strides and the stride a whole number of EDR grid points (the
+// constructor rejects anything else).
 //
 // Patients stream at the same rate, so their identical filter chains run
 // lane-parallel: patients are grouped into LaneQrsDetector packs (one
@@ -33,9 +36,9 @@
 // Because detection is causal with a bounded lookahead (the R-peak search
 // runs behind the integrator), a window is emitted once the detector's
 // finality frontier passes the window end — emission_lag_samples() (~190 ms
-// at 250 Hz) after the last sample of the window arrives. Beat times inside
-// a window are relative to the window start, so identical beat patterns
-// produce bit-identical features wherever they sit in the stream.
+// at 250 Hz) after the last sample of the window arrives. Chunk products
+// depend only on beat sample indices relative to the chunk start, so they
+// are bit-identical wherever (and on whichever shard) they are computed.
 //
 // The extractor is deliberately model-free: it emits *raw full-length*
 // feature vectors, so per-patient models (which each carry their own feature
@@ -73,11 +76,10 @@ struct StreamConfig {
   /// emitted): too few beats to rebuild the RR/EDR series.
   std::size_t min_beats = 4;
   /// Memoize per-stride feature intermediates (RR slices, EDR chunks, Welch
-  /// segment periodograms) when the configuration is stride-aligned, so
-  /// overlapping windows stop recomputing their shared samples. false runs
-  /// the identical chunked pipeline but rebuilds every product per window —
-  /// the parity reference (bit-identical output, none of the speedup).
-  /// Non-aligned configurations use the legacy whole-window path either way.
+  /// segment periodograms), so overlapping windows stop recomputing their
+  /// shared samples. false runs the identical chunked pipeline but rebuilds
+  /// every product per window — the parity reference (bit-identical output,
+  /// none of the speedup).
   bool incremental = true;
   /// Workloads served per window, indexed by position (the workload id on
   /// every result). Empty = exactly {apnea_workload()} as workload 0 — the
@@ -122,8 +124,11 @@ class WindowExtractor {
   };
 
   /// Throws std::invalid_argument on a non-positive sampling rate, window,
-  /// or stride, stride_s > window_s, a window shorter than one sample, or a
-  /// sampling rate too low for the QRS band-pass (fs_hz <= 30).
+  /// or stride, stride_s > window_s, a window shorter than one sample, a
+  /// sampling rate too low for the QRS band-pass (fs_hz <= 30), or a
+  /// geometry that does not tile: the window must be a whole number of
+  /// strides and the stride a whole number of EDR grid points (see
+  /// features::SegmentFeatureCache::plan).
   explicit WindowExtractor(StreamConfig config = {});
 
   /// Ingest one chunk per patient — the lane-parallel hot path. Patients
@@ -165,11 +170,10 @@ class WindowExtractor {
     ecg::LaneQrsDetector::DetachedLane lane;
     std::int64_t pushed = 0;
     std::int64_t consumed = 0;
-    /// Memoized stride intermediates travel with the stream (null on
-    /// non-aligned configurations). Dropping it would still be correct —
-    /// every entry is a pure function of the final beat stream — but
-    /// carrying it keeps the destination shard's hit rate warm and its
-    /// counters coherent.
+    /// Memoized stride intermediates travel with the stream. Dropping them
+    /// would still be correct — every entry is a pure function of the final
+    /// beat stream — but carrying them keeps the destination shard's hit
+    /// rate warm and its counters coherent.
     std::unique_ptr<features::SegmentFeatureCache> cache;
     /// Quality-gate state (null when the gate is off). MUST travel: the
     /// refractory countdown, open artifact spans and per-patient counters
@@ -220,13 +224,8 @@ class WindowExtractor {
   std::size_t annotated_windows() const { return annotated_; }
   std::size_t suppressed_windows() const { return suppressed_; }
 
-  /// Whether streams here run the incremental (segment-cached) feature
-  /// pipeline: config.incremental and a stride-aligned configuration.
-  bool incremental_active() const { return cache_layout_.has_value() && config_.incremental; }
-
   /// Aggregate segment-cache counters over live and retired patients
-  /// (detached patients carry theirs to the destination extractor). All
-  /// zeros when the legacy whole-window path is active.
+  /// (detached patients carry theirs to the destination extractor).
   features::SegmentCacheStats cache_stats() const;
 
   /// Samples accumulated toward a patient's next window (0 for unknown
@@ -270,8 +269,8 @@ class WindowExtractor {
     std::size_t lane = 0;       ///< Lane slot within the pack.
     std::int64_t pushed = 0;    ///< Samples ingested so far.
     std::int64_t consumed = 0;  ///< Next window start (samples).
-    /// Per-patient stride intermediates (null on the legacy path). Bounded:
-    /// one window of chunk entries + one window of segment periodograms.
+    /// Per-patient stride intermediates (never null). Bounded: one window of
+    /// chunk entries + one window of segment periodograms.
     std::unique_ptr<features::SegmentFeatureCache> cache;
     /// Per-patient quality-gate state (null when the gate is off).
     std::unique_ptr<ecg::SignalQualityGate> gate;
@@ -282,13 +281,10 @@ class WindowExtractor {
   void release_patient(PatientState& state);
   void emit_ready_windows(int patient_id, PatientState& state, std::int64_t frontier,
                           const WindowSink& sink);
+  /// Assemble the window at state.consumed from its stride chunks, gate it
+  /// (annotate or suppress), then run every registered workload over the
+  /// substrate and sink one ExtractedWindow per workload.
   void emit_window(int patient_id, PatientState& state, const WindowSink& sink);
-  void emit_window_cached(int patient_id, PatientState& state, const WindowSink& sink);
-  /// The shared back half of both emit paths: gate the window (annotate or
-  /// suppress), then run every registered workload over the substrate and
-  /// sink one ExtractedWindow per workload.
-  void emit_for_workloads(int patient_id, PatientState& state, std::int64_t start,
-                          const WindowSubstrate& substrate, const WindowSink& sink);
 
   StreamConfig config_;
   std::size_t window_samples_ = 0;
@@ -302,9 +298,7 @@ class WindowExtractor {
   std::size_t stride_factor_ = 1;  ///< Deadline-mode hop multiplier.
   std::uint64_t retired_vector_samples_ = 0;  ///< From released packs.
   std::uint64_t retired_scalar_samples_ = 0;
-  /// Segment-cache geometry when the configuration is stride-aligned;
-  /// nullopt selects the legacy whole-window emit path.
-  std::optional<features::SegmentFeatureCache::Layout> cache_layout_;
+  features::SegmentFeatureCache::Layout cache_layout_;  ///< Stride-chunk geometry.
   features::SegmentCacheStats retired_cache_stats_;  ///< From erased/ended patients.
   /// Resolved workload list: config_.workloads, or {apnea_workload()}.
   std::vector<std::shared_ptr<const Workload>> workloads_;
@@ -313,10 +307,6 @@ class WindowExtractor {
   // Per-extractor scratch (extractors are single-threaded): reused across
   // every patient and window, so steady-state emission never allocates.
   features::FeatureScratch scratch_;
-  ecg::RrSeries rr_scratch_;
-  ecg::RespirationSeries edr_scratch_;
-  std::vector<double> beat_times_;  ///< Window-relative beat times.
-  std::vector<double> beat_amps_;
   std::vector<ecg::LaneQrsDetector::LaneChunk> lane_chunks_;  ///< push_batch scratch.
 };
 

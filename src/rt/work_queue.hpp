@@ -5,10 +5,10 @@
 // worker keeps popping until the queue is empty, then wait_pop returns
 // nullopt and the worker exits.
 //
-// Capacity and backpressure: an unbounded queue lets a producer that outruns
-// extraction buffer raw ECG without limit — the pipeline OOMs instead of
-// pushing back. A WorkQueue is therefore constructed with a capacity (0 =
-// unbounded, the legacy behaviour) and a BackpressurePolicy describing what
+// Capacity and backpressure: an unbounded queue would let a producer that
+// outruns extraction buffer raw ECG without limit — the pipeline OOMs
+// instead of pushing back. A WorkQueue is therefore always bounded: it is
+// constructed with a capacity (> 0) and a BackpressurePolicy describing what
 // push() does when the queue holds `capacity` data items:
 //
 //  * kBlock      — push() blocks until the worker drains an item (or the
@@ -48,6 +48,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -62,10 +63,11 @@ enum class BackpressurePolicy {
 template <typename T>
 class WorkQueue {
  public:
-  /// capacity == 0 means unbounded (policy is then irrelevant).
-  explicit WorkQueue(std::size_t capacity = 0,
-                     BackpressurePolicy policy = BackpressurePolicy::kBlock)
-      : capacity_(capacity), policy_(policy) {}
+  /// Throws std::invalid_argument on capacity 0: every queue is bounded.
+  explicit WorkQueue(std::size_t capacity, BackpressurePolicy policy = BackpressurePolicy::kBlock)
+      : capacity_(capacity), policy_(policy) {
+    if (capacity_ == 0) throw std::invalid_argument("WorkQueue: capacity must be > 0");
+  }
 
   /// Enqueue a data item, applying the backpressure policy when the queue is
   /// full. Returns true if the item was enqueued, false if it was rejected
@@ -73,12 +75,12 @@ class WorkQueue {
   bool push(T item) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (capacity_ > 0 && policy_ == BackpressurePolicy::kBlock && !forced_drop_) {
+      if (policy_ == BackpressurePolicy::kBlock && !forced_drop_) {
         space_cv_.wait(lock,
                        [this] { return data_count_ < capacity_ || closed_ || forced_drop_; });
       }
       if (closed_) return false;
-      if (capacity_ > 0 && data_count_ >= capacity_) {
+      if (data_count_ >= capacity_) {
         // kDropOldest (or forced shedding): evict the oldest data entry
         // (control entries are never evicted and never count toward
         // capacity). The victim is logged for take_evicted(), so consumers
@@ -329,8 +331,8 @@ class WorkQueue {
   /// keeps popping while items remain, so a drain that leaves producers
   /// asleep always continues down to the low-water mark (empty is below
   /// every mark); close(), set_forced_drop() and extract_matching() still
-  /// wake unconditionally. Unbounded queues never have space waiters.
-  bool space_wake_due_locked() const { return capacity_ > 0 && data_count_ <= capacity_ / 2; }
+  /// wake unconditionally.
+  bool space_wake_due_locked() const { return data_count_ <= capacity_ / 2; }
 
   const std::size_t capacity_;
   const BackpressurePolicy policy_;

@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "features/af_features.hpp"
 #include "features/ar_features.hpp"
-#include "features/extractor.hpp"
 #include "features/feature_types.hpp"
 #include "features/hrv_features.hpp"
 #include "features/lorentz_features.hpp"
@@ -30,7 +29,7 @@ class ApneaWorkload final : public Workload {
 
   void extract(const WindowSubstrate& s, features::FeatureScratch& scratch,
                std::span<double> out) const override {
-    SVT_ASSERT(out.size() == features::kNumFeatures);
+    SVT_ASSERT(out.size() == features::kNumFeatures && s.psd != nullptr);
     std::size_t off = 0;
     features::compute_hrv_features(s.rr_s, scratch,
                                    out.subspan(off, features::kNumHrvFeatures));
@@ -41,17 +40,13 @@ class ApneaWorkload final : public Workload {
     features::compute_ar_features(s.edr, scratch,
                                   out.subspan(off, features::kNumArFeatures));
     off += features::kNumArFeatures;
+    // The provider applies the PSD gates and hands back the averaged
+    // memoized periodograms (null = gates failed, keep the zero fill —
+    // exactly compute_psd_features' early-out contract).
     const auto psd_out = out.subspan(off, features::kNumPsdFeatures);
-    if (s.psd) {
-      // Segment-cached path: the provider applies the PSD gates and hands
-      // back the averaged memoized periodograms (null = gates failed, keep
-      // the zero fill — exactly compute_psd_features' early-out contract).
-      std::fill(psd_out.begin(), psd_out.end(), 0.0);
-      if (const dsp::PsdEstimate* psd = s.psd->window_psd(scratch))
-        features::summarize_psd(*psd, s.edr_fs_hz, psd_out);
-    } else {
-      features::compute_psd_features(s.edr, s.edr_fs_hz, scratch, psd_out);
-    }
+    std::fill(psd_out.begin(), psd_out.end(), 0.0);
+    if (const dsp::PsdEstimate* psd = s.psd->window_psd(scratch))
+      features::summarize_psd(*psd, s.edr_fs_hz, psd_out);
   }
 };
 

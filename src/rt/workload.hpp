@@ -6,8 +6,8 @@
 // per-window half of the pipeline: it owns its feature *schema* (count +
 // names) and its extraction hook over the per-patient substrate the
 // extractor computes ONCE per window regardless of how many workloads
-// consume it — the sliced RR tachogram, the resampled mean-removed EDR
-// series, and (on the segment-cached path) the memoized window PSD:
+// consume it — the window's RR tachogram, its uniform EDR series, and the
+// memoized window PSD, all assembled from segment-cached stride chunks:
 //
 //                      ┌ Workload 0 (apnea, 53) ─> ExtractedWindow{w=0}
 //   beat ring ─> RR ───┤
@@ -21,8 +21,8 @@
 // Bit-exactness contract: a config whose `workloads` list is empty serves
 // exactly {apnea_workload()} as workload 0, and ApneaWorkload::extract runs
 // the same span-based kernels (and the same PSD gates) as the pre-workload
-// extractor did on both the legacy whole-window path and the segment-cached
-// path — so single-workload results are bit-identical to the old engine.
+// segment-cached extractor did — so single-workload results are
+// bit-identical to the old engine.
 // Extraction hooks must be pure (no per-call state beyond the scratch):
 // workloads are shared across shards and threads by const pointer.
 #pragma once
@@ -42,11 +42,11 @@ namespace svt::rt {
 /// vector (53) is the largest in-tree schema.
 inline constexpr std::size_t kMaxWorkloadFeatures = 64;
 
-/// Lazily provides the window's Welch PSD on the segment-cached path (the
-/// average of memoized per-segment periodograms). Returns null when the PSD
-/// gates fail (series shorter than one Welch segment minimum, or constant),
-/// in which case the consumer keeps its zero-filled defaults — the same
-/// semantics as compute_psd_features' early-outs.
+/// Lazily provides the window's Welch PSD (the average of the memoized
+/// per-segment periodograms). Returns null when the PSD gates fail (series
+/// shorter than one Welch segment minimum, or constant), in which case the
+/// consumer keeps its zero-filled defaults — the same semantics as
+/// compute_psd_features' early-outs.
 class WindowPsdSource {
  public:
   virtual ~WindowPsdSource() = default;
@@ -61,8 +61,7 @@ struct WindowSubstrate {
   std::span<const double> edr;   ///< Uniform mean-removed EDR series.
   double edr_fs_hz = 0.0;
   std::size_t num_beats = 0;     ///< R peaks inside the window.
-  /// Non-null on the segment-cached path; null selects the direct
-  /// whole-window PSD computation (the legacy path's semantics).
+  /// The window's PSD; always set by the extractor.
   WindowPsdSource* psd = nullptr;
 };
 
@@ -89,7 +88,7 @@ class Workload {
 
 /// The paper's apnea pipeline as a workload: the full 53-feature vector
 /// (8 HRV + 7 Lorentz + 9 AR + 29 PSD), bit-identical to the pre-workload
-/// extractor on both emission paths.
+/// extractor.
 std::shared_ptr<const Workload> apnea_workload();
 
 /// AF screening from the same RR series: {rmssd_ratio, turning_point_ratio,

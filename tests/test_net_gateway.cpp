@@ -16,6 +16,7 @@
 #include <mutex>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,7 +68,7 @@ std::map<int, std::vector<rt::WindowResult>> direct_results(
 
 net::GatewayOptions gateway_options(std::size_t workers) {
   net::GatewayOptions options;
-  options.num_workers = workers;
+  options.engine.num_workers = workers;
   return options;
 }
 
@@ -349,6 +350,14 @@ TEST(NetGateway, StatsAnswerAccountsForTheConversation) {
   EXPECT_GT(stats->windows_delivered, 0u);
   EXPECT_EQ(stats->windows_delivered, client.decisions().size());
   gateway->stop();
+}
+
+TEST(NetGateway, ZeroSendQueueCapacityIsRejected) {
+  // Every queue is bounded, the per-connection send queue included.
+  auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model());
+  net::GatewayOptions options = gateway_options(2);
+  options.send_queue_capacity = 0;
+  EXPECT_THROW(net::ServeGateway(registry, ward_config(), options), std::invalid_argument);
 }
 
 }  // namespace

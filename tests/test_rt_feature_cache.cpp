@@ -11,8 +11,11 @@
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/tailoring.hpp"
@@ -22,6 +25,7 @@
 #include "ecg/streaming_qrs.hpp"
 #include "features/extractor.hpp"
 #include "features/segment_cache.hpp"
+#include "rt/cohort_replayer.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
 #include "rt/window_extractor.hpp"
@@ -95,6 +99,32 @@ TEST(SegmentCacheLayout, RejectsNonAlignedConfigurations) {
   // Degenerate inputs.
   EXPECT_FALSE(SegmentFeatureCache::plan(0.0, 4.0, 7500, 45000).has_value());
   EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 4.0, 0, 45000).has_value());
+}
+
+TEST(SegmentCacheLayout, EnginesRejectNonAlignedConfigurations) {
+  // The geometries above as stream configs: windows are assembled from
+  // stride chunks, so every engine refuses them at construction.
+  struct Geometry {
+    double fs_hz, window_s, stride_s;
+  };
+  const Geometry geometries[] = {
+      {250.0, 20.0, 10.1},   // 40.4 EDR points per stride.
+      {250.0, 184.0, 30.0},  // Window not a whole number of strides.
+      {0.0, 180.0, 30.0},    // Degenerate inputs.
+      {250.0, 180.0, 0.0},
+  };
+  const auto model = rt::synthetic_full_feature_model();
+  const auto registry = std::make_shared<rt::ModelRegistry>(model);
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(std::to_string(g.window_s) + " s / " + std::to_string(g.stride_s) + " s");
+    rt::StreamConfig config;
+    config.fs_hz = g.fs_hz;
+    config.window_s = g.window_s;
+    config.stride_s = g.stride_s;
+    EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
+    EXPECT_THROW(rt::StreamClassifier(model, config), std::invalid_argument);
+    EXPECT_THROW(rt::ShardedStreamClassifier(registry, config), std::invalid_argument);
+  }
 }
 
 // --- Hand-computed chunk semantics -------------------------------------------
@@ -237,7 +267,6 @@ TEST(IncrementalPipeline, CachedBitIdenticalToMemoizeOffAcrossConfigs) {
     cached_config.incremental = true;
     auto off_config = cached_config;
     off_config.incremental = false;
-    ASSERT_TRUE(rt::WindowExtractor(cached_config).incremental_active()) << pc.name;
 
     const auto want = run_stream(off_config, wf, pc.chunk_b);
     const auto got = run_stream(cached_config, wf, pc.chunk_a);

@@ -177,7 +177,7 @@ TEST(Placement, EngineConsultsCustomPolicyOncePerPatient) {
 // --- WorkQueue scheduler hooks ----------------------------------------------
 
 TEST(WorkQueueSchedulerHooks, ExtractMatchingLiftsInOrderAndReinsertRestores) {
-  rt::WorkQueue<int> queue;
+  rt::WorkQueue<int> queue(8);
   for (int v : {1, 10, 2, 11, 3, 12}) queue.push(v);
   std::vector<rt::WorkQueue<int>::Extracted> tens;
   EXPECT_EQ(queue.extract_matching([](const int& v) { return v >= 10; }, tens), 3u);
@@ -194,7 +194,7 @@ TEST(WorkQueueSchedulerHooks, ExtractMatchingLiftsInOrderAndReinsertRestores) {
 }
 
 TEST(WorkQueueSchedulerHooks, ControlBehindDataYieldsTheHeadSlot) {
-  rt::WorkQueue<int> queue;
+  rt::WorkQueue<int> queue(4);
   ASSERT_TRUE(queue.push_control(100));  // A control entry already at the head.
   queue.push(1);
   queue.push(2);
@@ -207,7 +207,7 @@ TEST(WorkQueueSchedulerHooks, ControlBehindDataYieldsTheHeadSlot) {
   EXPECT_EQ(drained, (std::vector<int>{100, 1, 200, 2}));
 
   // No data queued: the front is safe (no producer can be capacity-blocked).
-  rt::WorkQueue<int> controls_only;
+  rt::WorkQueue<int> controls_only(4);
   controls_only.push_control(7);
   controls_only.push_control_behind_data(8);
   drained.clear();
@@ -570,16 +570,19 @@ TEST(WardScheduler, DeadlineControllerDegradesUnderSaturation) {
   EXPECT_GT(sched.deadline_level, 0u);
 }
 
-// Deadline mode needs a bound for level-3 shedding to evict against; over
-// an unbounded queue the controller would count shed_activations while
-// dropping nothing, so the constructor rejects the combination.
-TEST(WardScheduler, DeadlineModeRejectsUnboundedQueue) {
-  rt::EngineOptions options;
-  options.queue_capacity = 0;  // Unbounded legacy mode.
-  options.deadline.target_p99_s = 0.005;
-  EXPECT_THROW(
-      rt::ShardedStreamClassifier(detector(), short_window_config(), std::move(options)),
-      std::invalid_argument);
+// Every shard queue is bounded (deadline mode's level-3 shedding evicts
+// against the bound), so a zero capacity is rejected at construction with
+// or without the controller.
+TEST(WardScheduler, ZeroQueueCapacityIsRejected) {
+  for (const double target_p99_s : {0.0, 0.005}) {
+    rt::EngineOptions options;
+    options.queue_capacity = 0;
+    options.deadline.target_p99_s = target_p99_s;
+    EXPECT_THROW(
+        rt::ShardedStreamClassifier(detector(), short_window_config(), std::move(options)),
+        std::invalid_argument)
+        << "target_p99_s " << target_p99_s;
+  }
 }
 
 // Unsaturated: a comfortable target must leave the stream untouched — zero

@@ -2,30 +2,29 @@
 // detector over whole records under any chunking, finality-frontier
 // semantics, beat-ring maintenance, and the WindowExtractor built on top.
 //
-// Parity oracle: per-window features are checked bit-identical to an
-// independently computed batch reference over ONE continuous detection of
-// the whole record — NOT to the seed extractor's per-window re-detection,
-// whose window-local threshold re-learning the incremental engine
-// deliberately abandons (see docs/runtime.md, "Semantics change").
-//
-// The batch-reference tests below use a stride that is NOT aligned to the
-// EDR grid, pinning the legacy whole-window emit path. Stride-aligned
-// configurations run the incremental segment-cached pipeline, whose own
-// semantics and parity oracle live in tests/test_rt_feature_cache.cpp.
+// Parity oracle: per-window beat counts and RR-derived features (HRV +
+// Lorentz) are checked bit-identical to an independent reference over ONE
+// continuous detection of the whole record — NOT to the seed extractor's
+// per-window re-detection, whose window-local threshold re-learning the
+// incremental engine deliberately abandons (see docs/runtime.md,
+// "Semantics change"). The reference rebuilds each window's RR intervals
+// from integer sample-index differences, as features::SegmentFeatureCache
+// specifies; the EDR-derived features and the cache's own parity oracle
+// live in tests/test_rt_feature_cache.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "dsp/resample.hpp"
-#include "dsp/statistics.hpp"
 #include "ecg/ecg_synth.hpp"
 #include "ecg/qrs_detect.hpp"
 #include "ecg/rr_model.hpp"
 #include "ecg/streaming_qrs.hpp"
-#include "features/extractor.hpp"
+#include "features/hrv_features.hpp"
+#include "features/lorentz_features.hpp"
 #include "rt/window_extractor.hpp"
 
 namespace svt {
@@ -153,32 +152,49 @@ TEST(StreamingQrsDetector, BeatRingDropAndGrow) {
 
 // --- WindowExtractor on the streaming detector -------------------------------
 
-/// Independent batch reference for one window: slice the continuous beat
-/// stream to [start, start+W) in samples, rebuild the RR/EDR series exactly
-/// as the extractor specifies (window-relative times), and run the
-/// allocating feature path.
-std::vector<double> reference_features(const std::vector<ecg::Beat>& beats, std::int64_t start,
-                                       std::int64_t end, double fs, double edr_fs,
-                                       std::size_t* nbeats_out) {
-  std::vector<double> times, amps;
-  for (const auto& b : beats) {
-    if (b.sample_index < start || b.sample_index >= end) continue;
-    times.push_back(static_cast<double>(b.sample_index - start) / fs);
-    amps.push_back(b.amplitude_mv);
-  }
-  *nbeats_out = times.size();
-  if (times.size() < 2) return {};
+/// Independent reference for one window [start, start + W): its beat count
+/// and its RR-derived features (the first kNumHrvFeatures +
+/// kNumLorentzFeatures of the raw vector) from the allocating feature path.
+/// An interval (n_i - n_{i-1}) / fs, over absolute integer sample indices,
+/// belongs to the window when its ending beat lies inside it and its
+/// opening beat lies at or after both the window start and the start of
+/// the stride before the ending beat's stride (the chunk's left-context
+/// horizon in features::SegmentFeatureCache).
+struct RrReference {
+  std::size_t num_beats = 0;
+  std::vector<double> features;
+};
+
+RrReference reference_rr_features(const std::vector<ecg::Beat>& beats, std::int64_t start,
+                                  std::int64_t window, std::int64_t stride, double fs) {
+  RrReference ref;
   ecg::RrSeries rr;
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    rr.beat_times_s.push_back(times[i]);
-    rr.rr_s.push_back(times[i] - times[i - 1]);
+  for (std::size_t i = 0; i < beats.size(); ++i) {
+    const std::int64_t n = beats[i].sample_index;
+    if (n < start || n >= start + window) continue;
+    ++ref.num_beats;
+    if (i == 0) continue;
+    const std::int64_t prev = beats[i - 1].sample_index;
+    if (prev >= std::max(start, (n / stride - 1) * stride))
+      rr.rr_s.push_back(static_cast<double>(n - prev) / fs);
   }
-  const auto uniform = dsp::resample_linear(times, amps, edr_fs);
-  ecg::RespirationSeries edr;
-  edr.fs_hz = edr_fs;
-  edr.values = uniform.values;
-  dsp::remove_mean(edr.values);
-  return features::extract_features(rr, edr);
+  const auto hrv = features::compute_hrv_features(rr);
+  const auto lorentz = features::compute_lorentz_features(rr);
+  ref.features.assign(hrv.begin(), hrv.end());
+  ref.features.insert(ref.features.end(), lorentz.begin(), lorentz.end());
+  return ref;
+}
+
+void expect_matches_reference(const rt::ExtractedWindow& w, const std::vector<ecg::Beat>& beats,
+                              const rt::WindowExtractor& extractor, double fs) {
+  const auto start = static_cast<std::int64_t>(std::llround(w.start_s * fs));
+  const auto want =
+      reference_rr_features(beats, start, static_cast<std::int64_t>(extractor.window_samples()),
+                            static_cast<std::int64_t>(extractor.stride_samples()), fs);
+  EXPECT_EQ(w.num_beats, want.num_beats) << "window " << w.start_s;
+  ASSERT_LE(want.features.size(), w.features_view().size());
+  for (std::size_t j = 0; j < want.features.size(); ++j)
+    EXPECT_EQ(w.raw_features[j], want.features[j]) << "feature " << j << " window " << w.start_s;
 }
 
 TEST(WindowExtractor, WindowsBitIdenticalToBatchReference) {
@@ -186,10 +202,7 @@ TEST(WindowExtractor, WindowsBitIdenticalToBatchReference) {
   rt::StreamConfig config;
   config.fs_hz = wf.fs_hz;
   config.window_s = 20.0;
-  // 10.1 s = 2525 samples: the EDR grid advances 40.4 points per stride, so
-  // the incremental pipeline disengages and this pins the legacy path.
-  config.stride_s = 10.1;
-  ASSERT_FALSE(rt::WindowExtractor(config).incremental_active());
+  config.stride_s = 10.0;
 
   // Continuous reference beats: the streaming detector over the whole
   // record (bit-exact vs batch detect_qrs by the tests above), no windowing.
@@ -221,16 +234,7 @@ TEST(WindowExtractor, WindowsBitIdenticalToBatchReference) {
   ASSERT_EQ(windows.size() + extractor.rejected_windows(), expected);
   ASSERT_GT(windows.size(), 5u);
 
-  for (const auto& w : windows) {
-    const auto start = static_cast<std::int64_t>(std::llround(w.start_s * config.fs_hz));
-    std::size_t nbeats = 0;
-    const auto want = reference_features(beats, start, start + window, config.fs_hz,
-                                         config.edr_fs_hz, &nbeats);
-    EXPECT_EQ(w.num_beats, nbeats);
-    ASSERT_EQ(want.size(), w.features_view().size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-      EXPECT_EQ(w.raw_features[j], want[j]) << "feature " << j << " window " << w.start_s;
-  }
+  for (const auto& w : windows) expect_matches_reference(w, beats, extractor, config.fs_hz);
 }
 
 TEST(WindowExtractor, ScratchReuseAcrossInterleavedPatients) {
@@ -288,9 +292,8 @@ TEST(WindowExtractor, EndPatientEmitsHeldBackTailWindows) {
   rt::StreamConfig config;
   config.fs_hz = full.fs_hz;
   config.window_s = 20.0;
-  config.stride_s = 10.1;  // Unaligned: legacy path (see file comment).
+  config.stride_s = 10.0;
   rt::WindowExtractor extractor(config);
-  ASSERT_FALSE(extractor.incremental_active());
   const std::size_t window = extractor.window_samples();
   const std::size_t stride = extractor.stride_samples();
   const std::size_t total = window + 5 * stride;  // 6 windows; the last ends at the final sample.
@@ -319,17 +322,7 @@ TEST(WindowExtractor, EndPatientEmitsHeldBackTailWindows) {
   std::vector<ecg::Beat> beats;
   for (std::size_t i = 0; i < reference.beats().size(); ++i)
     beats.push_back(reference.beats()[i]);
-  for (const auto& w : tail) {
-    const auto start = static_cast<std::int64_t>(std::llround(w.start_s * config.fs_hz));
-    std::size_t nbeats = 0;
-    const auto want =
-        reference_features(beats, start, start + static_cast<std::int64_t>(window),
-                           config.fs_hz, config.edr_fs_hz, &nbeats);
-    EXPECT_EQ(w.num_beats, nbeats);
-    ASSERT_EQ(want.size(), w.features_view().size());
-    for (std::size_t j = 0; j < want.size(); ++j)
-      EXPECT_EQ(w.raw_features[j], want[j]) << "feature " << j;
-  }
+  for (const auto& w : tail) expect_matches_reference(w, beats, extractor, config.fs_hz);
 }
 
 TEST(WindowExtractor, ErasePatientRestartsWindowPhase) {

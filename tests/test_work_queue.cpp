@@ -1,11 +1,13 @@
-// WorkQueue backpressure: a bounded queue with a slow consumer must block
-// (kBlock) or drop the oldest data item with an accurate count (kDropOldest),
-// control items must bypass both policies, and concurrent push + close must
-// never deadlock — blocked producers wake and their items are rejected.
+// WorkQueue backpressure: every queue is bounded (capacity 0 is rejected); a
+// full queue with a slow consumer must block (kBlock) or drop the oldest data
+// item with an accurate count (kDropOldest), control items must bypass both
+// policies, and concurrent push + close must never deadlock — blocked
+// producers wake and their items are rejected.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -14,8 +16,13 @@
 namespace svt::rt {
 namespace {
 
-TEST(WorkQueue, UnboundedFifo) {
-  WorkQueue<int> queue;  // capacity 0 = unbounded.
+TEST(WorkQueue, ZeroCapacityIsRejected) {
+  EXPECT_THROW(WorkQueue<int>(0), std::invalid_argument);
+  EXPECT_THROW(WorkQueue<int>(0, BackpressurePolicy::kDropOldest), std::invalid_argument);
+}
+
+TEST(WorkQueue, FifoBelowCapacity) {
+  WorkQueue<int> queue(100);
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(queue.push(i));
   EXPECT_EQ(queue.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(queue.wait_pop(), i);
@@ -73,7 +80,7 @@ TEST(WorkQueue, ControlItemsBypassCapacityAndEviction) {
 }
 
 TEST(WorkQueue, CloseRejectsLatePushesAndDrainsBacklog) {
-  WorkQueue<int> queue;
+  WorkQueue<int> queue(4);
   EXPECT_TRUE(queue.push(1));
   queue.close();
   EXPECT_FALSE(queue.push(2));          // Rejected, not silently queued.

@@ -31,7 +31,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <random>
 #include <span>
@@ -66,7 +65,6 @@ struct Options {
   double speed = 0.0;
   std::uint64_t seed = 7000;
   bool direct = false;
-  std::size_t workers = 1;  ///< --direct engine: 1 = oracle, >1 = sharded.
 };
 
 std::vector<Patient> synth_patients(const Options& options) {
@@ -167,29 +165,16 @@ int run_direct(const Options& options, const std::vector<Patient>& ward) {
   config.fs_hz = ward.empty() ? 250.0 : ward.front().fs_hz;
   config.window_s = 20.0;
   config.stride_s = 10.0;
-  // The driver programs against rt::Engine: --workers picks the
-  // single-threaded oracle (1) or the sharded engine (>1) behind the same
-  // interface — the decision stream is bit-identical either way.
-  std::unique_ptr<rt::Engine> engine;
-  if (options.workers > 1) {
-    rt::EngineOptions eopts;
-    eopts.num_workers = options.workers;
-    engine = std::make_unique<rt::ShardedStreamClassifier>(
-        std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model()), config,
-        std::move(eopts));
-  } else {
-    engine = std::make_unique<rt::StreamClassifier>(rt::synthetic_full_feature_model(), config);
-  }
+  rt::StreamClassifier engine(rt::synthetic_full_feature_model(), config);
   std::vector<const Patient*> all;
   for (const auto& p : ward) all.push_back(&p);
   stream_interleaved(
       all, options.chunk_s, options.speed,
-      [&](int pid, std::span<const double> chunk) { engine->push_samples(pid, chunk); },
-      [&](int pid) { engine->end_stream(pid); });
-  const auto results = engine->flush();
-  std::printf("direct: %zu patients, %zu windows classified in-process (%zu worker%s)\n",
-              ward.size(), results.size(), std::max<std::size_t>(options.workers, 1),
-              options.workers > 1 ? "s" : "");
+      [&](int pid, std::span<const double> chunk) { engine.push_samples(pid, chunk); },
+      [&](int pid) { engine.end_stream(pid); });
+  const auto results = engine.flush();
+  std::printf("direct: %zu patients, %zu windows classified in-process\n", ward.size(),
+              results.size());
   if (options.emit_path.empty()) return 0;
   std::vector<net::ReceivedDecision> decisions;
   for (const auto& r : results) {
@@ -240,14 +225,11 @@ int main(int argc, char** argv) {
       ++a;
     } else if (arg == "--direct") {
       options.direct = true;
-    } else if (arg == "--workers" && value) {
-      options.workers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
-      ++a;
     } else {
       std::fprintf(stderr,
                    "usage: %s --connect tcp:HOST:PORT|unix:/path [--patients N]"
                    " [--duration S] [--connections N] [--chunk S] [--speed X] [--seed S]"
-                   " [--cohort DIR] [--emit FILE] [--direct] [--workers N]\n",
+                   " [--cohort DIR] [--emit FILE] [--direct]\n",
                    argv[0]);
       return 2;
     }

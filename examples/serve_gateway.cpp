@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
               stats.connections_closed, stats.streams_opened, stats.frames_received,
               stats.samples_ingested);
   std::printf("         %" PRIu64 " decision batches (%" PRIu64 " windows) out, %" PRIu64
-              " protocol errors, %" PRIu64 " orphan batches\n",
-              stats.decision_batches_sent, stats.decision_windows_sent, stats.protocol_errors,
-              stats.orphan_batches);
+              " windows dropped, %" PRIu64 " protocol errors, %" PRIu64 " orphan batches\n",
+              stats.decision_batches_sent, stats.decision_windows_sent,
+              stats.decision_windows_dropped, stats.protocol_errors, stats.orphan_batches);
   const rt::SchedulerStats sched = gateway.engine().scheduler_stats();
   std::printf("         scheduler: %zu steals, %zu migrations (%zu chunks), %zu stride"
               " widenings, %zu chunks shed\n",

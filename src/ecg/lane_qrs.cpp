@@ -29,6 +29,13 @@ static_assert(kFilterDoubles == LaneQrsDetector::kFilterStateDoubles,
 
 }  // namespace
 
+void BeatRing::grow() {
+  std::vector<Beat> next(std::max<std::size_t>(16, buf_.size() * 2));
+  for (std::size_t i = 0; i < size_; ++i) next[i] = (*this)[i];
+  buf_ = std::move(next);
+  head_ = 0;
+}
+
 common::SimdTier lane_effective_tier() {
   common::SimdTier tier = common::simd_tier();
   if (tier == common::SimdTier::kAvx2 && !detail::lane_avx2_compiled())

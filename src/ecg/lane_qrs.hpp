@@ -1,11 +1,12 @@
 // Cross-patient SIMD lane engine for streaming Pan-Tompkins QRS detection.
 //
-// StreamingQrsDetector's serial IIR chain (~13 ns/sample) cannot be
-// vectorised *within* one patient without changing FP rounding order — but a
-// ward runs many patients through the *same* chain, so it vectorises
-// *across* them: LaneQrsDetector holds up to kMaxLanes (8) patient streams
-// as structure-of-arrays filter state and steps 4 (AVX2) or 2 (SSE2) lanes
-// per instruction, one patient per SIMD lane.
+// The scalar StreamingQrsDetector's serial IIR chain (~13 ns/sample; kept
+// under tests/support as this engine's parity oracle) cannot be vectorised
+// *within* one patient without changing FP rounding order — but a ward runs
+// many patients through the *same* chain, so it vectorises *across* them:
+// LaneQrsDetector holds up to kMaxLanes (8) patient streams as
+// structure-of-arrays filter state and steps 4 (AVX2) or 2 (SSE2) lanes per
+// instruction, one patient per SIMD lane.
 //
 // Bit-exactness contract: each lane executes the exact per-sample operation
 // sequence of StreamingQrsDetector — same expression order, elementwise IEEE
@@ -40,11 +41,64 @@
 #include <span>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/simd_dispatch.hpp"
 #include "ecg/lane_qrs_kernel.hpp"
-#include "ecg/streaming_qrs.hpp"
+#include "ecg/qrs_detect.hpp"
 
 namespace svt::ecg {
+
+/// One detected heartbeat: where its R peak sits in the raw stream and the
+/// raw-signal amplitude there.
+struct Beat {
+  std::int64_t sample_index = 0;  ///< Absolute index into the patient stream.
+  double amplitude_mv = 0.0;      ///< Raw ECG value at the R peak.
+};
+
+/// Growable ring of beats ordered by sample index: beats append at the
+/// tail as they are confirmed and are dropped from the head as the window
+/// stride advances. Capacity doubles when full (amortised; no steady-state
+/// allocation once sized for the widest window).
+class BeatRing {
+ public:
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Allocated slots (for residency accounting; power of two once grown).
+  std::size_t capacity() const { return buf_.size(); }
+
+  /// Drop every beat; keeps the allocation (ring reuse across streams).
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+  /// i-th oldest beat (0 = head).
+  const Beat& operator[](std::size_t i) const {
+    SVT_ASSERT(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  void push_back(const Beat& beat) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = beat;
+    ++size_;
+  }
+
+  /// Drop beats from the head whose sample index is < `sample_index`.
+  void drop_before(std::int64_t sample_index) {
+    while (size_ > 0 && buf_[head_ & (buf_.size() - 1)].sample_index < sample_index) {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --size_;
+    }
+  }
+
+ private:
+  void grow();
+
+  std::vector<Beat> buf_;  ///< Power-of-two capacity (0 until first push).
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 /// Dispatch tier the lane engine will actually run at: the runtime tier
 /// (cpuid + override) clamped to what this build compiled AVX2 code for.

@@ -1,11 +1,11 @@
 // Pan-Tompkins QRS (R peak) detection.
 //
 // The classic real-time QRS detector: band-pass (5-15 Hz) -> five-point
-// derivative -> squaring -> moving-window integration -> adaptive dual
-// thresholds with search-back. This closes the acquisition loop for the
-// waveform dataset path: synthesised ECG in, beat times + R amplitudes out,
-// from which the RR tachogram and the EDR series are rebuilt exactly as a
-// WBSN front-end would.
+// derivative -> squaring -> moving-window integration -> adaptive signal and
+// noise thresholds (no search-back pass). This closes the acquisition loop
+// for the waveform dataset path: synthesised ECG in, beat times + R
+// amplitudes out, from which the RR tachogram and the EDR series are rebuilt
+// exactly as a WBSN front-end would.
 #pragma once
 
 #include <span>
@@ -34,9 +34,8 @@ struct PanTompkinsParams {
   double bandpass_lo_hz = 5.0;
   double bandpass_hi_hz = 15.0;
   double integration_window_s = 0.150;
-  double refractory_s = 0.200;       ///< Minimum spacing between QRS complexes.
-  double t_wave_blank_s = 0.360;     ///< Slope-based T-wave rejection horizon.
-  double learning_s = 2.0;           ///< Initial threshold-learning period.
+  double refractory_s = 0.200;  ///< Minimum spacing between QRS complexes.
+  double learning_s = 2.0;      ///< Initial threshold-learning period.
 };
 
 /// Run Pan-Tompkins detection over a waveform. Throws std::invalid_argument

@@ -56,7 +56,7 @@
 #include <vector>
 
 #include "dsp/spectral.hpp"
-#include "ecg/streaming_qrs.hpp"
+#include "ecg/lane_qrs.hpp"
 
 namespace svt::features {
 

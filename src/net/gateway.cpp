@@ -7,8 +7,6 @@ namespace svt::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr std::size_t kRecvBufferBytes = 64 * 1024;
 
 }  // namespace
@@ -93,24 +91,10 @@ GatewayStats ServeGateway::stats() const {
   s.samples_ingested = samples_ingested_.load();
   s.decision_batches_sent = decision_batches_sent_.load();
   s.decision_windows_sent = decision_windows_sent_.load();
+  s.decision_windows_dropped = decision_windows_dropped_.load();
   s.protocol_errors = protocol_errors_.load();
   s.orphan_batches = orphan_batches_.load();
   return s;
-}
-
-std::vector<double> ServeGateway::delivery_latencies_s() const {
-  const std::lock_guard<std::mutex> lock(latency_mutex_);
-  return latencies_s_;
-}
-
-void ServeGateway::record_send_latency(double seconds) {
-  const std::lock_guard<std::mutex> lock(latency_mutex_);
-  if (latencies_s_.size() < kLatencyReservoir) {
-    latencies_s_.push_back(seconds);
-  } else {
-    latencies_s_[latency_next_] = seconds;
-    latency_next_ = (latency_next_ + 1) % kLatencyReservoir;
-  }
 }
 
 void ServeGateway::accept_loop(Listener& listener) {
@@ -226,40 +210,38 @@ void ServeGateway::deliver(std::span<const rt::WindowResult> batch) {
     records.push_back(d);
   }
   OutItem item;
-  item.ready = Clock::now();
-  item.latency_tracked = true;
+  item.windows = batch.size();
   append_decisions(item.bytes, batch.front().patient_id, records);
   if (!conn->send_queue.push(std::move(item))) {
     orphan_batches_.fetch_add(1);  // Connection tearing down; batch dropped.
     return;
   }
-  decision_batches_sent_.fetch_add(1);
-  decision_windows_sent_.fetch_add(batch.size());
+  if (options_.send_backpressure == rt::BackpressurePolicy::kDropOldest) {
+    // The queue logs what the push evicted; free it now rather than when
+    // the connection closes.
+    for (const OutItem& evicted : conn->send_queue.take_evicted())
+      decision_windows_dropped_.fetch_add(evicted.windows);
+  }
 }
 
 void ServeGateway::writer_loop(const std::shared_ptr<Connection>& conn) {
   std::vector<std::uint8_t> sendbuf;
-  std::vector<Clock::time_point> tracked;
   while (true) {
     auto item = conn->send_queue.wait_pop();
     if (!item) break;  // Queue closed and drained: connection is finished.
     sendbuf.clear();
-    tracked.clear();
-    sendbuf.insert(sendbuf.end(), item->bytes.begin(), item->bytes.end());
-    if (item->latency_tracked) tracked.push_back(item->ready);
+    std::uint64_t batches = 0;
+    std::uint64_t windows = 0;
     // Coalesce everything immediately available into this send, bounded by
     // flush_bytes, then flush the whole batch with one explicit send call.
-    while (sendbuf.size() < options_.flush_bytes) {
-      auto more = conn->send_queue.try_pop();
-      if (!more) break;
-      sendbuf.insert(sendbuf.end(), more->bytes.begin(), more->bytes.end());
-      if (more->latency_tracked) tracked.push_back(more->ready);
-    }
-    const bool sent = conn->socket.send_all(sendbuf);
-    const auto now = Clock::now();
-    if (sent) {
-      for (const auto ready : tracked)
-        record_send_latency(std::chrono::duration<double>(now - ready).count());
+    do {
+      sendbuf.insert(sendbuf.end(), item->bytes.begin(), item->bytes.end());
+      batches += item->windows > 0 ? 1 : 0;
+      windows += item->windows;
+    } while (sendbuf.size() < options_.flush_bytes && (item = conn->send_queue.try_pop()));
+    if (conn->socket.send_all(sendbuf)) {
+      decision_batches_sent_.fetch_add(batches);
+      decision_windows_sent_.fetch_add(windows);
       continue;
     }
     // Peer is gone: unblock producers (sink pushes now fail fast) and wake

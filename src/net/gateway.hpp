@@ -31,7 +31,8 @@
 // the patient's stream and enqueues the encoded frame on that connection's
 // bounded send WorkQueue — kBlock mirrors ingest losslessly (a slow client
 // eventually throttles its own shard), kDropOldest sheds stale decisions
-// for live monitoring. The writer thread drains the queue, coalescing
+// for live monitoring (each evicted frame is freed at once and its windows
+// counted as dropped). The writer thread drains the queue, coalescing
 // everything immediately available into one buffer (up to flush_bytes)
 // before a single explicit send — the chained-buffer/flush idiom of
 // Galois' buffered transport.
@@ -52,7 +53,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -93,8 +93,13 @@ struct GatewayStats {
   std::uint64_t streams_closed = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t samples_ingested = 0;
+  /// Decision frames (and their windows) handed to the kernel by a
+  /// connection's writer. Frames evicted before sending never count.
   std::uint64_t decision_batches_sent = 0;
   std::uint64_t decision_windows_sent = 0;
+  /// Windows in decision frames evicted from a full send queue under
+  /// send_backpressure = kDropOldest.
+  std::uint64_t decision_windows_dropped = 0;
   std::uint64_t protocol_errors = 0;
   /// Sink batches whose patient had no live connection (evicted mid-flight
   /// or pushed in-process): counted, not delivered.
@@ -103,9 +108,9 @@ struct GatewayStats {
 
 class ServeGateway {
  public:
-  /// Serve `registry` through an embedded ShardedStreamClassifier. The
-  /// gateway installs its own ResultSink on the engine; do not replace it.
-  /// Throws std::invalid_argument on anything the engine rejects or on
+  /// Serve `registry` through an embedded ShardedStreamClassifier whose
+  /// ResultSink is the gateway's own routing sink. Throws
+  /// std::invalid_argument on anything the engine rejects or on
   /// send_queue_capacity == 0.
   ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::StreamConfig config = {},
                GatewayOptions options = {});
@@ -133,11 +138,6 @@ class ServeGateway {
 
   GatewayStats stats() const;
 
-  /// Gateway-side decision delivery latencies in seconds: per coalesced
-  /// send, classification-complete (sink entry) -> bytes handed to the
-  /// kernel. Bounded recent-window reservoir like the engine's.
-  std::vector<double> delivery_latencies_s() const;
-
   rt::ShardedStreamClassifier& engine() { return engine_; }
   const rt::ShardedStreamClassifier& engine() const { return engine_; }
   const rt::StreamConfig& config() const { return engine_.config(); }
@@ -145,8 +145,7 @@ class ServeGateway {
  private:
   struct OutItem {
     std::vector<std::uint8_t> bytes;
-    std::chrono::steady_clock::time_point ready;  ///< Sink entry time.
-    bool latency_tracked = false;  ///< Only decision batches are timed.
+    std::size_t windows = 0;  ///< Decision records in `bytes` (0: not a decision frame).
   };
 
   struct Connection {
@@ -177,7 +176,6 @@ class ServeGateway {
                         const std::map<int, bool>& streams);
   void deliver(std::span<const rt::WindowResult> batch);
   StatsFrame snapshot_stats_frame();
-  void record_send_latency(double seconds);
   void reap_finished_locked();  ///< Joins finished connections (conn_mutex_ held).
 
   GatewayOptions options_;
@@ -198,11 +196,6 @@ class ServeGateway {
 
   std::mutex fence_mutex_;  ///< flush() is not reentrant; serialise fences.
 
-  mutable std::mutex latency_mutex_;
-  std::vector<double> latencies_s_;
-  std::size_t latency_next_ = 0;
-  static constexpr std::size_t kLatencyReservoir = 4096;
-
   // Counters (atomic so readers, writers, and sink threads update freely).
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_closed_{0};
@@ -212,6 +205,7 @@ class ServeGateway {
   std::atomic<std::uint64_t> samples_ingested_{0};
   std::atomic<std::uint64_t> decision_batches_sent_{0};
   std::atomic<std::uint64_t> decision_windows_sent_{0};
+  std::atomic<std::uint64_t> decision_windows_dropped_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> orphan_batches_{0};
 };

@@ -84,15 +84,12 @@ struct ReplayReport {
 
 class CohortReplayer {
  public:
-  /// Own a sharded engine serving `registry`, configured by the unified
+  /// Own a sharded engine serving `registry`, configured by
   /// rt::EngineOptions (workers, queues, placement, stealing, deadline).
   /// Results are delivered through options.sink (same thread-safety
   /// contract as ShardedStreamClassifier); leave it empty to replay for the
-  /// stats alone. The replayer wraps the sink with its own counting sink on
-  /// the engine — do not replace it via engine().set_result_sink(), or
-  /// per-record window counts go dark.
-  /// (The pre-scheduler positional (registry, config, num_workers, sink)
-  /// shim is gone; pass workers/sink through rt::EngineOptions.)
+  /// stats alone. The engine's own sink is the replayer's counting sink,
+  /// which forwards to options.sink.
   explicit CohortReplayer(std::shared_ptr<ModelRegistry> registry, StreamConfig config = {},
                           EngineOptions options = {});
 

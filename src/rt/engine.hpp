@@ -1,21 +1,10 @@
-// The unified serving-engine surface: one options struct and one minimal
-// interface shared by every entry point.
+// Result and configuration types shared by the serving engines.
 //
-// Before this header, the runtime grew three parallel 5-argument
-// constructor stacks (ShardedStreamClassifier, CohortReplayer, ServeGateway)
-// that could not gain a scheduler knob without breaking every caller. Now:
-//
-//  * rt::EngineOptions carries everything an engine needs beyond the model
-//    registry and StreamConfig — worker count, queue sizing/backpressure,
-//    placement policy, work stealing, deadline mode, and the result sink —
-//    and is consumed uniformly by all three entry points.
-//
-//  * rt::Engine is the minimal interface a driver needs to stream against
-//    (push_samples / end_stream / flush / stats), implemented by both the
-//    single-threaded StreamClassifier (the determinism oracle) and the
-//    sharded ShardedStreamClassifier, so loadgen --direct, the cohort
-//    replayer, and the gateway program against the interface instead of a
-//    concrete engine.
+// rt::EngineOptions carries everything the sharded engine needs beyond the
+// model registry and StreamConfig: worker count, queue sizing and
+// backpressure, placement policy, work stealing, deadline mode, and the
+// ResultSink that every classified window leaves through. CohortReplayer
+// and net::ServeGateway take the same struct for the engine they embed.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "rt/placement.hpp"
 #include "rt/work_queue.hpp"
@@ -91,7 +79,9 @@ struct EngineOptions {
   std::shared_ptr<PlacementPolicy> placement;
   StealConfig stealing;
   DeadlineConfig deadline;
-  /// Continuous delivery sink; empty = collect for flush() (legacy mode).
+  /// Where every classified window goes, as soon as its batch completes;
+  /// required (engines throw std::invalid_argument at construction on an
+  /// empty sink).
   ResultSink sink;
 };
 
@@ -107,7 +97,7 @@ struct SchedulerStats {
   std::size_t deadline_level = 0;    ///< Current degradation level (0 = none).
 };
 
-/// Uniform counters every engine can answer.
+/// Counters both engines answer through stats().
 struct EngineStats {
   std::size_t delivered_windows = 0;
   std::size_t rejected_windows = 0;
@@ -118,29 +108,6 @@ struct EngineStats {
   std::size_t windows_annotated = 0;
   std::size_t windows_suppressed = 0;
   SchedulerStats scheduler;
-};
-
-/// The minimal surface a streaming driver needs. Implementations document
-/// their own threading contracts; the single-threaded StreamClassifier is
-/// the bit-exactness oracle the sharded implementation is tested against.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  /// Ingest one patient's chunk of raw ECG samples (mV).
-  virtual void push_samples(int patient_id, std::span<const double> samples_mv) = 0;
-
-  /// End a finite patient stream (classifies the held-back trailing
-  /// windows). Returns whether the patient was known — asynchronous
-  /// implementations that cannot know yet return true.
-  virtual bool end_stream(int patient_id) = 0;
-
-  /// Classify/deliver everything ingested so far. Returns the pending
-  /// results when the engine collects (no sink); empty when a sink already
-  /// delivered them continuously.
-  virtual std::vector<WindowResult> flush() = 0;
-
-  virtual EngineStats stats() const = 0;
 };
 
 }  // namespace svt::rt

@@ -54,6 +54,20 @@ void ServableModel::prepare_row(std::span<const double> raw_features,
   scaler_.transform_inplace(out);
 }
 
+void ServableModel::decision_values(std::span<const std::vector<double>> rows,
+                                    std::vector<double>& out, KernelScratch& scratch) const {
+  if (quantized_) {
+    quantized_->dequantized_decisions(rows, scratch, out);
+    return;
+  }
+  out.resize(rows.size());
+  if (packed_) {
+    packed_->decision_values(rows, out, scratch);
+  } else {
+    model_.decision_values(rows, out);
+  }
+}
+
 void ServableModel::save(std::ostream& os) const {
   os << "svmtailor-servable v1\n";
   os << "selected " << selected_.size();

@@ -70,6 +70,13 @@ class ServableModel {
   /// once warm. Bit-identical to the allocating overload.
   void prepare_row(std::span<const double> raw_features, std::vector<double>& out) const;
 
+  /// The back half: decision values for prepared rows through this model's
+  /// engine — the bit-exact fixed-point pipeline (dequantised accumulator)
+  /// when quantised, else the packed float kernel, else the generic SVM.
+  /// `out` is resized; `scratch` keeps the kernel's buffers across calls.
+  void decision_values(std::span<const std::vector<double>> rows, std::vector<double>& out,
+                       KernelScratch& scratch) const;
+
   const std::vector<std::size_t>& selected_features() const { return selected_; }
   const svm::StandardScaler& scaler() const { return scaler_; }
   const svm::SvmModel& model() const { return model_; }

@@ -15,7 +15,7 @@ ShardedStreamClassifier::ShardedStreamClassifier(std::shared_ptr<ModelRegistry> 
     throw std::invalid_argument("ShardedStreamClassifier: null model registry");
   if (options_.queue_capacity == 0)
     throw std::invalid_argument("ShardedStreamClassifier: queue_capacity must be > 0");
-  if (options_.sink) sink_ = std::make_shared<const ResultSink>(std::move(options_.sink));
+  if (!options_.sink) throw std::invalid_argument("ShardedStreamClassifier: empty result sink");
   placement_ =
       options_.placement ? options_.placement : std::make_shared<FibonacciPlacement>();
   const std::size_t n = std::max<std::size_t>(options_.num_workers, 1);
@@ -49,19 +49,6 @@ ShardedStreamClassifier::~ShardedStreamClassifier() {
   for (auto& shard : shards_) shard->tasks.close();
   for (auto& shard : shards_)
     if (shard->worker.joinable()) shard->worker.join();
-}
-
-void ShardedStreamClassifier::set_result_sink(ResultSink sink) {
-  {
-    const std::lock_guard<std::mutex> lock(route_mutex_);
-    for (const auto& [pid, route] : routes_)
-      if (route.issued != route.settled)
-        throw std::logic_error(
-            "ShardedStreamClassifier::set_result_sink: work in flight for patient " +
-            std::to_string(pid) + " — fence with flush() first");
-  }
-  const std::lock_guard<std::mutex> lock(sink_mutex_);
-  sink_ = sink ? std::make_shared<const ResultSink>(std::move(sink)) : nullptr;
 }
 
 std::size_t ShardedStreamClassifier::shard_of(int patient_id) const {
@@ -121,7 +108,7 @@ void ShardedStreamClassifier::evict_patient(int patient_id) {
   shards_[shard]->tasks.push_control(std::move(task));
 }
 
-bool ShardedStreamClassifier::end_stream(int patient_id) {
+void ShardedStreamClassifier::end_stream(int patient_id) {
   Task task;
   task.patient_id = patient_id;
   task.end_stream = true;
@@ -129,7 +116,6 @@ bool ShardedStreamClassifier::end_stream(int patient_id) {
   // Control push, like evictions: the end of a stream must not be dropped.
   const std::size_t shard = route_for_push(patient_id);
   shards_[shard]->tasks.push_control(std::move(task));
-  return true;
 }
 
 void ShardedStreamClassifier::rebalance_patient(int patient_id, std::size_t dest) {
@@ -612,21 +598,14 @@ void ShardedStreamClassifier::classify_batch(int patient_id,
     const std::span<const std::vector<double>> rows(scratch.rows.data(), m);
 
     auto& values = scratch.values;
-    if (model->quantized()) {
-      model->quantized()->dequantized_decisions(rows, scratch.kernel, values);
-    } else if (model->packed()) {
-      values.resize(m);
-      model->packed()->decision_values(rows, values, scratch.kernel);
-    } else {
-      values.resize(m);
-      model->model().decision_values(rows, values);
-    }
+    model->decision_values(rows, values, scratch.kernel);
     for (std::size_t k = 0; k < m; ++k) {
       batch[index[k]].decision_value = values[k];
       batch[index[k]].label = values[k] >= 0.0 ? +1 : -1;
     }
   }
-  deliver(batch);
+  options_.sink(batch);
+  delivered_ += n;
 }
 
 std::vector<double> ShardedStreamClassifier::delivery_latencies_s() const {
@@ -638,22 +617,7 @@ std::vector<double> ShardedStreamClassifier::delivery_latencies_s() const {
   return all;
 }
 
-void ShardedStreamClassifier::deliver(std::span<const WindowResult> batch) {
-  std::shared_ptr<const ResultSink> sink;
-  {
-    const std::lock_guard<std::mutex> lock(sink_mutex_);
-    sink = sink_;
-  }
-  if (sink) {
-    (*sink)(batch);
-  } else {
-    const std::lock_guard<std::mutex> lock(collected_mutex_);
-    collected_.insert(collected_.end(), batch.begin(), batch.end());
-  }
-  delivered_ += batch.size();
-}
-
-std::vector<WindowResult> ShardedStreamClassifier::flush() {
+void ShardedStreamClassifier::flush() {
   {
     const std::lock_guard<std::mutex> lock(route_mutex_);
     fence_pending_ = true;  // Pause migrations for the fence's duration.
@@ -698,26 +662,12 @@ std::vector<WindowResult> ShardedStreamClassifier::flush() {
 
   // A worker delivers a chunk's results before popping the next task, so
   // once every fence is visible everything pushed before this flush has been
-  // delivered (to the sink, or collected below).
-  {
-    const std::lock_guard<std::mutex> lock(error_mutex_);
-    if (error_) {
-      auto error = std::exchange(error_, nullptr);  // The engine stays usable.
-      std::rethrow_exception(error);
-    }
+  // delivered to the sink.
+  const std::lock_guard<std::mutex> lock(error_mutex_);
+  if (error_) {
+    auto error = std::exchange(error_, nullptr);  // The engine stays usable.
+    std::rethrow_exception(error);
   }
-
-  std::vector<WindowResult> results;
-  {
-    const std::lock_guard<std::mutex> lock(collected_mutex_);
-    results.swap(collected_);
-  }
-  std::sort(results.begin(), results.end(), [](const WindowResult& a, const WindowResult& b) {
-    if (a.patient_id != b.patient_id) return a.patient_id < b.patient_id;
-    if (a.start_s != b.start_s) return a.start_s < b.start_s;
-    return a.workload < b.workload;
-  });
-  return results;
 }
 
 void ShardedStreamClassifier::apply_deadline_level(int level) {

@@ -74,17 +74,14 @@
 // Fences and migrations bypass capacity, so flush() and stealing work even
 // against saturated queues.
 //
-// flush() is retained as a drain-and-fence compatibility wrapper: it fences
-// every shard (waits until everything pushed before the call has been
-// extracted, classified, and delivered) and, when no sink is installed,
-// returns the windows collected since the last flush sorted by (patient,
-// start time). With a sink installed, flush() is a pure fence and returns
-// an empty vector. Migrations pause while a flush is fencing (a hand-off
-// must not move queued chunks past a fence already posted to the
-// destination) and resume after it completes; flush() then waits for them
-// to resolve, so the fence is total — once it returns, the route table and
-// scheduler counters are settled too, and shard_of()/scheduler_stats() read
-// race-free.
+// The sink is the only way results leave the engine (construction throws
+// without one). flush() is a pure fence: it waits until everything pushed
+// before the call has been extracted, classified, and delivered to the
+// sink. Migrations pause while a flush is fencing (a hand-off must not move
+// queued chunks past a fence already posted to the destination) and resume
+// after it completes; flush() then waits for them to resolve, so the fence
+// is total — once it returns, the route table and scheduler counters are
+// settled too, and shard_of()/scheduler_stats() read race-free.
 //
 // Hot-swap fencing: workers snapshot a patient's model from the registry
 // once per classified batch, so an install() takes effect at the patient's
@@ -95,7 +92,7 @@
 // single-threaded StreamClassifier; detach/attach carries the exact filter,
 // ring, and threshold state across shards. Per-patient results are
 // therefore bit-identical for ANY worker count, placement, chunk
-// interleaving, delivery mode, or migration schedule (asserted by
+// interleaving, flush cadence, or migration schedule (asserted by
 // tests/test_rt_shard.cpp, test_rt_continuous.cpp, and test_rt_sched.cpp) —
 // as long as the deadline controller is off (stride widening deliberately
 // trades window density for latency).
@@ -126,64 +123,47 @@
 
 namespace svt::rt {
 
-class ShardedStreamClassifier final : public Engine {
+class ShardedStreamClassifier {
  public:
-  /// Unified constructor: everything beyond the registry and stream config
-  /// comes through rt::EngineOptions (worker count, queue sizing, placement,
-  /// stealing, deadline mode, sink). Throws std::invalid_argument on a null
-  /// registry, a bad stream config (same rules as WindowExtractor), or
-  /// queue_capacity == 0.
-  ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config = {},
-                          EngineOptions options = {});
+  /// Everything beyond the registry and stream config comes through
+  /// rt::EngineOptions (worker count, queue sizing, placement, stealing,
+  /// deadline mode, sink). Throws std::invalid_argument on a null registry,
+  /// a bad stream config (same rules as WindowExtractor), queue_capacity ==
+  /// 0, or an empty sink.
+  ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config,
+                          EngineOptions options);
 
-  /// Unified constructor over one cohort-wide detector (the registry holds
-  /// it as the workload-0 default; per-patient and per-workload models can
-  /// still be installed later).
+  /// Serve one cohort-wide detector (the registry holds it as the
+  /// workload-0 default; per-patient and per-workload models can still be
+  /// installed later).
   ShardedStreamClassifier(const core::TailoredDetector& detector, StreamConfig config,
-                          EngineOptions options = {});
-  // The pre-scheduler positional (registry, config, num_workers, options,
-  // sink) constructors are gone: every in-repo caller moved to
-  // rt::EngineOptions when the multi-workload API landed. Set
-  // options.num_workers / options.sink instead.
+                          EngineOptions options);
 
-  ~ShardedStreamClassifier() override;
+  ~ShardedStreamClassifier();
   ShardedStreamClassifier(const ShardedStreamClassifier&) = delete;
   ShardedStreamClassifier& operator=(const ShardedStreamClassifier&) = delete;
-
-  /// Install (or clear, with an empty function) the continuous delivery
-  /// sink. Prefer EngineOptions::sink at construction; this mutator exists
-  /// for drivers that re-point delivery between runs. The engine must be
-  /// QUIESCENT — every pushed task settled, e.g. right after construction or
-  /// a flush() — because a batch classified concurrently with the swap could
-  /// be delivered to either sink. Throws std::logic_error when work is in
-  /// flight.
-  void set_result_sink(ResultSink sink);
 
   /// Route a chunk of raw ECG samples (mV) to the patient's shard. Under
   /// kBlock backpressure this may block until the shard drains a chunk; under
   /// kDropOldest it returns immediately (possibly evicting the shard's
   /// stalest queued chunk). Safe to call from multiple threads.
-  void push_samples(int patient_id, std::span<const double> samples_mv) override;
+  void push_samples(int patient_id, std::span<const double> samples_mv);
 
-  /// Drain-and-fence: wait until every chunk pushed before this call has
-  /// been extracted, classified, and delivered. Without a sink, returns the
-  /// results collected since the last flush, sorted by (patient, start
-  /// time); with a sink, returns empty. Rethrows the first classification
-  /// error a worker hit since the last flush (e.g. a patient resolving to
-  /// no model). A throwing flush loses nothing: windows other patients
-  /// classified successfully stay collected and are returned by the next
-  /// flush(). Error-to-fence attribution is best-effort — an error from a
-  /// chunk pushed concurrently with this flush may be reported by it or by
-  /// the next one.
-  std::vector<WindowResult> flush() override;
+  /// Total fence: wait until every chunk pushed before this call has been
+  /// extracted, classified, and delivered to the sink. Rethrows the first
+  /// classification error a worker hit since the last flush (e.g. a patient
+  /// resolving to no model); the other patients' windows were delivered
+  /// regardless. Error-to-fence attribution is best-effort — an error from
+  /// a chunk pushed concurrently with this flush may be reported by it or
+  /// by the next one.
+  void flush();
 
   /// End a finite patient stream: the owning worker flushes the detector
   /// tail, classifies and delivers the trailing windows the live path holds
   /// back (see WindowExtractor::end_patient), and drops the patient's
-  /// stream state. Asynchronous like push_samples, so the patient's
-  /// existence cannot be answered synchronously: always returns true; fence
-  /// with flush() to wait for the tail delivery.
-  bool end_stream(int patient_id) override;
+  /// stream state. Asynchronous like push_samples; fence with flush() to
+  /// wait for the tail delivery.
+  void end_stream(int patient_id);
 
   /// Drop a patient's extraction state (detector, beat ring, window phase)
   /// on their shard. Asynchronous: takes effect after chunks already queued
@@ -220,7 +200,7 @@ class ShardedStreamClassifier final : public Engine {
   /// across all shards.
   std::size_t dropped_chunks() const;
 
-  /// Windows delivered (to the sink or the collection buffer) so far.
+  /// Windows delivered to the sink so far.
   std::size_t delivered_windows() const { return delivered_.load(); }
 
   /// Scheduler counters: steals issued, migrations landed, chunks moved,
@@ -240,16 +220,16 @@ class ShardedStreamClassifier final : public Engine {
   /// only a fence makes the per-shard sums coherent.
   ecg::QualityStats quality_stats() const;
 
-  /// Uniform counters (rt::Engine). windows_annotated/windows_suppressed
-  /// are maintained by worker-side watermarks (like rejected_windows), so
-  /// they are safe to read mid-stream and exact after a flush.
-  EngineStats stats() const override;
+  /// Uniform counters. windows_annotated/windows_suppressed are maintained
+  /// by worker-side watermarks (like rejected_windows), so they are safe to
+  /// read mid-stream and exact after a flush.
+  EngineStats stats() const;
 
   /// Per-batch delivery latencies in seconds: for every delivered batch,
-  /// the time from its chunk's push_samples() submission to the sink (or
-  /// collection buffer) receiving the classified windows — under kBlock
-  /// backpressure this deliberately includes the producer's wait for queue
-  /// space, since that is part of the latency a submitter observes. Bounded:
+  /// the time from its chunk's push_samples() submission to the sink
+  /// receiving the classified windows — under kBlock backpressure this
+  /// deliberately includes the producer's wait for queue space, since that
+  /// is part of the latency a submitter observes. Bounded:
   /// each shard keeps a fixed-size reservoir of the most recent batches
   /// (kLatencyReservoir), so long-running engines report a recent-window
   /// percentile view at constant memory. Drives the deadline controller.
@@ -354,7 +334,6 @@ class ShardedStreamClassifier final : public Engine {
   void worker_loop(std::size_t self, Shard& shard);
   void classify_batch(int patient_id, std::span<const ExtractedWindow> windows, Shard& shard);
   void record_latency(Shard& shard, std::chrono::steady_clock::time_point enqueued);
-  void deliver(std::span<const WindowResult> batch);
 
   /// Producer side: find-or-create the patient's route (consulting the
   /// placement policy on first sight), count the task as issued, and return
@@ -400,14 +379,6 @@ class ShardedStreamClassifier final : public Engine {
   std::unordered_map<int, RouteEntry> routes_;
   std::vector<std::size_t> shard_patients_;  ///< Patients routed per shard.
   bool fence_pending_ = false;  ///< A flush is fencing: migrations pause.
-
-  // Continuous delivery (sink snapshotted per batch under sink_mutex_).
-  std::mutex sink_mutex_;
-  std::shared_ptr<const ResultSink> sink_;
-
-  // Compatibility collection buffer (used only when no sink is installed).
-  std::mutex collected_mutex_;
-  std::vector<WindowResult> collected_;
 
   // Fence protocol (guarded by fence_mutex_).
   std::mutex fence_mutex_;

@@ -71,6 +71,7 @@ std::vector<WindowResult> StreamClassifier::flush() {
   std::vector<std::size_t> index;
   std::vector<std::vector<double>> workload_rows;
   std::vector<double> values;
+  KernelScratch scratch;
   for (std::uint32_t w = 0; w < models_.size(); ++w) {
     index.clear();
     for (std::size_t i = 0; i < results.size(); ++i)
@@ -79,20 +80,7 @@ std::vector<WindowResult> StreamClassifier::flush() {
     workload_rows.clear();
     for (const std::size_t i : index) workload_rows.push_back(std::move(rows[i]));
 
-    const ServableModel& model = models_[w];
-    if (model.quantized()) {
-      // Fixed-point deployment: labels come from the bit-exact batched
-      // integer pipeline; the dequantised accumulator doubles as the
-      // decision value.
-      values = model.quantized()->dequantized_decisions(workload_rows);
-    } else {
-      values.resize(workload_rows.size());
-      if (model.packed()) {
-        model.packed()->decision_values(workload_rows, values);
-      } else {
-        model.model().decision_values(workload_rows, values);
-      }
-    }
+    models_[w].decision_values(workload_rows, values, scratch);
     for (std::size_t k = 0; k < index.size(); ++k) {
       results[index[k]].decision_value = values[k];
       results[index[k]].label = values[k] >= 0.0 ? +1 : -1;

@@ -13,15 +13,18 @@
 // The extraction stage lives in rt::WindowExtractor (shared with the sharded
 // engine); every time it emits a window, the detector's front half (feature
 // selection + scaling) runs immediately and the row is queued. flush() then
-// classifies every queued row in ONE call through the packed batch kernel --
-// the float fast path (rt::PackedModel), or the bit-exact fixed-point
-// pipeline (core::QuantizedModel::classify_batch) when the detector carries
-// a quantised engine. Patient streams are fully isolated: results for a
-// patient are identical whether its samples are pushed alone or interleaved
-// with other patients'. This engine is the determinism oracle: the
+// classifies every queued row in ONE batched call per workload
+// (ServableModel::decision_values, the dispatch the sharded engine shares)
+// -- the float fast path (rt::PackedModel), or the bit-exact fixed-point
+// pipeline when the detector carries a quantised engine. Patient streams
+// are fully isolated: results for a patient are identical whether its
+// samples are pushed alone or interleaved with other patients'. This engine
+// is the determinism oracle: the
 // continuous sharded engine (rt::ShardedStreamClassifier) is tested
-// bit-identical against it per patient, in both flush-drain and
-// continuous-sink delivery modes, under any worker count.
+// bit-identical against it per patient, under any worker count. Unlike the
+// sharded engine, which delivers only through its sink, this one collects:
+// flush() returns the results, so a test can compare against them
+// directly.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +38,7 @@
 
 namespace svt::rt {
 
-class StreamClassifier final : public Engine {
+class StreamClassifier {
  public:
   /// Serve a deployable model directly (the same unit the registry and the
   /// network gateway serve, so a gateway reference run needs no training).
@@ -59,24 +62,24 @@ class StreamClassifier final : public Engine {
   /// Ingest a chunk of raw ECG samples (mV) for one patient. Chunks may be
   /// of any size; windows are emitted as soon as enough samples accumulate.
   /// A first push creates the patient's stream.
-  void push_samples(int patient_id, std::span<const double> samples_mv) override;
+  void push_samples(int patient_id, std::span<const double> samples_mv);
 
   /// End a finite patient stream: flushes the detector tail and queues the
   /// trailing windows the live path holds back (see
   /// WindowExtractor::end_patient), then drops the patient's stream state.
   /// Returns whether the patient existed. Follow with flush() to classify.
-  bool end_stream(int patient_id) override;
+  bool end_stream(int patient_id);
 
   /// Windows extracted and queued, awaiting the next flush().
   std::size_t pending_windows() const { return pending_meta_.size(); }
 
   /// Classify every queued window in one batched call and return the
   /// results (stream order per patient, push order across patients).
-  std::vector<WindowResult> flush() override;
+  std::vector<WindowResult> flush();
 
-  /// Uniform counters (rt::Engine). The single-threaded engine never drops
-  /// chunks and runs no scheduler, so those fields are always zero.
-  EngineStats stats() const override {
+  /// Uniform counters. The single-threaded engine never drops chunks and
+  /// runs no scheduler, so those fields are always zero.
+  EngineStats stats() const {
     EngineStats s;
     s.delivered_windows = delivered_windows_;
     s.rejected_windows = rejected_windows();

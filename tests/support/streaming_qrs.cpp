@@ -1,7 +1,9 @@
-#include "ecg/streaming_qrs.hpp"
+#include "support/streaming_qrs.hpp"
 
 #include <algorithm>
 #include <stdexcept>
+
+#include "common/assert.hpp"
 
 namespace svt::ecg {
 
@@ -14,13 +16,6 @@ std::size_t next_pow2(std::size_t n) {
 }
 
 }  // namespace
-
-void BeatRing::grow() {
-  std::vector<Beat> next(std::max<std::size_t>(16, buf_.size() * 2));
-  for (std::size_t i = 0; i < size_; ++i) next[i] = (*this)[i];
-  buf_ = std::move(next);
-  head_ = 0;
-}
 
 void StreamingQrsDetector::HistoryRing::init(std::size_t min_capacity) {
   buf.assign(next_pow2(min_capacity), 0.0);

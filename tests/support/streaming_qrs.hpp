@@ -1,4 +1,9 @@
-// Incremental (streaming) Pan-Tompkins QRS detection.
+// Incremental (streaming) Pan-Tompkins QRS detection: the scalar oracle.
+//
+// Test-only. Serving runs ecg::LaneQrsDetector, which steps several
+// patients per SIMD instruction; this one-patient detector is the
+// independent reference each lane is proven bit-identical to
+// (tests/test_lane_qrs.cpp).
 //
 // The batch detector (ecg::detect_qrs) re-runs the whole filter chain over
 // every analysis window, so a streaming runtime with overlapping windows
@@ -23,10 +28,8 @@
 //    i - win, so a beat is *final* (no later sample can add one before it)
 //    only once the cursor has moved win past it.
 //
-// Detected beats land in a BeatRing of (absolute sample index, raw
-// amplitude); the windowing layer slices them per window and drops them as
-// the stride advances. The ring grows geometrically but is steady-state
-// allocation-free once warm.
+// Detected beats land in an ecg::BeatRing of (absolute sample index, raw
+// amplitude), the same ring the lane detector fills.
 #pragma once
 
 #include <cstddef>
@@ -34,63 +37,11 @@
 #include <span>
 #include <vector>
 
-#include "common/assert.hpp"
 #include "dsp/filter.hpp"
+#include "ecg/lane_qrs.hpp"
 #include "ecg/qrs_detect.hpp"
 
 namespace svt::ecg {
-
-/// One detected heartbeat: where its R peak sits in the raw stream and the
-/// raw-signal amplitude there.
-struct Beat {
-  std::int64_t sample_index = 0;  ///< Absolute index into the patient stream.
-  double amplitude_mv = 0.0;      ///< Raw ECG value at the R peak.
-};
-
-/// Growable ring of beats ordered by sample index: beats append at the
-/// tail as they are confirmed and are dropped from the head as the window
-/// stride advances. Capacity doubles when full (amortised; no steady-state
-/// allocation once sized for the widest window).
-class BeatRing {
- public:
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  /// Allocated slots (for residency accounting; power of two once grown).
-  std::size_t capacity() const { return buf_.size(); }
-
-  /// Drop every beat; keeps the allocation (ring reuse across streams).
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
-  /// i-th oldest beat (0 = head).
-  const Beat& operator[](std::size_t i) const {
-    SVT_ASSERT(i < size_);
-    return buf_[(head_ + i) & (buf_.size() - 1)];
-  }
-
-  void push_back(const Beat& beat) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = beat;
-    ++size_;
-  }
-
-  /// Drop beats from the head whose sample index is < `sample_index`.
-  void drop_before(std::int64_t sample_index) {
-    while (size_ > 0 && buf_[head_ & (buf_.size() - 1)].sample_index < sample_index) {
-      head_ = (head_ + 1) & (buf_.size() - 1);
-      --size_;
-    }
-  }
-
- private:
-  void grow();
-
-  std::vector<Beat> buf_;  ///< Power-of-two capacity (0 until first push).
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
 
 /// Stateful online Pan-Tompkins detector for one patient stream.
 class StreamingQrsDetector {

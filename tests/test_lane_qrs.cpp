@@ -14,25 +14,15 @@
 #include <vector>
 
 #include "common/simd_dispatch.hpp"
-#include "ecg/ecg_synth.hpp"
 #include "ecg/lane_qrs.hpp"
-#include "ecg/rr_model.hpp"
-#include "ecg/streaming_qrs.hpp"
 #include "rt/window_extractor.hpp"
+#include "support/fixtures.hpp"
+#include "support/streaming_qrs.hpp"
 
 namespace svt {
 namespace {
 
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
+using namespace test;
 
 /// Tiers this host can actually execute (detected cpuid, ignoring any
 /// SVT_LANE_ISA narrowing so the parity sweep always covers everything).

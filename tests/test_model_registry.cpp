@@ -12,29 +12,13 @@
 #include <vector>
 
 #include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
-#include "features/extractor.hpp"
 #include "rt/model_registry.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-core::TailoredDetector make_detector(bool quantized) {
-  ecg::DatasetParams params;
-  params.windows_per_session = 10;
-  const auto ds = ecg::generate_dataset(params);
-  const auto matrix = features::extract_feature_matrix(ds);
-  core::TailoringConfig config;
-  config.num_features = 30;
-  config.sv_budget = 60;
-  if (!quantized) config.quant.reset();
-  return core::tailor_detector(matrix.samples, matrix.labels, config);
-}
-
-const core::TailoredDetector& quant_detector() {
-  static const core::TailoredDetector d = make_detector(true);
-  return d;
-}
+using namespace test;
 
 /// Random raw (full-length) feature vectors shaped like extractor output.
 std::vector<std::vector<double>> random_raw_vectors(std::size_t count, std::size_t nfeat,
@@ -54,14 +38,14 @@ std::size_t raw_feature_count(const core::TailoredDetector& detector) {
 }
 
 TEST(ModelRegistry, ResolveFallsBackToDefault) {
-  rt::ModelRegistry registry(rt::ServableModel::from_detector(quant_detector()));
+  rt::ModelRegistry registry(rt::ServableModel::from_detector(detector()));
   const auto fallback = registry.resolve(42);
   ASSERT_TRUE(fallback);
   EXPECT_TRUE(fallback->quantized().has_value());
 
   // A dedicated entry shadows the default; erasing it restores the fallback.
   auto dedicated = std::make_shared<const rt::ServableModel>(
-      rt::ServableModel::from_detector(quant_detector()));
+      rt::ServableModel::from_detector(detector()));
   registry.install(42, dedicated);
   EXPECT_EQ(registry.resolve(42), dedicated);
   EXPECT_NE(registry.resolve(7), dedicated);
@@ -81,10 +65,9 @@ TEST(ModelRegistry, HotSwapIsAtomicUnderConcurrentResolves) {
   // Swap two models for one patient from a writer thread while reader
   // threads continuously resolve and use them. TSan (CI) checks the data
   // races; here we assert readers only ever observe fully formed models.
-  rt::ModelRegistry registry(rt::ServableModel::from_detector(quant_detector()));
-  auto a = std::make_shared<const rt::ServableModel>(
-      rt::ServableModel::from_detector(quant_detector()));
-  const auto raw = random_raw_vectors(4, raw_feature_count(quant_detector()), 5);
+  rt::ModelRegistry registry(rt::ServableModel::from_detector(detector()));
+  auto a = std::make_shared<const rt::ServableModel>(rt::ServableModel::from_detector(detector()));
+  const auto raw = random_raw_vectors(4, raw_feature_count(detector()), 5);
 
   std::thread writer([&] {
     for (int i = 0; i < 200; ++i) {
@@ -104,7 +87,7 @@ TEST(ModelRegistry, HotSwapIsAtomicUnderConcurrentResolves) {
 }
 
 TEST(ServableModel, RoundTripsQuantizedBitExact) {
-  const auto original = rt::ServableModel::from_detector(quant_detector());
+  const auto original = rt::ServableModel::from_detector(detector());
   std::stringstream stream;
   original.save(stream);
   const auto loaded = rt::ServableModel::load(stream);
@@ -113,7 +96,7 @@ TEST(ServableModel, RoundTripsQuantizedBitExact) {
   ASSERT_TRUE(loaded.quantized().has_value());
   EXPECT_FALSE(loaded.packed().has_value());  // Quantised engine wins, as before.
 
-  const auto raw = random_raw_vectors(64, raw_feature_count(quant_detector()), 11);
+  const auto raw = random_raw_vectors(64, raw_feature_count(detector()), 11);
   for (const auto& x : raw) {
     const auto row_a = original.prepare_row(x);
     const auto row_b = loaded.prepare_row(x);
@@ -132,8 +115,7 @@ TEST(ServableModel, RoundTripsQuantizedBitExact) {
 }
 
 TEST(ServableModel, RoundTripsFloatWithPackedFastPath) {
-  static const core::TailoredDetector float_detector = make_detector(false);
-  const auto original = rt::ServableModel::from_detector(float_detector);
+  const auto original = rt::ServableModel::from_detector(float_detector());
   ASSERT_FALSE(original.quantized().has_value());
   ASSERT_TRUE(original.packed().has_value());
 
@@ -142,7 +124,7 @@ TEST(ServableModel, RoundTripsFloatWithPackedFastPath) {
   const auto loaded = rt::ServableModel::load(stream);
   ASSERT_TRUE(loaded.packed().has_value());  // Rebuilt from the loaded SVM.
 
-  const auto raw = random_raw_vectors(32, raw_feature_count(float_detector), 13);
+  const auto raw = random_raw_vectors(32, raw_feature_count(float_detector()), 13);
   for (const auto& x : raw) {
     const auto row = original.prepare_row(x);
     EXPECT_EQ(original.packed()->decision_value(row), loaded.packed()->decision_value(row));
@@ -150,7 +132,7 @@ TEST(ServableModel, RoundTripsFloatWithPackedFastPath) {
 }
 
 TEST(ServableModel, LoadRejectsCorruptInput) {
-  const auto original = rt::ServableModel::from_detector(quant_detector());
+  const auto original = rt::ServableModel::from_detector(detector());
   std::stringstream stream;
   original.save(stream);
   std::string text = stream.str();
@@ -166,7 +148,7 @@ TEST(ServableModel, LoadRejectsCorruptInput) {
 }
 
 TEST(ServableModel, RejectsMismatchedParts) {
-  const auto& detector = quant_detector();
+  const auto& detector = test::detector();
   svm::StandardScaler wrong_scaler;  // Not fitted.
   EXPECT_THROW(rt::ServableModel(detector.selected_features(), wrong_scaler, detector.model(),
                                  detector.quantized()),

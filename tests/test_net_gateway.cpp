@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -350,6 +351,70 @@ TEST(NetGateway, StatsAnswerAccountsForTheConversation) {
   EXPECT_GT(stats->windows_delivered, 0u);
   EXPECT_EQ(stats->windows_delivered, client.decisions().size());
   gateway->stop();
+}
+
+TEST(NetGateway, DropOldestFreesAndCountsEvictedDecisionFrames) {
+  // A client that reads nothing until the engine has delivered everything:
+  // with a one-frame send queue under kDropOldest, most decision frames are
+  // evicted before the writer can send them. Each evicted frame must count
+  // as dropped and never as sent, so the client receives exactly what the
+  // gateway reports as sent.
+  rt::StreamConfig config = ward_config();
+  config.window_s = 4.0;
+  config.stride_s = 1.0;
+  net::GatewayOptions options = gateway_options(1);
+  options.send_queue_capacity = 1;
+  options.send_backpressure = rt::BackpressurePolicy::kDropOldest;
+  auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model());
+  net::ServeGateway gateway(std::move(registry), config, options);
+  const auto bound = gateway.add_listener(net::Endpoint::unix_path(unique_uds_path("drop")));
+  gateway.start();
+
+  const auto ward = synth_ward(8, 1200.0);
+  std::vector<std::uint8_t> out;
+  net::append_hello(out, net::HelloFrame{});
+  for (const auto& [pid, samples] : ward) {
+    net::append_stream_open(out, net::StreamOpenFrame{pid, 250.0});
+    for (std::size_t off = 0; off < samples.size(); off += 1000) {
+      const std::size_t n = std::min<std::size_t>(1000, samples.size() - off);
+      net::append_sample_chunk(out, pid, std::span(samples).subspan(off, n));
+    }
+    net::append_end_stream(out, net::EndStreamFrame{pid});
+  }
+  net::Socket socket = net::connect_to(bound);
+  ASSERT_TRUE(socket.send_all(out));
+  while (gateway.stats().streams_closed < ward.size())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  gateway.engine().flush();  // Every decision is sent, queued or dropped by now.
+
+  out.clear();
+  net::append_bye(out);
+  ASSERT_TRUE(socket.send_all(out));
+  net::FrameDecoder decoder;
+  std::vector<std::uint8_t> buffer(64 * 1024);
+  while (true) {  // Everything the gateway sent, up to its FIN.
+    const auto n = socket.recv_some(buffer);
+    if (n <= 0) break;
+    decoder.feed(std::span<const std::uint8_t>(buffer.data(), static_cast<std::size_t>(n)));
+  }
+  std::uint64_t received = 0;
+  bool stats_answered = false;
+  net::FrameDecoder::Frame frame;
+  while (decoder.next(frame) == net::FrameDecoder::Status::kFrame) {
+    net::DecisionBatchView batch;
+    if (frame.type == net::FrameType::kDecision && net::parse_decisions(frame.payload, batch))
+      received += batch.num_decisions;
+    stats_answered = stats_answered || frame.type == net::FrameType::kStats;
+  }
+  EXPECT_TRUE(stats_answered);
+
+  gateway.wait_connections_closed(1);
+  const auto stats = gateway.stats();
+  EXPECT_GT(stats.decision_windows_dropped, 0u);
+  EXPECT_EQ(stats.decision_windows_sent, received);
+  EXPECT_EQ(stats.decision_windows_sent + stats.decision_windows_dropped,
+            gateway.engine().delivered_windows());
+  gateway.stop();
 }
 
 TEST(NetGateway, ZeroSendQueueCapacityIsRejected) {

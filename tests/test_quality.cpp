@@ -16,17 +16,16 @@
 #include <span>
 #include <vector>
 
-#include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
 #include "ecg/ecg_synth.hpp"
 #include "ecg/quality.hpp"
-#include "ecg/rr_model.hpp"
-#include "features/extractor.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
+
+using namespace test;
 
 // ---------------------------------------------------------------------------
 // Gate unit behaviour.
@@ -156,38 +155,8 @@ TEST(RrOutliers, CountsIsolatedSpikesOnly) {
 // ---------------------------------------------------------------------------
 // Engine-level parity.
 
-core::TailoredDetector make_detector() {
-  ecg::DatasetParams params;
-  params.windows_per_session = 10;
-  const auto ds = ecg::generate_dataset(params);
-  const auto matrix = features::extract_feature_matrix(ds);
-  core::TailoringConfig config;
-  config.num_features = 30;
-  config.sv_budget = 60;
-  return core::tailor_detector(matrix.samples, matrix.labels, config);
-}
-
-const core::TailoredDetector& detector() {
-  static const core::TailoredDetector d = make_detector();
-  return d;
-}
-
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
-
 rt::StreamConfig quality_stream_config(ecg::QualityPolicy policy) {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
+  rt::StreamConfig config = short_window_config();
   config.quality = gate_config();
   config.quality.policy = policy;
   return config;
@@ -207,24 +176,6 @@ std::map<int, ecg::EcgWaveform> make_dirty_ward() {
     }
   }
   return ward;
-}
-
-template <typename Classifier>
-void push_interleaved(Classifier& classifier, const std::map<int, ecg::EcgWaveform>& ward,
-                      std::size_t chunk) {
-  std::map<int, std::size_t> offsets;
-  bool any_left = true;
-  while (any_left) {
-    any_left = false;
-    for (const auto& [pid, wf] : ward) {
-      std::size_t& off = offsets[pid];
-      if (off >= wf.samples_mv.size()) continue;
-      const std::size_t n = std::min(chunk, wf.samples_mv.size() - off);
-      classifier.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-      off += n;
-      if (off < wf.samples_mv.size()) any_left = true;
-    }
-  }
 }
 
 void expect_same_results(const std::vector<rt::WindowResult>& got,
@@ -308,12 +259,14 @@ TEST(QualityGateEngine, ShardedMatchesSingleThreadedGateExactly) {
     ASSERT_GT(want_stats.artifact_spans, 0u);
 
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      rt::EngineOptions options;
-      options.num_workers = workers;
-      rt::ShardedStreamClassifier sharded(detector(), quality_stream_config(policy), options);
+      Collector collector;
+      rt::ShardedStreamClassifier sharded(detector(), quality_stream_config(policy),
+                                          engine_options(workers, collector.sink()));
       push_interleaved(sharded, ward, 733);
-      auto got = sharded.flush();
-      // flush() orders by (patient, start, workload); match the reference.
+      sharded.flush();
+      EXPECT_TRUE(collector.time_ordered);
+      const auto got = collector.all();
+      // all() orders by patient, then time; match the reference.
       std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
         return a.patient_id != b.patient_id ? a.patient_id < b.patient_id
                                             : a.start_s < b.start_s;

@@ -12,50 +12,20 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
 #include "features/extractor.hpp"
 #include "io/cohort_fixture.hpp"
 #include "io/wfdb.hpp"
 #include "rt/cohort_replayer.hpp"
 #include "rt/stream_classifier.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-const core::TailoredDetector& detector() {
-  static const core::TailoredDetector d = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
-  return d;
-}
-
-rt::StreamConfig short_window_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
-  return config;
-}
-
-rt::EngineOptions engine_opts(std::size_t num_workers, rt::ResultSink sink = {}) {
-  rt::EngineOptions options;
-  options.num_workers = num_workers;
-  if (sink) options.sink = std::move(sink);
-  return options;
-}
+using namespace test;
 
 /// A fixture cohort whose records end exactly on a window boundary, so the
 /// trailing window is only recoverable through the end-of-record path.
@@ -96,18 +66,6 @@ std::map<int, std::vector<rt::WindowResult>> direct_results(
   return split;
 }
 
-struct Collector {
-  std::mutex mutex;
-  std::map<int, std::vector<rt::WindowResult>> per_patient;
-
-  rt::ResultSink sink() {
-    return [this](std::span<const rt::WindowResult> batch) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      for (const auto& r : batch) per_patient[r.patient_id].push_back(r);
-    };
-  }
-};
-
 TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
   const auto dir = fixture_dir("parity");
   const auto cohort = decoded_cohort(dir);
@@ -119,7 +77,7 @@ TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
     auto registry =
         std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
     rt::CohortReplayer replayer(registry, short_window_config(),
-                                engine_opts(workers, collector.sink()));
+                                engine_options(workers, collector.sink()));
     const auto report = replayer.replay_directory(dir);
 
     ASSERT_EQ(collector.per_patient.size(), want.size()) << workers << " workers";
@@ -167,8 +125,7 @@ TEST(CohortReplay, EndStreamRecoversTrailingWindows) {
   Collector collector;
   auto registry =
       std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
-  rt::CohortReplayer replayer(registry, short_window_config(),
-                              engine_opts(2, collector.sink()));
+  rt::CohortReplayer replayer(registry, short_window_config(), engine_options(2, collector.sink()));
   const auto report = replayer.replay_directory(dir);
   EXPECT_EQ(report.windows, n_with);  // The replayer wires end_stream per record.
 }
@@ -177,7 +134,7 @@ TEST(CohortReplay, PacedReplayHonoursTheSpeedMultiple) {
   const auto dir = fixture_dir("paced", 1, 12.0);
   auto registry =
       std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
-  rt::CohortReplayer replayer(registry, short_window_config(), engine_opts(1));
+  rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   rt::ReplayOptions options;
   options.speed = 60.0;
   options.chunk_s = 2.0;
@@ -207,8 +164,7 @@ TEST(CohortReplay, MismatchedSamplingRateSkipsTheRecordNotTheCohort) {
   auto registry =
       std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
   Collector collector;
-  rt::CohortReplayer replayer(registry, short_window_config(),
-                              engine_opts(2, collector.sink()));
+  rt::CohortReplayer replayer(registry, short_window_config(), engine_options(2, collector.sink()));
   const auto report = replayer.replay_directory(dir);
 
   EXPECT_EQ(report.skipped_records, 1u);
@@ -238,7 +194,7 @@ TEST(CohortReplay, DuplicatePatientIdsThrow) {
   const auto dir = fixture_dir("dup", 1, 10.0);
   auto registry =
       std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
-  rt::CohortReplayer replayer(registry, short_window_config(), engine_opts(1));
+  rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   EXPECT_THROW(replayer.replay_records(dir, {"p001", "p001"}, {}), std::invalid_argument);
 }
 

@@ -1,8 +1,8 @@
 // Continuous (non-barrier) delivery: results arriving through the
 // ResultSink must be time-ordered per patient, batched one patient at a
 // time, and bit-identical to the single-threaded StreamClassifier under
-// 1/2/4 workers — with flush() reduced to a pure fence, hot-swaps fencing on
-// batch boundaries, backpressure not changing results, and evict_patient
+// 1/2/4 workers — with flush() a pure fence, hot-swaps fencing on batch
+// boundaries, backpressure not changing results, and evict_patient
 // restarting a stream from scratch.
 #include <gtest/gtest.h>
 
@@ -10,63 +10,20 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <random>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
-#include "ecg/ecg_synth.hpp"
-#include "ecg/rr_model.hpp"
-#include "features/extractor.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-const core::TailoredDetector& detector() {
-  static const core::TailoredDetector d = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
-  return d;
-}
-
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
-
-rt::StreamConfig short_window_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
-  return config;
-}
-
-rt::EngineOptions engine_opts(std::size_t num_workers, rt::ResultSink sink = {},
-                              rt::EngineOptions options = {}) {
-  options.num_workers = num_workers;
-  if (sink) options.sink = std::move(sink);
-  return options;
-}
+using namespace test;
 
 std::map<int, ecg::EcgWaveform> make_ward() {
   std::map<int, ecg::EcgWaveform> ward;
@@ -75,74 +32,10 @@ std::map<int, ecg::EcgWaveform> make_ward() {
   return ward;
 }
 
-void push_interleaved(rt::ShardedStreamClassifier& classifier,
-                      const std::map<int, ecg::EcgWaveform>& ward, std::size_t chunk) {
-  std::map<int, std::size_t> offsets;
-  bool any_left = true;
-  while (any_left) {
-    any_left = false;
-    for (const auto& [pid, wf] : ward) {
-      std::size_t& off = offsets[pid];
-      if (off >= wf.samples_mv.size()) continue;
-      const std::size_t n = std::min(chunk, wf.samples_mv.size() - off);
-      classifier.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-      off += n;
-      if (off < wf.samples_mv.size()) any_left = true;
-    }
-  }
-}
-
-/// Thread-safe sink that checks the delivery guarantees as results arrive:
-/// every batch holds exactly one patient's windows, and each patient's
-/// windows arrive in strictly increasing time order across all batches.
-struct Collector {
-  std::mutex mutex;
-  std::map<int, std::vector<rt::WindowResult>> per_patient;
-  std::size_t batches = 0;
-  bool single_patient_batches = true;
-  bool time_ordered = true;
-
-  rt::ResultSink sink() {
-    return [this](std::span<const rt::WindowResult> batch) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      ++batches;
-      if (batch.empty()) return;
-      const int pid = batch.front().patient_id;
-      auto& mine = per_patient[pid];
-      for (const auto& r : batch) {
-        if (r.patient_id != pid) single_patient_batches = false;
-        if (!mine.empty() && r.start_s <= mine.back().start_s) time_ordered = false;
-        mine.push_back(r);
-      }
-    };
-  }
-};
-
-std::map<int, std::vector<rt::WindowResult>> reference_results(
-    const std::map<int, ecg::EcgWaveform>& ward) {
+std::vector<rt::WindowResult> reference_results(const std::map<int, ecg::EcgWaveform>& ward) {
   rt::StreamClassifier reference(detector(), short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
-  std::map<int, std::vector<rt::WindowResult>> split;
-  for (const auto& r : reference.flush()) split[r.patient_id].push_back(r);
-  return split;
-}
-
-void expect_bit_identical(const std::map<int, std::vector<rt::WindowResult>>& got,
-                          const std::map<int, std::vector<rt::WindowResult>>& want,
-                          const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (const auto& [pid, mine] : got) {
-    ASSERT_TRUE(want.count(pid)) << what << " patient " << pid;
-    const auto& theirs = want.at(pid);
-    ASSERT_EQ(mine.size(), theirs.size()) << what << " patient " << pid;
-    for (std::size_t w = 0; w < mine.size(); ++w) {
-      EXPECT_DOUBLE_EQ(mine[w].start_s, theirs[w].start_s) << what << " patient " << pid;
-      EXPECT_EQ(mine[w].decision_value, theirs[w].decision_value)
-          << what << " patient " << pid << " window " << w;
-      EXPECT_EQ(mine[w].label, theirs[w].label) << what << " patient " << pid;
-      EXPECT_EQ(mine[w].num_beats, theirs[w].num_beats) << what << " patient " << pid;
-    }
-  }
+  return reference.flush();
 }
 
 TEST(ContinuousDelivery, OrderedAndBitIdenticalUnder124Workers) {
@@ -153,14 +46,14 @@ TEST(ContinuousDelivery, OrderedAndBitIdenticalUnder124Workers) {
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
     rt::ShardedStreamClassifier engine(detector(), short_window_config(),
-                                       engine_opts(workers, collector.sink()));
+                                       engine_options(workers, collector.sink()));
     push_interleaved(engine, ward, 733);  // Odd chunk size: windows straddle chunks.
-    EXPECT_TRUE(engine.flush().empty());  // Sink mode: flush is a pure fence.
+    engine.flush();
 
     EXPECT_TRUE(collector.single_patient_batches) << workers << " workers";
     EXPECT_TRUE(collector.time_ordered) << workers << " workers";
     EXPECT_GT(collector.batches, ward.size()) << "expected per-chunk, not per-flush, delivery";
-    expect_bit_identical(collector.per_patient, want, "continuous");
+    expect_bit_identical(collector.all(), want, "continuous");
     std::size_t total = 0;
     for (const auto& [pid, results] : collector.per_patient) total += results.size();
     EXPECT_EQ(engine.delivered_windows(), total);
@@ -173,7 +66,7 @@ TEST(ContinuousDelivery, ResultsArriveBeforeAnyFlush) {
   const auto wf = synth_ecg(55.0, 77);
   Collector collector;
   rt::ShardedStreamClassifier engine(detector(), short_window_config(),
-                                     engine_opts(2, collector.sink()));
+                                     engine_options(2, collector.sink()));
   engine.push_samples(1, wf.samples_mv);
   // Spin (bounded) until the pipeline classifies something — no flush().
   for (int i = 0; i < 10000 && engine.delivered_windows() == 0; ++i)
@@ -188,35 +81,16 @@ TEST(ContinuousDelivery, BoundedBlockingQueueDoesNotChangeResults) {
   // must be unchanged (kBlock is lossless).
   const auto ward = make_ward();
   const auto want = reference_results(ward);
-  rt::EngineOptions options;
+  Collector collector;
+  rt::EngineOptions options = engine_options(2, collector.sink());
   options.queue_capacity = 2;
   options.backpressure = rt::BackpressurePolicy::kBlock;
-  Collector collector;
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(),
-                                     engine_opts(2, collector.sink(), std::move(options)));
+  rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
   push_interleaved(engine, ward, 733);
   engine.flush();
   EXPECT_TRUE(collector.time_ordered);
-  expect_bit_identical(collector.per_patient, want, "bounded kBlock");
+  expect_bit_identical(collector.all(), want, "bounded kBlock");
   EXPECT_EQ(engine.dropped_chunks(), 0u);
-}
-
-TEST(ContinuousDelivery, SetSinkAfterConstructionSwitchesModes) {
-  const auto wf = synth_ecg(55.0, 81);
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(), engine_opts(2));
-  engine.push_samples(1, wf.samples_mv);
-  const auto collected = engine.flush();  // No sink yet: drain mode.
-  ASSERT_FALSE(collected.empty());
-
-  Collector collector;
-  engine.set_result_sink(collector.sink());
-  engine.push_samples(2, wf.samples_mv);
-  EXPECT_TRUE(engine.flush().empty());  // Sink mode now: fence only.
-  ASSERT_EQ(collector.per_patient.count(2), 1u);
-  // Same waveform, same model: patient 2's windows mirror patient 1's.
-  ASSERT_EQ(collector.per_patient[2].size(), collected.size());
-  for (std::size_t w = 0; w < collected.size(); ++w)
-    EXPECT_EQ(collector.per_patient[2][w].decision_value, collected[w].decision_value);
 }
 
 TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {
@@ -235,7 +109,7 @@ TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {
   auto run = [&](bool swap_mid_stream, bool coarse_from_start) {
     Collector collector;
     rt::ShardedStreamClassifier engine(d, short_window_config(),
-                                       engine_opts(2, collector.sink()));
+                                       engine_options(2, collector.sink()));
     if (coarse_from_start) engine.registry().install(1, coarse_model);
     engine.push_samples(1, std::span(wf.samples_mv).first(half));
     engine.flush();  // Fence: everything before here used the initial model.
@@ -279,7 +153,7 @@ TEST(ContinuousDelivery, EvictPatientRestartsStreamFromScratch) {
   const auto wf = synth_ecg(55.0, 93);
   Collector collector;
   rt::ShardedStreamClassifier engine(detector(), short_window_config(),
-                                     engine_opts(2, collector.sink()));
+                                     engine_options(2, collector.sink()));
   engine.push_samples(1, wf.samples_mv);
   engine.flush();
   const auto first = collector.per_patient[1];
@@ -300,31 +174,38 @@ TEST(ContinuousDelivery, EvictPatientRestartsStreamFromScratch) {
 
 TEST(ContinuousDelivery, ThrowingFlushRetainsOtherPatientsResults) {
   // Patient 1 has a model, patient 5 does not: flush() reports the error,
-  // but patient 1's already-classified windows survive and are returned by
-  // the next flush — a partial failure must not discard good results.
+  // but patient 1's windows still reach the sink, bit-identical to the
+  // oracle — a partial failure must not discard good results.
   auto registry = std::make_shared<rt::ModelRegistry>();  // No default.
   registry->install(1, rt::ServableModel::from_detector(detector()));
-  rt::ShardedStreamClassifier engine(registry, short_window_config(), engine_opts(2));
+  Collector collector;
+  rt::ShardedStreamClassifier engine(registry, short_window_config(),
+                                     engine_options(2, collector.sink()));
   const auto wf = synth_ecg(55.0, 19);
   engine.push_samples(1, wf.samples_mv);
   engine.push_samples(5, wf.samples_mv);
   EXPECT_THROW(engine.flush(), std::runtime_error);
-  const auto results = engine.flush();
-  ASSERT_FALSE(results.empty());
-  for (const auto& r : results) EXPECT_EQ(r.patient_id, 1);
+  EXPECT_NO_THROW(engine.flush());  // Reported once; the engine stays usable.
+  rt::StreamClassifier reference(detector(), short_window_config());
+  reference.push_samples(1, wf.samples_mv);
+  expect_bit_identical(collector.all(), reference.flush(), "patient 1 beside a failing patient");
 }
 
 TEST(ContinuousDelivery, WorkerSurvivesMissingModelAndFlushRethrows) {
   auto registry = std::make_shared<rt::ModelRegistry>();  // No default, no entries.
-  rt::ShardedStreamClassifier engine(registry, short_window_config(), engine_opts(2));
+  Collector collector;
+  rt::ShardedStreamClassifier engine(registry, short_window_config(),
+                                     engine_options(2, collector.sink()));
   const auto wf = synth_ecg(30.0, 17);
   engine.push_samples(5, wf.samples_mv);
   EXPECT_THROW(engine.flush(), std::runtime_error);
+  EXPECT_TRUE(collector.per_patient.empty());
   // The worker kept serving: install a model and the engine is usable again.
   registry->set_default(
       std::make_shared<const rt::ServableModel>(rt::ServableModel::from_detector(detector())));
   engine.push_samples(5, wf.samples_mv);
-  EXPECT_FALSE(engine.flush().empty());
+  engine.flush();
+  EXPECT_FALSE(collector.per_patient.empty());
 }
 
 }  // namespace

@@ -12,39 +12,25 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <random>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/tailoring.hpp"
 #include "dsp/spectral.hpp"
-#include "ecg/dataset.hpp"
-#include "ecg/ecg_synth.hpp"
-#include "ecg/streaming_qrs.hpp"
-#include "features/extractor.hpp"
+#include "ecg/lane_qrs.hpp"
 #include "features/segment_cache.hpp"
 #include "rt/cohort_replayer.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
 #include "rt/window_extractor.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
+using namespace test;
 using features::SegmentFeatureCache;
-
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
 
 /// Run one patient through an extractor in fixed-size chunks, ending the
 /// stream so held-back tail windows emit too.
@@ -115,6 +101,8 @@ TEST(SegmentCacheLayout, EnginesRejectNonAlignedConfigurations) {
   };
   const auto model = rt::synthetic_full_feature_model();
   const auto registry = std::make_shared<rt::ModelRegistry>(model);
+  Collector collector;
+  const rt::EngineOptions options = engine_options(1, collector.sink());
   for (const Geometry& g : geometries) {
     SCOPED_TRACE(std::to_string(g.window_s) + " s / " + std::to_string(g.stride_s) + " s");
     rt::StreamConfig config;
@@ -123,7 +111,7 @@ TEST(SegmentCacheLayout, EnginesRejectNonAlignedConfigurations) {
     config.stride_s = g.stride_s;
     EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
     EXPECT_THROW(rt::StreamClassifier(model, config), std::invalid_argument);
-    EXPECT_THROW(rt::ShardedStreamClassifier(registry, config), std::invalid_argument);
+    EXPECT_THROW(rt::ShardedStreamClassifier(registry, config, options), std::invalid_argument);
   }
 }
 
@@ -399,71 +387,26 @@ TEST(IncrementalPipeline, DetachCarriesCacheAndStaysBitIdentical) {
 
 // --- Sharded engine at 1/2/4 workers -----------------------------------------
 
-const core::TailoredDetector& shared_detector() {
-  static const core::TailoredDetector d = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
-  return d;
-}
-
-std::map<int, std::vector<rt::WindowResult>> by_patient(
-    const std::vector<rt::WindowResult>& results) {
-  std::map<int, std::vector<rt::WindowResult>> split;
-  for (const auto& r : results) split[r.patient_id].push_back(r);
-  return split;
-}
-
 TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
-  rt::StreamConfig config;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;  // Stride-aligned: the cached pipeline engages.
+  const rt::StreamConfig config = short_window_config();  // Stride-aligned: the cache engages.
   std::map<int, ecg::EcgWaveform> ward;
   int seed = 60;
   for (int pid : {1, 2, 3, 7, 11})
     ward[pid] = synth_ecg(55.0, static_cast<std::uint64_t>(seed++));
 
-  rt::StreamClassifier reference(shared_detector(), config);
+  rt::StreamClassifier reference(detector(), config);
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
-  const auto want = by_patient(reference.flush());
+  const auto want = reference.flush();
   ASSERT_FALSE(want.empty());
   EXPECT_GT(reference.cache_stats().hit_rate(), 0.0);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    rt::EngineOptions options;
-    options.num_workers = workers;
-    rt::ShardedStreamClassifier sharded(shared_detector(), config, std::move(options));
-    std::map<int, std::size_t> offsets;
-    bool any_left = true;
-    while (any_left) {  // Interleaved chunks across the ward.
-      any_left = false;
-      for (const auto& [pid, wf] : ward) {
-        std::size_t& off = offsets[pid];
-        if (off >= wf.samples_mv.size()) continue;
-        const std::size_t n = std::min<std::size_t>(1250, wf.samples_mv.size() - off);
-        sharded.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-        off += n;
-        if (off < wf.samples_mv.size()) any_left = true;
-      }
-    }
-    const auto got = by_patient(sharded.flush());
-    offsets.clear();
-    ASSERT_EQ(got.size(), want.size()) << workers << " workers";
-    for (const auto& [pid, mine] : got) {
-      const auto& theirs = want.at(pid);
-      ASSERT_EQ(mine.size(), theirs.size()) << workers << " workers, patient " << pid;
-      for (std::size_t w = 0; w < mine.size(); ++w) {
-        EXPECT_EQ(mine[w].start_s, theirs[w].start_s);
-        EXPECT_EQ(mine[w].decision_value, theirs[w].decision_value);
-        EXPECT_EQ(mine[w].label, theirs[w].label);
-      }
-    }
+    Collector collector;
+    rt::ShardedStreamClassifier sharded(detector(), config,
+                                        engine_options(workers, collector.sink()));
+    push_interleaved(sharded, ward, 1250);
+    sharded.flush();
+    expect_bit_identical(collector.all(), want, std::to_string(workers) + " workers");
     // Quiescent after flush(): the fence orders the workers' counters.
     const auto stats = sharded.cache_stats();
     EXPECT_GT(stats.hits + stats.misses, 0u) << workers << " workers";

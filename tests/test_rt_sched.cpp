@@ -1,8 +1,8 @@
 // Ward-scale scheduler: placement policies, whole-patient work stealing
 // (forced churn and natural steals must be bit-exact against the
 // single-threaded oracle), the deadline controller (degrades under
-// saturation, untouched otherwise), the set_result_sink quiescence fence,
-// and the WorkQueue scheduler hooks the migration protocol is built on.
+// saturation, untouched otherwise), and the WorkQueue scheduler hooks the
+// migration protocol is built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,56 +12,20 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
-#include "ecg/ecg_synth.hpp"
-#include "ecg/rr_model.hpp"
-#include "features/extractor.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
 #include "rt/work_queue.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-const core::TailoredDetector& detector() {
-  static const core::TailoredDetector d = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
-  return d;
-}
-
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
-
-rt::StreamConfig short_window_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
-  return config;
-}
+using namespace test;
 
 /// A skewed ward: one hot patient carries several times the signal of the
 /// rest, so static hashing leaves one shard backlogged — the scenario
@@ -74,55 +38,11 @@ std::map<int, ecg::EcgWaveform> make_skewed_ward(int hot_patient) {
   return ward;
 }
 
-/// Thread-safe sink recording per-patient results and checking delivery
-/// order as they arrive.
-struct Collector {
-  std::mutex mutex;
-  std::map<int, std::vector<rt::WindowResult>> per_patient;
-  bool single_patient_batches = true;
-  bool time_ordered = true;
-
-  rt::ResultSink sink() {
-    return [this](std::span<const rt::WindowResult> batch) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (batch.empty()) return;
-      const int pid = batch.front().patient_id;
-      auto& mine = per_patient[pid];
-      for (const auto& r : batch) {
-        if (r.patient_id != pid) single_patient_batches = false;
-        if (!mine.empty() && r.start_s <= mine.back().start_s) time_ordered = false;
-        mine.push_back(r);
-      }
-    };
-  }
-};
-
-std::map<int, std::vector<rt::WindowResult>> reference_results(
-    const std::map<int, ecg::EcgWaveform>& ward) {
+std::vector<rt::WindowResult> reference_results(const std::map<int, ecg::EcgWaveform>& ward) {
   rt::StreamClassifier reference(detector(), short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   for (const auto& [pid, wf] : ward) reference.end_stream(pid);
-  std::map<int, std::vector<rt::WindowResult>> split;
-  for (const auto& r : reference.flush()) split[r.patient_id].push_back(r);
-  return split;
-}
-
-void expect_bit_identical(const std::map<int, std::vector<rt::WindowResult>>& got,
-                          const std::map<int, std::vector<rt::WindowResult>>& want,
-                          const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (const auto& [pid, mine] : got) {
-    ASSERT_TRUE(want.count(pid)) << what << " patient " << pid;
-    const auto& theirs = want.at(pid);
-    ASSERT_EQ(mine.size(), theirs.size()) << what << " patient " << pid;
-    for (std::size_t w = 0; w < mine.size(); ++w) {
-      EXPECT_DOUBLE_EQ(mine[w].start_s, theirs[w].start_s) << what << " patient " << pid;
-      EXPECT_EQ(mine[w].decision_value, theirs[w].decision_value)
-          << what << " patient " << pid << " window " << w;
-      EXPECT_EQ(mine[w].label, theirs[w].label) << what << " patient " << pid;
-      EXPECT_EQ(mine[w].num_beats, theirs[w].num_beats) << what << " patient " << pid;
-    }
-  }
+  return reference.flush();
 }
 
 // --- Placement policies ------------------------------------------------------
@@ -163,8 +83,8 @@ TEST(Placement, EngineConsultsCustomPolicyOncePerPatient) {
     }
   };
   const auto policy = std::make_shared<PinnedPolicy>();
-  rt::EngineOptions options;
-  options.num_workers = 2;
+  Collector collector;
+  rt::EngineOptions options = engine_options(2, collector.sink());
   options.placement = policy;
   rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
   const std::vector<double> chunk(100, 0.0);
@@ -256,10 +176,8 @@ TEST(WardScheduler, ForcedMigrationChurnIsBitExact) {
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
-    rt::EngineOptions options;
-    options.num_workers = workers;
-    options.sink = collector.sink();
-    rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
+    rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+                                       engine_options(workers, collector.sink()));
 
     std::map<int, std::size_t> offsets;
     const std::size_t chunk = 733;  // Odd: windows straddle chunks.
@@ -279,12 +197,12 @@ TEST(WardScheduler, ForcedMigrationChurnIsBitExact) {
       // mid-stream, while its chunks are still queued.
       engine.rebalance_patient(hot, round++ % workers);
     }
-    for (const auto& [pid, wf] : ward) EXPECT_TRUE(engine.end_stream(pid));
-    EXPECT_TRUE(engine.flush().empty());
+    for (const auto& [pid, wf] : ward) engine.end_stream(pid);
+    engine.flush();
 
     EXPECT_TRUE(collector.single_patient_batches) << workers << " workers";
     EXPECT_TRUE(collector.time_ordered) << workers << " workers";
-    expect_bit_identical(collector.per_patient, want, "forced churn");
+    expect_bit_identical(collector.all(), want, "forced churn");
     // flush() is a total fence: in-flight migrations have resolved, so the
     // counters and the route table are settled, not just the result stream.
     const auto sched = engine.scheduler_stats();
@@ -317,18 +235,15 @@ TEST(WardScheduler, MigrationCarriesSegmentCacheCoherently) {
   rt::StreamClassifier oracle(detector(), short_window_config());
   for (const auto& [pid, wf] : ward) oracle.push_samples(pid, wf.samples_mv);
   for (const auto& [pid, wf] : ward) oracle.end_stream(pid);
-  std::map<int, std::vector<rt::WindowResult>> want;
-  for (const auto& r : oracle.flush()) want[r.patient_id].push_back(r);
+  const auto want = oracle.flush();
   const auto want_stats = oracle.cache_stats();
   ASSERT_GT(want_stats.hits, 0u);
   ASSERT_FALSE(want.empty());
 
   for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
     Collector collector;
-    rt::EngineOptions options;
-    options.num_workers = workers;
-    options.sink = collector.sink();
-    rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
+    rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+                                       engine_options(workers, collector.sink()));
 
     std::map<int, std::size_t> offsets;
     std::size_t round = 0;
@@ -345,11 +260,11 @@ TEST(WardScheduler, MigrationCarriesSegmentCacheCoherently) {
       }
       engine.rebalance_patient(hot, round++ % workers);
     }
-    for (const auto& [pid, wf] : ward) EXPECT_TRUE(engine.end_stream(pid));
-    EXPECT_TRUE(engine.flush().empty());
+    for (const auto& [pid, wf] : ward) engine.end_stream(pid);
+    engine.flush();
     EXPECT_GT(engine.scheduler_stats().migrations, 0u) << workers << " workers";
 
-    expect_bit_identical(collector.per_patient, want, "cache-carrying churn");
+    expect_bit_identical(collector.all(), want, "cache-carrying churn");
     const auto stats = engine.cache_stats();  // Quiescent: flushed above.
     EXPECT_EQ(stats.hits, want_stats.hits) << workers << " workers";
     EXPECT_EQ(stats.misses, want_stats.misses) << workers << " workers";
@@ -418,7 +333,7 @@ TEST(WardScheduler, IdleWorkerStealsBacklogBitExactly) {
   EXPECT_GT(sched.migrations, 0u);
   EXPECT_TRUE(collector.single_patient_batches);
   EXPECT_TRUE(collector.time_ordered);
-  expect_bit_identical(collector.per_patient, want, "natural stealing");
+  expect_bit_identical(collector.all(), want, "natural stealing");
 }
 
 // Regression: a migration token retried while a producer sits blocked on a
@@ -490,53 +405,17 @@ TEST(WardScheduler, MigrationRetryDoesNotDeadlockCapacityBlockedProducer) {
   std::map<int, ecg::EcgWaveform> ward;
   ward[a] = wf_a;
   ward[b] = wf_b;
-  expect_bit_identical(collector.per_patient, reference_results(ward),
-                       "blocked-producer migration");
+  expect_bit_identical(collector.all(), reference_results(ward), "blocked-producer migration");
 }
 
 TEST(WardScheduler, RebalanceValidatesAndPreRoutesUnknownPatients) {
-  rt::EngineOptions options;
-  options.num_workers = 2;
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
+  Collector collector;
+  rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+                                     engine_options(2, collector.sink()));
   EXPECT_THROW(engine.rebalance_patient(1, 7), std::invalid_argument);
   engine.rebalance_patient(999, 1);  // Unknown: pre-route, nothing to migrate.
   EXPECT_EQ(engine.shard_of(999), 1u);
   EXPECT_EQ(engine.scheduler_stats().migrations, 0u);
-}
-
-// --- set_result_sink quiescence fence ----------------------------------------
-
-TEST(WardScheduler, SetResultSinkThrowsWhileWorkInFlight) {
-  // A sink that blocks delivery until released: with the worker stuck
-  // inside it, the pushed chunk is issued but not settled.
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<bool> delivering{false};
-
-  rt::EngineOptions options;
-  options.num_workers = 1;
-  options.sink = [&](std::span<const rt::WindowResult>) {
-    delivering = true;
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return gate_open; });
-  };
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
-
-  const auto wf = synth_ecg(45.0, 777);  // Long enough to emit windows.
-  engine.push_samples(5, wf.samples_mv);
-  while (!delivering) std::this_thread::yield();  // Worker is now mid-delivery.
-  EXPECT_THROW(engine.set_result_sink({}), std::logic_error);
-
-  {
-    const std::lock_guard<std::mutex> lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  engine.end_stream(5);
-  engine.flush();
-  // Quiescent after the fence: the swap is legal now.
-  EXPECT_NO_THROW(engine.set_result_sink({}));
 }
 
 // --- Deadline mode -----------------------------------------------------------
@@ -574,8 +453,9 @@ TEST(WardScheduler, DeadlineControllerDegradesUnderSaturation) {
 // against the bound), so a zero capacity is rejected at construction with
 // or without the controller.
 TEST(WardScheduler, ZeroQueueCapacityIsRejected) {
+  Collector collector;
   for (const double target_p99_s : {0.0, 0.005}) {
-    rt::EngineOptions options;
+    rt::EngineOptions options = engine_options(1, collector.sink());
     options.queue_capacity = 0;
     options.deadline.target_p99_s = target_p99_s;
     EXPECT_THROW(
@@ -592,11 +472,9 @@ TEST(WardScheduler, DeadlineControllerIdleWhenTargetIsMet) {
   const auto want = reference_results(ward);
 
   Collector collector;
-  rt::EngineOptions options;
-  options.num_workers = 2;
+  rt::EngineOptions options = engine_options(2, collector.sink());
   options.deadline.target_p99_s = 100.0;  // Never approached.
   options.deadline.poll_interval_s = 0.005;
-  options.sink = collector.sink();
   rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
   for (const auto& [pid, wf] : ward) engine.push_samples(pid, wf.samples_mv);
   for (const auto& [pid, wf] : ward) engine.end_stream(pid);
@@ -607,37 +485,7 @@ TEST(WardScheduler, DeadlineControllerIdleWhenTargetIsMet) {
   EXPECT_EQ(sched.shed_activations, 0u);
   EXPECT_EQ(sched.shed_chunks, 0u);
   EXPECT_EQ(sched.deadline_level, 0u);
-  expect_bit_identical(collector.per_patient, want, "deadline idle");
-}
-
-// --- Unified engine interface ------------------------------------------------
-
-// Both engines behind rt::Engine: the same driver code streams against
-// either, and the uniform stats agree on what was delivered.
-TEST(EngineInterface, OracleAndShardedServeTheSameSurface) {
-  const auto wf = synth_ecg(45.0, 888);
-  std::vector<std::unique_ptr<rt::Engine>> engines;
-  engines.push_back(
-      std::make_unique<rt::StreamClassifier>(detector(), short_window_config()));
-  rt::EngineOptions options;
-  options.num_workers = 2;
-  engines.push_back(std::make_unique<rt::ShardedStreamClassifier>(
-      detector(), short_window_config(), std::move(options)));
-
-  std::vector<double> decisions[2];
-  for (std::size_t e = 0; e < engines.size(); ++e) {
-    rt::Engine& engine = *engines[e];
-    engine.push_samples(9, wf.samples_mv);
-    EXPECT_TRUE(engine.end_stream(9));
-    auto results = engine.flush();
-    for (const auto& r : results) decisions[e].push_back(r.decision_value);
-    const auto stats = engine.stats();
-    EXPECT_EQ(stats.delivered_windows, results.size());
-    EXPECT_EQ(stats.dropped_chunks, 0u);
-    EXPECT_EQ(stats.scheduler.steals, 0u);
-  }
-  ASSERT_FALSE(decisions[0].empty());
-  EXPECT_EQ(decisions[0], decisions[1]);  // Bit-identical across engines.
+  expect_bit_identical(collector.all(), want, "deadline idle");
 }
 
 }  // namespace

@@ -6,70 +6,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <memory>
-#include <random>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
-#include "ecg/ecg_synth.hpp"
-#include "ecg/rr_model.hpp"
-#include "features/extractor.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-core::TailoredDetector make_detector(bool quantized) {
-  ecg::DatasetParams params;
-  params.windows_per_session = 10;
-  const auto ds = ecg::generate_dataset(params);
-  const auto matrix = features::extract_feature_matrix(ds);
-  core::TailoringConfig config;
-  config.num_features = 30;
-  config.sv_budget = 60;
-  if (!quantized) config.quant.reset();
-  return core::tailor_detector(matrix.samples, matrix.labels, config);
-}
-
-const core::TailoredDetector& quant_detector() {
-  static const core::TailoredDetector d = make_detector(true);
-  return d;
-}
-
-const core::TailoredDetector& float_detector() {
-  static const core::TailoredDetector d = make_detector(false);
-  return d;
-}
-
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
-
-rt::StreamConfig short_window_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
-  return config;
-}
-
-rt::EngineOptions workers_opt(std::size_t n) {
-  rt::EngineOptions options;
-  options.num_workers = n;
-  return options;
-}
+using namespace test;
 
 /// A small ward with distinct, reproducible streams.
 std::map<int, ecg::EcgWaveform> make_ward() {
@@ -79,72 +32,29 @@ std::map<int, ecg::EcgWaveform> make_ward() {
   return ward;
 }
 
-/// Push every patient's stream in interleaved chunks of `chunk` samples.
-template <typename Classifier>
-void push_interleaved(Classifier& classifier, const std::map<int, ecg::EcgWaveform>& ward,
-                      std::size_t chunk) {
-  std::map<int, std::size_t> offsets;
-  bool any_left = true;
-  while (any_left) {
-    any_left = false;
-    for (const auto& [pid, wf] : ward) {
-      std::size_t& off = offsets[pid];
-      if (off >= wf.samples_mv.size()) continue;
-      const std::size_t n = std::min(chunk, wf.samples_mv.size() - off);
-      classifier.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-      off += n;
-      if (off < wf.samples_mv.size()) any_left = true;
-    }
-  }
-}
-
-std::map<int, std::vector<rt::WindowResult>> by_patient(
-    const std::vector<rt::WindowResult>& results) {
-  std::map<int, std::vector<rt::WindowResult>> split;
-  for (const auto& r : results) split[r.patient_id].push_back(r);
-  return split;
-}
-
-void expect_bit_identical(const std::map<int, std::vector<rt::WindowResult>>& got,
-                          const std::map<int, std::vector<rt::WindowResult>>& want,
-                          const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (const auto& [pid, mine] : got) {
-    ASSERT_TRUE(want.count(pid)) << what << " patient " << pid;
-    const auto& theirs = want.at(pid);
-    ASSERT_EQ(mine.size(), theirs.size()) << what << " patient " << pid;
-    for (std::size_t w = 0; w < mine.size(); ++w) {
-      EXPECT_DOUBLE_EQ(mine[w].start_s, theirs[w].start_s) << what << " patient " << pid;
-      // Bit-exact, not approximately equal: EXPECT_EQ on the doubles.
-      EXPECT_EQ(mine[w].decision_value, theirs[w].decision_value)
-          << what << " patient " << pid << " window " << w;
-      EXPECT_EQ(mine[w].label, theirs[w].label) << what << " patient " << pid;
-      EXPECT_EQ(mine[w].num_beats, theirs[w].num_beats) << what << " patient " << pid;
-    }
-  }
-}
-
-void check_determinism(const core::TailoredDetector& detector, const char* what) {
+void check_determinism(const core::TailoredDetector& model, const char* what) {
   const auto ward = make_ward();
 
   // Reference: the single-threaded engine, whole streams pushed per patient.
-  rt::StreamClassifier reference(detector, short_window_config());
+  rt::StreamClassifier reference(model, short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
-  const auto want = by_patient(reference.flush());
+  const auto want = reference.flush();
   ASSERT_FALSE(want.empty());
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    rt::ShardedStreamClassifier sharded(detector, short_window_config(), workers_opt(workers));
+    Collector collector;
+    rt::ShardedStreamClassifier sharded(model, short_window_config(),
+                                        engine_options(workers, collector.sink()));
     EXPECT_EQ(sharded.num_workers(), workers);
     push_interleaved(sharded, ward, 733);  // Odd chunk size: windows straddle chunks.
-    const auto got = by_patient(sharded.flush());
-    expect_bit_identical(got, want, what);
+    sharded.flush();
+    expect_bit_identical(collector.all(), want, what);
     EXPECT_EQ(sharded.rejected_windows(), reference.rejected_windows());
   }
 }
 
 TEST(ShardedStreamClassifier, BitIdenticalAcrossWorkerCountsQuantized) {
-  check_determinism(quant_detector(), "quantized");
+  check_determinism(detector(), "quantized");
 }
 
 TEST(ShardedStreamClassifier, BitIdenticalAcrossWorkerCountsFloat) {
@@ -153,13 +63,14 @@ TEST(ShardedStreamClassifier, BitIdenticalAcrossWorkerCountsFloat) {
 
 TEST(ShardedStreamClassifier, FlushCadenceDoesNotChangeResults) {
   const auto ward = make_ward();
-  rt::StreamClassifier reference(quant_detector(), short_window_config());
+  rt::StreamClassifier reference(detector(), short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
-  const auto want = by_patient(reference.flush());
+  const auto want = reference.flush();
 
   // Same streams, four workers, flushing after every interleaving round.
-  rt::ShardedStreamClassifier sharded(quant_detector(), short_window_config(), workers_opt(4));
-  std::vector<rt::WindowResult> all;
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(4, collector.sink()));
   std::map<int, std::size_t> offsets;
   bool any_left = true;
   while (any_left) {
@@ -172,31 +83,40 @@ TEST(ShardedStreamClassifier, FlushCadenceDoesNotChangeResults) {
       off += n;
       if (off < wf.samples_mv.size()) any_left = true;
     }
-    for (const auto& r : sharded.flush()) all.push_back(r);
+    sharded.flush();
   }
-  // Windows arrive flush by flush but per patient still in stream order.
-  expect_bit_identical(by_patient(all), want, "mid-stream flushes");
+  EXPECT_TRUE(collector.time_ordered);
+  expect_bit_identical(collector.all(), want, "mid-stream flushes");
 }
 
 TEST(ShardedStreamClassifier, EmptyFlushAndUnknownPatient) {
-  rt::ShardedStreamClassifier sharded(quant_detector(), short_window_config(), workers_opt(3));
-  EXPECT_TRUE(sharded.flush().empty());
-  EXPECT_TRUE(sharded.flush().empty());  // Barrier protocol resets cleanly.
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(3, collector.sink()));
+  sharded.flush();
+  sharded.flush();  // Fence protocol resets cleanly.
+  EXPECT_EQ(collector.batches, 0u);
+  EXPECT_EQ(sharded.delivered_windows(), 0u);
   EXPECT_EQ(sharded.rejected_windows(), 0u);
 }
 
 TEST(ShardedStreamClassifier, RejectsBeatlessWindows) {
-  rt::ShardedStreamClassifier sharded(quant_detector(), short_window_config(), workers_opt(2));
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(2, collector.sink()));
   // A flat line has no QRS complexes: every full window must be rejected.
   const std::vector<double> flat(static_cast<std::size_t>(sharded.config().fs_hz * 45.0), 0.0);
   sharded.push_samples(1, flat);
-  EXPECT_TRUE(sharded.flush().empty());
+  sharded.flush();
+  EXPECT_TRUE(collector.per_patient.empty());
   // 45 s at 20 s windows / 10 s stride -> windows at 0, 10, 20 s.
   EXPECT_EQ(sharded.rejected_windows(), 3u);
 }
 
 TEST(ShardedStreamClassifier, ShardAssignmentIsStable) {
-  rt::ShardedStreamClassifier sharded(quant_detector(), short_window_config(), workers_opt(4));
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(4, collector.sink()));
   for (int pid = -5; pid < 40; ++pid) {
     const auto shard = sharded.shard_of(pid);
     EXPECT_LT(shard, sharded.num_workers());
@@ -209,24 +129,29 @@ TEST(ShardedStreamClassifier, HotSwapTakesEffectAtFlushBoundary) {
   // to a coarser 6-bit engine between two flushes. The post-swap windows
   // must be bit-identical to an engine that served the 6-bit model from the
   // start — i.e. the swap changes the model, not the stream state.
-  const auto& detector = quant_detector();
   core::QuantConfig coarse;
   coarse.feature_bits = 6;
   auto coarse_model = std::make_shared<const rt::ServableModel>(
-      detector.selected_features(), detector.scaler(), detector.model(),
-      core::QuantizedModel::build(detector.model(), coarse));
+      detector().selected_features(), detector().scaler(), detector().model(),
+      core::QuantizedModel::build(detector().model(), coarse));
 
   const auto wf = synth_ecg(80.0, 91);
   const std::size_t half = wf.samples_mv.size() / 2;
 
+  // Windows delivered by the first flush, then by the second.
   auto run = [&](bool swap_mid_stream, bool coarse_from_start) {
-    rt::ShardedStreamClassifier sharded(detector, short_window_config(), workers_opt(2));
+    Collector collector;
+    rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                        engine_options(2, collector.sink()));
     if (coarse_from_start) sharded.registry().install(1, coarse_model);
     sharded.push_samples(1, std::span(wf.samples_mv).first(half));
-    auto first = sharded.flush();
+    sharded.flush();
+    const auto first = collector.all();
     if (swap_mid_stream) sharded.registry().install(1, coarse_model);
     sharded.push_samples(1, std::span(wf.samples_mv).subspan(half));
-    const auto second = sharded.flush();
+    sharded.flush();
+    auto second = collector.all();
+    second.erase(second.begin(), second.begin() + static_cast<std::ptrdiff_t>(first.size()));
     return std::pair(first, second);
   };
 
@@ -235,10 +160,10 @@ TEST(ShardedStreamClassifier, HotSwapTakesEffectAtFlushBoundary) {
   const auto [coarse_first, coarse_second] = run(false, true);
 
   // Before the swap: identical to the default engine.
-  expect_bit_identical(by_patient(swap_first), by_patient(default_first), "pre-swap");
+  expect_bit_identical(swap_first, default_first, "pre-swap");
   // After the swap: identical to the coarse engine (same windows, new model).
   ASSERT_FALSE(swap_second.empty());
-  expect_bit_identical(by_patient(swap_second), by_patient(coarse_second), "post-swap");
+  expect_bit_identical(swap_second, coarse_second, "post-swap");
   // Sanity: the swap actually changed something (6-bit vs 9-bit decisions).
   bool any_difference = false;
   for (std::size_t w = 0; w < swap_second.size(); ++w)
@@ -249,12 +174,13 @@ TEST(ShardedStreamClassifier, HotSwapTakesEffectAtFlushBoundary) {
 
 TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushes) {
   // A producer thread streams chunks while the main thread flushes
-  // repeatedly. Each flush must terminate (it cuts its drain at the barrier
-  // instead of chasing freshly pushed windows), and across all flushes every
-  // window must appear exactly once, bit-identical to the single-threaded
-  // engine — only the flush a window lands in is unspecified.
+  // repeatedly. Each flush must terminate (it cuts its drain at the fence
+  // instead of chasing freshly pushed windows), and every window must reach
+  // the sink exactly once, bit-identical to the single-threaded engine.
   const auto wf = synth_ecg(60.0, 55);
-  rt::ShardedStreamClassifier sharded(quant_detector(), short_window_config(), workers_opt(2));
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(2, collector.sink()));
   std::thread producer([&] {
     std::span<const double> rest(wf.samples_mv);
     while (!rest.empty()) {
@@ -263,31 +189,36 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
       rest = rest.subspan(n);
     }
   });
-  std::vector<rt::WindowResult> all;
-  for (int i = 0; i < 50; ++i)
-    for (const auto& r : sharded.flush()) all.push_back(r);
+  for (int i = 0; i < 50; ++i) sharded.flush();
   producer.join();
-  for (const auto& r : sharded.flush()) all.push_back(r);  // Drain the tail.
+  sharded.flush();  // Drain the tail.
 
-  rt::StreamClassifier reference(quant_detector(), short_window_config());
+  rt::StreamClassifier reference(detector(), short_window_config());
   reference.push_samples(2, wf.samples_mv);
-  expect_bit_identical(by_patient(all), by_patient(reference.flush()), "concurrent push");
+  expect_bit_identical(collector.all(), reference.flush(), "concurrent push");
 }
 
 TEST(ShardedStreamClassifier, ThrowsWithoutAnyModel) {
   auto registry = std::make_shared<rt::ModelRegistry>();  // No default, no entries.
-  rt::ShardedStreamClassifier sharded(registry, short_window_config(), workers_opt(2));
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(registry, short_window_config(),
+                                      engine_options(2, collector.sink()));
   const auto wf = synth_ecg(30.0, 17);
   sharded.push_samples(5, wf.samples_mv);
   EXPECT_THROW(sharded.flush(), std::runtime_error);
 }
 
 TEST(ShardedStreamClassifier, RejectsBadConstruction) {
-  EXPECT_THROW(rt::ShardedStreamClassifier(nullptr, short_window_config(), workers_opt(2)),
+  Collector collector;
+  const rt::EngineOptions options = engine_options(2, collector.sink());
+  EXPECT_THROW(rt::ShardedStreamClassifier(nullptr, short_window_config(), options),
                std::invalid_argument);
   auto config = short_window_config();
   config.stride_s = 25.0;  // > window_s.
-  EXPECT_THROW(rt::ShardedStreamClassifier(quant_detector(), config, workers_opt(2)),
+  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), config, options), std::invalid_argument);
+  // The sink is the only way results leave the engine, so it is required.
+  const rt::EngineOptions no_sink = engine_options(2, {});
+  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), short_window_config(), no_sink),
                std::invalid_argument);
 }
 

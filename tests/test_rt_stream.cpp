@@ -5,54 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "core/tailoring.hpp"
-#include "ecg/dataset.hpp"
-#include "ecg/ecg_synth.hpp"
-#include "ecg/rr_model.hpp"
-#include "features/extractor.hpp"
 #include "rt/stream_classifier.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-/// Shared tailored detector trained on a small synthetic cohort.
-const core::TailoredDetector& detector() {
-  static const core::TailoredDetector d = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
-  return d;
-}
-
-/// Synthesise `duration_s` of single-lead ECG for one simulated patient.
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
-
-rt::StreamConfig short_window_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
-  return config;
-}
+using namespace test;
 
 TEST(StreamClassifier, RejectsBadConfig) {
   auto config = short_window_config();
@@ -214,19 +177,8 @@ TEST(StreamClassifier, AgreesWithDetectorPerWindow) {
 
 TEST(StreamClassifier, FloatDetectorPath) {
   // A float-only detector (no quantised engine) routes through PackedModel.
-  static const core::TailoredDetector float_detector = [] {
-    ecg::DatasetParams params;
-    params.windows_per_session = 10;
-    const auto ds = ecg::generate_dataset(params);
-    const auto matrix = features::extract_feature_matrix(ds);
-    core::TailoringConfig config;
-    config.num_features = 30;
-    config.sv_budget = 60;
-    config.quant.reset();
-    return core::tailor_detector(matrix.samples, matrix.labels, config);
-  }();
   const auto wf = synth_ecg(45.0, 8);
-  rt::StreamClassifier sc(float_detector, short_window_config());
+  rt::StreamClassifier sc(float_detector(), short_window_config());
   sc.push_samples(3, wf.samples_mv);
   const auto results = sc.flush();
   ASSERT_FALSE(results.empty());

@@ -14,38 +14,25 @@
 #include <memory>
 #include <random>
 #include <span>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "ecg/ecg_synth.hpp"
 #include "ecg/quality.hpp"
-#include "ecg/rr_model.hpp"
 #include "features/af_features.hpp"
 #include "features/extractor.hpp"
 #include "rt/cohort_replayer.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
 #include "rt/workload.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt {
 namespace {
 
-ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
-  ecg::PatientProfile patient;
-  ecg::SessionEvents events;
-  ecg::SessionSignalParams sp;
-  sp.duration_s = duration_s;
-  std::mt19937_64 rng(seed);
-  const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
-  const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
-}
+using namespace test;
 
 rt::StreamConfig multi_config() {
-  rt::StreamConfig config;
-  config.fs_hz = 250.0;
-  config.window_s = 20.0;
-  config.stride_s = 10.0;
+  rt::StreamConfig config = short_window_config();
   config.workloads = {rt::apnea_workload(), rt::af_workload()};
   return config;
 }
@@ -62,54 +49,6 @@ std::map<int, ecg::EcgWaveform> make_ward() {
   int seed = 80;
   for (int pid : {1, 2, 3, 7, 11}) ward[pid] = synth_ecg(55.0, static_cast<std::uint64_t>(seed++));
   return ward;
-}
-
-template <typename Classifier>
-void push_interleaved(Classifier& classifier, const std::map<int, ecg::EcgWaveform>& ward,
-                      std::size_t chunk) {
-  std::map<int, std::size_t> offsets;
-  bool any_left = true;
-  while (any_left) {
-    any_left = false;
-    for (const auto& [pid, wf] : ward) {
-      std::size_t& off = offsets[pid];
-      if (off >= wf.samples_mv.size()) continue;
-      const std::size_t n = std::min(chunk, wf.samples_mv.size() - off);
-      classifier.push_samples(pid, std::span(wf.samples_mv).subspan(off, n));
-      off += n;
-      if (off < wf.samples_mv.size()) any_left = true;
-    }
-  }
-}
-
-/// Key results by (patient, workload), preserving time order within a key.
-std::map<std::pair<int, std::uint32_t>, std::vector<rt::WindowResult>> by_stream(
-    const std::vector<rt::WindowResult>& results) {
-  std::map<std::pair<int, std::uint32_t>, std::vector<rt::WindowResult>> split;
-  for (const auto& r : results) split[{r.patient_id, r.workload}].push_back(r);
-  return split;
-}
-
-void expect_bit_identical(const std::vector<rt::WindowResult>& got,
-                          const std::vector<rt::WindowResult>& want, const char* what) {
-  const auto got_split = by_stream(got);
-  const auto want_split = by_stream(want);
-  ASSERT_EQ(got_split.size(), want_split.size()) << what;
-  for (const auto& [key, mine] : got_split) {
-    ASSERT_TRUE(want_split.count(key))
-        << what << " patient " << key.first << " workload " << key.second;
-    const auto& theirs = want_split.at(key);
-    ASSERT_EQ(mine.size(), theirs.size())
-        << what << " patient " << key.first << " workload " << key.second;
-    for (std::size_t w = 0; w < mine.size(); ++w) {
-      EXPECT_EQ(mine[w].start_s, theirs[w].start_s) << what << " patient " << key.first;
-      EXPECT_EQ(mine[w].decision_value, theirs[w].decision_value)
-          << what << " patient " << key.first << " workload " << key.second << " window " << w;
-      EXPECT_EQ(mine[w].label, theirs[w].label) << what << " patient " << key.first;
-      EXPECT_EQ(mine[w].num_beats, theirs[w].num_beats) << what << " patient " << key.first;
-      EXPECT_EQ(mine[w].quality, theirs[w].quality) << what << " patient " << key.first;
-    }
-  }
 }
 
 TEST(Workloads, SchemasAreStable) {
@@ -165,13 +104,14 @@ TEST(Workloads, MultiWorkloadShardedMatchesSingleThreadedReference) {
   }
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    rt::EngineOptions options;
-    options.num_workers = workers;
-    rt::ShardedStreamClassifier sharded(multi_registry(), config, options);
+    Collector collector;
+    rt::ShardedStreamClassifier sharded(multi_registry(), config,
+                                        engine_options(workers, collector.sink()));
     EXPECT_EQ(sharded.num_workloads(), 2u);
     push_interleaved(sharded, ward, 733);
-    expect_bit_identical(sharded.flush(), want,
-                         workers == 1 ? "1 worker" : (workers == 2 ? "2 workers" : "8 workers"));
+    sharded.flush();
+    EXPECT_TRUE(collector.time_ordered);
+    expect_bit_identical(collector.all(), want, std::to_string(workers) + " workers");
   }
 }
 
@@ -201,10 +141,10 @@ TEST(Workloads, ForcedChurnKeepsRoutingAndQualityStatsCoherent) {
   ASSERT_GT(want_quality.artifact_spans, 0u);
   ASSERT_GT(want_quality.windows_annotated, 0u);
 
-  rt::EngineOptions options;
-  options.num_workers = 4;
-  rt::ShardedStreamClassifier sharded(multi_registry(), config, options);
-  std::vector<rt::WindowResult> all;
+  const std::size_t workers = 4;
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(multi_registry(), config,
+                                      engine_options(workers, collector.sink()));
   std::map<int, std::size_t> offsets;
   std::mt19937_64 rng(5);
   bool any_left = true;
@@ -221,15 +161,14 @@ TEST(Workloads, ForcedChurnKeepsRoutingAndQualityStatsCoherent) {
     }
     // Churn: every round, force one patient onto a random shard mid-stream.
     const int victim = std::vector<int>{1, 2, 3, 7, 11}[static_cast<std::size_t>(round) % 5];
-    sharded.rebalance_patient(victim, rng() % options.num_workers);
+    sharded.rebalance_patient(victim, rng() % workers);
     ++round;
-    if (round % 3 == 0)
-      for (const auto& r : sharded.flush()) all.push_back(r);
+    if (round % 3 == 0) sharded.flush();
   }
-  for (const auto& r : sharded.flush()) all.push_back(r);
+  sharded.flush();
   EXPECT_GT(sharded.scheduler_stats().migrations, 0u);
 
-  expect_bit_identical(all, want, "forced churn");
+  expect_bit_identical(collector.all(), want, "forced churn");
   const auto got_quality = sharded.quality_stats();
   EXPECT_EQ(got_quality.artifact_hits, want_quality.artifact_hits);
   EXPECT_EQ(got_quality.artifact_spans, want_quality.artifact_spans);
@@ -251,11 +190,11 @@ TEST(Workloads, PerWorkloadModelResolutionIsIndependent) {
     auto registry = std::make_shared<rt::ModelRegistry>();
     registry->set_default(0, rt::synthetic_full_feature_model());
     registry->set_default(1, rt::synthetic_af_model(af_seed));
-    rt::EngineOptions options;
-    options.num_workers = 2;
-    rt::ShardedStreamClassifier engine(registry, config, options);
+    Collector collector;
+    rt::ShardedStreamClassifier engine(registry, config, engine_options(2, collector.sink()));
     engine.push_samples(1, wf.samples_mv);
-    return engine.flush();
+    engine.flush();
+    return collector.all();
   };
   const auto a = run(43);
   const auto b = run(91);

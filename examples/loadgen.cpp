@@ -13,8 +13,9 @@
 //
 // Patients are synthesized (ecg::synthesize_session, deterministic in
 // --seed) or read from a WFDB --cohort directory (patient id = trailing
-// record number, like rt::CohortReplayer). --speed 1 paces each connection
-// at real time; 0 (default) streams as fast as possible.
+// record number, rt::CohortReplayer::patient_id_of; two records with the
+// same id are refused). --speed 1 paces each connection at real time; 0
+// (default) streams as fast as possible.
 //
 // --direct bypasses the network entirely: the same patients, chunking, and
 // interleaving run through the in-process single-threaded StreamClassifier
@@ -26,14 +27,15 @@
 // replay_cohort's 5-field format, so tests/golden/check_replay.py can diff
 // any two runs.
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,22 +87,24 @@ std::vector<Patient> synth_patients(const Options& options) {
   return ward;
 }
 
-int trailing_record_number(const std::string& name) {
-  std::size_t begin = name.size();
-  while (begin > 0 && std::isdigit(static_cast<unsigned char>(name[begin - 1]))) --begin;
-  if (begin == name.size()) {
-    std::fprintf(stderr, "record '%s' carries no trailing record number\n", name.c_str());
-    std::exit(1);
-  }
-  return static_cast<int>(std::strtol(name.c_str() + begin, nullptr, 10));
-}
-
 std::vector<Patient> cohort_patients(const std::string& dir) {
   std::vector<Patient> ward;
+  std::map<int, std::string> record_of;  // Patient id -> the record that claimed it.
   for (const auto& name : io::read_records_index(dir)) {
-    const auto record = io::read_record(dir, name);
     Patient patient;
-    patient.id = trailing_record_number(name);
+    try {
+      patient.id = rt::CohortReplayer::patient_id_of(name);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "loadgen: %s\n", e.what());
+      std::exit(1);
+    }
+    const auto [claimed, fresh] = record_of.emplace(patient.id, name);
+    if (!fresh) {
+      std::fprintf(stderr, "loadgen: records '%s' and '%s' share patient id %d\n",
+                   claimed->second.c_str(), name.c_str(), patient.id);
+      std::exit(1);
+    }
+    const auto record = io::read_record(dir, name);
     patient.fs_hz = record.header.fs_hz;
     patient.samples_mv = record.signal_mv(io::ecg_channel(record.header));
     ward.push_back(std::move(patient));

@@ -8,29 +8,20 @@ namespace svt::common {
 
 namespace {
 
-SimdTier detect_cpu_tier() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-#endif
-  return SimdTier::kSse2;  // SSE2 is architectural baseline on x86-64.
-#else
-  return SimdTier::kScalar;
-#endif
-}
-
 SimdTier parse_tier(const char* name, SimdTier fallback) {
   if (name == nullptr) return fallback;
   if (std::strcmp(name, "scalar") == 0) return SimdTier::kScalar;
   if (std::strcmp(name, "sse2") == 0) return SimdTier::kSse2;
-  if (std::strcmp(name, "avx2") == 0) return SimdTier::kAvx2;
   return fallback;  // Unknown value: ignore rather than abort a serving host.
 }
 
+SimdTier clamp_to_build(SimdTier tier) {
+  const SimdTier widest = widest_simd_tier();
+  return tier < widest ? tier : widest;
+}
+
 SimdTier initial_tier() {
-  const SimdTier cpu = detect_cpu_tier();
-  const SimdTier wanted = parse_tier(std::getenv("SVT_LANE_ISA"), cpu);
-  return wanted < cpu ? wanted : cpu;
+  return clamp_to_build(parse_tier(std::getenv("SVT_LANE_ISA"), widest_simd_tier()));
 }
 
 std::atomic<SimdTier>& tier_state() {
@@ -42,20 +33,20 @@ std::atomic<SimdTier>& tier_state() {
 
 SimdTier simd_tier() { return tier_state().load(std::memory_order_relaxed); }
 
-SimdTier simd_tier_detected() { return detect_cpu_tier(); }
+SimdTier widest_simd_tier() {
+#if defined(__SSE2__) || defined(_M_X64)
+  return SimdTier::kSse2;
+#else
+  return SimdTier::kScalar;
+#endif
+}
 
 void set_simd_tier_override(SimdTier tier) {
-  const SimdTier cpu = detect_cpu_tier();
-  tier_state().store(tier < cpu ? tier : cpu, std::memory_order_relaxed);
+  tier_state().store(clamp_to_build(tier), std::memory_order_relaxed);
 }
 
 const char* simd_tier_name(SimdTier tier) {
-  switch (tier) {
-    case SimdTier::kScalar: return "scalar";
-    case SimdTier::kSse2: return "sse2";
-    case SimdTier::kAvx2: return "avx2";
-  }
-  return "scalar";
+  return tier == SimdTier::kSse2 ? "sse2" : "scalar";
 }
 
 }  // namespace svt::common

@@ -1,39 +1,33 @@
-// Runtime CPU dispatch for the cross-patient lane kernels.
+// Vector tier of the cross-patient lane kernel.
 //
-// Unlike the SVT_SIMD fixed-point kernel (which selects its ISA at compile
-// time and therefore needs a dedicated CI build per ISA), the lane engine
-// ships every tier in one binary and picks the widest one the *running* CPU
-// supports: AVX2 (4 doubles/op) -> SSE2 (2 doubles/op, baseline on x86-64)
-// -> scalar. The choice is queried once and cached; tests and CI can force a
-// narrower tier through the SVT_LANE_ISA environment variable ("scalar",
-// "sse2" or "avx2") or programmatically with set_simd_tier_override, so the
-// fallback paths are continuously exercised on wide hardware.
-//
-// The tier reported here is what the *CPU and the user* allow; a kernel
-// additionally clamps to what its translation units were compiled with
-// (e.g. the AVX2 lane kernel clamps to SSE2 when the toolchain could not
-// build -mavx2 code).
+// The lane engine has one vector path, SSE2 (2 doubles/op), which is the
+// x86-64 baseline: it needs no compile flag and no cpuid probe, so the
+// widest tier is fixed when the library is built — SSE2 on x86-64, scalar
+// elsewhere. Tests and CI can force the scalar path that non-x86 hosts run
+// through the SVT_LANE_ISA environment variable ("scalar" or "sse2") or
+// programmatically with set_simd_tier_override.
 #pragma once
 
 namespace svt::common {
 
 /// Vector tiers in increasing width order (comparable with <).
-enum class SimdTier { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdTier { kScalar = 0, kSse2 = 1 };
 
-/// Widest tier the running CPU supports, clamped by the SVT_LANE_ISA
-/// environment variable (read once) and by set_simd_tier_override. Never
-/// reports a tier above the CPU's capability, whatever the override asks.
+/// Tier the lane engine runs at: the widest tier this build supports,
+/// clamped by the SVT_LANE_ISA environment variable (read once) and by
+/// set_simd_tier_override. Never reports a tier above widest_simd_tier().
 SimdTier simd_tier();
 
-/// Widest tier the running CPU supports, ignoring overrides.
-SimdTier simd_tier_detected();
+/// Widest tier this build supports (SSE2 on x86-64, else scalar), ignoring
+/// overrides.
+SimdTier widest_simd_tier();
 
-/// Force a tier at runtime (tests/bench). Clamped to the detected tier;
-/// pass detected to restore. Not thread-safe against concurrent
-/// simd_tier() callers — set it before spawning workers.
+/// Force a tier at runtime (tests/bench). Clamped to widest_simd_tier();
+/// pass that to restore. Not thread-safe against concurrent simd_tier()
+/// callers — set it before spawning workers.
 void set_simd_tier_override(SimdTier tier);
 
-/// "scalar", "sse2" or "avx2".
+/// "scalar" or "sse2".
 const char* simd_tier_name(SimdTier tier);
 
 }  // namespace svt::common

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
-#include "dsp/simd_kernels.hpp"
 
 namespace svt::dsp {
 
@@ -23,19 +22,13 @@ void validate_series(std::span<const double> times_s, std::span<const double> va
   }
 }
 
-/// interpolate_at without the per-call series validation (the resampling
-/// loop validates once up front); arithmetic is identical.
-double interpolate_unchecked(std::span<const double> times_s, std::span<const double> values,
-                             double query_time_s) {
-  if (query_time_s <= times_s.front()) return values.front();
-  if (query_time_s >= times_s.back()) return values.back();
-  // First element strictly greater than the query.
-  const auto it = std::upper_bound(times_s.begin(), times_s.end(), query_time_s);
-  const auto hi = static_cast<std::size_t>(std::distance(times_s.begin(), it));
+/// Linear interpolation on the source segment [hi-1, hi] that contains t.
+double lerp_segment(std::span<const double> times_s, std::span<const double> values,
+                    std::size_t hi, double t) {
   const std::size_t lo = hi - 1;
   const double span = times_s[hi] - times_s[lo];
   SVT_ASSERT(span > 0.0);
-  const double frac = (query_time_s - times_s[lo]) / span;
+  const double frac = (t - times_s[lo]) / span;
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
@@ -44,7 +37,30 @@ double interpolate_unchecked(std::span<const double> times_s, std::span<const do
 double interpolate_at(std::span<const double> times_s, std::span<const double> values,
                       double query_time_s) {
   validate_series(times_s, values, "interpolate_at");
-  return interpolate_unchecked(times_s, values, query_time_s);
+  if (query_time_s <= times_s.front()) return values.front();
+  if (query_time_s >= times_s.back()) return values.back();
+  // First element strictly greater than the query.
+  const auto it = std::upper_bound(times_s.begin(), times_s.end(), query_time_s);
+  const auto hi = static_cast<std::size_t>(std::distance(times_s.begin(), it));
+  return lerp_segment(times_s, values, hi, query_time_s);
+}
+
+void interpolate_grid(std::span<const double> times_s, std::span<const double> values,
+                      double start_time_s, double fs_hz, std::span<double> out) {
+  const double t_front = times_s.front();
+  const double t_back = times_s.back();
+  std::size_t hi = 1;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double t = start_time_s + static_cast<double>(i) / fs_hz;
+    if (t <= t_front) {
+      out[i] = values.front();
+    } else if (t >= t_back) {
+      out[i] = values.back();
+    } else {
+      while (times_s[hi] <= t) ++hi;  // First knot past t, as upper_bound finds.
+      out[i] = lerp_segment(times_s, values, hi, t);
+    }
+  }
 }
 
 void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
@@ -53,41 +69,8 @@ void resample_linear_into(std::span<const double> times_s, std::span<const doubl
   if (fs_hz <= 0.0) throw std::invalid_argument("resample_linear: fs_hz <= 0");
   start_time_s = times_s.front();
   const double duration = times_s.back() - times_s.front();
-  const auto n = static_cast<std::size_t>(std::floor(duration * fs_hz)) + 1;
-  out_values.resize(n);
-
-  // Grid times are monotone, so instead of a binary search per point the
-  // source segment advances with a single forward walk, and all grid points
-  // falling inside one segment are interpolated by the vectorised kernel.
-  // Every comparison and every arithmetic operation matches the per-point
-  // interpolate_unchecked path, so the output is bit-identical to it.
-  const double t_front = times_s.front();
-  const double t_back = times_s.back();
-  std::size_t i = 0;
-  while (i < n) {  // Front clamp.
-    const double t = start_time_s + static_cast<double>(i) / fs_hz;
-    if (!(t <= t_front)) break;
-    out_values[i++] = values.front();
-  }
-  std::size_t hi = 1;
-  while (i < n) {
-    const double t = start_time_s + static_cast<double>(i) / fs_hz;
-    if (t >= t_back) break;
-    while (times_s[hi] <= t) ++hi;  // First knot past t, as upper_bound finds.
-    std::size_t j = i + 1;          // Extend the run sharing this segment.
-    while (j < n) {
-      const double tj = start_time_s + static_cast<double>(j) / fs_hz;
-      if (tj >= t_back || times_s[hi] <= tj) break;
-      ++j;
-    }
-    const std::size_t lo = hi - 1;
-    const double span = times_s[hi] - times_s[lo];
-    SVT_ASSERT(span > 0.0);
-    detail::lerp_grid_span(start_time_s, fs_hz, times_s[lo], span, values[lo], values[hi], i,
-                           j - i, out_values.data() + i);
-    i = j;
-  }
-  for (; i < n; ++i) out_values[i] = values.back();  // Back clamp.
+  out_values.resize(static_cast<std::size_t>(std::floor(duration * fs_hz)) + 1);
+  interpolate_grid(times_s, values, start_time_s, fs_hz, out_values);
 }
 
 UniformSeries resample_linear(std::span<const double> times_s, std::span<const double> values,

@@ -31,11 +31,19 @@ UniformSeries resample_linear(std::span<const double> times_s, std::span<const d
 
 /// Scratch variant of resample_linear: the grid values land in `out_values`
 /// (resized; capacity reused across calls) and the grid origin in
-/// `start_time_s`. Validates the series once up front instead of per grid
-/// point; the interpolation arithmetic is identical, so the resampled values
-/// are bit-identical to resample_linear.
+/// `start_time_s`. Validates the series once up front, then runs
+/// interpolate_grid, so every grid value is bit-identical to interpolate_at
+/// at that grid time.
 void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
                           double fs_hz, double& start_time_s, std::vector<double>& out_values);
+
+/// The grid loop behind resample_linear_into, unchecked: out[i] is
+/// interpolate_at(times_s, values, start_time_s + i/fs_hz) for every i, with
+/// the same arithmetic. The grid is monotone, so the source segment advances
+/// by a forward walk instead of a binary search per point. Requires a
+/// non-empty series with strictly increasing times and fs_hz > 0.
+void interpolate_grid(std::span<const double> times_s, std::span<const double> values,
+                      double start_time_s, double fs_hz, std::span<double> out);
 
 /// Linear interpolation at a single query time (clamps outside the range).
 double interpolate_at(std::span<const double> times_s, std::span<const double> values,

@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "dsp/fft.hpp"
-#include "dsp/simd_kernels.hpp"
 #include "dsp/statistics.hpp"
 
 namespace svt::dsp {
@@ -16,39 +15,14 @@ double PsdEstimate::resolution_hz() const {
   return frequency_hz[1] - frequency_hz[0];
 }
 
-namespace {
-
-/// One-sided PSD of a single windowed segment, normalised so that summing
-/// power * df recovers the windowed signal power (standard periodogram
-/// normalisation: |X[k]|^2 / (fs * sum w^2), with interior bins doubled).
-PsdEstimate segment_psd(std::span<const double> x, double fs_hz, std::span<const double> w) {
-  SVT_ASSERT(x.size() == w.size());
-  std::vector<double> tapered(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) tapered[i] = x[i] * w[i];
-  const std::size_t nfft = next_power_of_two(tapered.size());
-  const auto mag2 = magnitude_squared_spectrum(tapered, nfft);
-  const double norm = fs_hz * window_power(w);
-  PsdEstimate psd;
-  psd.frequency_hz.resize(mag2.size());
-  psd.power.resize(mag2.size());
-  const double df = fs_hz / static_cast<double>(nfft);
-  for (std::size_t k = 0; k < mag2.size(); ++k) {
-    psd.frequency_hz[k] = df * static_cast<double>(k);
-    double p = mag2[k] / norm;
-    const bool interior = k != 0 && k != mag2.size() - 1;
-    if (interior) p *= 2.0;  // One-sided estimate folds the negative axis.
-    psd.power[k] = p;
-  }
-  return psd;
-}
-
-}  // namespace
-
 PsdEstimate periodogram(std::span<const double> x, double fs_hz, WindowType window) {
   if (x.empty()) throw std::invalid_argument("periodogram: empty input");
   if (fs_hz <= 0.0) throw std::invalid_argument("periodogram: fs_hz <= 0");
-  const auto w = make_window(window, x.size());
-  return segment_psd(x, fs_hz, w);
+  WelchParams one_segment;
+  one_segment.segment_length = x.size();
+  one_segment.window = window;
+  one_segment.detrend_segments = false;
+  return welch_psd(x, fs_hz, one_segment);
 }
 
 PsdEstimate welch_psd(std::span<const double> x, double fs_hz, const WelchParams& params) {
@@ -60,40 +34,33 @@ PsdEstimate welch_psd(std::span<const double> x, double fs_hz, const WelchParams
 
 namespace {
 
-/// One windowed segment's PSD through the scratch FFT path; `accumulate`
-/// adds the segment's power into `power` (which must hold nfft/2+1 bins)
-/// instead of overwriting it. Value-identical to segment_psd: the taper
-/// product goes straight into the zero-padded FFT buffer and the per-bin
-/// normalisation runs in the same order.
+/// One windowed segment's one-sided PSD through the scratch FFT path,
+/// normalised so that summing power * df recovers the windowed signal power
+/// (|X[k]|^2 / (fs * sum w^2), interior bins doubled). `accumulate` adds the
+/// segment's power into `power` (which must hold nfft/2+1 bins) instead of
+/// overwriting it.
 void segment_power_into(std::span<const double> x, double fs_hz, std::span<const double> w,
                         SpectralScratch& scratch, double* power, bool accumulate) {
   SVT_ASSERT(x.size() == w.size());
   const std::size_t nfft = next_power_of_two(x.size());
   auto& buf = scratch.fft_buf;
   buf.assign(nfft, {0.0, 0.0});
-  // std::complex<double> is layout-compatible with double[2], so the taper
-  // and bin kernels run over the buffer as interleaved (re, im) pairs.
-  auto* interleaved = reinterpret_cast<double*>(buf.data());
-  detail::taper_into_complex(x.data(), w.data(), x.size(), interleaved);
+  for (std::size_t i = 0; i < x.size(); ++i) buf[i] = {x[i] * w[i], 0.0};
   fft_inplace(buf, scratch.plans.get(nfft));
 
   const std::size_t half = nfft / 2;
   const double norm = fs_hz * window_power(w);
-  // Edge bins (DC and Nyquist) are not doubled; the interior runs through
-  // the vectorised kernel with the same (re*re + im*im) / norm * 2 order.
-  const std::size_t edges[2] = {0, half};
-  for (std::size_t e = 0; e < (half == 0 ? std::size_t{1} : std::size_t{2}); ++e) {
-    const std::size_t k = edges[e];
-    const double re = interleaved[2 * k];
-    const double im = interleaved[2 * k + 1];
-    const double p = (re * re + im * im) / norm;
+  for (std::size_t k = 0; k <= half; ++k) {
+    const double re = buf[k].real();
+    const double im = buf[k].imag();
+    double p = (re * re + im * im) / norm;
+    if (k != 0 && k != half) p *= 2.0;  // One-sided estimate folds the negative axis.
     if (accumulate) {
       power[k] += p;
     } else {
       power[k] = p;
     }
   }
-  if (half > 1) detail::psd_interior_bins(interleaved, 1, half, norm, accumulate, power);
 }
 
 /// (Re)build the cached taper when the requested (type, length) differs.

@@ -25,7 +25,8 @@ struct PsdEstimate {
   double resolution_hz() const;
 };
 
-/// One-sided periodogram of a (detrended) real series sampled at fs_hz.
+/// One-sided periodogram of a real series sampled at fs_hz: welch_psd with
+/// one segment spanning x and no detrending (detrend x first if needed).
 /// Throws on empty input or fs_hz <= 0.
 PsdEstimate periodogram(std::span<const double> x, double fs_hz,
                         WindowType window = WindowType::kHann);

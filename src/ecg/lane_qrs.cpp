@@ -36,17 +36,7 @@ void BeatRing::grow() {
   head_ = 0;
 }
 
-common::SimdTier lane_effective_tier() {
-  common::SimdTier tier = common::simd_tier();
-  if (tier == common::SimdTier::kAvx2 && !detail::lane_avx2_compiled())
-    tier = common::SimdTier::kSse2;
-#if !(defined(__SSE2__) || defined(_M_X64))
-  if (tier == common::SimdTier::kSse2) tier = common::SimdTier::kScalar;
-#endif
-  return tier;
-}
-
-const char* lane_isa_name() { return common::simd_tier_name(lane_effective_tier()); }
+const char* lane_isa_name() { return common::simd_tier_name(common::simd_tier()); }
 
 void LaneQrsDetector::Ring::init(std::size_t min_capacity) {
   buf.assign(next_pow2(min_capacity), 0.0);
@@ -54,7 +44,7 @@ void LaneQrsDetector::Ring::init(std::size_t min_capacity) {
 }
 
 LaneQrsDetector::LaneQrsDetector(double fs_hz, const PanTompkinsParams& params)
-    : params_(params), tier_(lane_effective_tier()) {
+    : params_(params), tier_(common::simd_tier()) {
   if (fs_hz <= 0.0) throw std::invalid_argument("LaneQrsDetector: fs_hz <= 0");
   if (!(0.0 < params.bandpass_lo_hz && params.bandpass_lo_hz < params.bandpass_hi_hz &&
         params.bandpass_hi_hz < fs_hz / 2.0))
@@ -349,9 +339,7 @@ void LaneQrsDetector::push(std::span<const LaneChunk> chunks) {
     cur[lane] = chunk.samples.data();
     rem[lane] = chunk.samples.size();
   }
-  const std::size_t width = tier_ == common::SimdTier::kAvx2   ? 4
-                            : tier_ == common::SimdTier::kSse2 ? 2
-                                                               : 1;
+  const std::size_t width = tier_ == common::SimdTier::kSse2 ? 2 : 1;
   for (std::size_t base = 0; base < kMaxLanes; base += width) run_group(base, width, cur, rem);
 }
 
@@ -402,9 +390,9 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
     }
     // Lockstep block over the group. The kernel clobbers every slot's
     // filter state, so live-but-idle lanes are snapshotted and restored.
-    detail::LaneRun runs[4];
-    double saved[4][kFilterDoubles];
-    bool protect[4] = {};
+    detail::LaneRun runs[2];
+    double saved[2][kFilterDoubles];
+    bool protect[2] = {};
     for (std::size_t w = 0; w < width; ++w) {
       const std::size_t lane = base + w;
       detail::LaneRun& r = runs[w];
@@ -438,11 +426,7 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
         *out++ = filt_.integ_acc[lane];
       }
     }
-    if (width == 4) {
-      detail::lane_step_block_avx2(coeffs_, filt_, base, runs, m);
-    } else {
-      detail::lane_step_block_sse2(coeffs_, filt_, base, runs, m);
-    }
+    detail::lane_step_block_sse2(coeffs_, filt_, base, runs, m);
     for (std::size_t w = 0; w < width; ++w) {
       const std::size_t lane = base + w;
       if (protect[w]) {
@@ -530,10 +514,11 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
 
   std::int64_t n[2] = {runs[0].n, runs[1].n};
 
-  // Same steady/warmup split as the AVX2 kernel (see lane_qrs_avx2.cpp): in
-  // steady state the window subtrahend loads straight from the squared rings
-  // and disengaged lanes write into a dummy ring, keeping the accumulator's
-  // loop-carried chain free of store-forward stalls and per-lane branches.
+  // Steady state (every engaged lane past integrator warmup) runs the
+  // branch-free fast path: the window subtrahend loads straight from the
+  // squared rings (written `win` iterations earlier, so no store-forward
+  // stall) and disengaged lanes write into a dummy ring, keeping the
+  // accumulator's loop-carried chain free of per-lane branches.
   const bool steady = (!runs[0].engaged || runs[0].n >= c.win) &&
                       (!runs[1].engaged || runs[1].n >= c.win);
 

@@ -5,8 +5,8 @@
 // *within* one patient without changing FP rounding order — but a ward runs
 // many patients through the *same* chain, so it vectorises *across* them:
 // LaneQrsDetector holds up to kMaxLanes (8) patient streams as
-// structure-of-arrays filter state and steps 4 (AVX2) or 2 (SSE2) lanes per
-// instruction, one patient per SIMD lane.
+// structure-of-arrays filter state and steps 2 lanes per SSE2 instruction,
+// one patient per SIMD lane.
 //
 // Bit-exactness contract: each lane executes the exact per-sample operation
 // sequence of StreamingQrsDetector — same expression order, elementwise IEEE
@@ -29,10 +29,12 @@
 // fresh lanes) falls back to the scalar per-lane step; vector_samples() /
 // scalar_samples() expose how much of the traffic ran in lockstep.
 //
-// Dispatch: the tier is chosen at construction from runtime cpuid (AVX2 ->
-// SSE2 -> scalar; see common/simd_dispatch.hpp), clamped to what this build
-// compiled; one binary runs everywhere, and SVT_LANE_ISA=scalar|sse2 forces
-// the narrower paths for CI parity coverage.
+// Dispatch: the tier is common::simd_tier() at construction — SSE2 on
+// x86-64, where it is the baseline ISA, scalar elsewhere (see
+// common/simd_dispatch.hpp). SVT_LANE_ISA=scalar forces the scalar path for
+// CI parity coverage. There is no wider kernel: a 4-wide AVX2 step measured
+// no faster on the ward workloads, because the loop-carried filter chain,
+// not the vector width, bounds a lane step.
 #pragma once
 
 #include <array>
@@ -100,11 +102,8 @@ class BeatRing {
   std::size_t size_ = 0;
 };
 
-/// Dispatch tier the lane engine will actually run at: the runtime tier
-/// (cpuid + override) clamped to what this build compiled AVX2 code for.
-common::SimdTier lane_effective_tier();
-
-/// simd_tier_name(lane_effective_tier()): "scalar", "sse2" or "avx2".
+/// simd_tier_name(common::simd_tier()): "scalar" or "sse2" — the tier a
+/// pack constructed now runs at.
 const char* lane_isa_name();
 
 /// A pack of up to kMaxLanes same-rate patient streams stepped in SIMD

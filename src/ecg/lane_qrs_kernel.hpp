@@ -42,7 +42,7 @@ struct LaneCoeffs {
 };
 
 /// Structure-of-arrays filter-chain state, indexed by lane slot. Aligned so
-/// a vector group (4 AVX2 / 2 SSE2 consecutive slots) loads directly.
+/// a vector group (2 consecutive slots) loads directly.
 struct LaneFilterState {
   alignas(64) double hp_x1[kMaxLanes] = {}, hp_x2[kMaxLanes] = {};
   alignas(64) double hp_y1[kMaxLanes] = {}, hp_y2[kMaxLanes] = {};
@@ -67,8 +67,8 @@ struct LaneRun {
   bool engaged = false;   ///< Disengaged: compute-and-discard, no stores.
 };
 
-// Step `steps` (<= kStepBlock) samples for the consecutive lane slots
-// [base, base+width) in lockstep (SSE2 width 2, AVX2 width 4). Disengaged
+// Step `steps` (<= kStepBlock) samples for the lane slots [base, base+2) in
+// SSE2 lockstep (x86-64 only; other targets run the scalar step). Disengaged
 // lanes' filter-state entries are clobbered with don't-care values — the
 // caller snapshots and restores any live ones — and their rings and `n`
 // stay untouched. Engaged lanes must have n >= 1: the first sample of a
@@ -76,12 +76,5 @@ struct LaneRun {
 // step by the caller.
 void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
                           LaneRun* runs, std::size_t steps);
-void lane_step_block_avx2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
-                          LaneRun* runs, std::size_t steps);
-
-/// Whether this build carries AVX2 code for lane_step_block_avx2 (the TU is
-/// compiled with -mavx2 only when the toolchain supports it); when false the
-/// engine clamps its dispatch to SSE2.
-bool lane_avx2_compiled();
 
 }  // namespace svt::ecg::detail

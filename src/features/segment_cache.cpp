@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "dsp/simd_kernels.hpp"
+#include "dsp/resample.hpp"
 
 namespace svt::features {
 
@@ -87,38 +87,11 @@ void SegmentFeatureCache::build_chunk(const ecg::BeatRing& ring, std::int64_t m,
   out.edr.clear();
   if (out.empty) return;
 
-  // EDR grid: chunk_len points at chunk-local times i / edr_fs. Same loop
-  // (and same vector kernel) as resample_linear_into with the grid anchored
-  // at 0, plus the causal tail hold past the last collected beat.
-  const std::size_t n = static_cast<std::size_t>(layout_.chunk_len);
-  out.edr.resize(n);
-  const double fs = layout_.edr_fs_hz;
-  const double t_front = beat_t_.front();
-  const double t_back = beat_t_.back();
-  std::size_t i = 0;
-  while (i < n) {  // Front clamp.
-    const double t = static_cast<double>(i) / fs;
-    if (!(t <= t_front)) break;
-    out.edr[i++] = beat_a_.front();
-  }
-  std::size_t hi_k = 1;
-  while (i < n) {
-    const double t = static_cast<double>(i) / fs;
-    if (t >= t_back) break;
-    while (beat_t_[hi_k] <= t) ++hi_k;
-    std::size_t j = i + 1;  // Extend the run sharing this segment.
-    while (j < n) {
-      const double tj = static_cast<double>(j) / fs;
-      if (tj >= t_back || beat_t_[hi_k] <= tj) break;
-      ++j;
-    }
-    const double span = beat_t_[hi_k] - beat_t_[hi_k - 1];
-    SVT_ASSERT(span > 0.0);
-    dsp::detail::lerp_grid_span(0.0, fs, beat_t_[hi_k - 1], span, beat_a_[hi_k - 1],
-                                beat_a_[hi_k], i, j - i, out.edr.data() + i);
-    i = j;
-  }
-  for (; i < n; ++i) out.edr[i] = beat_a_.back();  // Causal tail hold.
+  // EDR grid: chunk_len points at chunk-local times i / edr_fs, through
+  // resample_linear_into's grid loop with the grid anchored at 0. Points
+  // past the last collected beat hold its amplitude (the causal tail hold).
+  out.edr.resize(static_cast<std::size_t>(layout_.chunk_len));
+  dsp::interpolate_grid(beat_t_, beat_a_, 0.0, layout_.edr_fs_hz, out.edr);
 }
 
 const std::vector<double>& SegmentFeatureCache::segment_psd(std::int64_t m,

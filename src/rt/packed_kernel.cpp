@@ -5,13 +5,6 @@
 #include "common/assert.hpp"
 #include "fixed/fixed_point.hpp"
 
-#if defined(SVT_SIMD) && (defined(__AVX2__) || defined(__SSE4_2__))
-#include <immintrin.h>
-#define SVT_SIMD_ACTIVE 1
-#else
-#define SVT_SIMD_ACTIVE 0
-#endif
-
 namespace svt::rt {
 
 namespace {
@@ -70,9 +63,8 @@ void batch_quadratic_decisions(const double* xt, std::size_t nwin, std::size_t n
   }
 }
 
-void batch_quantized_accumulators_scalar(const PackedQuantKernel& kernel,
-                                         const std::int64_t* qxt, std::size_t nwin,
-                                         __int128* out) {
+void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::int64_t* qxt,
+                                  std::size_t nwin, __int128* out) {
   SVT_ASSERT(kernel.nfeat > 0 && kernel.nsv > 0);
   const std::int64_t mac1_hi = fixed::max_signed_value(kernel.mac1_bits);
   const std::int64_t mac1_lo = fixed::min_signed_value(kernel.mac1_bits);
@@ -114,135 +106,6 @@ void batch_quantized_accumulators_scalar(const PackedQuantKernel& kernel,
   }
 }
 
-#if SVT_SIMD_ACTIVE
-
-// --- Explicit vector MAC1 (AVX2: 4 x int64 lanes; SSE4.2: 2) ----------------
-//
-// Every operation below is exact integer arithmetic with the same semantics
-// as the scalar loop, so the results are bit-identical:
-//  * the 64-bit product is a 32x32 signed multiply (quantised features and
-//    SVs are Dbits <= 20-bit values, see PackedQuantKernel's contract);
-//  * the arithmetic right shift by the per-feature constant s is synthesised
-//    as ((v ^ 2^63) >>logical s) - (2^63 >>logical s) — the biased-unsigned
-//    identity for floor division by 2^s;
-//  * saturation is max(min(v, hi), lo) via 64-bit compare + blend, matching
-//    the scalar clamp (lo <= hi always).
-
-namespace {
-
-#if defined(__AVX2__)
-
-using VecI64 = __m256i;
-inline constexpr std::size_t kLanes = 4;
-
-inline VecI64 vec_load(const std::int64_t* p) {
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
-inline void vec_store(std::int64_t* p, VecI64 v) {
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-}
-inline VecI64 vec_set1(std::int64_t v) { return _mm256_set1_epi64x(v); }
-inline VecI64 vec_add(VecI64 a, VecI64 b) { return _mm256_add_epi64(a, b); }
-inline VecI64 vec_mul32(VecI64 a, VecI64 b) { return _mm256_mul_epi32(a, b); }
-inline VecI64 vec_sra(VecI64 v, int s) {
-  const VecI64 bias = vec_set1(static_cast<std::int64_t>(std::uint64_t{1} << 63));
-  return _mm256_sub_epi64(_mm256_srli_epi64(_mm256_xor_si256(v, bias), s),
-                          _mm256_srli_epi64(bias, s));
-}
-inline VecI64 vec_clamp(VecI64 v, VecI64 hi, VecI64 lo) {
-  v = _mm256_blendv_epi8(v, lo, _mm256_cmpgt_epi64(lo, v));  // max(v, lo)
-  return _mm256_blendv_epi8(v, hi, _mm256_cmpgt_epi64(v, hi));  // min(v, hi)
-}
-
-#else  // __SSE4_2__
-
-using VecI64 = __m128i;
-inline constexpr std::size_t kLanes = 2;
-
-inline VecI64 vec_load(const std::int64_t* p) {
-  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-inline void vec_store(std::int64_t* p, VecI64 v) {
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
-}
-inline VecI64 vec_set1(std::int64_t v) { return _mm_set1_epi64x(v); }
-inline VecI64 vec_add(VecI64 a, VecI64 b) { return _mm_add_epi64(a, b); }
-inline VecI64 vec_mul32(VecI64 a, VecI64 b) { return _mm_mul_epi32(a, b); }
-inline VecI64 vec_sra(VecI64 v, int s) {
-  const VecI64 bias = vec_set1(static_cast<std::int64_t>(std::uint64_t{1} << 63));
-  return _mm_sub_epi64(_mm_srli_epi64(_mm_xor_si128(v, bias), s),
-                       _mm_srli_epi64(bias, s));
-}
-inline VecI64 vec_clamp(VecI64 v, VecI64 hi, VecI64 lo) {
-  v = _mm_blendv_epi8(v, lo, _mm_cmpgt_epi64(lo, v));
-  return _mm_blendv_epi8(v, hi, _mm_cmpgt_epi64(v, hi));
-}
-
-#endif
-
-}  // namespace
-
-void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::int64_t* qxt,
-                                  std::size_t nwin, __int128* out) {
-  SVT_ASSERT(kernel.nfeat > 0 && kernel.nsv > 0);
-  const std::int64_t mac1_hi = fixed::max_signed_value(kernel.mac1_bits);
-  const std::int64_t mac1_lo = fixed::min_signed_value(kernel.mac1_bits);
-  const std::int64_t kin_hi = fixed::max_signed_value(kernel.kin_bits);
-  const std::int64_t kin_lo = fixed::min_signed_value(kernel.kin_bits);
-  const std::int64_t kout_hi = fixed::max_signed_value(kernel.kout_bits);
-  const std::int64_t kout_lo = fixed::min_signed_value(kernel.kout_bits);
-  const VecI64 vhi = vec_set1(mac1_hi);
-  const VecI64 vlo = vec_set1(mac1_lo);
-  alignas(32) std::int64_t acc1s[kWindowBlock];
-  __int128 acc2s[kWindowBlock];
-  for (std::size_t w0 = 0; w0 < nwin; w0 += kWindowBlock) {
-    const std::size_t nb = std::min(kWindowBlock, nwin - w0);
-    const std::size_t nb_vec = nb - nb % kLanes;
-    std::fill(acc2s, acc2s + nb, kernel.q_bias);
-    const std::int64_t* sv_row = kernel.q_svs;
-    for (std::size_t i = 0; i < kernel.nsv; ++i, sv_row += kernel.nfeat) {
-      std::fill(acc1s, acc1s + nb, std::int64_t{0});
-      for (std::size_t f = 0; f < kernel.nfeat; ++f) {
-        const std::int64_t svv = sv_row[f];
-        const int shift = kernel.product_shifts[f];
-        const std::int64_t* qrow = qxt + f * nwin + w0;
-        const VecI64 vsv = vec_set1(svv);
-        std::size_t b = 0;
-        for (; b < nb_vec; b += kLanes) {
-          const VecI64 term = vec_sra(vec_mul32(vec_load(qrow + b), vsv), shift);
-          const VecI64 acc = vec_add(vec_load(acc1s + b), term);
-          vec_store(acc1s + b, vec_clamp(acc, vhi, vlo));
-        }
-        for (; b < nb; ++b)  // Scalar tail for the last partial block.
-          acc1s[b] = saturate64(acc1s[b] + ((qrow[b] * svv) >> shift), mac1_hi, mac1_lo);
-      }
-      const std::int64_t alpha = kernel.q_alpha_y[i];
-      for (std::size_t b = 0; b < nb; ++b) {
-        const std::int64_t acc1 = saturate64(acc1s[b] + kernel.q_one, mac1_hi, mac1_lo);
-        const std::int64_t kin =
-            saturate64(acc1 >> kernel.dot_truncate_bits, kin_hi, kin_lo);
-        const std::int64_t square = kin * kin;
-        const std::int64_t kout =
-            saturate64(square >> kernel.square_truncate_bits, kout_hi, kout_lo);
-        acc2s[b] =
-            fixed::saturate128(acc2s[b] + static_cast<__int128>(alpha) * kout, kernel.mac2_bits);
-      }
-    }
-    std::copy(acc2s, acc2s + nb, out + w0);
-  }
-}
-
-bool simd_kernel_enabled() { return true; }
-
-#else  // !SVT_SIMD_ACTIVE
-
-void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::int64_t* qxt,
-                                  std::size_t nwin, __int128* out) {
-  batch_quantized_accumulators_scalar(kernel, qxt, nwin, out);
-}
-
 bool simd_kernel_enabled() { return false; }
-
-#endif
 
 }  // namespace svt::rt

@@ -9,14 +9,10 @@
 // match them: bit-exactly for the fixed-point path, and to rounding of
 // `pow(s,2)` vs `s*s` for the float path.
 //
-// The fixed-point kernel has two implementations with identical results:
-// a portable branch-free scalar path (always compiled, exposed as
-// batch_quantized_accumulators_scalar for parity tests), and an explicitly
-// vectorised path (AVX2, else SSE4.2) selected at COMPILE time when the
-// library is built with SVT_SIMD on a target that has the ISA — saturation
-// becomes vector min/max and the multiply-shift runs across the window-
-// block lanes. Integer arithmetic is exact, so the two paths are bit-
-// identical (asserted across feature widths by tests/test_rt_batch.cpp).
+// The fixed-point kernel is one portable, branch-free loop: saturation is
+// a pair of conditional selects, so the compiler is free to vectorise the
+// window-block loop, and its bits match the per-window engine across
+// feature widths (asserted by tests/test_simd_kernel.cpp).
 //
 // This header is a leaf: it depends only on svt::fixed, so both the float
 // SVM layer and the fixed-point core can route their batch entry points
@@ -71,7 +67,7 @@ void batch_quadratic_decisions(const double* xt, std::size_t nwin, std::size_t n
 /// every stage saturating to the same widths. All pointers are borrowed.
 /// Contract: q_svs and the quantised inputs are Dbits integers with
 /// Dbits <= 20 (enforced by QuantizedModel::build), so products fit 32x32
-/// signed multiplies — the property the SIMD path relies on.
+/// signed multiplies.
 struct PackedQuantKernel {
   std::size_t nfeat = 0;
   std::size_t nsv = 0;
@@ -90,19 +86,11 @@ struct PackedQuantKernel {
 
 /// Batched integer decision accumulators (sign = class), bit-exact with the
 /// per-window engine. `qxt` is the quantised batch in feature-major layout.
-/// Dispatches to the vector path in SVT_SIMD builds, else runs the scalar
-/// reference; both produce identical bits.
 void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::int64_t* qxt,
                                   std::size_t nwin, __int128* out);
 
-/// The portable branch-free scalar reference (always compiled): the
-/// bit-exactness oracle for the SIMD path.
-void batch_quantized_accumulators_scalar(const PackedQuantKernel& kernel,
-                                         const std::int64_t* qxt, std::size_t nwin,
-                                         __int128* out);
-
-/// True when this build dispatches batch_quantized_accumulators to an
-/// explicit vector implementation (SVT_SIMD build on an AVX2/SSE4.2 target).
+/// Always false: the fixed-point kernel has no explicitly vectorised path.
+/// Kept only because the wardbench build fingerprint prints it.
 bool simd_kernel_enabled();
 
 }  // namespace svt::rt

@@ -22,7 +22,7 @@
 //
 // Patients stream at the same rate, so their identical filter chains run
 // lane-parallel: patients are grouped into LaneQrsDetector packs (one
-// patient per SIMD lane, 4-wide AVX2 / 2-wide SSE2 by runtime dispatch),
+// patient per SIMD lane, two lanes per SSE2 instruction on x86-64),
 // and push_batch steps every patient of a pack per instruction. Each lane
 // is bit-identical to a dedicated scalar detector, so the emitted windows
 // are byte-for-byte the same as the per-patient push_samples path — only
@@ -247,7 +247,7 @@ class WindowExtractor {
   std::uint64_t lane_vector_samples() const;
   std::uint64_t lane_scalar_samples() const;
 
-  /// Dispatch tier the lane packs run at: "scalar", "sse2" or "avx2".
+  /// Dispatch tier the lane packs run at: "scalar" or "sse2".
   const char* lane_isa() const;
 
   /// Detector ring/beat storage currently resident across all packs

@@ -1,5 +1,5 @@
 // LaneQrsDetector: per-lane bit-exact parity with StreamingQrsDetector
-// across dispatch tiers (scalar / SSE2 / AVX2, as available on the host),
+// across dispatch tiers (scalar, and SSE2 where the build has it),
 // pack sizes 1..kMaxLanes, arbitrary ragged chunkings (including idle
 // lanes mid-round), mid-stream evict/join, and end-of-record finish.
 //
@@ -24,13 +24,12 @@ namespace {
 
 using namespace test;
 
-/// Tiers this host can actually execute (detected cpuid, ignoring any
-/// SVT_LANE_ISA narrowing so the parity sweep always covers everything).
+/// Tiers this build can execute, ignoring any SVT_LANE_ISA narrowing so the
+/// parity sweep always covers both.
 std::vector<common::SimdTier> available_tiers() {
   std::vector<common::SimdTier> tiers{common::SimdTier::kScalar};
-  const auto detected = common::simd_tier_detected();
-  if (detected >= common::SimdTier::kSse2) tiers.push_back(common::SimdTier::kSse2);
-  if (detected >= common::SimdTier::kAvx2) tiers.push_back(common::SimdTier::kAvx2);
+  if (common::widest_simd_tier() >= common::SimdTier::kSse2)
+    tiers.push_back(common::SimdTier::kSse2);
   return tiers;
 }
 
@@ -56,12 +55,18 @@ void expect_lane_matches(const ecg::LaneQrsDetector& pack, std::size_t lane,
   }
 }
 
-TEST(LaneQrs, EffectiveTierIsClampedToHost) {
-  EXPECT_LE(ecg::lane_effective_tier(), common::simd_tier_detected());
-  const char* name = ecg::lane_isa_name();
-  ASSERT_NE(name, nullptr);
-  EXPECT_TRUE(std::string_view(name) == "scalar" || std::string_view(name) == "sse2" ||
-              std::string_view(name) == "avx2");
+TEST(LaneQrs, TierIsClampedToBuild) {
+  EXPECT_LE(common::simd_tier(), common::widest_simd_tier());
+  EXPECT_STREQ(ecg::lane_isa_name(), common::simd_tier_name(common::simd_tier()));
+  {
+    // Asking for SSE2 yields the widest tier the build has (clamped to
+    // scalar where SSE2 is not the baseline).
+    TierGuard guard(common::SimdTier::kSse2);
+    EXPECT_EQ(common::simd_tier(), common::widest_simd_tier());
+  }
+  TierGuard guard(common::SimdTier::kScalar);
+  EXPECT_EQ(common::simd_tier(), common::SimdTier::kScalar);
+  EXPECT_STREQ(ecg::lane_isa_name(), "scalar");
 }
 
 // Every tier x every pack size, ragged random chunking with idle rounds:

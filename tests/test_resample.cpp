@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <vector>
 
 namespace svt::dsp {
 namespace {
@@ -45,6 +47,48 @@ TEST(Resample, UniformGridProperties) {
     EXPECT_NEAR(u.values[i], static_cast<double>(i) / 4.0, 1e-12);
   }
   EXPECT_NEAR(u.duration_s(), 4.25, 1e-12);
+}
+
+TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
+  // Irregular beat times: the intervals between them span no grid point,
+  // one, or many, at offsets that do not line up with the grid.
+  // resample_linear_into walks the source segments forward; interpolate_at
+  // binary-searches each query. Both must give the same bits everywhere.
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_real_distribution<double> amplitude(-1.5, 1.5);
+  std::size_t spans[3] = {};  // Intervals covering 0, 1 and >= 3 grid points.
+  std::vector<double> out;
+  for (const double fs : {4.0, 7.0}) {
+    for (int series = 0; series < 40; ++series) {
+      std::vector<double> t{10.0 * unit(rng)};
+      std::vector<double> v{amplitude(rng)};
+      for (int k = 0; k < 60; ++k) {
+        // Gap in grid steps: under one, about one, or many.
+        const double u = unit(rng);
+        const double r = unit(rng);
+        const double steps = u < 0.4 ? 0.9 * r : u < 0.7 ? 1.0 + 0.9 * r : 3.0 + 20.0 * r;
+        t.push_back(t.back() + steps / fs);
+        v.push_back(amplitude(rng));
+      }
+      double start = 0.0;
+      resample_linear_into(t, v, fs, start, out);
+      ASSERT_EQ(start, t.front());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i], interpolate_at(t, v, start + static_cast<double>(i) / fs))
+            << "fs " << fs << " series " << series << " point " << i;
+      }
+      for (std::size_t k = 1; k < t.size(); ++k) {
+        const double covered = std::ceil((t[k] - start) * fs) - std::ceil((t[k - 1] - start) * fs);
+        if (covered == 0.0) ++spans[0];
+        if (covered == 1.0) ++spans[1];
+        if (covered >= 3.0) ++spans[2];
+      }
+    }
+  }
+  EXPECT_GT(spans[0], 0u);
+  EXPECT_GT(spans[1], 0u);
+  EXPECT_GT(spans[2], 0u);
 }
 
 TEST(Resample, RejectsBadRate) {

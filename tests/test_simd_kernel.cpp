@@ -1,20 +1,15 @@
-// Bit-exactness of the (optionally SIMD-widened) fixed-point batch kernel
-// against the scalar branch-free reference across feature widths 8-16, the
-// tiled transpose against the naive permutation, and scratch-buffer reuse
-// across interleaved models and batch sizes. In SVT_SIMD builds the
-// dispatching entry point runs the vector path, so these tests are the
-// SIMD parity gate; in scalar builds they degenerate to self-consistency
-// (and simd_kernel_enabled() reports which one this binary is).
+// Bit-exactness of the window-blocked fixed-point batch kernel against the
+// per-window QuantizedModel across feature widths 8-16 (full blocks plus a
+// ragged tail), the tiled transpose against the naive permutation, and
+// scratch-buffer reuse across interleaved models and batch sizes.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <utility>
 #include <vector>
 
 #include "core/quantize.hpp"
-#include "fixed/fixed_point.hpp"
 #include "rt/packed_kernel.hpp"
 #include "rt/packed_model.hpp"
 #include "svm/kernel.hpp"
@@ -49,82 +44,16 @@ std::vector<std::vector<double>> random_batch(std::size_t nwin, std::size_t nfea
   return xs;
 }
 
-/// Rebuild the borrowed-pointer kernel description a QuantizedModel's batch
-/// path uses, from its published properties (the same tables build() uses).
-struct KernelTables {
-  std::vector<std::int64_t> qsvs, qalpha;
-  std::vector<int> shifts;
-  rt::PackedQuantKernel kernel;
-};
-
-KernelTables make_kernel(const core::QuantizedModel& qm, const svm::SvmModel& model) {
-  KernelTables t;
-  const std::size_t nfeat = qm.num_features();
-  const std::size_t nsv = qm.num_support_vectors();
-  const auto& ranges = qm.feature_ranges();
-  int rmax = ranges[0];
-  for (int r : ranges) rmax = std::max(rmax, r);
-  t.shifts.resize(nfeat);
-  for (std::size_t j = 0; j < nfeat; ++j) t.shifts[j] = 2 * (rmax - ranges[j]);
-  t.qsvs.resize(nsv * nfeat);
-  for (std::size_t i = 0; i < nsv; ++i)
-    for (std::size_t j = 0; j < nfeat; ++j) {
-      const fixed::QuantFormat fmt{qm.config().feature_bits, ranges[j]};
-      t.qsvs[i * nfeat + j] = fmt.quantize(model.support_vectors[i][j]);
-    }
-  const fixed::QuantFormat alpha_fmt{qm.config().alpha_bits, qm.global_alpha_range_log2()};
-  t.qalpha.resize(nsv);
-  for (std::size_t i = 0; i < nsv; ++i) t.qalpha[i] = alpha_fmt.quantize(model.alpha_y[i]);
-  t.kernel.nfeat = nfeat;
-  t.kernel.nsv = nsv;
-  t.kernel.q_svs = t.qsvs.data();
-  t.kernel.q_alpha_y = t.qalpha.data();
-  t.kernel.product_shifts = t.shifts.data();
-  t.kernel.q_one = 17;  // Nonzero so the +1 stage is exercised.
-  t.kernel.q_bias = -129;
-  t.kernel.mac1_bits = qm.pipeline().mac1_accumulator_bits();
-  t.kernel.kin_bits = qm.pipeline().kernel_input_bits();
-  t.kernel.kout_bits = qm.pipeline().kernel_output_bits();
-  t.kernel.mac2_bits = std::min(126, qm.pipeline().mac2_accumulator_bits());
-  t.kernel.dot_truncate_bits = qm.config().dot_truncate_bits;
-  t.kernel.square_truncate_bits = qm.config().square_truncate_bits;
-  return t;
-}
-
-TEST(SimdKernel, BitExactVsScalarAcrossWidths8To16) {
-  const std::size_t nfeat = 30;
-  const auto model = random_quadratic_model(40, nfeat, 7);
-  // Spread 3.0 pushes inputs past the SV ranges: saturation lanes light up.
-  const auto xs = random_batch(67, nfeat, 3.0, 11);
-  const std::size_t nwin = xs.size();
-  for (int bits = 8; bits <= 16; ++bits) {
-    core::QuantConfig qc;
-    qc.feature_bits = bits;
-    const auto qm = core::QuantizedModel::build(model, qc);
-    const auto tables = make_kernel(qm, model);
-
-    std::vector<std::int64_t> qxt(nwin * nfeat);
-    for (std::size_t w = 0; w < nwin; ++w) {
-      const auto qx = qm.quantize_input(xs[w]);
-      for (std::size_t f = 0; f < nfeat; ++f) qxt[f * nwin + w] = qx[f];
-    }
-
-    std::vector<__int128> dispatched(nwin), scalar(nwin);
-    rt::batch_quantized_accumulators(tables.kernel, qxt.data(), nwin, dispatched.data());
-    rt::batch_quantized_accumulators_scalar(tables.kernel, qxt.data(), nwin, scalar.data());
-    for (std::size_t w = 0; w < nwin; ++w) {
-      EXPECT_TRUE(dispatched[w] == scalar[w]) << "width " << bits << " window " << w;
-    }
-  }
-}
-
 TEST(SimdKernel, FullModelBatchBitExactVsPerWindowAcrossWidths) {
-  // End-to-end: classify_batch routes through the dispatched kernel; the
-  // per-window engine is pure scalar. Equality across widths proves the
-  // whole quantise -> MAC1 -> square -> MAC2 chain is SIMD-invariant.
-  const auto model = random_quadratic_model(25, 20, 19);
-  const auto xs = random_batch(33, 20, 2.5, 23);
-  for (int bits = 8; bits <= 16; bits += 2) {
+  // End-to-end: classify_batch routes through the window-blocked packed
+  // kernel, the per-window engine does not. Equality at every width proves
+  // the whole quantise -> MAC1 -> square -> MAC2 chain is blocking-invariant.
+  // 67 windows = four 16-window blocks plus a 3-window tail, with inputs
+  // spread past the support vectors' +-2 (still inside the model's
+  // power-of-two ranges, so no stage saturates).
+  const auto model = random_quadratic_model(40, 30, 7);
+  const auto xs = random_batch(67, 30, 3.0, 11);
+  for (int bits = 8; bits <= 16; ++bits) {
     core::QuantConfig qc;
     qc.feature_bits = bits;
     const auto qm = core::QuantizedModel::build(model, qc);
@@ -179,13 +108,6 @@ TEST(KernelScratch, ReuseAcrossModelsAndBatchSizesIsBitExact) {
     pa.decision_values(xa, packed_out, scratch);
     EXPECT_EQ(packed_out, pa.decision_values(xa));
   }
-}
-
-TEST(SimdKernel, ReportsDispatchMode) {
-  // Informational: which path this binary runs (the parity above holds for
-  // both). SVT_SIMD CI legs grep for this line.
-  RecordProperty("simd_kernel_enabled", rt::simd_kernel_enabled() ? "true" : "false");
-  SUCCEED() << "simd_kernel_enabled=" << (rt::simd_kernel_enabled() ? "true" : "false");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "ecg/lane_qrs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -26,6 +27,48 @@ std::size_t next_pow2(std::size_t n) {
 constexpr std::size_t kFilterDoubles = 13;  ///< Per-lane filter-state scalars.
 static_assert(kFilterDoubles == LaneQrsDetector::kFilterStateDoubles,
               "DetachedLane::filter must cover the whole per-lane filter column");
+
+/// Decision samples scanned per candidate mask (one bit each).
+constexpr std::int64_t kScanSpan = 64;
+
+/// Candidate mask of the decision samples [i, i + count), count <= 64: bit k
+/// is set iff integrated[i + k] >= integrated[i + k - 1] and
+/// integrated[i + k] > integrated[i + k + 1] — the local-maximum test of
+/// StreamingQrsDetector::decide. Both compares are ordered, so a NaN is
+/// never a candidate, on either path.
+std::uint64_t local_maxima(const double* buf, std::size_t mask, std::int64_t i, std::size_t count,
+                           common::SimdTier tier) {
+  const std::size_t first = static_cast<std::size_t>(i - 1) & mask;
+  std::uint64_t bits = 0;
+#if defined(__SSE2__) || defined(_M_X64)
+  // Unwrapped span: p[k], p[k + 1], p[k + 2] are integrated[i + k - 1 ..
+  // i + k + 1], two decision samples per compare.
+  if (tier == common::SimdTier::kSse2 && first + count + 2 <= mask + 1) {
+    const double* p = buf + first;
+    std::size_t k = 0;
+    for (; k + 2 <= count; k += 2) {
+      const __m128d prev = _mm_loadu_pd(p + k);
+      const __m128d cur = _mm_loadu_pd(p + k + 1);
+      const __m128d next = _mm_loadu_pd(p + k + 2);
+      const __m128d is_max = _mm_and_pd(_mm_cmpge_pd(cur, prev), _mm_cmpgt_pd(cur, next));
+      bits |= static_cast<std::uint64_t>(_mm_movemask_pd(is_max)) << k;
+    }
+    if (k < count)
+      bits |= static_cast<std::uint64_t>((p[k + 1] >= p[k]) & (p[k + 1] > p[k + 2])) << k;
+    return bits;
+  }
+#else
+  (void)tier;
+#endif
+  // Scalar tier, or a span that wraps the ring: branch-free per sample.
+  for (std::size_t k = 0; k < count; ++k) {
+    const double prev = buf[(first + k) & mask];
+    const double cur = buf[(first + k + 1) & mask];
+    const double next = buf[(first + k + 2) & mask];
+    bits |= static_cast<std::uint64_t>((cur >= prev) & (cur > next)) << k;
+  }
+  return bits;
+}
 
 }  // namespace
 
@@ -195,41 +238,76 @@ std::int64_t LaneQrsDetector::final_through(std::size_t lane) const {
              : 0;
 }
 
-void LaneQrsDetector::step_scalar(std::size_t lane, const double* x, std::size_t count) {
-  // Per-sample arithmetic identical to StreamingQrsDetector::ingest, reading
-  // the lane's column of the SoA state.
+void LaneQrsDetector::store_raw(std::size_t lane, const double* x, std::size_t count) {
+  // One block of input into the raw ring at [n, n + count): at most two
+  // contiguous copies, split where the ring wraps (count <= kStepBlock
+  // never exceeds the ring).
   LaneState& state = lanes_[lane];
-  const detail::LaneCoeffs& c = coeffs_;
+  double* const buf = state.raw.buf.data();
+  const std::size_t start = static_cast<std::size_t>(state.n) & state.raw.mask;
+  const std::size_t head = std::min(count, state.raw.buf.size() - start);
+  std::copy_n(x, head, buf + start);
+  std::copy_n(x + head, count - head, buf);
+}
+
+void LaneQrsDetector::step_scalar(std::size_t lane, const double* x, std::size_t count) {
+  // Per-sample arithmetic identical to StreamingQrsDetector::ingest. The
+  // lane's filter column, coefficients and ring cursors live in locals for
+  // the block: the ring stores go through double*, which could alias filt_
+  // or coeffs_, so state kept in members would be reloaded every sample.
+  store_raw(lane, x, count);
+  LaneState& state = lanes_[lane];
+  const detail::LaneCoeffs c = coeffs_;
   detail::LaneFilterState& s = filt_;
+  double hx1 = s.hp_x1[lane], hx2 = s.hp_x2[lane], hy1 = s.hp_y1[lane], hy2 = s.hp_y2[lane];
+  double lx1 = s.lp_x1[lane], lx2 = s.lp_x2[lane], ly1 = s.lp_y1[lane], ly2 = s.lp_y2[lane];
+  double f1 = s.f1[lane], f2 = s.f2[lane], f3 = s.f3[lane], f4 = s.f4[lane];
+  double acc = s.integ_acc[lane];
+  double* const squared = state.squared.buf.data();
+  const std::size_t sq_mask = state.squared.mask;
+  double* const integrated = state.integrated.buf.data();
+  const std::size_t integ_mask = state.integrated.mask;
+  std::int64_t n = state.n;
   for (std::size_t k = 0; k < count; ++k) {
     const double xv = x[k];
-    state.raw.at(state.n) = xv;
-    const double hy = c.hp_b0 * xv + c.hp_b1 * s.hp_x1[lane] + c.hp_b2 * s.hp_x2[lane] -
-                      c.hp_a1 * s.hp_y1[lane] - c.hp_a2 * s.hp_y2[lane];
-    s.hp_x2[lane] = s.hp_x1[lane];
-    s.hp_x1[lane] = xv;
-    s.hp_y2[lane] = s.hp_y1[lane];
-    s.hp_y1[lane] = hy;
-    const double f = c.lp_b0 * hy + c.lp_b1 * s.lp_x1[lane] + c.lp_b2 * s.lp_x2[lane] -
-                     c.lp_a1 * s.lp_y1[lane] - c.lp_a2 * s.lp_y2[lane];
-    s.lp_x2[lane] = s.lp_x1[lane];
-    s.lp_x1[lane] = hy;
-    s.lp_y2[lane] = s.lp_y1[lane];
-    s.lp_y1[lane] = f;
-    if (state.n == 0) s.f1[lane] = s.f2[lane] = s.f3[lane] = s.f4[lane] = f;
-    const double d = c.fs * (2.0 * f + s.f1[lane] - s.f3[lane] - 2.0 * s.f4[lane]) / 8.0;
-    s.f4[lane] = s.f3[lane];
-    s.f3[lane] = s.f2[lane];
-    s.f2[lane] = s.f1[lane];
-    s.f1[lane] = f;
+    const double hy = c.hp_b0 * xv + c.hp_b1 * hx1 + c.hp_b2 * hx2 - c.hp_a1 * hy1 - c.hp_a2 * hy2;
+    hx2 = hx1;
+    hx1 = xv;
+    hy2 = hy1;
+    hy1 = hy;
+    const double f = c.lp_b0 * hy + c.lp_b1 * lx1 + c.lp_b2 * lx2 - c.lp_a1 * ly1 - c.lp_a2 * ly2;
+    lx2 = lx1;
+    lx1 = hy;
+    ly2 = ly1;
+    ly1 = f;
+    if (n == 0) f1 = f2 = f3 = f4 = f;
+    const double d = c.fs * (2.0 * f + f1 - f3 - 2.0 * f4) / 8.0;
+    f4 = f3;
+    f3 = f2;
+    f2 = f1;
+    f1 = f;
     const double sq = d * d;
-    s.integ_acc[lane] += sq;
-    state.squared.at(state.n) = sq;
-    if (state.n >= c.win) s.integ_acc[lane] -= state.squared.at(state.n - c.win);
-    const auto norm = std::min<std::int64_t>(state.n + 1, c.win);
-    state.integrated.at(state.n) = s.integ_acc[lane] / static_cast<double>(norm);
-    ++state.n;
+    acc += sq;
+    squared[static_cast<std::size_t>(n) & sq_mask] = sq;
+    if (n >= c.win) acc -= squared[static_cast<std::size_t>(n - c.win) & sq_mask];
+    const auto norm = std::min<std::int64_t>(n + 1, c.win);
+    integrated[static_cast<std::size_t>(n) & integ_mask] = acc / static_cast<double>(norm);
+    ++n;
   }
+  s.hp_x1[lane] = hx1;
+  s.hp_x2[lane] = hx2;
+  s.hp_y1[lane] = hy1;
+  s.hp_y2[lane] = hy2;
+  s.lp_x1[lane] = lx1;
+  s.lp_x2[lane] = lx2;
+  s.lp_y1[lane] = ly1;
+  s.lp_y2[lane] = ly2;
+  s.f1[lane] = f1;
+  s.f2[lane] = f2;
+  s.f3[lane] = f3;
+  s.f4[lane] = f4;
+  s.integ_acc[lane] = acc;
+  state.n = n;
 }
 
 void LaneQrsDetector::learn_thresholds(std::size_t lane, std::int64_t learning) {
@@ -246,11 +324,11 @@ void LaneQrsDetector::learn_thresholds(std::size_t lane, std::int64_t learning) 
   state.npki = sum / static_cast<double>(learning) * 0.5;
 }
 
-void LaneQrsDetector::take_peak(std::size_t lane, std::int64_t i, std::int64_t raw_end,
-                                double peak) {
+void LaneQrsDetector::take_peak(std::size_t lane, std::int64_t i, std::int64_t raw_end) {
   // Slow path of the decision replay: a local maximum above threshold and
   // clear of the refractory period. Searches the raw signal for the R peak
-  // and adapts the signal-level estimate; fires roughly once per heartbeat.
+  // and keeps it unless it duplicates the last kept beat; fires roughly once
+  // per heartbeat. The caller adapts the signal level.
   LaneState& state = lanes_[lane];
   const std::int64_t search_lo =
       i >= static_cast<std::int64_t>(win_) ? i - static_cast<std::int64_t>(win_) : 0;
@@ -265,47 +343,40 @@ void LaneQrsDetector::take_peak(std::size_t lane, std::int64_t i, std::int64_t r
     state.last_kept_time = t;
     state.have_kept = true;
   }
-  state.spki = 0.125 * peak + 0.875 * state.spki;
   state.last_peak_idx = i;
   state.have_peak = true;
 }
 
 void LaneQrsDetector::replay_decisions(std::size_t lane, std::int64_t limit,
                                        std::int64_t raw_end) {
-  // Rolling scan from the decision cursor through `limit` (inclusive) over
-  // the frozen integrated ring: per sample the hot path is one ring load and
-  // two compares (carrying prev/cur across iterations), with the threshold
-  // test inlined on the sparse local maxima and the noise-level update kept
-  // in registers. Arithmetic and comparison order are exactly
-  // StreamingQrsDetector's per-sample decision.
+  // Decisions from the cursor through `limit` (inclusive) over the frozen
+  // integrated ring. Only local maxima can change state, and they are ~5% of
+  // samples, so each span of <= 64 samples is first reduced to a candidate
+  // mask (no data-dependent branch per sample), then the threshold logic
+  // runs on the set bits in ascending order. Arithmetic and comparison
+  // order are exactly StreamingQrsDetector::decide's.
   LaneState& state = lanes_[lane];
-  if (state.cursor > limit) return;
   const double* buf = state.integrated.buf.data();
   const std::size_t mask = state.integrated.mask;
-  std::int64_t i = state.cursor;
-  double prev = buf[static_cast<std::size_t>(i - 1) & mask];
-  double cur = buf[static_cast<std::size_t>(i) & mask];
+  const auto refractory = static_cast<std::int64_t>(refractory_);
   double npki = state.npki;
   double spki = state.spki;
+  std::int64_t i = state.cursor;
   while (i <= limit) {
-    const double next = buf[static_cast<std::size_t>(i + 1) & mask];
-    if (cur >= prev && cur > next) {
+    const auto count = static_cast<std::size_t>(std::min(limit - i + 1, kScanSpan));
+    for (std::uint64_t bits = local_maxima(buf, mask, i, count, tier_); bits != 0;) {
+      const std::int64_t j = i + std::countr_zero(bits);
+      bits &= bits - 1;
+      const double peak = buf[static_cast<std::size_t>(j) & mask];
       const double threshold = npki + 0.25 * (spki - npki);
-      if (cur > threshold &&
-          (!state.have_peak ||
-           i - state.last_peak_idx > static_cast<std::int64_t>(refractory_))) {
-        state.npki = npki;
-        state.spki = spki;
-        take_peak(lane, i, raw_end, cur);
-        npki = state.npki;
-        spki = state.spki;
+      if (peak > threshold && (!state.have_peak || j - state.last_peak_idx > refractory)) {
+        take_peak(lane, j, raw_end);
+        spki = 0.125 * peak + 0.875 * spki;
       } else {
-        npki = 0.125 * cur + 0.875 * npki;
+        npki = 0.125 * peak + 0.875 * npki;
       }
     }
-    prev = cur;
-    cur = next;
-    ++i;
+    i += static_cast<std::int64_t>(count);
   }
   state.npki = npki;
   state.spki = spki;
@@ -398,11 +469,10 @@ void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
       detail::LaneRun& r = runs[w];
       r = detail::LaneRun{};
       if (rem[lane] > 0) {
+        store_raw(lane, cur[lane], m);
         LaneState& state = lanes_[lane];
         r.engaged = true;
         r.input = cur[lane];
-        r.raw = state.raw.buf.data();
-        r.raw_mask = state.raw.mask;
         r.squared = state.squared.buf.data();
         r.squared_mask = state.squared.mask;
         r.integrated = state.integrated.buf.data();
@@ -522,27 +592,23 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
   const bool steady = (!runs[0].engaged || runs[0].n >= c.win) &&
                       (!runs[1].engaged || runs[1].n >= c.win);
 
-  alignas(16) double tmp[2], tmp2[2];
   if (steady) {
     alignas(16) double dummy[8] = {};
     const double* in[2];
-    double* raw[2];
     double* squared[2];
     double* integrated[2];
-    std::size_t raw_m[2], sq_m[2], integ_m[2];
+    std::size_t sq_m[2], integ_m[2];
     for (int w = 0; w < 2; ++w) {
       const LaneRun& r = runs[w];
       in[w] = r.input;
       if (r.engaged) {
-        raw[w] = r.raw;
         squared[w] = r.squared;
         integrated[w] = r.integrated;
-        raw_m[w] = r.raw_mask;
         sq_m[w] = r.squared_mask;
         integ_m[w] = r.integrated_mask;
       } else {
-        raw[w] = squared[w] = integrated[w] = dummy;
-        raw_m[w] = sq_m[w] = integ_m[w] = 7;
+        squared[w] = integrated[w] = dummy;
+        sq_m[w] = integ_m[w] = 7;
       }
     }
     const __m128d nrm = _mm_set1_pd(static_cast<double>(c.win));
@@ -582,24 +648,19 @@ void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t b
                      squared[0][static_cast<std::size_t>(n[0] - c.win) & sq_m[0]]);
       acc = _mm_sub_pd(acc, sub);
       const __m128d integ = _mm_div_pd(acc, nrm);
-      _mm_store_pd(tmp, sq);
-      _mm_store_pd(tmp2, integ);
-      for (int w = 0; w < 2; ++w) {
-        const auto nw = static_cast<std::size_t>(n[w]);
-        raw[w][nw & raw_m[w]] = in[w][k];
-        squared[w][nw & sq_m[w]] = tmp[w];
-        integrated[w][nw & integ_m[w]] = tmp2[w];
-        ++n[w];
-      }
+      const auto n0 = static_cast<std::size_t>(n[0]);
+      const auto n1 = static_cast<std::size_t>(n[1]);
+      _mm_storel_pd(&squared[0][n0 & sq_m[0]], sq);
+      _mm_storeh_pd(&squared[1][n1 & sq_m[1]], sq);
+      _mm_storel_pd(&integrated[0][n0 & integ_m[0]], integ);
+      _mm_storeh_pd(&integrated[1][n1 & integ_m[1]], integ);
+      ++n[0];
+      ++n[1];
     }
   } else {
-    alignas(16) double sub[2], nrm[2];
+    alignas(16) double tmp[2], sub[2], nrm[2];
     for (std::size_t k = 0; k < steps; ++k) {
       const __m128d x = _mm_set_pd(runs[1].input[k], runs[0].input[k]);
-      for (int w = 0; w < 2; ++w) {
-        LaneRun& r = runs[w];
-        if (r.engaged) r.raw[static_cast<std::size_t>(n[w]) & r.raw_mask] = r.input[k];
-      }
       __m128d hy = _mm_mul_pd(hp_b0, x);
       hy = _mm_add_pd(hy, _mm_mul_pd(hp_b1, hx1));
       hy = _mm_add_pd(hy, _mm_mul_pd(hp_b2, hx2));

@@ -19,22 +19,32 @@
 // block is exact because decisions never feed back into the filter chain and
 // the raw-search clamp min(raw_end, i + win/4) is unaffected by a later
 // raw_end (the decision lag is exactly win/4); the history rings carry
-// kStepBlock extra capacity to cover the deferral.
+// kStepBlock extra capacity to cover the deferral. The replay is a
+// candidate scan: only local maxima of the integrated signal (~5% of
+// samples) can change decision state, so each span of <= 64 samples is
+// reduced to a bitmask of them (two SSE2 compares per 2 samples), and the
+// threshold logic visits the set bits in order.
 //
 // Lane lifecycle: lanes occupy fixed slots (no state moves on churn), so
 // patients join (add_lane) and leave (remove_lane) without perturbing other
 // lanes' results; a freed slot keeps its ring allocations pooled for the
 // next occupant, bounding resident memory by the pack width, not by patient
 // churn. Ragged input (lanes with different chunk lengths, idle lanes,
-// fresh lanes) falls back to the scalar per-lane step; vector_samples() /
-// scalar_samples() expose how much of the traffic ran in lockstep.
+// fresh lanes) falls back to the scalar per-lane step, which keeps the
+// lane's filter column in registers for the block; vector_samples() /
+// scalar_samples() expose how much of the traffic ran in lockstep. Each
+// block's input reaches the raw ring (read only by the R-peak search) as one
+// contiguous copy per lane, not a store per sample.
 //
 // Dispatch: the tier is common::simd_tier() at construction — SSE2 on
 // x86-64, where it is the baseline ISA, scalar elsewhere (see
 // common/simd_dispatch.hpp). SVT_LANE_ISA=scalar forces the scalar path for
 // CI parity coverage. There is no wider kernel: a 4-wide AVX2 step measured
-// no faster on the ward workloads, because the loop-carried filter chain,
-// not the vector width, bounds a lane step.
+// no faster on the ward workloads, because instruction throughput, not the
+// loop-carried filter chain, bounds a lane step: the steady 2-lane SSE2
+// loop is ~80 instructions (per-lane ring stores, window-subtrahend loads,
+// coefficient spills) that take about twice as long to issue as its
+// recurrence (~10 cycles) takes to resolve.
 #pragma once
 
 #include <array>
@@ -244,11 +254,13 @@ class LaneQrsDetector {
   }
 
   void reset_lane(std::size_t lane);
+  /// Copy a block's input into the lane's raw ring at [n, n + count).
+  void store_raw(std::size_t lane, const double* x, std::size_t count);
   void step_scalar(std::size_t lane, const double* x, std::size_t count);
   void after_block(std::size_t lane);
   void learn_thresholds(std::size_t lane, std::int64_t learning);
   void replay_decisions(std::size_t lane, std::int64_t limit, std::int64_t raw_end);
-  void take_peak(std::size_t lane, std::int64_t i, std::int64_t raw_end, double peak);
+  void take_peak(std::size_t lane, std::int64_t i, std::int64_t raw_end);
   void run_group(std::size_t base, std::size_t width, std::array<const double*, kMaxLanes>& cur,
                  std::array<std::size_t, kMaxLanes>& rem);
 

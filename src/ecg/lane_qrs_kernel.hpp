@@ -12,9 +12,13 @@
 // Layout: filter state is structure-of-arrays over kMaxLanes fixed lane
 // slots; history rings stay per-lane (lanes sit at different absolute
 // stream positions, so ring traffic is scalar — the ~20 FLOPs of chain
-// arithmetic per sample are what vectorise). Divergent control flow
-// (threshold learning, peak confirmation, dedup) never runs here: the
-// caller defers it and replays it per lane after each block.
+// arithmetic per sample are what vectorise). That ring traffic, not the
+// loop-carried biquad recurrence, is what bounds a step: the loop is
+// instruction-throughput bound, so the kernel writes only the two filter
+// output rings (one half-register store per lane) and the caller fills the
+// raw ring with a block copy. Divergent control flow (threshold learning,
+// peak confirmation, dedup) never runs here: the caller defers it and
+// replays it per lane after each block.
 #pragma once
 
 #include <cstddef>
@@ -54,11 +58,11 @@ struct LaneFilterState {
 };
 
 /// One lane's cursor through a lockstep block: its input, its absolute
-/// stream position and its (power-of-two, absolute-indexed) history rings.
+/// stream position and its (power-of-two, absolute-indexed) filter-output
+/// rings. The raw ring is not here: the caller copies each block's input
+/// into it with one contiguous copy before stepping.
 struct LaneRun {
   const double* input = kZeros;  ///< `steps` samples to consume.
-  double* raw = nullptr;
-  std::size_t raw_mask = 0;
   double* squared = nullptr;
   std::size_t squared_mask = 0;
   double* integrated = nullptr;

@@ -107,6 +107,12 @@ struct EngineStats {
   /// suppress policy. Counted per window position, not per workload.
   std::size_t windows_annotated = 0;
   std::size_t windows_suppressed = 0;
+  /// Live lane occupancy: detector samples stepped in SIMD lockstep / by
+  /// the scalar per-lane step (WindowExtractor::lane_vector_samples), summed
+  /// over the engine's extractors. Their sum is every sample extracted;
+  /// exact after a flush, possibly a round behind mid-stream.
+  std::uint64_t lane_vector_samples = 0;
+  std::uint64_t lane_scalar_samples = 0;
   SchedulerStats scheduler;
 };
 

@@ -202,6 +202,10 @@ EngineStats ShardedStreamClassifier::stats() const {
   s.dropped_chunks = dropped_chunks();
   s.windows_annotated = annotated_.load();
   s.windows_suppressed = suppressed_.load();
+  for (const auto& shard : shards_) {
+    s.lane_vector_samples += shard->lane_vector_samples.load(std::memory_order_relaxed);
+    s.lane_scalar_samples += shard->lane_scalar_samples.load(std::memory_order_relaxed);
+  }
   s.scheduler = scheduler_stats();
   return s;
 }
@@ -516,6 +520,10 @@ void ShardedStreamClassifier::worker_loop(std::size_t self, Shard& shard) {
     }
     shard.extractor.push_batch(chunks, collect);
     note_rejected();
+    shard.lane_vector_samples.store(shard.extractor.lane_vector_samples(),
+                                    std::memory_order_relaxed);
+    shard.lane_scalar_samples.store(shard.extractor.lane_scalar_samples(),
+                                    std::memory_order_relaxed);
 
     // Windows land contiguously per patient in round order; each patient's
     // segment is classified and delivered on its own, with the latency clock

@@ -221,8 +221,9 @@ class ShardedStreamClassifier {
   ecg::QualityStats quality_stats() const;
 
   /// Uniform counters. windows_annotated/windows_suppressed are maintained
-  /// by worker-side watermarks (like rejected_windows), so they are safe to
-  /// read mid-stream and exact after a flush.
+  /// by worker-side watermarks (like rejected_windows) and the lane counts
+  /// by per-shard atomics, so all are safe to read mid-stream and exact
+  /// after a flush.
   EngineStats stats() const;
 
   /// Per-batch delivery latencies in seconds: for every delivered batch,
@@ -283,6 +284,11 @@ class ShardedStreamClassifier {
     mutable std::mutex latency_mutex;   ///< Guards the latency reservoir.
     std::vector<double> latencies_s;    ///< Most recent delivered batches.
     std::size_t latency_next = 0;       ///< Overwrite cursor once full.
+    /// The extractor's cumulative lane counts, stored by the worker after
+    /// each round. One writer each, so stats() reads them relaxed; flush()'s
+    /// fence orders the last store before a post-flush read.
+    std::atomic<std::uint64_t> lane_vector_samples{0};
+    std::atomic<std::uint64_t> lane_scalar_samples{0};
     /// Recycled Task sample buffers: the worker returns each drained chunk's
     /// vector here and push_samples reuses it for the next chunk, so the
     /// steady-state ingest path stops allocating (and, more importantly,

@@ -85,6 +85,8 @@ class StreamClassifier {
     s.rejected_windows = rejected_windows();
     s.windows_annotated = extractor_.annotated_windows();
     s.windows_suppressed = extractor_.suppressed_windows();
+    s.lane_vector_samples = extractor_.lane_vector_samples();
+    s.lane_scalar_samples = extractor_.lane_scalar_samples();
     return s;
   }
 

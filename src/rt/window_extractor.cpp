@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "dsp/statistics.hpp"
@@ -179,11 +180,18 @@ void WindowExtractor::release_patient(PatientState& state) {
 }
 
 void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink) {
+  // Checked before any state is touched: a repeated id would hand one lane
+  // two chunks in a round, and a rejected batch must leave no new patient.
+  for (std::size_t i = 1; i < chunks.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (chunks[i].patient_id == chunks[j].patient_id)
+        throw std::invalid_argument("WindowExtractor::push_batch: patient " +
+                                    std::to_string(chunks[i].patient_id) +
+                                    " appears twice in one batch");
   for (const auto& chunk : chunks) find_or_create(chunk.patient_id);
 
   // Step each involved pack once, with every one of its patients' chunks in
-  // lockstep. Patient ids must be distinct within one batch (the lane
-  // engine asserts one chunk per lane).
+  // lockstep.
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const std::size_t pack_idx = patients_.find(chunks[i].patient_id)->second.pack;
     bool first_for_pack = true;

@@ -132,11 +132,11 @@ class WindowExtractor {
   explicit WindowExtractor(StreamConfig config = {});
 
   /// Ingest one chunk per patient — the lane-parallel hot path. Patients
-  /// sharing a pack are stepped in SIMD lockstep; patient ids must be
-  /// distinct within one call. `sink` fires for every window whose beats
-  /// have become final, grouped per patient in chunk order. A first chunk
-  /// creates the patient's stream (claiming a lane in the first pack with a
-  /// free slot).
+  /// sharing a pack are stepped in SIMD lockstep. `sink` fires for every
+  /// window whose beats have become final, grouped per patient in chunk
+  /// order. A first chunk creates the patient's stream (claiming a lane in
+  /// the first pack with a free slot). Throws std::invalid_argument, before
+  /// any state changes, when a patient id appears twice in one call.
   void push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink);
 
   /// Single-patient convenience: exactly push_batch of one chunk.
@@ -242,8 +242,9 @@ class WindowExtractor {
   const StreamConfig& config() const { return config_; }
 
   /// Detector samples stepped in SIMD lockstep / by the scalar per-lane
-  /// fallback, summed over live and retired packs. The vector fraction is
-  /// the lane-occupancy figure reported by the throughput bench.
+  /// fallback, summed over live and retired packs: the live lane occupancy
+  /// (EngineStats reports the same counts per engine). Monotone per
+  /// extractor; a migrating patient's history stays where it was stepped.
   std::uint64_t lane_vector_samples() const;
   std::uint64_t lane_scalar_samples() const;
 

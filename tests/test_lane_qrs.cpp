@@ -8,9 +8,13 @@
 // promises bit-identity, not closeness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/simd_dispatch.hpp"
@@ -125,6 +129,83 @@ TEST(LaneQrs, ParityAcrossTiersPackSizesAndChunkings) {
         pack.finish(lane_of[p]);
         refs[p].finish();
         expect_lane_matches(pack, lane_of[p], refs[p]);
+      }
+    }
+  }
+}
+
+// Records whose integrated signal a candidate-mask scan could misread:
+// exact-zero plateaus (>= holds, > fails), a NaN burst, and +-Inf samples.
+// Each pins today's behaviour, poisoned streams included. In a 7-lane pack
+// lanes 0-5 step as three lockstep pairs and lane 6 takes the scalar step;
+// rotating the records through the slots runs each one both ways. Beat
+// amplitudes compare by bit pattern, since a NaN never equals itself.
+TEST(LaneQrs, ParityOnPlateausNaNAndInfinities) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kLanes = 7;
+  std::vector<std::vector<double>> records;
+  for (std::size_t p = 0; p < kLanes; ++p) records.push_back(synth_ecg(30.0, 3100 + p).samples_mv);
+  const double fs = 250.0;
+  const auto at_s = [fs](double t) { return static_cast<std::size_t>(t * fs); };
+  // 0: leading flat line; 1: flat gap; 2: flat throughout; 3: NaN burst;
+  // 4: +Inf sample; 5: -Inf sample; 6: clean.
+  std::fill(records[0].begin(), records[0].begin() + at_s(4.0), 0.0);
+  std::fill(records[1].begin() + at_s(12.0), records[1].begin() + at_s(15.0), 0.0);
+  std::fill(records[2].begin(), records[2].end(), 0.0);
+  std::fill(records[3].begin() + at_s(20.0), records[3].begin() + at_s(20.2), kNaN);
+  records[4][at_s(15.0)] = kInf;
+  records[5][at_s(18.0)] = -kInf;
+
+  std::vector<ecg::StreamingQrsDetector> refs;
+  for (const auto& record : records) {
+    refs.emplace_back(fs);
+    refs.back().push(record);
+    refs.back().finish();
+  }
+  // Not vacuous: beats follow the plateau and precede the NaN burst, and a
+  // flat line has no local maxima at all.
+  EXPECT_GT(refs[0].beats().size(), 0u);
+  EXPECT_EQ(refs[2].beats().size(), 0u);
+  EXPECT_GT(refs[3].beats().size(), 0u);
+
+  for (const auto tier : available_tiers()) {
+    TierGuard guard(tier);
+    for (std::size_t rotation = 0; rotation < kLanes; ++rotation) {
+      ecg::LaneQrsDetector pack(fs);
+      std::vector<std::size_t> lane_of(kLanes);  // Record -> lane.
+      for (std::size_t slot = 0; slot < kLanes; ++slot)
+        lane_of[(slot + rotation) % kLanes] = pack.add_lane();
+      std::mt19937_64 rng(900 + rotation + 31 * static_cast<std::uint64_t>(tier));
+      std::uniform_int_distribution<std::size_t> len_dist(0, 200);
+      std::vector<std::size_t> offset(kLanes, 0);
+      bool any_left = true;
+      while (any_left) {
+        any_left = false;
+        std::vector<ecg::LaneQrsDetector::LaneChunk> chunks;
+        for (std::size_t p = 0; p < kLanes; ++p) {
+          const auto& samples = records[p];
+          if (offset[p] >= samples.size()) continue;
+          any_left = true;
+          const std::size_t len = std::min(len_dist(rng), samples.size() - offset[p]);
+          if (len == 0) continue;
+          chunks.push_back({lane_of[p],
+                            std::span<const double>(samples).subspan(offset[p], len)});
+          offset[p] += len;
+        }
+        if (!chunks.empty()) pack.push(chunks);
+      }
+      for (std::size_t p = 0; p < kLanes; ++p) {
+        pack.finish(lane_of[p]);
+        const auto& got = pack.beats(lane_of[p]);
+        const auto& want = refs[p].beats();
+        ASSERT_EQ(got.size(), want.size()) << "record " << p << " rotation " << rotation;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const auto got_bits = std::bit_cast<std::uint64_t>(got[i].amplitude_mv);
+          const auto want_bits = std::bit_cast<std::uint64_t>(want[i].amplitude_mv);
+          EXPECT_EQ(got[i].sample_index, want[i].sample_index) << "record " << p << " beat " << i;
+          EXPECT_EQ(got_bits, want_bits) << "record " << p << " beat " << i;
+        }
       }
     }
   }
@@ -326,6 +407,58 @@ TEST(LaneWindowExtractor, BatchWindowsBitIdenticalToPerPatientPath) {
       expect_windows_equal(got[p], want[p], static_cast<int>(p));
     EXPECT_GT(want[0].size(), 2u);  // The comparison is not vacuous.
   }
+}
+
+// A patient id repeated within one batch is a caller error: it throws
+// before any state changes (no patient is created, no lane steps), and the
+// extractor goes on serving its patients bit-exactly.
+TEST(LaneWindowExtractor, RepeatedPatientIdThrowsAndLeavesStateUntouched) {
+  const auto a = synth_ecg(30.0, 4100);
+  const auto b = synth_ecg(30.0, 4101);
+  const auto config = short_windows();
+  const std::size_t half = a.samples_mv.size() / 2;
+  const auto first = [&](const ecg::EcgWaveform& wf) {
+    return std::span<const double>(wf.samples_mv).first(half);
+  };
+  const auto second = [&](const ecg::EcgWaveform& wf) {
+    return std::span<const double>(wf.samples_mv).subspan(half);
+  };
+  std::vector<std::vector<rt::ExtractedWindow>> want(2), got(2);
+  auto want_sink = [&](rt::ExtractedWindow&& window) {
+    want[static_cast<std::size_t>(window.patient_id)].push_back(std::move(window));
+  };
+  auto got_sink = [&](rt::ExtractedWindow&& window) {
+    got[static_cast<std::size_t>(window.patient_id)].push_back(std::move(window));
+  };
+
+  rt::WindowExtractor reference(config);
+  std::vector<rt::WindowExtractor::PatientChunk> chunks{{0, first(a)}, {1, first(b)}};
+  reference.push_batch(chunks, want_sink);
+  const std::size_t buffered_a = reference.buffered_samples(0);
+  chunks = {{0, second(a)}, {1, second(b)}};
+  reference.push_batch(chunks, want_sink);
+  reference.end_patient(0, want_sink);
+  reference.end_patient(1, want_sink);
+
+  rt::WindowExtractor extractor(config);
+  chunks = {{0, first(a)}, {1, first(b)}};
+  extractor.push_batch(chunks, got_sink);
+  const std::uint64_t stepped = extractor.lane_vector_samples() + extractor.lane_scalar_samples();
+  // Patient 2 is new and repeated: the throw must come before it is created.
+  chunks = {{2, second(b)}, {0, second(a)}, {2, second(b)}};
+  EXPECT_THROW(extractor.push_batch(chunks, got_sink), std::invalid_argument);
+  EXPECT_EQ(extractor.num_patients(), 2u);
+  EXPECT_FALSE(extractor.has_patient(2));
+  EXPECT_EQ(extractor.lane_vector_samples() + extractor.lane_scalar_samples(), stepped);
+  EXPECT_EQ(extractor.buffered_samples(0), buffered_a);
+  chunks = {{0, second(a)}, {1, second(b)}};
+  extractor.push_batch(chunks, got_sink);
+  extractor.end_patient(0, got_sink);
+  extractor.end_patient(1, got_sink);
+
+  expect_windows_equal(got[0], want[0], 0);
+  expect_windows_equal(got[1], want[1], 1);
+  EXPECT_GT(want[0].size(), 2u);
 }
 
 // Evicting patients reclaims detector scratch: residency is bounded by the

@@ -198,6 +198,40 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
   expect_bit_identical(collector.all(), reference.flush(), "concurrent push");
 }
 
+TEST(ShardedStreamClassifier, LaneCountersAccountForEverySample) {
+  // EngineStats' lane counters split every extracted sample between the
+  // lockstep and scalar steps. A producer streams while the main thread
+  // reads stats() (race-free mid-stream reads); after the fence the split
+  // covers exactly the samples pushed, on both engines.
+  const auto ward = make_ward();
+  std::uint64_t pushed = 0;
+  for (const auto& [pid, wf] : ward) pushed += wf.samples_mv.size();
+
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                      engine_options(2, collector.sink()));
+  std::thread producer([&] { push_interleaved(sharded, ward, 611); });
+  std::uint64_t seen = 0;
+  while (seen < pushed) {
+    const rt::EngineStats mid = sharded.stats();
+    seen = mid.lane_vector_samples + mid.lane_scalar_samples;
+    EXPECT_LE(seen, pushed);
+    std::this_thread::yield();
+  }
+  producer.join();
+  sharded.flush();
+  const rt::EngineStats after = sharded.stats();
+  EXPECT_EQ(after.lane_vector_samples + after.lane_scalar_samples, pushed);
+
+  rt::StreamClassifier reference(detector(), short_window_config());
+  for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
+  reference.flush();
+  const rt::EngineStats solo = reference.stats();
+  EXPECT_EQ(solo.lane_vector_samples + solo.lane_scalar_samples, pushed);
+  // One patient per push never fills a lane pair.
+  EXPECT_EQ(solo.lane_vector_samples, 0u);
+}
+
 TEST(ShardedStreamClassifier, ThrowsWithoutAnyModel) {
   auto registry = std::make_shared<rt::ModelRegistry>();  // No default, no entries.
   Collector collector;

@@ -4,14 +4,17 @@
 // lanes mid-round), mid-stream evict/join, and end-of-record finish.
 //
 // Parity oracle: a dedicated scalar StreamingQrsDetector per lane fed the
-// same samples. Every comparison is EXPECT_EQ on doubles — the lane engine
-// promises bit-identity, not closeness.
+// same samples. Every comparison is exact (amplitudes by bit pattern) — the
+// lane engine promises bit-identity, not closeness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -53,10 +56,49 @@ void expect_lane_matches(const ecg::LaneQrsDetector& pack, std::size_t lane,
   const auto& got = pack.beats(lane);
   const auto& want = ref.beats();
   ASSERT_EQ(got.size(), want.size()) << "lane " << lane;
+  // Amplitudes compare by bit pattern: a NaN never equals itself.
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].sample_index, want[i].sample_index) << "lane " << lane << " beat " << i;
-    EXPECT_EQ(got[i].amplitude_mv, want[i].amplitude_mv) << "lane " << lane << " beat " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].amplitude_mv),
+              std::bit_cast<std::uint64_t>(want[i].amplitude_mv))
+        << "lane " << lane << " beat " << i;
   }
+}
+
+/// kMaxLanes clean synthetic records.
+std::vector<std::vector<double>> clean_records() {
+  std::vector<std::vector<double>> records;
+  for (std::size_t p = 0; p < ecg::LaneQrsDetector::kMaxLanes; ++p)
+    records.push_back(synth_ecg(30.0, 11000 + p).samples_mv);
+  return records;
+}
+
+/// kMaxLanes records whose integrated signal a candidate-mask scan could
+/// misread: 0 leading flat line, 1 flat gap, 2 flat throughout (exact-zero
+/// plateaus: >= holds, > fails), 3 NaN burst, 4 +Inf sample, 5 -Inf
+/// sample, 6 a sinusoid, 7 clean. The 37-sample integration window holds
+/// exactly three periods of the sinusoid's squared derivative, so its
+/// integrated signal is flat to within an ulp and ties its neighbours at
+/// local maxima: the only record here on which the >= / > of the
+/// local-maximum test changes the beats. They pin today's behaviour,
+/// poisoned streams included.
+std::vector<std::vector<double>> poisoned_records() {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> records;
+  for (std::size_t p = 0; p < ecg::LaneQrsDetector::kMaxLanes; ++p)
+    records.push_back(synth_ecg(30.0, 3100 + p).samples_mv);
+  const auto at_s = [](double t) { return static_cast<std::ptrdiff_t>(t * 250.0); };
+  std::fill(records[0].begin(), records[0].begin() + at_s(4.0), 0.0);
+  std::fill(records[1].begin() + at_s(12.0), records[1].begin() + at_s(15.0), 0.0);
+  std::fill(records[2].begin(), records[2].end(), 0.0);
+  std::fill(records[3].begin() + at_s(20.0), records[3].begin() + at_s(20.2), kNaN);
+  records[4][at_s(15.0)] = kInf;
+  records[5][at_s(18.0)] = -kInf;
+  const double hz = 3.0 * 250.0 / (2.0 * 37.0);
+  for (std::size_t k = 0; k < records[6].size(); ++k)
+    records[6][k] = std::sin(2.0 * std::numbers::pi * hz * static_cast<double>(k) / 250.0);
+  return records;
 }
 
 TEST(LaneQrs, TierIsClampedToBuild) {
@@ -75,136 +117,68 @@ TEST(LaneQrs, TierIsClampedToBuild) {
 
 // Every tier x every pack size, ragged random chunking with idle rounds:
 // each lane's beat stream must be bit-identical to its dedicated scalar
-// detector, before and after finish().
+// detector, before and after finish(). Ragged rounds step every lane both
+// in lockstep and alone, on clean records and on poisoned ones.
 TEST(LaneQrs, ParityAcrossTiersPackSizesAndChunkings) {
-  std::vector<ecg::EcgWaveform> records;
-  for (std::size_t p = 0; p < ecg::LaneQrsDetector::kMaxLanes; ++p)
-    records.push_back(synth_ecg(30.0, 11000 + p));
-  const double fs = records.front().fs_hz;
-
-  for (const auto tier : available_tiers()) {
-    TierGuard guard(tier);
-    for (std::size_t size = 1; size <= ecg::LaneQrsDetector::kMaxLanes; ++size) {
-      ecg::LaneQrsDetector pack(fs);
-      ASSERT_EQ(pack.tier(), tier);
-      std::vector<std::size_t> lane_of(size);
-      std::vector<std::size_t> offset(size, 0);
-      std::vector<ecg::StreamingQrsDetector> refs;
-      for (std::size_t p = 0; p < size; ++p) {
-        lane_of[p] = pack.add_lane();
-        refs.emplace_back(fs);
-        refs.back().push(records[p].samples_mv);
-      }
-      ASSERT_EQ(pack.active_lanes(), size);
-
-      // Ragged rounds: each lane advances by 0..300 samples per round, so
-      // packs mix lockstep blocks, scalar tails, and idle-lane rounds.
-      std::mt19937_64 rng(77 * size + static_cast<std::uint64_t>(tier));
-      std::uniform_int_distribution<std::size_t> len_dist(0, 300);
-      bool any_left = true;
-      while (any_left) {
-        any_left = false;
-        std::vector<ecg::LaneQrsDetector::LaneChunk> chunks;
-        for (std::size_t p = 0; p < size; ++p) {
-          const auto& samples = records[p].samples_mv;
-          if (offset[p] >= samples.size()) continue;
-          any_left = true;
-          const std::size_t len = std::min(len_dist(rng), samples.size() - offset[p]);
-          if (len == 0) continue;
-          chunks.push_back({lane_of[p],
-                            std::span<const double>(samples).subspan(offset[p], len)});
-          offset[p] += len;
-        }
-        if (!chunks.empty()) pack.push(chunks);
-      }
-      EXPECT_EQ(pack.vector_samples() + pack.scalar_samples(),
-                [&] {
-                  std::uint64_t total = 0;
-                  for (std::size_t p = 0; p < size; ++p) total += records[p].samples_mv.size();
-                  return total;
-                }());
-
-      for (std::size_t p = 0; p < size; ++p) expect_lane_matches(pack, lane_of[p], refs[p]);
-      for (std::size_t p = 0; p < size; ++p) {
-        pack.finish(lane_of[p]);
-        refs[p].finish();
-        expect_lane_matches(pack, lane_of[p], refs[p]);
-      }
-    }
-  }
-}
-
-// Records whose integrated signal a candidate-mask scan could misread:
-// exact-zero plateaus (>= holds, > fails), a NaN burst, and +-Inf samples.
-// Each pins today's behaviour, poisoned streams included. In a 7-lane pack
-// lanes 0-5 step as three lockstep pairs and lane 6 takes the scalar step;
-// rotating the records through the slots runs each one both ways. Beat
-// amplitudes compare by bit pattern, since a NaN never equals itself.
-TEST(LaneQrs, ParityOnPlateausNaNAndInfinities) {
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  constexpr std::size_t kLanes = 7;
-  std::vector<std::vector<double>> records;
-  for (std::size_t p = 0; p < kLanes; ++p) records.push_back(synth_ecg(30.0, 3100 + p).samples_mv);
-  const double fs = 250.0;
-  const auto at_s = [fs](double t) { return static_cast<std::size_t>(t * fs); };
-  // 0: leading flat line; 1: flat gap; 2: flat throughout; 3: NaN burst;
-  // 4: +Inf sample; 5: -Inf sample; 6: clean.
-  std::fill(records[0].begin(), records[0].begin() + at_s(4.0), 0.0);
-  std::fill(records[1].begin() + at_s(12.0), records[1].begin() + at_s(15.0), 0.0);
-  std::fill(records[2].begin(), records[2].end(), 0.0);
-  std::fill(records[3].begin() + at_s(20.0), records[3].begin() + at_s(20.2), kNaN);
-  records[4][at_s(15.0)] = kInf;
-  records[5][at_s(18.0)] = -kInf;
-
-  std::vector<ecg::StreamingQrsDetector> refs;
-  for (const auto& record : records) {
-    refs.emplace_back(fs);
-    refs.back().push(record);
-    refs.back().finish();
-  }
+  const double fs = 250.0;  // synth_ecg's rate.
+  const auto poisoned = poisoned_records();
   // Not vacuous: beats follow the plateau and precede the NaN burst, and a
   // flat line has no local maxima at all.
-  EXPECT_GT(refs[0].beats().size(), 0u);
-  EXPECT_EQ(refs[2].beats().size(), 0u);
-  EXPECT_GT(refs[3].beats().size(), 0u);
+  const auto beats_of = [fs](const std::vector<double>& record) {
+    ecg::StreamingQrsDetector ref(fs);
+    ref.push(record);
+    ref.finish();
+    return ref.beats().size();
+  };
+  EXPECT_GT(beats_of(poisoned[0]), 0u);
+  EXPECT_EQ(beats_of(poisoned[2]), 0u);
+  EXPECT_GT(beats_of(poisoned[3]), 0u);
 
-  for (const auto tier : available_tiers()) {
-    TierGuard guard(tier);
-    for (std::size_t rotation = 0; rotation < kLanes; ++rotation) {
-      ecg::LaneQrsDetector pack(fs);
-      std::vector<std::size_t> lane_of(kLanes);  // Record -> lane.
-      for (std::size_t slot = 0; slot < kLanes; ++slot)
-        lane_of[(slot + rotation) % kLanes] = pack.add_lane();
-      std::mt19937_64 rng(900 + rotation + 31 * static_cast<std::uint64_t>(tier));
-      std::uniform_int_distribution<std::size_t> len_dist(0, 200);
-      std::vector<std::size_t> offset(kLanes, 0);
-      bool any_left = true;
-      while (any_left) {
-        any_left = false;
-        std::vector<ecg::LaneQrsDetector::LaneChunk> chunks;
-        for (std::size_t p = 0; p < kLanes; ++p) {
-          const auto& samples = records[p];
-          if (offset[p] >= samples.size()) continue;
-          any_left = true;
-          const std::size_t len = std::min(len_dist(rng), samples.size() - offset[p]);
-          if (len == 0) continue;
-          chunks.push_back({lane_of[p],
-                            std::span<const double>(samples).subspan(offset[p], len)});
-          offset[p] += len;
+  for (const auto& records : {clean_records(), poisoned}) {
+    for (const auto tier : available_tiers()) {
+      TierGuard guard(tier);
+      for (std::size_t size = 1; size <= ecg::LaneQrsDetector::kMaxLanes; ++size) {
+        ecg::LaneQrsDetector pack(fs);
+        ASSERT_EQ(pack.tier(), tier);
+        std::vector<std::size_t> lane_of(size);
+        std::vector<std::size_t> offset(size, 0);
+        std::vector<ecg::StreamingQrsDetector> refs;
+        std::uint64_t total = 0;
+        for (std::size_t p = 0; p < size; ++p) {
+          lane_of[p] = pack.add_lane();
+          refs.emplace_back(fs);
+          refs.back().push(records[p]);
+          total += records[p].size();
         }
-        if (!chunks.empty()) pack.push(chunks);
-      }
-      for (std::size_t p = 0; p < kLanes; ++p) {
-        pack.finish(lane_of[p]);
-        const auto& got = pack.beats(lane_of[p]);
-        const auto& want = refs[p].beats();
-        ASSERT_EQ(got.size(), want.size()) << "record " << p << " rotation " << rotation;
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          const auto got_bits = std::bit_cast<std::uint64_t>(got[i].amplitude_mv);
-          const auto want_bits = std::bit_cast<std::uint64_t>(want[i].amplitude_mv);
-          EXPECT_EQ(got[i].sample_index, want[i].sample_index) << "record " << p << " beat " << i;
-          EXPECT_EQ(got_bits, want_bits) << "record " << p << " beat " << i;
+        ASSERT_EQ(pack.active_lanes(), size);
+
+        // Ragged rounds: each lane advances by 0..300 samples per round, so
+        // packs mix lockstep blocks, scalar tails, and idle-lane rounds.
+        std::mt19937_64 rng(77 * size + static_cast<std::uint64_t>(tier));
+        std::uniform_int_distribution<std::size_t> len_dist(0, 300);
+        bool any_left = true;
+        while (any_left) {
+          any_left = false;
+          std::vector<ecg::LaneQrsDetector::LaneChunk> chunks;
+          for (std::size_t p = 0; p < size; ++p) {
+            const auto& samples = records[p];
+            if (offset[p] >= samples.size()) continue;
+            any_left = true;
+            const std::size_t len = std::min(len_dist(rng), samples.size() - offset[p]);
+            if (len == 0) continue;
+            chunks.push_back({lane_of[p],
+                              std::span<const double>(samples).subspan(offset[p], len)});
+            offset[p] += len;
+          }
+          if (!chunks.empty()) pack.push(chunks);
+        }
+        EXPECT_EQ(pack.vector_samples() + pack.scalar_samples(), total);
+
+        for (std::size_t p = 0; p < size; ++p) expect_lane_matches(pack, lane_of[p], refs[p]);
+        for (std::size_t p = 0; p < size; ++p) {
+          pack.finish(lane_of[p]);
+          refs[p].finish();
+          expect_lane_matches(pack, lane_of[p], refs[p]);
         }
       }
     }

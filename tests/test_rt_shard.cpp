@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
@@ -201,8 +203,9 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
 TEST(ShardedStreamClassifier, LaneCountersAccountForEverySample) {
   // EngineStats' lane counters split every extracted sample between the
   // lockstep and scalar steps. A producer streams while the main thread
-  // reads stats() (race-free mid-stream reads); after the fence the split
-  // covers exactly the samples pushed, on both engines.
+  // reads stats() (race-free mid-stream reads that never run ahead of the
+  // samples pushed, nor backwards); after the fence the split covers
+  // exactly the samples pushed, on both engines.
   const auto ward = make_ward();
   std::uint64_t pushed = 0;
   for (const auto& [pid, wf] : ward) pushed += wf.samples_mv.size();
@@ -210,14 +213,20 @@ TEST(ShardedStreamClassifier, LaneCountersAccountForEverySample) {
   Collector collector;
   rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
                                       engine_options(2, collector.sink()));
-  std::thread producer([&] { push_interleaved(sharded, ward, 611); });
+  std::atomic<bool> produced{false};
+  std::thread producer([&] {
+    push_interleaved(sharded, ward, 611);
+    produced.store(true);
+  });
   std::uint64_t seen = 0;
-  while (seen < pushed) {
+  do {
     const rt::EngineStats mid = sharded.stats();
-    seen = mid.lane_vector_samples + mid.lane_scalar_samples;
-    EXPECT_LE(seen, pushed);
+    const std::uint64_t now = mid.lane_vector_samples + mid.lane_scalar_samples;
+    EXPECT_GE(now, seen);
+    EXPECT_LE(now, pushed);
+    seen = now;
     std::this_thread::yield();
-  }
+  } while (!produced.load());
   producer.join();
   sharded.flush();
   const rt::EngineStats after = sharded.stats();

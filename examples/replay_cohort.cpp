@@ -18,11 +18,7 @@
 // (patient, time), so it is deterministic under any worker count.
 //
 //   ./replay_cohort [--dir DIR] [--workers N] [--speed X] [--emit FILE]
-//                   [--patients N] [--duration S] [--steal] [--least-loaded]
-//
-// --steal turns on whole-patient work stealing and --least-loaded swaps the
-// placement hash for the load-aware policy; both change only WHERE patients
-// run, so the emitted decision stream stays golden-file identical.
+//                   [--patients N] [--duration S]
 //
 // --speed 0 (default) replays as fast as possible; --speed 1 paces the
 // cohort at live-ward real time.
@@ -47,8 +43,6 @@ int main(int argc, char** argv) {
   std::string emit_path;
   std::size_t workers = 2;
   double speed = 0.0;
-  bool steal = false;         // Work stealing (bit-identical results either way).
-  bool least_loaded = false;  // Load-aware placement instead of the hash.
   io::CohortFixtureParams fixture;
   fixture.num_patients = 6;
   fixture.duration_s = 60.0;
@@ -73,14 +67,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--duration" && value) {
       fixture.duration_s = std::strtod(value, nullptr);
       ++a;
-    } else if (arg == "--steal") {
-      steal = true;
-    } else if (arg == "--least-loaded") {
-      least_loaded = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--dir DIR] [--workers N] [--speed X] [--emit FILE]"
-                   " [--patients N] [--duration S] [--steal] [--least-loaded]\n",
+                   " [--patients N] [--duration S]\n",
                    argv[0]);
       return 2;
     }
@@ -109,10 +99,8 @@ int main(int argc, char** argv) {
   config.stride_s = 10.0;
   std::mutex mutex;
   std::vector<rt::WindowResult> results;
-  rt::EngineOptions eopts;  // The unified engine configuration (PR 8 API).
+  rt::EngineOptions eopts;
   eopts.num_workers = workers;
-  eopts.stealing.enable = steal;
-  if (least_loaded) eopts.placement = std::make_shared<rt::LeastLoadedPlacement>();
   eopts.sink = [&](std::span<const rt::WindowResult> batch) {
     const std::lock_guard<std::mutex> lock(mutex);
     results.insert(results.end(), batch.begin(), batch.end());
@@ -134,9 +122,6 @@ int main(int argc, char** argv) {
                 ictal[stats.patient_id]);
   std::printf("  total: %zu windows delivered, %zu rejected, %zu chunks dropped\n",
               report.windows, replayer.engine().rejected_windows(), report.dropped_chunks);
-  const rt::SchedulerStats sched = replayer.engine().scheduler_stats();
-  std::printf("  scheduler: %zu steals, %zu migrations (%zu chunks moved)\n", sched.steals,
-              sched.migrations, sched.migrated_chunks);
   std::printf("  segment cache: %.1f%% hit rate (%llu hits, %llu misses, %llu evictions)\n",
               report.cache.hit_rate() * 100.0,
               static_cast<unsigned long long>(report.cache.hits),

@@ -8,13 +8,7 @@
 //
 //   ./serve_gateway [--tcp PORT] [--uds PATH] [--workers N] [--queue N]
 //                   [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S]
-//                   [--stride S] [--seed S] [--exit-after N] [--steal]
-//                   [--least-loaded] [--deadline-p99 S]
-//
-// Scheduler flags (rt::EngineOptions): --steal turns on whole-patient work
-// stealing, --least-loaded swaps the placement hash for the load-aware
-// policy, and --deadline-p99 S arms the deadline controller at a target
-// delivery p99 of S seconds (stride widening, then shedding, before breach).
+//                   [--stride S] [--seed S] [--exit-after N]
 //
 // With neither --tcp nor --uds, an ephemeral TCP port is bound and printed.
 // --exit-after N serves until N connections have come and gone, prints the
@@ -80,19 +74,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--exit-after" && value) {
       exit_after = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
       ++a;
-    } else if (arg == "--steal") {
-      options.engine.stealing.enable = true;
-    } else if (arg == "--least-loaded") {
-      options.engine.placement = std::make_shared<rt::LeastLoadedPlacement>();
-    } else if (arg == "--deadline-p99" && value) {
-      options.engine.deadline.target_p99_s = std::strtod(value, nullptr);
-      ++a;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--tcp PORT] [--uds PATH] [--workers N] [--queue N]"
                    " [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S] [--stride S]"
-                   " [--seed S] [--exit-after N] [--steal] [--least-loaded]"
-                   " [--deadline-p99 S]\n",
+                   " [--seed S] [--exit-after N]\n",
                    argv[0]);
       return 2;
     }
@@ -124,11 +110,6 @@ int main(int argc, char** argv) {
               " windows dropped, %" PRIu64 " protocol errors, %" PRIu64 " orphan batches\n",
               stats.decision_batches_sent, stats.decision_windows_sent,
               stats.decision_windows_dropped, stats.protocol_errors, stats.orphan_batches);
-  const rt::SchedulerStats sched = gateway.engine().scheduler_stats();
-  std::printf("         scheduler: %zu steals, %zu migrations (%zu chunks), %zu stride"
-              " widenings, %zu chunks shed\n",
-              sched.steals, sched.migrations, sched.migrated_chunks, sched.stride_widenings,
-              sched.shed_chunks);
   const auto cache = gateway.engine().cache_stats();  // Quiescent: gateway stopped.
   std::printf("         segment cache: %.1f%% hit rate (%" PRIu64 " hits, %" PRIu64
               " misses, %" PRIu64 " evictions)\n",

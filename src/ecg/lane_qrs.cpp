@@ -25,8 +25,6 @@ std::size_t next_pow2(std::size_t n) {
 }
 
 constexpr std::size_t kFilterDoubles = 13;  ///< Per-lane filter-state scalars.
-static_assert(kFilterDoubles == LaneQrsDetector::kFilterStateDoubles,
-              "DetachedLane::filter must cover the whole per-lane filter column");
 
 /// Decision samples scanned per candidate mask (one bit each).
 constexpr std::int64_t kScanSpan = 64;
@@ -131,79 +129,6 @@ void LaneQrsDetector::remove_lane(std::size_t lane) {
   --active_count_;
   // Ring buffers stay allocated in the slot: they are pooled for the next
   // occupant, so memory is bounded by the pack width, not by churn.
-}
-
-LaneQrsDetector::DetachedLane LaneQrsDetector::detach_lane(std::size_t lane) {
-  LaneState& state = lanes_[check(lane)];
-  SVT_ASSERT(state.active);
-  DetachedLane out;
-  out.squared.buf = std::move(state.squared.buf);
-  out.squared.mask = state.squared.mask;
-  out.integrated.buf = std::move(state.integrated.buf);
-  out.integrated.mask = state.integrated.mask;
-  out.raw.buf = std::move(state.raw.buf);
-  out.raw.mask = state.raw.mask;
-  out.beats = std::move(state.beats);
-  out.n = state.n;
-  out.cursor = state.cursor;
-  out.finished = state.finished;
-  out.thresholds_ready = state.thresholds_ready;
-  out.spki = state.spki;
-  out.npki = state.npki;
-  out.last_peak_idx = state.last_peak_idx;
-  out.have_peak = state.have_peak;
-  out.last_kept_time = state.last_kept_time;
-  out.have_kept = state.have_kept;
-  out.filter = {filt_.hp_x1[lane], filt_.hp_x2[lane], filt_.hp_y1[lane], filt_.hp_y2[lane],
-                filt_.lp_x1[lane], filt_.lp_x2[lane], filt_.lp_y1[lane], filt_.lp_y2[lane],
-                filt_.f1[lane],    filt_.f2[lane],    filt_.f3[lane],    filt_.f4[lane],
-                filt_.integ_acc[lane]};
-  // The slot's ring storage left with the stream; a fresh occupant
-  // reallocates via reset_lane, so no moved-from buffers linger.
-  state = LaneState{};
-  --active_count_;
-  return out;
-}
-
-std::size_t LaneQrsDetector::attach_lane(DetachedLane&& detached) {
-  SVT_ASSERT(active_count_ < kMaxLanes);
-  std::size_t lane = 0;
-  while (lanes_[lane].active) ++lane;
-  LaneState& state = lanes_[lane];
-  state.squared.buf = std::move(detached.squared.buf);
-  state.squared.mask = detached.squared.mask;
-  state.integrated.buf = std::move(detached.integrated.buf);
-  state.integrated.mask = detached.integrated.mask;
-  state.raw.buf = std::move(detached.raw.buf);
-  state.raw.mask = detached.raw.mask;
-  state.beats = std::move(detached.beats);
-  state.n = detached.n;
-  state.cursor = detached.cursor;
-  state.finished = detached.finished;
-  state.thresholds_ready = detached.thresholds_ready;
-  state.spki = detached.spki;
-  state.npki = detached.npki;
-  state.last_peak_idx = detached.last_peak_idx;
-  state.have_peak = detached.have_peak;
-  state.last_kept_time = detached.last_kept_time;
-  state.have_kept = detached.have_kept;
-  state.active = true;
-  ++active_count_;
-  const double* in = detached.filter.data();
-  filt_.hp_x1[lane] = *in++;
-  filt_.hp_x2[lane] = *in++;
-  filt_.hp_y1[lane] = *in++;
-  filt_.hp_y2[lane] = *in++;
-  filt_.lp_x1[lane] = *in++;
-  filt_.lp_x2[lane] = *in++;
-  filt_.lp_y1[lane] = *in++;
-  filt_.lp_y2[lane] = *in++;
-  filt_.f1[lane] = *in++;
-  filt_.f2[lane] = *in++;
-  filt_.f3[lane] = *in++;
-  filt_.f4[lane] = *in++;
-  filt_.integ_acc[lane] = *in++;
-  return lane;
 }
 
 void LaneQrsDetector::reset_lane(std::size_t lane) {

@@ -137,46 +137,6 @@ class LaneQrsDetector {
   /// free_lanes() > 0.
   std::size_t add_lane();
 
-  /// Per-lane filter-chain scalars (the lane's column of LaneFilterState).
-  static constexpr std::size_t kFilterStateDoubles = 13;
-
-  /// One lane's complete stream state, exported by detach_lane and imported
-  /// bit-exactly by attach_lane — possibly into a different pack, as long as
-  /// both packs share fs_hz and params (the sharded engine migrates patients
-  /// between workers this way). Opaque to callers: move it, don't poke it.
-  struct DetachedLane {
-    struct Ring {
-      double& at(std::int64_t index) { return buf[static_cast<std::size_t>(index) & mask]; }
-      double at(std::int64_t index) const { return buf[static_cast<std::size_t>(index) & mask]; }
-      std::vector<double> buf;
-      std::size_t mask = 0;
-    };
-    Ring squared, integrated, raw;
-    BeatRing beats;
-    std::int64_t n = 0;
-    std::int64_t cursor = 1;
-    bool finished = false;
-    bool thresholds_ready = false;
-    double spki = 0.0;
-    double npki = 0.0;
-    std::int64_t last_peak_idx = 0;
-    bool have_peak = false;
-    double last_kept_time = 0.0;
-    bool have_kept = false;
-    std::array<double, kFilterStateDoubles> filter{};
-  };
-
-  /// Export a lane's stream state and release the slot (like remove_lane,
-  /// except the ring storage leaves with the state instead of staying
-  /// pooled). Requires the lane to be active. The detached stream continues
-  /// bit-exactly wherever it is attached next.
-  DetachedLane detach_lane(std::size_t lane);
-
-  /// Claim a free slot and import a detached stream into it, continuing the
-  /// stream bit-exactly. Requires free_lanes() > 0 and a detach from a
-  /// detector with the same fs_hz and params. Returns the claimed slot.
-  std::size_t attach_lane(DetachedLane&& detached);
-
   /// Release a lane slot. Other lanes' streams and results are untouched;
   /// the slot's ring storage stays pooled for the next occupant.
   void remove_lane(std::size_t lane);

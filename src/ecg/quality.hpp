@@ -69,8 +69,8 @@ struct QualityConfig {
   QualityPolicy policy = QualityPolicy::kAnnotate;
 };
 
-/// Cumulative gate counters (monotone; migrate with the patient's stream
-/// state and aggregate like the segment-cache stats).
+/// Cumulative gate counters (monotone per patient stream; aggregate like
+/// the segment-cache stats).
 struct QualityStats {
   std::uint64_t artifact_hits = 0;       ///< Threshold crossings (outside refractory).
   std::uint64_t artifact_spans = 0;      ///< Distinct rejected spans opened.
@@ -96,8 +96,8 @@ struct QualityStats {
 std::size_t count_rr_outliers(std::span<const double> rr_s, const QualityConfig& config);
 
 /// Per-patient streaming gate state. Single-threaded like the extractor
-/// that owns it; migrates wholesale with the patient (it is self-contained:
-/// config copy, detection state, span list, counters).
+/// that owns it; self-contained (config copy, detection state, span list,
+/// counters).
 class SignalQualityGate {
  public:
   /// Throws std::invalid_argument on fs_hz <= 0 or an inverted RR band.

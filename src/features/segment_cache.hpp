@@ -18,11 +18,11 @@
 // times are anchored at the chunk start, RR intervals are differences of
 // absolute integer sample indices, and the interpolation runs the exact
 // resample_linear_into arithmetic — so recomputing an entry from the same
-// stream yields the identical bits wherever (and on whichever shard) it
-// runs. A window is then assembled purely by concatenating chunk products:
-// the cached and the memoization-disabled pipeline execute the same code on
-// the same values (asserted by tests/test_rt_feature_cache.cpp with
-// EXPECT_EQ on doubles, across strides, chunkings, eviction and migration).
+// stream yields the identical bits wherever it runs. A window is then
+// assembled purely by concatenating chunk products: the cached and the
+// memoization-disabled pipeline execute the same code on the same values
+// (asserted by tests/test_rt_feature_cache.cpp with EXPECT_EQ on doubles,
+// across strides, chunkings and eviction).
 //
 // Chunk semantics (shared by the cached and uncached builds):
 //  * A chunk sees one stride of left context: beats in [(m-1)*S, (m+1)*S).
@@ -60,10 +60,10 @@
 
 namespace svt::features {
 
-/// Cumulative memoization counters (monotone; survive migration with the
-/// cache object). A "product" is one chunk (EDR + RR slice) or one Welch
-/// segment periodogram; per-window recomputes of segments touching an empty
-/// chunk count as misses.
+/// Cumulative memoization counters (monotone per cache object). A
+/// "product" is one chunk (EDR + RR slice) or one Welch segment
+/// periodogram; per-window recomputes of segments touching an empty chunk
+/// count as misses.
 struct SegmentCacheStats {
   std::uint64_t hits = 0;       ///< Products served from the cache.
   std::uint64_t misses = 0;     ///< Products (re)built.

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 namespace svt::io {
@@ -242,6 +244,42 @@ struct FileGroup {
   std::vector<std::size_t> channels;
 };
 
+/// a * b + c, or false when that overflows std::size_t (b > 0).
+bool checked_mul_add(std::size_t a, std::size_t b, std::size_t c, std::size_t& out) {
+  if (a > (std::numeric_limits<std::size_t>::max() - c) / b) return false;
+  out = a * b + c;
+  return true;
+}
+
+/// Bytes that `total` samples of `format` occupy, or false on overflow.
+/// Format 212 packs two samples in 3 bytes (an odd tail takes 2); 80 and 16
+/// take 1 and 2 bytes per sample.
+bool signal_bytes(int format, std::size_t total, std::size_t& out) {
+  if (format == 212) return checked_mul_add(total / 2, 3, (total % 2) * 2, out);
+  return checked_mul_add(total, format == 80 ? 1 : 2, 0, out);
+}
+
+/// Check a file group's signal file against the header before anything is
+/// allocated for it: both the sample count and the channel count come from
+/// the header, so the sample total and the byte count are overflow-checked,
+/// then compared with the file's size on disk.
+void check_signal_file_size(const std::filesystem::path& path, const FileGroup& group,
+                            std::size_t num_samples) {
+  std::size_t total = 0;
+  std::size_t expected = 0;
+  if (!checked_mul_add(num_samples, group.channels.size(), 0, total) ||
+      !signal_bytes(group.format, total, expected))
+    fail("signal file " + group.file_name + ": " + std::to_string(num_samples) + " samples x " +
+         std::to_string(group.channels.size()) + " signals overflows the byte count");
+  std::error_code error;
+  const std::uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) fail("cannot open signal file " + path.string());
+  if (size != expected)
+    fail("signal file " + group.file_name + ": " + std::to_string(size) + " bytes, expected " +
+         std::to_string(expected) + " for " + std::to_string(total) + " format-" +
+         std::to_string(group.format) + " samples");
+}
+
 std::vector<FileGroup> group_by_file(const RecordHeader& header) {
   std::vector<FileGroup> groups;
   for (std::size_t c = 0; c < header.signals.size(); ++c) {
@@ -334,8 +372,12 @@ WfdbRecord read_record(const std::string& dir, const std::string& record_name) {
   const auto& header = record.header;
   if (header.num_samples == 0)
     fail("record " + record_name + " declares no sample count (required for decoding)");
+  const auto groups = group_by_file(header);
+  for (const auto& group : groups)
+    check_signal_file_size(std::filesystem::path(dir) / group.file_name, group,
+                           header.num_samples);
   record.adc.assign(header.num_signals(), std::vector<int>(header.num_samples));
-  for (const auto& group : group_by_file(header)) {
+  for (const auto& group : groups) {
     const auto path = std::filesystem::path(dir) / group.file_name;
     const auto bytes = read_binary_file(path);
     const std::size_t total = header.num_samples * group.channels.size();

@@ -89,7 +89,10 @@ struct WfdbRecord {
 
 /// Read `<dir>/<record>.hea` plus every signal file it references,
 /// de-interleaving multi-channel frames and validating file sizes and (when
-/// present) per-signal checksums.
+/// present) per-signal checksums. Every signal file's size is checked
+/// against the header before any sample storage is allocated, so a header
+/// claiming more samples than its files hold fails fast with
+/// std::invalid_argument.
 WfdbRecord read_record(const std::string& dir, const std::string& record_name);
 
 /// Write `<dir>/<header.record_name>.hea` and the signal file(s): samples

@@ -190,10 +190,6 @@ void append_stats(std::vector<std::uint8_t>& out, const StatsFrame& stats) {
   put_u64(out, stats.streams_opened);
   put_u64(out, stats.streams_closed);
   put_u64(out, stats.protocol_errors);
-  put_u64(out, stats.patients_stolen);
-  put_u64(out, stats.chunks_migrated);
-  put_u64(out, stats.stride_widenings);
-  put_u64(out, stats.chunks_shed);
   put_u64(out, stats.windows_annotated);
   put_u64(out, stats.windows_suppressed);
   seal_frame(out, at, FrameType::kStats);
@@ -276,7 +272,7 @@ bool parse_end_stream(std::span<const std::uint8_t> payload, EndStreamFrame& out
 }
 
 bool parse_stats(std::span<const std::uint8_t> payload, StatsFrame& out) {
-  if (payload.size() != 14 * 8) return false;
+  if (payload.size() != 10 * 8) return false;
   const std::uint8_t* p = payload.data();
   out.windows_delivered = get_u64(p);
   out.windows_rejected = get_u64(p + 8);
@@ -286,12 +282,8 @@ bool parse_stats(std::span<const std::uint8_t> payload, StatsFrame& out) {
   out.streams_opened = get_u64(p + 40);
   out.streams_closed = get_u64(p + 48);
   out.protocol_errors = get_u64(p + 56);
-  out.patients_stolen = get_u64(p + 64);
-  out.chunks_migrated = get_u64(p + 72);
-  out.stride_widenings = get_u64(p + 80);
-  out.chunks_shed = get_u64(p + 88);
-  out.windows_annotated = get_u64(p + 96);
-  out.windows_suppressed = get_u64(p + 104);
+  out.windows_annotated = get_u64(p + 64);
+  out.windows_suppressed = get_u64(p + 72);
   return true;
 }
 

@@ -26,7 +26,7 @@
 //   kEndStream   i32 patient_id                 finite stream ended
 //   kBye         (empty)                        client done; server fences,
 //                                               answers kStats, closes
-//   kStats       14 x u64 counters              see StatsFrame
+//   kStats       10 x u64 counters              see StatsFrame
 //   kDecision    i32 patient_id, u32 count, count x DecisionRecord
 //                (f64 start_s, f64 decision, i32 label, u32 num_beats,
 //                 u32 workload, u32 quality_flags)
@@ -55,12 +55,13 @@ inline constexpr std::uint16_t kMagic = 0x5653;  // "SV" when read LE.
 /// DecisionRecord gained workload id + quality flags (24 -> 32 bytes),
 /// kHello gained the client's accepted workload count, kHelloAck describes
 /// each served workload (name + feature count), and kStats grew to 14
-/// counters (quality-gate annotations/suppressions). Payloads are
+/// counters (quality-gate annotations/suppressions); v4 drops the four
+/// scheduler counters with the scheduler, so kStats carries 10. Payloads are
 /// size-checked, so mixed versions must never talk past the handshake — the
 /// decoder rejects a foreign version byte on the first frame (kBadVersion)
 /// and the gateway refuses a mismatched kHello, instead of failing silently
 /// at stats parse.
-inline constexpr std::uint8_t kProtocolVersion = 3;
+inline constexpr std::uint8_t kProtocolVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 12;
 /// Upper bound on one frame's payload: a 4 s chunk at 250 Hz is ~8 KiB, so
 /// 1 MiB leaves room for minutes-long chunks while making a garbage length
@@ -152,12 +153,6 @@ struct StatsFrame {
   std::uint64_t streams_opened = 0;
   std::uint64_t streams_closed = 0;
   std::uint64_t protocol_errors = 0;
-  // Ward-scale scheduler counters (rt::SchedulerStats; zero when stealing
-  // and deadline mode are off).
-  std::uint64_t patients_stolen = 0;    ///< Migrations landed.
-  std::uint64_t chunks_migrated = 0;    ///< Queued chunks moved between shards.
-  std::uint64_t stride_widenings = 0;   ///< Deadline stride escalations.
-  std::uint64_t chunks_shed = 0;        ///< Chunks dropped by forced shedding.
   // Quality-gate counters (v3; zero when the gate is off).
   std::uint64_t windows_annotated = 0;   ///< Emitted with non-zero quality flags.
   std::uint64_t windows_suppressed = 0;  ///< Withheld by the suppress policy.

@@ -15,9 +15,8 @@ ServeGateway::ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::Stre
                            GatewayOptions options)
     : options_(options),
       engine_(std::move(registry), config, [this, &options] {
-        // options.engine carries everything (workers, queues, placement,
-        // stealing, deadline); the gateway owns delivery, so its routing
-        // sink replaces any user-provided one.
+        // options.engine carries the workers and queues; the gateway owns
+        // delivery, so its routing sink replaces any user-provided one.
         rt::EngineOptions engine = std::move(options.engine);
         engine.sink = [this](std::span<const rt::WindowResult> batch) { deliver(batch); };
         return engine;
@@ -143,11 +142,6 @@ StatsFrame ServeGateway::snapshot_stats_frame() {
   stats.streams_opened = streams_opened_.load();
   stats.streams_closed = streams_closed_.load();
   stats.protocol_errors = protocol_errors_.load();
-  const rt::SchedulerStats sched = engine_.scheduler_stats();
-  stats.patients_stolen = sched.migrations;
-  stats.chunks_migrated = sched.migrated_chunks;
-  stats.stride_widenings = sched.stride_widenings;
-  stats.chunks_shed = sched.shed_chunks;
   const rt::EngineStats engine_stats = engine_.stats();
   stats.windows_annotated = engine_stats.windows_annotated;
   stats.windows_suppressed = engine_stats.windows_suppressed;

@@ -5,9 +5,9 @@
 //   hello ───────────────────> reader thread (per connection)
 //   stream_open(p) ──────────>   route p -> connection
 //   sample_chunk(p, mV) ─────>   decode into reused buffers ──> push_samples
-//        (TCP backpressure <──   blocks when p's shard      (bounded shard
-//         throttles the           queue is full)             queues, PR 3
-//         sender)                                            WorkQueue)
+//        (TCP backpressure <──   blocks when p's shard      (one bounded
+//         throttles the           queue is full)             rt::WorkQueue
+//         sender)                                            per shard)
 //                                                               │ shard worker
 //   decision(p, windows) <──── writer thread (per connection) <─┘ ResultSink
 //        (batched sends:        bounded send queue; frames        (one patient
@@ -23,7 +23,7 @@
 // the in-process path). Backpressure composes end to end: a full shard
 // queue blocks the reader (EngineOptions::backpressure = kBlock), the
 // un-recv'd bytes fill the kernel socket buffer, and TCP flow control
-// throttles the remote writer — the PR 3 queue semantics stretched over
+// throttles the remote writer — the shard queue's semantics stretched over
 // the wire.
 //
 // Decisions travel the reverse path: the engine's ResultSink (installed by
@@ -40,10 +40,10 @@
 // Bit-exactness: the gateway adds no arithmetic. Samples cross the wire as
 // exact IEEE-754 bit patterns, chunk re-framing cannot change results (the
 // engine is chunking-invariant), and per-patient decision order is
-// preserved (one patient = one shard = one send queue), so a loopback
-// round trip is bit-identical to pushing the same samples through the
-// in-process engine at any worker count (tests/test_net_gateway.cpp, the
-// serving-smoke CI job).
+// preserved (a patient's id hashes to one shard, and its connection has one
+// send queue), so a loopback round trip is bit-identical to pushing the
+// same samples through the in-process engine at any worker count
+// (tests/test_net_gateway.cpp, the serving-smoke CI job).
 //
 // Robustness: a malformed frame (bad magic/version/length/CRC, bad
 // payload) or a protocol violation poisons only its own connection — the
@@ -71,10 +71,9 @@
 namespace svt::net {
 
 struct GatewayOptions {
-  /// Unified configuration for the embedded engine: workers, shard-queue
-  /// sizing/backpressure, placement policy, work stealing, deadline mode
-  /// (rt::EngineOptions). The sink field is ignored — the gateway installs
-  /// its own routing sink.
+  /// Configuration for the embedded engine: workers and shard-queue
+  /// sizing/backpressure (rt::EngineOptions). The sink field is ignored —
+  /// the gateway installs its own routing sink.
   rt::EngineOptions engine;
   /// Encoded decision batches queued per connection before the sink applies
   /// backpressure; must be > 0 (the gateway throws std::invalid_argument at

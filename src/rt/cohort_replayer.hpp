@@ -85,7 +85,7 @@ struct ReplayReport {
 class CohortReplayer {
  public:
   /// Own a sharded engine serving `registry`, configured by
-  /// rt::EngineOptions (workers, queues, placement, stealing, deadline).
+  /// rt::EngineOptions (workers, queues).
   /// Results are delivered through options.sink (same thread-safety
   /// contract as ShardedStreamClassifier); leave it empty to replay for the
   /// stats alone. The engine's own sink is the replayer's counting sink,

@@ -2,18 +2,16 @@
 //
 // rt::EngineOptions carries everything the sharded engine needs beyond the
 // model registry and StreamConfig: worker count, queue sizing and
-// backpressure, placement policy, work stealing, deadline mode, and the
-// ResultSink that every classified window leaves through. CohortReplayer
-// and net::ServeGateway take the same struct for the engine they embed.
+// backpressure, and the ResultSink that every classified window leaves
+// through. CohortReplayer and net::ServeGateway take the same struct for the
+// engine they embed.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 
-#include "rt/placement.hpp"
 #include "rt/work_queue.hpp"
 
 namespace svt::rt {
@@ -36,35 +34,6 @@ struct WindowResult {
 /// stream order; calls for different patients may be concurrent.
 using ResultSink = std::function<void(std::span<const WindowResult>)>;
 
-/// Work-stealing knobs (sharded engine only). Off by default: stealing
-/// moves patients between shards, so shard_of() answers are only stable
-/// while it is disabled.
-struct StealConfig {
-  bool enable = false;
-  /// An idle worker only steals a patient with at least this many queued
-  /// tasks on the victim (stealing a nearly-drained patient is churn).
-  std::size_t min_backlog = 2;
-};
-
-/// Deadline mode (sharded engine only): a periodic controller watches the
-/// rolling p99 of delivery_latencies_s() against target_p99_s and degrades
-/// *before* breach — first widening the effective window stride (x2, then
-/// x4: fewer overlapping windows per sample), then forcing drop-oldest
-/// shedding on the shard queues — and backs off symmetrically once the tail
-/// recovers. Every action is counted in SchedulerStats. The final shedding
-/// level evicts against the (always bounded) shard queue capacity.
-struct DeadlineConfig {
-  double target_p99_s = 0.0;  ///< 0 disables the controller.
-  double poll_interval_s = 0.05;
-  /// Degrade one level when rolling p99 exceeds arm_fraction * target
-  /// (acting at the target itself would already be a breach).
-  double arm_fraction = 0.8;
-  /// Recover one level after recover_polls consecutive polls with p99 below
-  /// recover_fraction * target.
-  double recover_fraction = 0.5;
-  int recover_polls = 4;
-};
-
 /// Everything an engine needs beyond the registry and stream config,
 /// consumed uniformly by ShardedStreamClassifier, CohortReplayer, and
 /// net::ServeGateway.
@@ -75,26 +44,10 @@ struct EngineOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Worker threads / shards (clamped to >= 1).
   std::size_t num_workers = 1;
-  /// Patient -> shard assignment; null = FibonacciPlacement.
-  std::shared_ptr<PlacementPolicy> placement;
-  StealConfig stealing;
-  DeadlineConfig deadline;
   /// Where every classified window goes, as soon as its batch completes;
   /// required (engines throw std::invalid_argument at construction on an
   /// empty sink).
   ResultSink sink;
-};
-
-/// Scheduler counters (all zero on the single-threaded engine and whenever
-/// stealing/deadline mode are off).
-struct SchedulerStats {
-  std::size_t steals = 0;            ///< Migration requests issued.
-  std::size_t migrations = 0;        ///< Patients actually re-homed.
-  std::size_t migrated_chunks = 0;   ///< Queued tasks moved victim -> thief.
-  std::size_t stride_widenings = 0;  ///< Deadline stride escalations.
-  std::size_t shed_activations = 0;  ///< Times forced shedding switched on.
-  std::size_t shed_chunks = 0;       ///< Chunks dropped by forced shedding.
-  std::size_t deadline_level = 0;    ///< Current degradation level (0 = none).
 };
 
 /// Counters both engines answer through stats().
@@ -113,7 +66,6 @@ struct EngineStats {
   /// exact after a flush, possibly a round behind mid-stream.
   std::uint64_t lane_vector_samples = 0;
   std::uint64_t lane_scalar_samples = 0;
-  SchedulerStats scheduler;
 };
 
 }  // namespace svt::rt

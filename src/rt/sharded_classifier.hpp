@@ -1,6 +1,4 @@
-// Continuous sharded multi-patient serving engine with a ward-scale
-// scheduler: pluggable placement, whole-patient work stealing, and a
-// deadline controller.
+// Continuous sharded multi-patient serving engine.
 //
 // Patients are sharded across N worker threads; each worker owns a private
 // WindowExtractor AND classifies its own patients' windows, delivering
@@ -8,7 +6,7 @@
 // steady-state path:
 //
 //   push_samples(p, chunk)
-//        │ route table (placement policy on first sight)
+//        │ fibonacci_shard(p, N)
 //        ▼                       ┌────────────────────────────────────────┐
 //   ┌─────────────┐ coalesced    │ WindowExtractor (lane packs: queued    │
 //   │ bounded     │ round of     │  patients' chunks step SIMD lockstep)  │
@@ -17,37 +15,11 @@
 //   └─────────────┘  block/drop  │  -> ResultSink(batch)   ──────────────────> results
 //                                └────────────────────────────────────────┘
 //
-// Scheduling (all through rt::EngineOptions):
-//
-//  * Placement — a patient's home shard is decided by the pluggable
-//    rt::PlacementPolicy exactly once, when the engine first sees the id;
-//    the decision is cached in the route table. The default
-//    FibonacciPlacement reproduces the engine's historical static hash;
-//    LeastLoadedPlacement spreads wards whose ids collide under it.
-//
-//  * Work stealing (StealConfig) — an idle worker steals whole PATIENTS,
-//    never chunks: it picks the patient with the deepest backlog on another
-//    shard and posts a migration token to the victim. The victim executes
-//    the hand-off at a batch boundary, atomically under the routing lock:
-//    it lifts the patient's entire queued backlog out of its queue
-//    (extract_matching), verifies the cutoff is exact against the route
-//    table's issued/settled counters (an in-flight producer push retries
-//    the token), detaches the patient's extraction state from its lane
-//    pack, re-homes the route, and forwards state + backlog to the thief.
-//    The thief lazily attaches the state before the patient's next batch.
-//    Because lanes compute bit-identically regardless of pack composition
-//    (see ecg::LaneQrsDetector), per-patient results are bit-exact under
-//    ANY steal schedule — stealing changes where a patient runs, never
-//    what it computes. Chunks therefore migrate only between batches and a
-//    patient is always processed by exactly one worker at a time.
-//
-//  * Deadline mode (DeadlineConfig) — a controller thread watches the
-//    rolling p99 of delivery_latencies_s() against a target and degrades
-//    BEFORE breach: level 1 widens the effective window stride x2 (fewer
-//    overlapping windows per sample), level 2 widens x4, level 3 forces
-//    drop-oldest shedding on the shard queues. It backs off level by level
-//    once the tail holds below recover_fraction * target. Every action is
-//    counted in SchedulerStats (scheduler_stats() / stats().scheduler).
+// Shard assignment: a patient's shard is fibonacci_shard(id, num_workers()),
+// a pure function of the id and the worker count. Every task for a patient
+// — data chunks, end_stream and evict — goes to that one queue, and nothing
+// ever moves a patient to another shard, so routing needs no table and no
+// lock.
 //
 // Lane coalescing: after popping one chunk, a worker drains whatever other
 // patients' chunks are already queued (up to the lane-pack width) and
@@ -62,8 +34,7 @@
 //
 //  * each sink invocation is ONE patient's windows, in time order;
 //  * invocations for a given patient arrive in stream order (the patient's
-//    chunks are processed serially by whichever worker owns it — migration
-//    hands the patient off wholesale, so ownership is never shared);
+//    tasks share one FIFO queue and one worker);
 //  * different patients' batches may be delivered concurrently from
 //    different workers — the sink must be thread-safe across patients.
 //
@@ -71,31 +42,24 @@
 // with a configurable policy — kBlock throttles producers to pipeline
 // throughput (lossless), kDropOldest evicts the stalest queued chunk and
 // counts it in dropped_chunks() (freshest-data-wins for live monitoring).
-// Fences and migrations bypass capacity, so flush() and stealing work even
-// against saturated queues.
+// Control tasks (fences, end_stream, evict) bypass capacity, so flush()
+// works even against saturated queues.
 //
 // The sink is the only way results leave the engine (construction throws
-// without one). flush() is a pure fence: it waits until everything pushed
-// before the call has been extracted, classified, and delivered to the
-// sink. Migrations pause while a flush is fencing (a hand-off must not move
-// queued chunks past a fence already posted to the destination) and resume
-// after it completes; flush() then waits for them to resolve, so the fence
-// is total — once it returns, the route table and scheduler counters are
-// settled too, and shard_of()/scheduler_stats() read race-free.
+// without one). flush() is a pure fence: one control task to every shard,
+// then a wait until each worker has reached its own — by then everything
+// pushed before the call has been extracted, classified, and delivered to
+// the sink.
 //
 // Hot-swap fencing: workers snapshot a patient's model from the registry
 // once per classified batch, so an install() takes effect at the patient's
 // next batch boundary — never mid-batch.
 //
-// Determinism: a patient's chunks are processed serially by one worker at a
-// time, in push order, through per-window arithmetic identical to the
-// single-threaded StreamClassifier; detach/attach carries the exact filter,
-// ring, and threshold state across shards. Per-patient results are
-// therefore bit-identical for ANY worker count, placement, chunk
-// interleaving, flush cadence, or migration schedule (asserted by
-// tests/test_rt_shard.cpp, test_rt_continuous.cpp, and test_rt_sched.cpp) —
-// as long as the deadline controller is off (stride widening deliberately
-// trades window density for latency).
+// Determinism: a patient's chunks are processed serially by one worker, in
+// push order, through per-window arithmetic identical to the
+// single-threaded StreamClassifier. Per-patient results are therefore
+// bit-identical for ANY worker count, chunk interleaving, or flush cadence
+// (asserted by tests/test_rt_shard.cpp and test_rt_continuous.cpp).
 //
 // Thread-safety contract: push_samples may be called from many threads
 // concurrently (and may block under the kBlock policy); flush() must not
@@ -104,15 +68,14 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/engine.hpp"
@@ -123,13 +86,21 @@
 
 namespace svt::rt {
 
+/// The shard that serves a patient: a Fibonacci hash of the id, spreading
+/// consecutive patient ids evenly across shards. Depends only on
+/// (id, shard count).
+inline std::size_t fibonacci_shard(int patient_id, std::size_t num_shards) {
+  const auto h = static_cast<std::uint64_t>(static_cast<std::uint32_t>(patient_id)) *
+                 UINT64_C(0x9E3779B97F4A7C15);
+  return static_cast<std::size_t>(h >> 32) % num_shards;
+}
+
 class ShardedStreamClassifier {
  public:
   /// Everything beyond the registry and stream config comes through
-  /// rt::EngineOptions (worker count, queue sizing, placement, stealing,
-  /// deadline mode, sink). Throws std::invalid_argument on a null registry,
-  /// a bad stream config (same rules as WindowExtractor), queue_capacity ==
-  /// 0, or an empty sink.
+  /// rt::EngineOptions (worker count, queue sizing, sink). Throws
+  /// std::invalid_argument on a null registry, a bad stream config (same
+  /// rules as WindowExtractor), queue_capacity == 0, or an empty sink.
   ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config,
                           EngineOptions options);
 
@@ -168,27 +139,13 @@ class ShardedStreamClassifier {
   /// Drop a patient's extraction state (detector, beat ring, window phase)
   /// on their shard. Asynchronous: takes effect after chunks already queued
   /// for the shard; fence with flush() for a synchronous guarantee. Frees
-  /// memory for patients that left the ward — the registry entry (and the
-  /// patient's route) are untouched.
+  /// memory for patients that left the ward — the registry entry is
+  /// untouched.
   void evict_patient(int patient_id);
 
-  /// Which shard (worker) currently serves a patient. For a patient the
-  /// engine has seen, this reads the route table (exact, but stale the
-  /// moment a migration lands). For an unseen patient it asks the placement
-  /// policy prospectively — exact for stateless policies (the default
-  /// Fibonacci hash), a load-dependent guess otherwise. Stable for the
-  /// engine's lifetime when stealing is off, rebalance_patient is unused,
-  /// and placement is the default.
-  std::size_t shard_of(int patient_id) const;
-
-  /// Explicitly re-home a patient onto `dest` (same hand-off protocol as a
-  /// steal, counted in SchedulerStats::steals/migrations). Asynchronous:
-  /// the victim migrates at its next batch boundary; fence with flush() for
-  /// a synchronous guarantee. Unknown patients are routed to `dest` for
-  /// when they first appear. No-op if the patient already lives on `dest`
-  /// or a migration is already pending. Throws std::invalid_argument on an
-  /// out-of-range shard. The deterministic lever the churn tests drive.
-  void rebalance_patient(int patient_id, std::size_t dest);
+  /// Which shard (worker) serves a patient: fibonacci_shard(patient_id,
+  /// num_workers()), fixed for the engine's lifetime.
+  std::size_t shard_of(int patient_id) const { return fibonacci_shard(patient_id, shards_.size()); }
 
   std::size_t num_workers() const { return shards_.size(); }
 
@@ -196,28 +153,22 @@ class ShardedStreamClassifier {
   /// a flush; may lag mid-stream while workers are extracting).
   std::size_t rejected_windows() const { return rejected_.load(); }
 
-  /// Sample chunks evicted by the kDropOldest policy (or deadline shedding)
-  /// across all shards.
+  /// Sample chunks evicted by the kDropOldest policy across all shards.
   std::size_t dropped_chunks() const;
 
   /// Windows delivered to the sink so far.
   std::size_t delivered_windows() const { return delivered_.load(); }
 
-  /// Scheduler counters: steals issued, migrations landed, chunks moved,
-  /// deadline actions. Monotonic except deadline_level (current state).
-  SchedulerStats scheduler_stats() const;
-
   /// Aggregate segment-cache counters (hits / misses / evictions of the
   /// incremental feature pipeline) summed over every shard's extractor.
   /// Quiescent read: fence with flush() first — the extractors are
   /// worker-owned, and the fence is what orders their counters with this
-  /// call (same contract as an exact shard_of()).
+  /// call.
   features::SegmentCacheStats cache_stats() const;
 
   /// Aggregate quality-gate counters summed over every shard's extractor.
   /// All zeros when the gate is off. Quiescent read like cache_stats():
-  /// fence with flush() first — gate state migrates with the patient, so
-  /// only a fence makes the per-shard sums coherent.
+  /// fence with flush() first.
   ecg::QualityStats quality_stats() const;
 
   /// Uniform counters. windows_annotated/windows_suppressed are maintained
@@ -225,18 +176,6 @@ class ShardedStreamClassifier {
   /// by per-shard atomics, so all are safe to read mid-stream and exact
   /// after a flush.
   EngineStats stats() const;
-
-  /// Per-batch delivery latencies in seconds: for every delivered batch,
-  /// the time from its chunk's push_samples() submission to the sink
-  /// receiving the classified windows — under kBlock backpressure this
-  /// deliberately includes the producer's wait for queue space, since that
-  /// is part of the latency a submitter observes. Bounded:
-  /// each shard keeps a fixed-size reservoir of the most recent batches
-  /// (kLatencyReservoir), so long-running engines report a recent-window
-  /// percentile view at constant memory. Drives the deadline controller.
-  /// Snapshot is consistent mid-stream (per-shard mutex); for an exact
-  /// account of everything pushed, fence with flush() first.
-  std::vector<double> delivery_latencies_s() const;
 
   ModelRegistry& registry() { return *registry_; }
   const ModelRegistry& registry() const { return *registry_; }
@@ -257,9 +196,6 @@ class ShardedStreamClassifier {
     bool fence = false;
     bool evict = false;
     bool end_stream = false;
-    bool migrate = false;     ///< Migration token: victim hands patient to dest.
-    std::size_t dest = 0;     ///< Thief shard (migrate tokens only).
-    std::chrono::steady_clock::time_point enqueued;  ///< For delivery latency.
   };
 
   /// Per-worker classification staging, reused across batches so the serve
@@ -281,20 +217,18 @@ class ShardedStreamClassifier {
     std::size_t rejected_reported = 0;  ///< Worker-local watermark.
     std::size_t annotated_reported = 0;   ///< Quality watermarks (worker-local,
     std::size_t suppressed_reported = 0;  ///< against the extractor's counters).
-    mutable std::mutex latency_mutex;   ///< Guards the latency reservoir.
-    std::vector<double> latencies_s;    ///< Most recent delivered batches.
-    std::size_t latency_next = 0;       ///< Overwrite cursor once full.
     /// The extractor's cumulative lane counts, stored by the worker after
     /// each round. One writer each, so stats() reads them relaxed; flush()'s
     /// fence orders the last store before a post-flush read.
     std::atomic<std::uint64_t> lane_vector_samples{0};
     std::atomic<std::uint64_t> lane_scalar_samples{0};
-    /// Recycled Task sample buffers: the worker returns each drained chunk's
-    /// vector here and push_samples reuses it for the next chunk, so the
-    /// steady-state ingest path stops allocating (and, more importantly,
-    /// keeps re-copying into the same cache-warm pages instead of marching
-    /// through fresh cold memory — a measured ~20x per-chunk cost swing when
-    /// the queue is shallow). Leaf lock: never held with another lock.
+    /// Recycled Task sample buffers: the worker returns each drained (or
+    /// evicted) chunk's vector here and push_samples reuses it for the next
+    /// chunk, so the steady-state ingest path stops allocating (and, more
+    /// importantly, keeps re-copying into the same cache-warm pages instead
+    /// of marching through fresh cold memory — a measured ~20x per-chunk
+    /// cost swing when the queue is shallow). Leaf lock: never held with
+    /// another lock.
     std::mutex pool_mutex;
     std::vector<std::vector<double>> sample_pool;
     std::thread worker;
@@ -306,85 +240,16 @@ class ShardedStreamClassifier {
   /// should find a recycled buffer rather than a cold allocation.
   static constexpr std::size_t kSamplePoolCap = 64;
 
-  /// One patient's routing state. `issued` counts per-patient tasks routed
-  /// (data + end_stream + evict); `settled` counts those consumed by a
-  /// worker or evicted by backpressure. issued == settled means no task for
-  /// the patient is queued or executing — the migration cutoff invariant.
-  struct RouteEntry {
-    std::size_t shard = 0;
-    std::size_t issued = 0;
-    std::size_t settled = 0;
-    bool migrating = false;  ///< A migration token is pending for the patient.
-    /// Extraction state parked mid-migration: detached by the victim, owned
-    /// here until the new shard's worker lazily attaches it.
-    std::unique_ptr<WindowExtractor::DetachedPatient> parked;
-  };
-
-  /// Per-shard bound on the delivery-latency reservoir: once full, the
-  /// oldest samples are overwritten, so a long-running engine keeps a
-  /// recent-window percentile view at fixed memory.
-  static constexpr std::size_t kLatencyReservoir = 4096;
-
-  /// Idle-worker poll period: a worker whose queue is empty wakes this often
-  /// (stealing mode only — otherwise workers block) so a successful steal or
-  /// fresh work is picked up promptly.
-  static constexpr std::chrono::milliseconds kIdlePoll{1};
-
-  /// Steal-scan backoff cap, in idle polls. The steal scan is O(patients)
-  /// under route_mutex_ — the same lock the producer hot path takes — so a
-  /// mostly-idle worker must not run it every poll: after each failed scan
-  /// the polls between scans double (1, 2, 4, ...) up to this cap (~64 ms at
-  /// kIdlePoll), and any popped task or successful steal resets the cadence.
-  static constexpr std::size_t kMaxStealBackoffPolls = 64;
-
-  void worker_loop(std::size_t self, Shard& shard);
+  void worker_loop(Shard& shard);
   void classify_batch(int patient_id, std::span<const ExtractedWindow> windows, Shard& shard);
-  void record_latency(Shard& shard, std::chrono::steady_clock::time_point enqueued);
-
-  /// Producer side: find-or-create the patient's route (consulting the
-  /// placement policy on first sight), count the task as issued, and return
-  /// the shard to push to. The shard choice and the issued increment are
-  /// atomic under route_mutex_ — the invariant the migration cutoff relies
-  /// on.
-  std::size_t route_for_push(int patient_id);
-
-  /// Worker side: drain the shard queue's eviction log and settle each
-  /// evicted task's patient. Called every loop iteration (and inside the
-  /// migration cutoff check). `locked` variant expects route_mutex_ held.
-  void settle_evicted(Shard& shard);
-  void settle_evicted_locked(Shard& shard);
-  void settle_patient_locked(int patient_id);
-
-  /// Worker side: attach the patient's parked extraction state if this
-  /// shard now owns a freshly migrated patient (lazy attach, before the
-  /// patient's next batch).
-  void ensure_attached(std::size_t self, Shard& shard, int patient_id);
-
-  /// Victim side: execute (or retry) a migration token at a batch boundary.
-  void handle_migration(std::size_t self, Shard& shard, const Task& token);
-
-  /// Thief side: scan the route table for the deepest-backlog patient on
-  /// another shard and post a migration token for it. Returns whether a
-  /// token was issued (drives the idle scan backoff).
-  bool maybe_steal(std::size_t self);
-
-  /// Deadline controller (runs on deadline_thread_ when
-  /// options_.deadline.target_p99_s > 0).
-  void deadline_loop();
-  void apply_deadline_level(int level);
+  /// Return drained chunks' sample buffers to the shard's pool (up to
+  /// kSamplePoolCap).
+  static void recycle(Shard& shard, std::span<Task> tasks);
 
   std::shared_ptr<ModelRegistry> registry_;
   StreamConfig config_;
   EngineOptions options_;
-  std::shared_ptr<PlacementPolicy> placement_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  // Routing (route_mutex_ is the outermost lock: queue mutexes may be taken
-  // under it — via push/extract/size — but never the reverse).
-  mutable std::mutex route_mutex_;
-  std::unordered_map<int, RouteEntry> routes_;
-  std::vector<std::size_t> shard_patients_;  ///< Patients routed per shard.
-  bool fence_pending_ = false;  ///< A flush is fencing: migrations pause.
 
   // Fence protocol (guarded by fence_mutex_).
   std::mutex fence_mutex_;
@@ -394,21 +259,6 @@ class ShardedStreamClassifier {
   // First classification error since the last flush (guarded by error_mutex_).
   std::mutex error_mutex_;
   std::exception_ptr error_;
-
-  // Deadline controller.
-  std::thread deadline_thread_;
-  std::mutex deadline_mutex_;
-  std::condition_variable deadline_cv_;
-  bool deadline_stop_ = false;
-  std::atomic<std::size_t> stride_factor_{1};  ///< Workers apply per round.
-  std::atomic<int> deadline_level_{0};
-
-  // Scheduler counters.
-  std::atomic<std::size_t> steals_{0};
-  std::atomic<std::size_t> migrations_{0};
-  std::atomic<std::size_t> migrated_chunks_{0};
-  std::atomic<std::size_t> stride_widenings_{0};
-  std::atomic<std::size_t> shed_activations_{0};
 
   std::atomic<std::size_t> rejected_{0};
   std::atomic<std::size_t> delivered_{0};

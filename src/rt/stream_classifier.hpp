@@ -77,8 +77,8 @@ class StreamClassifier {
   /// results (stream order per patient, push order across patients).
   std::vector<WindowResult> flush();
 
-  /// Uniform counters. The single-threaded engine never drops chunks and
-  /// runs no scheduler, so those fields are always zero.
+  /// Uniform counters. The single-threaded engine never drops chunks, so
+  /// dropped_chunks is always zero.
   EngineStats stats() const {
     EngineStats s;
     s.delivered_windows = delivered_windows_;

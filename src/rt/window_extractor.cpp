@@ -118,52 +118,6 @@ WindowExtractor::PatientState& WindowExtractor::find_or_create(int patient_id) {
   return patients_.emplace(patient_id, std::move(state)).first->second;
 }
 
-std::optional<WindowExtractor::DetachedPatient> WindowExtractor::detach_patient(int patient_id) {
-  const auto it = patients_.find(patient_id);
-  if (it == patients_.end()) return std::nullopt;
-  PatientState& state = it->second;
-  Pack& pack = *packs_[state.pack];
-  DetachedPatient out;
-  out.lane = pack.detector.detach_lane(state.lane);
-  out.pushed = state.pushed;
-  out.consumed = state.consumed;
-  out.cache = std::move(state.cache);  // Stats travel with the entries.
-  out.gate = std::move(state.gate);    // Spans/counters travel with the stream.
-  if (--pack.active == 0) {
-    retired_vector_samples_ += pack.detector.vector_samples();
-    retired_scalar_samples_ += pack.detector.scalar_samples();
-    packs_[state.pack].reset();
-  }
-  patients_.erase(it);
-  return out;
-}
-
-void WindowExtractor::attach_patient(int patient_id, DetachedPatient&& detached) {
-  if (patients_.count(patient_id) > 0)
-    throw std::logic_error("WindowExtractor: attach_patient over a live stream");
-  const std::size_t pack_idx = claim_pack();
-  Pack& pack = *packs_[pack_idx];
-  PatientState state;
-  state.pack = pack_idx;
-  state.lane = pack.detector.attach_lane(std::move(detached.lane));
-  state.pushed = detached.pushed;
-  state.consumed = detached.consumed;
-  state.cache = std::move(detached.cache);
-  state.gate = std::move(detached.gate);
-  // A detached stream from a matching configuration carries its cache; be
-  // robust to one that does not (correctness never depends on warm entries).
-  if (!state.cache)
-    state.cache =
-        std::make_unique<features::SegmentFeatureCache>(cache_layout_, config_.incremental);
-  // Same robustness for the gate (a fresh gate loses history; a matching
-  // migration always carries one, so this only covers mismatched configs).
-  if (config_.quality.enable && !state.gate)
-    state.gate = std::make_unique<ecg::SignalQualityGate>(config_.quality, config_.fs_hz);
-  if (!config_.quality.enable) state.gate.reset();
-  ++pack.active;
-  patients_.emplace(patient_id, std::move(state));
-}
-
 void WindowExtractor::release_patient(PatientState& state) {
   retired_cache_stats_ += state.cache->stats();
   if (state.gate) retired_quality_stats_ += state.gate->stats();
@@ -216,7 +170,7 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
     PatientState& state = patients_.find(chunk.patient_id)->second;
     // Quality gate: scan the raw chunk at its absolute stream offset. The
     // scan is per-sample sequential state only, so the resulting spans are
-    // independent of chunk boundaries (and of which shard runs the stream).
+    // independent of chunk boundaries.
     if (state.gate) state.gate->scan(chunk.samples_mv, state.pushed);
     state.pushed += static_cast<std::int64_t>(chunk.samples_mv.size());
     const auto& detector = packs_[state.pack]->detector;
@@ -238,9 +192,7 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
   auto& detector = packs_[state.pack]->detector;
   while (frontier >= state.consumed + window) {
     emit_window(patient_id, state, sink);
-    // stride_factor_ > 1 is the deadline controller's degradation: windows
-    // hop further apart, shedding the overlap work (and its results).
-    state.consumed += static_cast<std::int64_t>(stride_samples_ * stride_factor_);
+    state.consumed += static_cast<std::int64_t>(stride_samples_);
     // The chunked pipeline keeps one stride of left context behind the next
     // window (a chunk at m interpolates from beats in [(m-1)*S, (m+1)*S)).
     const std::int64_t retain = state.consumed - static_cast<std::int64_t>(stride_samples_);

@@ -38,7 +38,7 @@
 // finality frontier passes the window end — emission_lag_samples() (~190 ms
 // at 250 Hz) after the last sample of the window arrives. Chunk products
 // depend only on beat sample indices relative to the chunk start, so they
-// are bit-identical wherever (and on whichever shard) they are computed.
+// are bit-identical wherever they are computed.
 //
 // The extractor is deliberately model-free: it emits *raw full-length*
 // feature vectors, so per-patient models (which each carry their own feature
@@ -54,7 +54,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -161,48 +160,6 @@ class WindowExtractor {
   /// evictions.
   bool erase_patient(int patient_id);
 
-  /// One patient's complete stream state — detector lane, beat ring, window
-  /// phase — exported by detach_patient and imported bit-exactly by
-  /// attach_patient on another extractor with the same StreamConfig. This is
-  /// how the sharded engine migrates a patient between workers: the stream
-  /// continues on the destination exactly where it left off.
-  struct DetachedPatient {
-    ecg::LaneQrsDetector::DetachedLane lane;
-    std::int64_t pushed = 0;
-    std::int64_t consumed = 0;
-    /// Memoized stride intermediates travel with the stream. Dropping them
-    /// would still be correct — every entry is a pure function of the final
-    /// beat stream — but carrying them keeps the destination shard's hit
-    /// rate warm and its counters coherent.
-    std::unique_ptr<features::SegmentFeatureCache> cache;
-    /// Quality-gate state (null when the gate is off). MUST travel: the
-    /// refractory countdown, open artifact spans and per-patient counters
-    /// are stream state — recreating them on the destination would lose
-    /// spans that overlap windows not yet emitted.
-    std::unique_ptr<ecg::SignalQualityGate> gate;
-  };
-
-  /// Export a patient's stream state and drop the patient from this
-  /// extractor (the freed lane is pooled like erase_patient). Returns
-  /// nullopt for unknown patients.
-  std::optional<DetachedPatient> detach_patient(int patient_id);
-
-  /// Import a detached stream for `patient_id` (which must not already be
-  /// live here), claiming a lane like a first push would. The patient's
-  /// subsequent windows are bit-identical to never having migrated.
-  void attach_patient(int patient_id, DetachedPatient&& state);
-
-  /// Whether a patient currently has live stream state here.
-  bool has_patient(int patient_id) const { return patients_.count(patient_id) > 0; }
-
-  /// Degradation knob for the deadline controller: windows hop by
-  /// stride_samples() * factor while set (> 1 = fewer overlapping windows,
-  /// less classification work per sample). Applies from the next emission;
-  /// factor is clamped to >= 1. Results are deliberately NOT bit-identical
-  /// to factor 1 — that is the point of degrading.
-  void set_stride_factor(std::size_t factor) { stride_factor_ = factor < 1 ? 1 : factor; }
-  std::size_t stride_factor() const { return stride_factor_; }
-
   /// Windows rejected for having fewer than min_beats R peaks.
   std::size_t rejected_windows() const { return rejected_; }
 
@@ -211,21 +168,17 @@ class WindowExtractor {
   const std::vector<std::shared_ptr<const Workload>>& workloads() const { return workloads_; }
   std::size_t num_workloads() const { return workloads_.size(); }
 
-  /// Aggregate quality-gate counters over live and retired patients
-  /// (detached patients carry theirs to the destination extractor, like the
-  /// segment-cache stats). All zeros when the gate is off.
+  /// Aggregate quality-gate counters over live and retired patients. All
+  /// zeros when the gate is off.
   ecg::QualityStats quality_stats() const;
 
-  /// Extractor-local annotate/suppress event counters. Unlike the per-gate
-  /// stats these do NOT travel with a migrating patient (events count where
-  /// they happened), so they are monotone per extractor — the property the
-  /// sharded engine's watermark accounting needs. Summed over all
-  /// extractors they equal the gate totals.
+  /// Extractor-local annotate/suppress event counters, monotone per
+  /// extractor — the property the sharded engine's watermark accounting
+  /// needs. Summed over all extractors they equal the gate totals.
   std::size_t annotated_windows() const { return annotated_; }
   std::size_t suppressed_windows() const { return suppressed_; }
 
-  /// Aggregate segment-cache counters over live and retired patients
-  /// (detached patients carry theirs to the destination extractor).
+  /// Aggregate segment-cache counters over live and retired patients.
   features::SegmentCacheStats cache_stats() const;
 
   /// Samples accumulated toward a patient's next window (0 for unknown
@@ -244,7 +197,7 @@ class WindowExtractor {
   /// Detector samples stepped in SIMD lockstep / by the scalar per-lane
   /// fallback, summed over live and retired packs: the live lane occupancy
   /// (EngineStats reports the same counts per engine). Monotone per
-  /// extractor; a migrating patient's history stays where it was stepped.
+  /// extractor.
   std::uint64_t lane_vector_samples() const;
   std::uint64_t lane_scalar_samples() const;
 
@@ -296,7 +249,6 @@ class WindowExtractor {
   std::size_t rejected_ = 0;
   std::size_t annotated_ = 0;   ///< Windows emitted with non-zero quality flags.
   std::size_t suppressed_ = 0;  ///< Windows withheld by the suppress policy.
-  std::size_t stride_factor_ = 1;  ///< Deadline-mode hop multiplier.
   std::uint64_t retired_vector_samples_ = 0;  ///< From released packs.
   std::uint64_t retired_scalar_samples_ = 0;
   features::SegmentFeatureCache::Layout cache_layout_;  ///< Stride-chunk geometry.

@@ -422,7 +422,7 @@ TEST(LaneWindowExtractor, RepeatedPatientIdThrowsAndLeavesStateUntouched) {
   chunks = {{2, second(b)}, {0, second(a)}, {2, second(b)}};
   EXPECT_THROW(extractor.push_batch(chunks, got_sink), std::invalid_argument);
   EXPECT_EQ(extractor.num_patients(), 2u);
-  EXPECT_FALSE(extractor.has_patient(2));
+  EXPECT_FALSE(extractor.erase_patient(2));  // Never created.
   EXPECT_EQ(extractor.lane_vector_samples() + extractor.lane_scalar_samples(), stepped);
   EXPECT_EQ(extractor.buffered_samples(0), buffered_a);
   chunks = {{0, second(a)}, {1, second(b)}};

@@ -181,10 +181,12 @@ TEST(NetFrame, StatsCarriesQualityCounters) {
   EXPECT_EQ(got.windows_delivered, 11u);
   EXPECT_EQ(got.windows_annotated, 5u);
   EXPECT_EQ(got.windows_suppressed, 2u);
-  // A v2-sized (12-counter) stats payload no longer parses: the frame grew
-  // and the size check is exact.
-  ASSERT_GE(frame.payload.size(), 2 * 8u);
-  EXPECT_FALSE(parse_stats(frame.payload.subspan(0, frame.payload.size() - 2 * 8), got));
+  // v4 carries 10 counters; the size check is exact, so a v3-sized
+  // (14-counter) stats payload does not parse.
+  EXPECT_EQ(frame.payload.size(), 10 * 8u);
+  std::vector<std::uint8_t> v3_sized(frame.payload.begin(), frame.payload.end());
+  v3_sized.resize(14 * 8, 0);
+  EXPECT_FALSE(parse_stats(std::span<const std::uint8_t>(v3_sized.data(), v3_sized.size()), got));
 }
 
 TEST(NetFrame, SampleChunkRoundTripIsBitExact) {

@@ -2,14 +2,17 @@
 // ResultSink must be time-ordered per patient, batched one patient at a
 // time, and bit-identical to the single-threaded StreamClassifier under
 // 1/2/4 workers — with flush() a pure fence, hot-swaps fencing on batch
-// boundaries, backpressure not changing results, and evict_patient
-// restarting a stream from scratch.
+// boundaries, kBlock backpressure not changing results, kDropOldest
+// accounting for every chunk it sheds, and evict_patient restarting a
+// stream from scratch.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <thread>
 #include <utility>
@@ -91,6 +94,91 @@ TEST(ContinuousDelivery, BoundedBlockingQueueDoesNotChangeResults) {
   EXPECT_TRUE(collector.time_ordered);
   expect_bit_identical(collector.all(), want, "bounded kBlock");
   EXPECT_EQ(engine.dropped_chunks(), 0u);
+}
+
+TEST(ContinuousDelivery, DropOldestAccountsForEveryChunk) {
+  // One worker behind a 2-chunk drop-oldest queue. The sink parks the worker
+  // inside its first delivered batch while the rest of the ward is pushed,
+  // so the queue must shed; afterwards every chunk pushed has either been
+  // stepped by the lane detector or counted as dropped.
+  const auto ward = make_ward();
+  constexpr std::size_t kChunk = 250;
+  std::mutex latch_mutex;
+  std::condition_variable latch_cv;
+  bool parked = false;
+  bool released = false;
+  Collector collector;
+  auto inner = collector.sink();
+  const auto parking_sink = [&](std::span<const rt::WindowResult> batch) {
+    {
+      std::unique_lock<std::mutex> lock(latch_mutex);
+      if (!parked) {
+        parked = true;
+        latch_cv.wait(lock, [&] { return released; });
+      }
+    }
+    inner(batch);
+  };
+  rt::EngineOptions options = engine_options(1, parking_sink);
+  options.queue_capacity = 2;
+  options.backpressure = rt::BackpressurePolicy::kDropOldest;
+  rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
+
+  const auto is_parked = [&] {
+    const std::lock_guard<std::mutex> lock(latch_mutex);
+    return parked;
+  };
+  const auto stepped = [&] {
+    const rt::EngineStats stats = engine.stats();
+    return stats.lane_vector_samples + stats.lane_scalar_samples;
+  };
+  std::size_t pushed = 0;
+  std::map<int, std::size_t> offsets;
+  const auto push_next = [&](int pid) {
+    const auto& samples = ward.at(pid).samples_mv;
+    std::size_t& off = offsets[pid];
+    if (off + kChunk > samples.size()) return false;
+    engine.push_samples(pid, std::span(samples).subspan(off, kChunk));
+    off += kChunk;
+    ++pushed;
+    return true;
+  };
+
+  // One patient, each chunk stepped before the next is pushed, until its
+  // first window reaches the sink and parks the worker.
+  const int first = ward.begin()->first;
+  bool first_window_delivered = true;
+  while (!is_parked()) {
+    if (!push_next(first)) {
+      first_window_delivered = false;
+      break;
+    }
+    while (!is_parked() && stepped() < pushed * kChunk) std::this_thread::yield();
+  }
+  EXPECT_TRUE(first_window_delivered);
+
+  // Worker parked: the rest of the ward lands on a full queue.
+  for (bool any_left = true; any_left;) {
+    any_left = false;
+    for (const auto& [pid, wf] : ward) any_left = push_next(pid) || any_left;
+  }
+  {
+    const std::lock_guard<std::mutex> lock(latch_mutex);
+    released = true;
+  }
+  latch_cv.notify_all();
+  engine.flush();
+
+  const std::size_t dropped = engine.dropped_chunks();
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(engine.stats().dropped_chunks, dropped);
+  EXPECT_EQ(stepped(), (pushed - dropped) * kChunk) << dropped << " of " << pushed;
+  EXPECT_TRUE(collector.single_patient_batches);
+  EXPECT_TRUE(collector.time_ordered);
+  std::size_t received = 0;
+  for (const auto& [pid, results] : collector.per_patient) received += results.size();
+  EXPECT_GT(received, 0u);
+  EXPECT_EQ(engine.delivered_windows(), received);
 }
 
 TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {

@@ -116,13 +116,16 @@ TEST(ShardedStreamClassifier, RejectsBeatlessWindows) {
 }
 
 TEST(ShardedStreamClassifier, ShardAssignmentIsStable) {
-  Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
-                                      engine_options(4, collector.sink()));
-  for (int pid = -5; pid < 40; ++pid) {
-    const auto shard = sharded.shard_of(pid);
-    EXPECT_LT(shard, sharded.num_workers());
-    EXPECT_EQ(shard, sharded.shard_of(pid));  // Consistent for the lifetime.
+  // A patient's shard is the Fibonacci hash of its id and the worker count.
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    Collector collector;
+    rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+                                        engine_options(workers, collector.sink()));
+    for (int pid = -5; pid < 40; ++pid) {
+      const auto shard = sharded.shard_of(pid);
+      EXPECT_LT(shard, sharded.num_workers());
+      EXPECT_EQ(shard, rt::fibonacci_shard(pid, workers)) << pid << " at " << workers;
+    }
   }
 }
 
@@ -262,6 +265,11 @@ TEST(ShardedStreamClassifier, RejectsBadConstruction) {
   // The sink is the only way results leave the engine, so it is required.
   const rt::EngineOptions no_sink = engine_options(2, {});
   EXPECT_THROW(rt::ShardedStreamClassifier(detector(), short_window_config(), no_sink),
+               std::invalid_argument);
+  // Every shard queue is bounded, so a zero capacity is rejected.
+  rt::EngineOptions no_capacity = engine_options(2, collector.sink());
+  no_capacity.queue_capacity = 0;
+  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), short_window_config(), no_capacity),
                std::invalid_argument);
 }
 

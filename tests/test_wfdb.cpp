@@ -2,7 +2,8 @@
 // specs), format 212/16/80 packing round-trips in BOTH sample-count parities
 // (the trailing half-group is the classic off-by-one trap), multi-channel
 // de-interleaving and ECG channel selection, ADC<->mV conversion, and the
-// corrupt-input failure modes (size mismatch, checksum mismatch).
+// corrupt-input failure modes (size mismatch, checksum mismatch, a header
+// sample count too large to allocate or to multiply out).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -289,6 +290,32 @@ TEST(WfdbSignal, CorruptFilesFailLoudly) {
   // Out-of-range samples must be rejected at write time, not wrapped.
   EXPECT_THROW(io::write_record(dir, one_signal_header("c", 212), {{2048}}),
                std::invalid_argument);
+}
+
+TEST(WfdbSignal, HeaderSampleCountIsCheckedBeforeAllocating) {
+  // An 8-byte format-16 file holds 4 samples. Headers claiming far more are
+  // refused from the file size alone: no multi-GB zero fill first, no
+  // std::length_error, and no size_t wrap (4 signals x (2^62 + 1) samples is
+  // 4 modulo 2^64, which an unchecked product would accept).
+  const auto dir = test_dir("huge");
+  {
+    std::ofstream dat(std::filesystem::path(dir) / "h.dat", std::ios::binary);
+    const char zeros[8] = {};
+    dat.write(zeros, sizeof zeros);
+  }
+  const auto write_header = [&dir](int signals, const std::string& samples) {
+    std::ofstream hea(std::filesystem::path(dir) / "h.hea", std::ios::trunc);
+    hea << "h " << signals << " 250 " << samples << "\n";
+    for (int s = 0; s < signals; ++s) hea << "h.dat 16 200 16 0 0\n";
+  };
+  write_header(1, "268435456");  // 2^28: a 1 GiB sample buffer.
+  EXPECT_THROW(io::read_record(dir, "h"), std::invalid_argument);
+  write_header(1, "2305843009213693952");  // 2^61: beyond vector::max_size.
+  EXPECT_THROW(io::read_record(dir, "h"), std::invalid_argument);
+  write_header(4, "4611686018427387905");  // 2^62 + 1 per signal.
+  EXPECT_THROW(io::read_record(dir, "h"), std::invalid_argument);
+  write_header(4, "1");  // The honest header still reads.
+  EXPECT_EQ(io::read_record(dir, "h").adc.size(), 4u);
 }
 
 TEST(WfdbFixture, SyntheticCohortCoversFormatsParitiesAndChannels) {

@@ -58,6 +58,9 @@ TEST(WorkQueue, DropOldestEvictsWithAccurateCount) {
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.wait_pop(), 4);  // The freshest two survive, in order.
   EXPECT_EQ(queue.wait_pop(), 5);
+  // Evictions are logged, in eviction order, until the consumer drains them.
+  EXPECT_EQ(queue.take_evicted(), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(queue.take_evicted().empty());
 }
 
 TEST(WorkQueue, ControlItemsBypassCapacityAndEviction) {

@@ -152,10 +152,11 @@ int main() {
   }
   classifier.flush();  // Terminal fence: drain and deliver everything pushed.
 
+  const rt::EngineStats stats = classifier.stats();  // Exact after the fence.
   std::printf("\nward summary (%zu patients, %.0f s each, %zu windows delivered, "
               "%zu rejected, %zu chunks dropped):\n",
-              waveforms.size(), duration_s, classifier.delivered_windows(),
-              classifier.rejected_windows(), classifier.dropped_chunks());
+              waveforms.size(), duration_s, stats.delivered_windows, stats.rejected_windows,
+              stats.dropped_chunks);
   for (const auto& [pid, total] : total_windows) {
     std::printf("  patient %d (shard %zu): %zu/%zu windows flagged ictal%s\n", pid,
                 classifier.shard_of(pid), ictal_windows[pid], total,

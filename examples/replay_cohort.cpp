@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                 stats.record.c_str(), stats.patient_id, stats.x_realtime, stats.windows,
                 ictal[stats.patient_id]);
   std::printf("  total: %zu windows delivered, %zu rejected, %zu chunks dropped\n",
-              report.windows, replayer.engine().rejected_windows(), report.dropped_chunks);
+              report.windows, replayer.engine().stats().rejected_windows, report.dropped_chunks);
   std::printf("  segment cache: %.1f%% hit rate (%llu hits, %llu misses, %llu evictions)\n",
               report.cache.hit_rate() * 100.0,
               static_cast<unsigned long long>(report.cache.hits),

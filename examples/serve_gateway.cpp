@@ -14,12 +14,14 @@
 // --exit-after N serves until N connections have come and gone, prints the
 // gateway counters, and exits — the CI serving-smoke job uses this to stop
 // the server once the load generator disconnects. Without it the gateway
-// serves until killed.
+// serves until killed. Exits 2, with a message, on a usage error or on a
+// configuration the engine rejects.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,7 +88,16 @@ int main(int argc, char** argv) {
   if (endpoints.empty()) endpoints.push_back(net::Endpoint::tcp("127.0.0.1", 0));
 
   auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model(seed));
-  net::ServeGateway gateway(std::move(registry), config, options);
+  std::unique_ptr<net::ServeGateway> serving;
+  try {
+    serving = std::make_unique<net::ServeGateway>(std::move(registry), config, options);
+  } catch (const std::invalid_argument& e) {
+    // A stream geometry or engine option the engine refuses (e.g. a window
+    // that is not a whole number of strides, or --queue 0).
+    std::fprintf(stderr, "serve_gateway: %s\n", e.what());
+    return 2;
+  }
+  net::ServeGateway& gateway = *serving;
   for (const auto& endpoint : endpoints) {
     const auto bound = gateway.add_listener(endpoint);
     std::printf("listening on %s\n", bound.to_string().c_str());
@@ -110,7 +121,7 @@ int main(int argc, char** argv) {
               " windows dropped, %" PRIu64 " protocol errors, %" PRIu64 " orphan batches\n",
               stats.decision_batches_sent, stats.decision_windows_sent,
               stats.decision_windows_dropped, stats.protocol_errors, stats.orphan_batches);
-  const auto cache = gateway.engine().cache_stats();  // Quiescent: gateway stopped.
+  const auto cache = gateway.engine().stats().cache;
   std::printf("         segment cache: %.1f%% hit rate (%" PRIu64 " hits, %" PRIu64
               " misses, %" PRIu64 " evictions)\n",
               cache.hit_rate() * 100.0, cache.hits, cache.misses, cache.evictions);

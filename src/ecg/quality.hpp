@@ -69,8 +69,9 @@ struct QualityConfig {
   QualityPolicy policy = QualityPolicy::kAnnotate;
 };
 
-/// Cumulative gate counters (monotone per patient stream; aggregate like
-/// the segment-cache stats).
+/// Cumulative gate counters (monotone; aggregate like the segment-cache
+/// stats). A SignalQualityGate counts the scan-side fields; the window-level
+/// fields are counted by whoever gates windows (rt::WindowExtractor).
 struct QualityStats {
   std::uint64_t artifact_hits = 0;       ///< Threshold crossings (outside refractory).
   std::uint64_t artifact_spans = 0;      ///< Distinct rejected spans opened.
@@ -87,6 +88,15 @@ struct QualityStats {
     windows_annotated += o.windows_annotated;
     windows_suppressed += o.windows_suppressed;
     return *this;
+  }
+  /// What was counted since `earlier`, a snapshot of the same counters.
+  QualityStats operator-(const QualityStats& earlier) const {
+    return {artifact_hits - earlier.artifact_hits,
+            artifact_spans - earlier.artifact_spans,
+            rejected_samples - earlier.rejected_samples,
+            rr_outliers - earlier.rr_outliers,
+            windows_annotated - earlier.windows_annotated,
+            windows_suppressed - earlier.windows_suppressed};
   }
 };
 
@@ -116,12 +126,9 @@ class SignalQualityGate {
   /// extractor's retained-beat horizon, so neither need the spans.
   void drop_spans_before(std::int64_t bound);
 
-  /// Emission-side accounting (the extractor calls these once per window).
-  void note_rr_outliers(std::size_t n) { stats_.rr_outliers += n; }
-  void note_annotated() { ++stats_.windows_annotated; }
-  void note_suppressed() { ++stats_.windows_suppressed; }
-
   const QualityConfig& config() const { return config_; }
+  /// Scan-side counters of this stream (artifact_*, rejected_samples); the
+  /// window-level fields stay 0.
   const QualityStats& stats() const { return stats_; }
   std::size_t live_spans() const { return spans_.size(); }
 

@@ -14,9 +14,12 @@ std::optional<SegmentFeatureCache::Layout> SegmentFeatureCache::plan(
     return std::nullopt;
   if (window_samples % stride_samples != 0) return std::nullopt;
   // The EDR grid must advance an integral number of points per stride so
-  // chunk-local grid times are stride-invariant.
+  // chunk-local grid times are stride-invariant, and no faster than the raw
+  // samples (which also keeps the count in int64_t range; NaN fails too).
   const double chunk_len_d = static_cast<double>(stride_samples) * edr_fs_hz / fs_hz;
-  if (chunk_len_d < 1.0 || chunk_len_d != std::floor(chunk_len_d)) return std::nullopt;
+  if (!(chunk_len_d >= 1.0 && chunk_len_d <= static_cast<double>(stride_samples)) ||
+      chunk_len_d != std::floor(chunk_len_d))
+    return std::nullopt;
 
   Layout layout;
   layout.fs_hz = fs_hz;

@@ -79,6 +79,10 @@ struct SegmentCacheStats {
     evictions += o.evictions;
     return *this;
   }
+  /// What was counted since `earlier`, a snapshot of the same counters.
+  SegmentCacheStats operator-(const SegmentCacheStats& earlier) const {
+    return {hits - earlier.hits, misses - earlier.misses, evictions - earlier.evictions};
+  }
 };
 
 class SegmentFeatureCache {
@@ -102,10 +106,11 @@ class SegmentFeatureCache {
   /// The geometry for a stream configuration, or nullopt when it is not
   /// stride-aligned (rt::WindowExtractor rejects such configurations):
   /// alignment requires the EDR grid to advance an integral number of
-  /// points per stride (stride_samples * edr_fs_hz / fs_hz integral) and
-  /// the window to be an integral number of strides. The Welch segment
-  /// spans the largest multiple of the chunk length <= 256 grid points
-  /// (welch_psd's default segment), clamped to the window.
+  /// points per stride (stride_samples * edr_fs_hz / fs_hz integral, and
+  /// at most stride_samples) and the window to be an integral number of
+  /// strides. The Welch segment spans the largest multiple of the chunk
+  /// length <= 256 grid points (welch_psd's default segment), clamped to
+  /// the window.
   static std::optional<Layout> plan(double fs_hz, double edr_fs_hz,
                                     std::int64_t stride_samples, std::int64_t window_samples);
 

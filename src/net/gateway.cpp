@@ -133,18 +133,18 @@ void ServeGateway::reap_finished_locked() {
 }
 
 StatsFrame ServeGateway::snapshot_stats_frame() {
+  const rt::EngineStats engine_stats = engine_.stats();
   StatsFrame stats;
-  stats.windows_delivered = engine_.delivered_windows();
-  stats.windows_rejected = engine_.rejected_windows();
-  stats.chunks_dropped = engine_.dropped_chunks();
+  stats.windows_delivered = engine_stats.delivered_windows;
+  stats.windows_rejected = engine_stats.rejected_windows;
+  stats.chunks_dropped = engine_stats.dropped_chunks;
   stats.frames_received = frames_received_.load();
   stats.samples_ingested = samples_ingested_.load();
   stats.streams_opened = streams_opened_.load();
   stats.streams_closed = streams_closed_.load();
   stats.protocol_errors = protocol_errors_.load();
-  const rt::EngineStats engine_stats = engine_.stats();
-  stats.windows_annotated = engine_stats.windows_annotated;
-  stats.windows_suppressed = engine_stats.windows_suppressed;
+  stats.windows_annotated = engine_stats.quality.windows_annotated;
+  stats.windows_suppressed = engine_stats.quality.windows_suppressed;
   return stats;
 }
 

@@ -117,8 +117,7 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
     const std::lock_guard<std::mutex> lock(windows_mutex_);
     windows_per_patient_.clear();
   }
-  const std::size_t dropped_before = engine_.dropped_chunks();
-  const auto cache_before = engine_.cache_stats();
+  const EngineStats before = engine_.stats();
   const std::size_t chunk =
       std::max<std::size_t>(1, static_cast<std::size_t>(options.chunk_s * fs));
 
@@ -159,11 +158,9 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
 
   ReplayReport report;
   report.wall_s = seconds_since(t0, t_end);
-  report.dropped_chunks = engine_.dropped_chunks() - dropped_before;
-  const auto cache_after = engine_.cache_stats();  // Quiescent: fenced above.
-  report.cache.hits = cache_after.hits - cache_before.hits;
-  report.cache.misses = cache_after.misses - cache_before.misses;
-  report.cache.evictions = cache_after.evictions - cache_before.evictions;
+  const EngineStats after = engine_.stats();  // Exact: fenced above.
+  report.dropped_chunks = after.dropped_chunks - before.dropped_chunks;
+  report.cache = after.cache - before.cache;
   const std::lock_guard<std::mutex> lock(windows_mutex_);
   for (std::size_t r = 0; r < cohort.size(); ++r) {
     RecordReplayStats stats;

@@ -12,6 +12,8 @@
 #include <functional>
 #include <span>
 
+#include "ecg/quality.hpp"
+#include "features/segment_cache.hpp"
 #include "rt/work_queue.hpp"
 
 namespace svt::rt {
@@ -50,22 +52,31 @@ struct EngineOptions {
   ResultSink sink;
 };
 
-/// Counters both engines answer through stats().
+/// Every counter an engine exposes, all cumulative, answered by stats() on
+/// both engines (WindowExtractor::stats() fills the extraction share).
 struct EngineStats {
-  std::size_t delivered_windows = 0;
-  std::size_t rejected_windows = 0;
-  std::size_t dropped_chunks = 0;
-  /// Quality-gate outcomes (both zero when the gate is off): window
-  /// positions emitted with non-zero quality flags / withheld by the
-  /// suppress policy. Counted per window position, not per workload.
-  std::size_t windows_annotated = 0;
-  std::size_t windows_suppressed = 0;
+  std::size_t delivered_windows = 0;  ///< Results delivered (sink or flush()).
+  std::size_t rejected_windows = 0;   ///< Windows with fewer than min_beats R peaks.
+  std::size_t dropped_chunks = 0;     ///< Chunks evicted by kDropOldest.
   /// Live lane occupancy: detector samples stepped in SIMD lockstep / by
-  /// the scalar per-lane step (WindowExtractor::lane_vector_samples), summed
-  /// over the engine's extractors. Their sum is every sample extracted;
-  /// exact after a flush, possibly a round behind mid-stream.
+  /// the scalar per-lane step. Their sum is every sample extracted.
   std::uint64_t lane_vector_samples = 0;
   std::uint64_t lane_scalar_samples = 0;
+  features::SegmentCacheStats cache;  ///< Per-stride feature memoization.
+  /// Quality-gate counts (all zero when the gate is off); windows_* count
+  /// window positions, not per-workload results.
+  ecg::QualityStats quality;
+
+  EngineStats& operator+=(const EngineStats& o) {
+    delivered_windows += o.delivered_windows;
+    rejected_windows += o.rejected_windows;
+    dropped_chunks += o.dropped_chunks;
+    lane_vector_samples += o.lane_vector_samples;
+    lane_scalar_samples += o.lane_scalar_samples;
+    cache += o.cache;
+    quality += o.quality;
+    return *this;
+  }
 };
 
 }  // namespace svt::rt

@@ -74,36 +74,22 @@ void ShardedStreamClassifier::end_stream(int patient_id) {
   shards_[shard_of(patient_id)]->tasks.push_control(std::move(task));
 }
 
-std::size_t ShardedStreamClassifier::dropped_chunks() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->tasks.dropped();
-  return total;
-}
-
-features::SegmentCacheStats ShardedStreamClassifier::cache_stats() const {
-  features::SegmentCacheStats total;
-  for (const auto& shard : shards_) total += shard->extractor.cache_stats();
-  return total;
-}
-
-ecg::QualityStats ShardedStreamClassifier::quality_stats() const {
-  ecg::QualityStats total;
-  for (const auto& shard : shards_) total += shard->extractor.quality_stats();
-  return total;
-}
-
 EngineStats ShardedStreamClassifier::stats() const {
-  EngineStats s;
-  s.delivered_windows = delivered_.load();
-  s.rejected_windows = rejected_.load();
-  s.dropped_chunks = dropped_chunks();
-  s.windows_annotated = annotated_.load();
-  s.windows_suppressed = suppressed_.load();
+  EngineStats total;
   for (const auto& shard : shards_) {
-    s.lane_vector_samples += shard->lane_vector_samples.load(std::memory_order_relaxed);
-    s.lane_scalar_samples += shard->lane_scalar_samples.load(std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lock(shard->stats_mutex);
+      total += shard->published;
+    }
+    total.dropped_chunks += shard->tasks.dropped();
   }
-  return s;
+  return total;
+}
+
+void ShardedStreamClassifier::publish(Shard& shard) {
+  const std::lock_guard<std::mutex> lock(shard.stats_mutex);
+  shard.published = shard.extractor.stats();
+  shard.published.delivered_windows = shard.delivered;
 }
 
 void ShardedStreamClassifier::recycle(Shard& shard, std::span<Task> tasks) {
@@ -122,27 +108,6 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
   const auto collect = [&windows](ExtractedWindow&& window) {
     windows.push_back(std::move(window));
   };
-  const auto note_rejected = [&] {
-    const std::size_t rejected_now = shard.extractor.rejected_windows();
-    if (rejected_now != shard.rejected_reported) {
-      rejected_ += rejected_now - shard.rejected_reported;
-      shard.rejected_reported = rejected_now;
-    }
-    // Same watermark pattern for the quality-gate counters (the extractor's
-    // monotone event counts, so the delta is never negative).
-    if (config_.quality.enable) {
-      const std::size_t annotated_now = shard.extractor.annotated_windows();
-      if (annotated_now != shard.annotated_reported) {
-        annotated_ += annotated_now - shard.annotated_reported;
-        shard.annotated_reported = annotated_now;
-      }
-      const std::size_t suppressed_now = shard.extractor.suppressed_windows();
-      if (suppressed_now != shard.suppressed_reported) {
-        suppressed_ += suppressed_now - shard.suppressed_reported;
-        shard.suppressed_reported = suppressed_now;
-      }
-    }
-  };
   const auto note_error = [&] {
     // Record the first error for the next flush() and keep serving: one
     // patient without a model must not take down the whole shard.
@@ -158,6 +123,8 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
         pending ? std::exchange(pending, std::nullopt) : shard.tasks.wait_pop();
     if (!task) break;  // Closed and drained.
     if (task->fence) {
+      // Every earlier task has published its counters, so a stats() after
+      // flush() is exact.
       {
         const std::lock_guard<std::mutex> lock(fence_mutex_);
         ++fences_reached_;
@@ -172,7 +139,6 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
     if (task->end_stream) {
       windows.clear();
       shard.extractor.end_patient(task->patient_id, collect);
-      note_rejected();
       if (!windows.empty()) {
         try {
           classify_batch(task->patient_id, windows, shard);
@@ -180,6 +146,7 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
           note_error();
         }
       }
+      publish(shard);
       continue;
     }
 
@@ -208,11 +175,6 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
     chunks.clear();
     for (const Task& t : round) chunks.push_back({t.patient_id, t.samples});
     shard.extractor.push_batch(chunks, collect);
-    note_rejected();
-    shard.lane_vector_samples.store(shard.extractor.lane_vector_samples(),
-                                    std::memory_order_relaxed);
-    shard.lane_scalar_samples.store(shard.extractor.lane_scalar_samples(),
-                                    std::memory_order_relaxed);
 
     // Windows land contiguously per patient in round order; each patient's
     // segment is classified and delivered on its own.
@@ -231,6 +193,7 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
       }
       begin = end;
     }
+    publish(shard);
     recycle(shard, round);  // Hand the drained buffers back to the producers.
   }
 }
@@ -289,7 +252,7 @@ void ShardedStreamClassifier::classify_batch(int patient_id,
     }
   }
   options_.sink(batch);
-  delivered_ += n;
+  shard.delivered += n;
 }
 
 void ShardedStreamClassifier::flush() {

@@ -41,7 +41,8 @@
 // Backpressure: each shard queue is bounded (EngineOptions::queue_capacity)
 // with a configurable policy — kBlock throttles producers to pipeline
 // throughput (lossless), kDropOldest evicts the stalest queued chunk and
-// counts it in dropped_chunks() (freshest-data-wins for live monitoring).
+// counts it in stats().dropped_chunks (freshest-data-wins for live
+// monitoring).
 // Control tasks (fences, end_stream, evict) bypass capacity, so flush()
 // works even against saturated queues.
 //
@@ -67,7 +68,6 @@
 // time from any thread.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -149,33 +149,15 @@ class ShardedStreamClassifier {
 
   std::size_t num_workers() const { return shards_.size(); }
 
-  /// Windows rejected for having fewer than min_beats R peaks (exact after
-  /// a flush; may lag mid-stream while workers are extracting).
-  std::size_t rejected_windows() const { return rejected_.load(); }
-
-  /// Sample chunks evicted by the kDropOldest policy across all shards.
-  std::size_t dropped_chunks() const;
-
-  /// Windows delivered to the sink so far.
-  std::size_t delivered_windows() const { return delivered_.load(); }
-
-  /// Aggregate segment-cache counters (hits / misses / evictions of the
-  /// incremental feature pipeline) summed over every shard's extractor.
-  /// Quiescent read: fence with flush() first — the extractors are
-  /// worker-owned, and the fence is what orders their counters with this
-  /// call.
-  features::SegmentCacheStats cache_stats() const;
-
-  /// Aggregate quality-gate counters summed over every shard's extractor.
-  /// All zeros when the gate is off. Quiescent read like cache_stats():
-  /// fence with flush() first.
-  ecg::QualityStats quality_stats() const;
-
-  /// Uniform counters. windows_annotated/windows_suppressed are maintained
-  /// by worker-side watermarks (like rejected_windows) and the lane counts
-  /// by per-shard atomics, so all are safe to read mid-stream and exact
-  /// after a flush.
+  /// Every counter, summed over the shards. Any thread may call it at any
+  /// time, without a fence: each worker publishes its counters after every
+  /// round and stream end, so mid-stream a shard's share may be one round
+  /// behind, and after flush() returns the snapshot is exact. Each field is
+  /// monotone.
   EngineStats stats() const;
+
+  /// stats().cache, for wardbench, which still calls it.
+  features::SegmentCacheStats cache_stats() const { return stats().cache; }
 
   ModelRegistry& registry() { return *registry_; }
   const ModelRegistry& registry() const { return *registry_; }
@@ -212,16 +194,15 @@ class ShardedStreamClassifier {
     explicit Shard(const StreamConfig& config, const EngineOptions& options)
         : tasks(options.queue_capacity, options.backpressure), extractor(config) {}
     WorkQueue<Task> tasks;
-    WindowExtractor extractor;          ///< Touched only by the worker thread.
-    ClassifyScratch scratch;            ///< Touched only by the worker thread.
-    std::size_t rejected_reported = 0;  ///< Worker-local watermark.
-    std::size_t annotated_reported = 0;   ///< Quality watermarks (worker-local,
-    std::size_t suppressed_reported = 0;  ///< against the extractor's counters).
-    /// The extractor's cumulative lane counts, stored by the worker after
-    /// each round. One writer each, so stats() reads them relaxed; flush()'s
-    /// fence orders the last store before a post-flush read.
-    std::atomic<std::uint64_t> lane_vector_samples{0};
-    std::atomic<std::uint64_t> lane_scalar_samples{0};
+    WindowExtractor extractor;  ///< Touched only by the worker thread.
+    ClassifyScratch scratch;    ///< Touched only by the worker thread.
+    std::size_t delivered = 0;  ///< Windows this worker delivered (worker-only).
+    /// The worker's counters as of its last task — the extractor's totals
+    /// plus `delivered` — copied in by the worker after every round and
+    /// stream end (fences and evictions change no counter) and read by
+    /// stats(). Leaf lock, held only for the copy.
+    std::mutex stats_mutex;
+    EngineStats published;
     /// Recycled Task sample buffers: the worker returns each drained (or
     /// evicted) chunk's vector here and push_samples reuses it for the next
     /// chunk, so the steady-state ingest path stops allocating (and, more
@@ -241,6 +222,8 @@ class ShardedStreamClassifier {
   static constexpr std::size_t kSamplePoolCap = 64;
 
   void worker_loop(Shard& shard);
+  /// Copy the shard's current counters into its published slot.
+  static void publish(Shard& shard);
   void classify_batch(int patient_id, std::span<const ExtractedWindow> windows, Shard& shard);
   /// Return drained chunks' sample buffers to the shard's pool (up to
   /// kSamplePoolCap).
@@ -259,11 +242,6 @@ class ShardedStreamClassifier {
   // First classification error since the last flush (guarded by error_mutex_).
   std::mutex error_mutex_;
   std::exception_ptr error_;
-
-  std::atomic<std::size_t> rejected_{0};
-  std::atomic<std::size_t> delivered_{0};
-  std::atomic<std::size_t> annotated_{0};
-  std::atomic<std::size_t> suppressed_{0};
 };
 
 }  // namespace svt::rt

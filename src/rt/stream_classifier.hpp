@@ -77,27 +77,14 @@ class StreamClassifier {
   /// results (stream order per patient, push order across patients).
   std::vector<WindowResult> flush();
 
-  /// Uniform counters. The single-threaded engine never drops chunks, so
-  /// dropped_chunks is always zero.
+  /// Every counter: the extractor's running totals, with delivered_windows
+  /// counting the results flush() has returned. This engine never drops
+  /// chunks, so dropped_chunks is always zero.
   EngineStats stats() const {
-    EngineStats s;
+    EngineStats s = extractor_.stats();
     s.delivered_windows = delivered_windows_;
-    s.rejected_windows = rejected_windows();
-    s.windows_annotated = extractor_.annotated_windows();
-    s.windows_suppressed = extractor_.suppressed_windows();
-    s.lane_vector_samples = extractor_.lane_vector_samples();
-    s.lane_scalar_samples = extractor_.lane_scalar_samples();
     return s;
   }
-
-  /// Windows rejected for having fewer than min_beats R peaks.
-  std::size_t rejected_windows() const { return extractor_.rejected_windows(); }
-
-  /// Segment-cache counters of the incremental feature pipeline.
-  features::SegmentCacheStats cache_stats() const { return extractor_.cache_stats(); }
-
-  /// Quality-gate counters (all zeros when the gate is off).
-  ecg::QualityStats quality_stats() const { return extractor_.quality_stats(); }
 
   /// The stream's resolved workload list (see StreamConfig::workloads).
   std::size_t num_workloads() const { return extractor_.num_workloads(); }

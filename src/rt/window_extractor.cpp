@@ -34,12 +34,22 @@ class CachePsdSource final : public WindowPsdSource {
 }  // namespace
 
 WindowExtractor::WindowExtractor(StreamConfig config) : config_(config) {
-  if (config.fs_hz <= 0.0) throw std::invalid_argument("WindowExtractor: fs_hz <= 0");
-  if (config.window_s <= 0.0) throw std::invalid_argument("WindowExtractor: window_s <= 0");
-  if (config.stride_s <= 0.0) throw std::invalid_argument("WindowExtractor: stride_s <= 0");
+  const auto require_positive = [](double value, const char* field) {
+    if (!std::isfinite(value) || value <= 0.0)
+      throw std::invalid_argument(std::string("WindowExtractor: ") + field +
+                                  " must be finite and > 0");
+  };
+  require_positive(config.fs_hz, "fs_hz");
+  require_positive(config.window_s, "window_s");
+  require_positive(config.stride_s, "stride_s");
+  require_positive(config.edr_fs_hz, "edr_fs_hz");
   if (config.stride_s > config.window_s)
     throw std::invalid_argument("WindowExtractor: stride_s > window_s leaves coverage gaps");
-  if (config.edr_fs_hz <= 0.0) throw std::invalid_argument("WindowExtractor: edr_fs_hz <= 0");
+  if (config.edr_fs_hz > config.fs_hz)
+    throw std::invalid_argument("WindowExtractor: edr_fs_hz above fs_hz");
+  // Sample counts must round to integers exactly (and fit llround).
+  if (config.window_s * config.fs_hz > 0x1p53)
+    throw std::invalid_argument("WindowExtractor: window_s * fs_hz exceeds 2^53 samples");
   window_samples_ = static_cast<std::size_t>(std::llround(config.window_s * config.fs_hz));
   stride_samples_ = static_cast<std::size_t>(std::llround(config.stride_s * config.fs_hz));
   if (window_samples_ == 0 || stride_samples_ == 0)
@@ -119,18 +129,11 @@ WindowExtractor::PatientState& WindowExtractor::find_or_create(int patient_id) {
 }
 
 void WindowExtractor::release_patient(PatientState& state) {
-  retired_cache_stats_ += state.cache->stats();
-  if (state.gate) retired_quality_stats_ += state.gate->stats();
   Pack& pack = *packs_[state.pack];
   pack.detector.remove_lane(state.lane);
-  if (--pack.active == 0) {
-    // Last occupant gone: fold the pack's occupancy counters into the
-    // retired totals and release its ring storage outright, so resident
-    // memory tracks live patients rather than historical churn.
-    retired_vector_samples_ += pack.detector.vector_samples();
-    retired_scalar_samples_ += pack.detector.scalar_samples();
-    packs_[state.pack].reset();
-  }
+  // Last occupant gone: release the pack's ring storage outright, so
+  // resident memory tracks live patients rather than historical churn.
+  if (--pack.active == 0) packs_[state.pack].reset();
 }
 
 void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink) {
@@ -161,7 +164,12 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
       const PatientState& state = patients_.find(chunks[j].patient_id)->second;
       if (state.pack == pack_idx) lane_chunks_.push_back({state.lane, chunks[j].samples_mv});
     }
-    packs_[pack_idx]->detector.push(lane_chunks_);
+    auto& detector = packs_[pack_idx]->detector;
+    const std::uint64_t vector_before = detector.vector_samples();
+    const std::uint64_t scalar_before = detector.scalar_samples();
+    detector.push(lane_chunks_);
+    stats_.lane_vector_samples += detector.vector_samples() - vector_before;
+    stats_.lane_scalar_samples += detector.scalar_samples() - scalar_before;
   }
 
   // Emission runs per patient in chunk order, so each patient's windows
@@ -171,7 +179,11 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
     // Quality gate: scan the raw chunk at its absolute stream offset. The
     // scan is per-sample sequential state only, so the resulting spans are
     // independent of chunk boundaries.
-    if (state.gate) state.gate->scan(chunk.samples_mv, state.pushed);
+    if (state.gate) {
+      const ecg::QualityStats before = state.gate->stats();
+      state.gate->scan(chunk.samples_mv, state.pushed);
+      stats_.quality += state.gate->stats() - before;
+    }
     state.pushed += static_cast<std::int64_t>(chunk.samples_mv.size());
     const auto& detector = packs_[state.pack]->detector;
     emit_ready_windows(chunk.patient_id, state, detector.final_through(state.lane), sink);
@@ -191,7 +203,9 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
   const auto window = static_cast<std::int64_t>(window_samples_);
   auto& detector = packs_[state.pack]->detector;
   while (frontier >= state.consumed + window) {
+    const features::SegmentCacheStats cache_before = state.cache->stats();
     emit_window(patient_id, state, sink);
+    stats_.cache += state.cache->stats() - cache_before;
     state.consumed += static_cast<std::int64_t>(stride_samples_);
     // The chunked pipeline keeps one stride of left context behind the next
     // window (a chunk at m interpolates from beats in [(m-1)*S, (m+1)*S)).
@@ -216,7 +230,7 @@ void WindowExtractor::emit_window(int patient_id, PatientState& state, const Win
   for (std::int64_t j = 0; j < layout.chunks_per_window; ++j) cache.chunk(ring, m0 + j);
   const auto view = cache.assemble_window(m0);
   if (view.beats < config_.min_beats || view.beats < 2) {
-    ++rejected_;
+    ++stats_.rejected_windows;
     return;
   }
 
@@ -229,17 +243,15 @@ void WindowExtractor::emit_window(int patient_id, PatientState& state, const Win
     if (state.gate->overlaps_artifact(start, end)) flags |= ecg::quality_flags::kArtifact;
     const std::size_t outliers = ecg::count_rr_outliers(view.rr, config_.quality);
     if (outliers > 0) {
-      state.gate->note_rr_outliers(outliers);
+      stats_.quality.rr_outliers += outliers;
       flags |= ecg::quality_flags::kRrOutliers;
     }
     if (flags != 0) {
       if (config_.quality.policy == ecg::QualityPolicy::kSuppress) {
-        state.gate->note_suppressed();
-        ++suppressed_;
+        ++stats_.quality.windows_suppressed;
         return;
       }
-      state.gate->note_annotated();
-      ++annotated_;
+      ++stats_.quality.windows_annotated;
     }
   }
 
@@ -293,33 +305,6 @@ std::size_t WindowExtractor::buffered_samples(int patient_id) const {
   const auto it = patients_.find(patient_id);
   return it == patients_.end() ? 0
                                : static_cast<std::size_t>(it->second.pushed - it->second.consumed);
-}
-
-std::uint64_t WindowExtractor::lane_vector_samples() const {
-  std::uint64_t total = retired_vector_samples_;
-  for (const auto& pack : packs_)
-    if (pack) total += pack->detector.vector_samples();
-  return total;
-}
-
-std::uint64_t WindowExtractor::lane_scalar_samples() const {
-  std::uint64_t total = retired_scalar_samples_;
-  for (const auto& pack : packs_)
-    if (pack) total += pack->detector.scalar_samples();
-  return total;
-}
-
-features::SegmentCacheStats WindowExtractor::cache_stats() const {
-  features::SegmentCacheStats total = retired_cache_stats_;
-  for (const auto& [id, state] : patients_) total += state.cache->stats();
-  return total;
-}
-
-ecg::QualityStats WindowExtractor::quality_stats() const {
-  ecg::QualityStats total = retired_quality_stats_;
-  for (const auto& [id, state] : patients_)
-    if (state.gate) total += state.gate->stats();
-  return total;
 }
 
 const char* WindowExtractor::lane_isa() const { return ecg::lane_isa_name(); }

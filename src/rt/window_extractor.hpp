@@ -62,6 +62,7 @@
 #include "features/feature_scratch.hpp"
 #include "features/feature_types.hpp"
 #include "features/segment_cache.hpp"
+#include "rt/engine.hpp"
 #include "rt/workload.hpp"
 
 namespace svt::rt {
@@ -122,12 +123,13 @@ class WindowExtractor {
     std::span<const double> samples_mv;
   };
 
-  /// Throws std::invalid_argument on a non-positive sampling rate, window,
-  /// or stride, stride_s > window_s, a window shorter than one sample, a
-  /// sampling rate too low for the QRS band-pass (fs_hz <= 30), or a
-  /// geometry that does not tile: the window must be a whole number of
-  /// strides and the stride a whole number of EDR grid points (see
-  /// features::SegmentFeatureCache::plan).
+  /// Throws std::invalid_argument, naming the field, on a non-finite or
+  /// non-positive fs_hz, window_s, stride_s or edr_fs_hz, or an edr_fs_hz
+  /// above fs_hz. Also throws on stride_s > window_s, a window shorter than
+  /// one sample or longer than 2^53 samples, a sampling rate too low for the
+  /// QRS band-pass (fs_hz <= 30), or a geometry that does not tile: the
+  /// window must be a whole number of strides and the stride a whole number
+  /// of EDR grid points (see features::SegmentFeatureCache::plan).
   explicit WindowExtractor(StreamConfig config = {});
 
   /// Ingest one chunk per patient — the lane-parallel hot path. Patients
@@ -156,30 +158,19 @@ class WindowExtractor {
   /// storage is pooled for the pack's next patient (an emptied pack is
   /// released), so long-running wards do not accumulate dead detector
   /// state. A later push recreates the stream from scratch (window phase
-  /// restarts at 0). The rejected-window count is cumulative across
-  /// evictions.
+  /// restarts at 0). stats() keeps counting across evictions.
   bool erase_patient(int patient_id);
 
-  /// Windows rejected for having fewer than min_beats R peaks.
-  std::size_t rejected_windows() const { return rejected_; }
+  /// Running totals over every patient this extractor has served, live or
+  /// gone: rejected windows, lane occupancy, segment cache and quality gate.
+  /// O(1) — each count is added as the work happens. delivered_windows and
+  /// dropped_chunks stay 0; the engines fill those in.
+  const EngineStats& stats() const { return stats_; }
 
   /// The resolved workload list (config.workloads, or the implicit
   /// single-apnea default). Stable for the extractor's lifetime.
   const std::vector<std::shared_ptr<const Workload>>& workloads() const { return workloads_; }
   std::size_t num_workloads() const { return workloads_.size(); }
-
-  /// Aggregate quality-gate counters over live and retired patients. All
-  /// zeros when the gate is off.
-  ecg::QualityStats quality_stats() const;
-
-  /// Extractor-local annotate/suppress event counters, monotone per
-  /// extractor — the property the sharded engine's watermark accounting
-  /// needs. Summed over all extractors they equal the gate totals.
-  std::size_t annotated_windows() const { return annotated_; }
-  std::size_t suppressed_windows() const { return suppressed_; }
-
-  /// Aggregate segment-cache counters over live and retired patients.
-  features::SegmentCacheStats cache_stats() const;
 
   /// Samples accumulated toward a patient's next window (0 for unknown
   /// patients): samples pushed minus samples consumed by emitted windows.
@@ -193,13 +184,6 @@ class WindowExtractor {
   std::size_t window_samples() const { return window_samples_; }
   std::size_t stride_samples() const { return stride_samples_; }
   const StreamConfig& config() const { return config_; }
-
-  /// Detector samples stepped in SIMD lockstep / by the scalar per-lane
-  /// fallback, summed over live and retired packs: the live lane occupancy
-  /// (EngineStats reports the same counts per engine). Monotone per
-  /// extractor.
-  std::uint64_t lane_vector_samples() const;
-  std::uint64_t lane_scalar_samples() const;
 
   /// Dispatch tier the lane packs run at: "scalar" or "sse2".
   const char* lane_isa() const;
@@ -246,16 +230,10 @@ class WindowExtractor {
   std::size_t emission_lag_samples_ = 0;
   std::vector<std::unique_ptr<Pack>> packs_;  ///< Null slots are reusable.
   std::map<int, PatientState> patients_;
-  std::size_t rejected_ = 0;
-  std::size_t annotated_ = 0;   ///< Windows emitted with non-zero quality flags.
-  std::size_t suppressed_ = 0;  ///< Windows withheld by the suppress policy.
-  std::uint64_t retired_vector_samples_ = 0;  ///< From released packs.
-  std::uint64_t retired_scalar_samples_ = 0;
+  EngineStats stats_;  ///< Running totals (see stats()).
   features::SegmentFeatureCache::Layout cache_layout_;  ///< Stride-chunk geometry.
-  features::SegmentCacheStats retired_cache_stats_;  ///< From erased/ended patients.
   /// Resolved workload list: config_.workloads, or {apnea_workload()}.
   std::vector<std::shared_ptr<const Workload>> workloads_;
-  ecg::QualityStats retired_quality_stats_;  ///< From erased/ended patients.
 
   // Per-extractor scratch (extractors are single-threaded): reused across
   // every patient and window, so steady-state emission never allocates.

@@ -417,13 +417,16 @@ TEST(LaneWindowExtractor, RepeatedPatientIdThrowsAndLeavesStateUntouched) {
   rt::WindowExtractor extractor(config);
   chunks = {{0, first(a)}, {1, first(b)}};
   extractor.push_batch(chunks, got_sink);
-  const std::uint64_t stepped = extractor.lane_vector_samples() + extractor.lane_scalar_samples();
+  const auto lane_samples = [&extractor] {
+    return extractor.stats().lane_vector_samples + extractor.stats().lane_scalar_samples;
+  };
+  const std::uint64_t stepped = lane_samples();
   // Patient 2 is new and repeated: the throw must come before it is created.
   chunks = {{2, second(b)}, {0, second(a)}, {2, second(b)}};
   EXPECT_THROW(extractor.push_batch(chunks, got_sink), std::invalid_argument);
   EXPECT_EQ(extractor.num_patients(), 2u);
   EXPECT_FALSE(extractor.erase_patient(2));  // Never created.
-  EXPECT_EQ(extractor.lane_vector_samples() + extractor.lane_scalar_samples(), stepped);
+  EXPECT_EQ(lane_samples(), stepped);
   EXPECT_EQ(extractor.buffered_samples(0), buffered_a);
   chunks = {{0, second(a)}, {1, second(b)}};
   extractor.push_batch(chunks, got_sink);
@@ -483,7 +486,7 @@ TEST(LaneWindowExtractor, OccupancyCountersSurviveChurn) {
     pushed += static_cast<std::uint64_t>(chunks.size()) * 512;
   }
   for (int p = 0; p < 6; ++p) extractor.erase_patient(p);
-  EXPECT_EQ(extractor.lane_vector_samples() + extractor.lane_scalar_samples(), pushed);
+  EXPECT_EQ(extractor.stats().lane_vector_samples + extractor.stats().lane_scalar_samples, pushed);
   EXPECT_STREQ(extractor.lane_isa(), ecg::lane_isa_name());
 }
 

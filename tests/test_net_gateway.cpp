@@ -413,7 +413,7 @@ TEST(NetGateway, DropOldestFreesAndCountsEvictedDecisionFrames) {
   EXPECT_GT(stats.decision_windows_dropped, 0u);
   EXPECT_EQ(stats.decision_windows_sent, received);
   EXPECT_EQ(stats.decision_windows_sent + stats.decision_windows_dropped,
-            gateway.engine().delivered_windows());
+            gateway.engine().stats().delivered_windows);
   gateway.stop();
 }
 

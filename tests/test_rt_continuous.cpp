@@ -59,8 +59,8 @@ TEST(ContinuousDelivery, OrderedAndBitIdenticalUnder124Workers) {
     expect_bit_identical(collector.all(), want, "continuous");
     std::size_t total = 0;
     for (const auto& [pid, results] : collector.per_patient) total += results.size();
-    EXPECT_EQ(engine.delivered_windows(), total);
-    EXPECT_EQ(engine.dropped_chunks(), 0u);
+    EXPECT_EQ(engine.stats().delivered_windows, total);
+    EXPECT_EQ(engine.stats().dropped_chunks, 0u);
   }
 }
 
@@ -72,9 +72,9 @@ TEST(ContinuousDelivery, ResultsArriveBeforeAnyFlush) {
                                      engine_options(2, collector.sink()));
   engine.push_samples(1, wf.samples_mv);
   // Spin (bounded) until the pipeline classifies something — no flush().
-  for (int i = 0; i < 10000 && engine.delivered_windows() == 0; ++i)
+  for (int i = 0; i < 10000 && engine.stats().delivered_windows == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GT(engine.delivered_windows(), 0u);
+  EXPECT_GT(engine.stats().delivered_windows, 0u);
   engine.flush();  // Only to quiesce before the collector is inspected.
   EXPECT_FALSE(collector.per_patient.empty());
 }
@@ -93,7 +93,7 @@ TEST(ContinuousDelivery, BoundedBlockingQueueDoesNotChangeResults) {
   engine.flush();
   EXPECT_TRUE(collector.time_ordered);
   expect_bit_identical(collector.all(), want, "bounded kBlock");
-  EXPECT_EQ(engine.dropped_chunks(), 0u);
+  EXPECT_EQ(engine.stats().dropped_chunks, 0u);
 }
 
 TEST(ContinuousDelivery, DropOldestAccountsForEveryChunk) {
@@ -169,16 +169,15 @@ TEST(ContinuousDelivery, DropOldestAccountsForEveryChunk) {
   latch_cv.notify_all();
   engine.flush();
 
-  const std::size_t dropped = engine.dropped_chunks();
+  const std::size_t dropped = engine.stats().dropped_chunks;
   EXPECT_GT(dropped, 0u);
-  EXPECT_EQ(engine.stats().dropped_chunks, dropped);
   EXPECT_EQ(stepped(), (pushed - dropped) * kChunk) << dropped << " of " << pushed;
   EXPECT_TRUE(collector.single_patient_batches);
   EXPECT_TRUE(collector.time_ordered);
   std::size_t received = 0;
   for (const auto& [pid, results] : collector.per_patient) received += results.size();
   EXPECT_GT(received, 0u);
-  EXPECT_EQ(engine.delivered_windows(), received);
+  EXPECT_EQ(engine.stats().delivered_windows, received);
 }
 
 TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {

@@ -85,30 +85,51 @@ TEST(SegmentCacheLayout, RejectsNonAlignedConfigurations) {
   // Degenerate inputs.
   EXPECT_FALSE(SegmentFeatureCache::plan(0.0, 4.0, 7500, 45000).has_value());
   EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 4.0, 0, 45000).has_value());
+  // More EDR grid points than raw samples per stride, or none that count.
+  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, 1e20, 7500, 45000).has_value());
+  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, INFINITY, 7500, 45000).has_value());
+  EXPECT_FALSE(SegmentFeatureCache::plan(250.0, NAN, 7500, 45000).has_value());
 }
 
 TEST(SegmentCacheLayout, EnginesRejectNonAlignedConfigurations) {
   // The geometries above as stream configs: windows are assembled from
-  // stride chunks, so every engine refuses them at construction.
+  // stride chunks, so every engine refuses them at construction — and so
+  // non-finite or out-of-range values, up front rather than on the first
+  // push.
   struct Geometry {
-    double fs_hz, window_s, stride_s;
+    double fs_hz, window_s, stride_s, edr_fs_hz = 4.0;
   };
   const Geometry geometries[] = {
-      {250.0, 20.0, 10.1},   // 40.4 EDR points per stride.
-      {250.0, 184.0, 30.0},  // Window not a whole number of strides.
-      {0.0, 180.0, 30.0},    // Degenerate inputs.
-      {250.0, 180.0, 0.0},
+      {250.0, 20.0, 10.1},             // 40.4 EDR points per stride.
+      {250.0, 184.0, 30.0},            // Window not a whole number of strides.
+      {0.0, 180.0, 30.0},              // Zero sampling rate.
+      {250.0, 180.0, 0.0},             // Zero stride.
+      {250.0, 180.0, 30.0, INFINITY},  // Infinite EDR rate.
+      {250.0, 180.0, 30.0, 1e20},      // EDR rate out of range.
+      {250.0, 180.0, 30.0, NAN},       // NaN EDR rate.
+      {250.0, 180.0, 30.0, 500.0},     // EDR rate above the sampling rate.
+      {NAN, 180.0, 30.0},              // NaN sampling rate.
+      {INFINITY, 180.0, 30.0},         // Infinite sampling rate.
+      {250.0, NAN, 30.0},              // NaN window.
+      {250.0, INFINITY, 30.0},         // Infinite window.
+      {250.0, 180.0, NAN},             // NaN stride.
+      {250.0, INFINITY, INFINITY},     // Infinite window and stride.
+      {250.0, 1e300, 30.0},            // More samples than a double counts.
   };
+
+
   const auto model = rt::synthetic_full_feature_model();
   const auto registry = std::make_shared<rt::ModelRegistry>(model);
   Collector collector;
   const rt::EngineOptions options = engine_options(1, collector.sink());
   for (const Geometry& g : geometries) {
-    SCOPED_TRACE(std::to_string(g.window_s) + " s / " + std::to_string(g.stride_s) + " s");
+    SCOPED_TRACE(std::to_string(g.fs_hz) + " Hz, " + std::to_string(g.window_s) + " s / " +
+                 std::to_string(g.stride_s) + " s, EDR " + std::to_string(g.edr_fs_hz) + " Hz");
     rt::StreamConfig config;
     config.fs_hz = g.fs_hz;
     config.window_s = g.window_s;
     config.stride_s = g.stride_s;
+    config.edr_fs_hz = g.edr_fs_hz;
     EXPECT_THROW(rt::WindowExtractor{config}, std::invalid_argument);
     EXPECT_THROW(rt::StreamClassifier(model, config), std::invalid_argument);
     EXPECT_THROW(rt::ShardedStreamClassifier(registry, config, options), std::invalid_argument);
@@ -291,16 +312,16 @@ TEST(IncrementalPipeline, CacheStatsReflectOverlapReuse) {
     rest = rest.subspan(n);
   }
   ASSERT_GT(windows, 8u);
-  const auto stats = extractor.cache_stats();
+  const auto stats = extractor.stats().cache;
   // Steady state: 5 of 6 chunks and 4 of 5 Welch segments hit per window.
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);  // Entries age out as the stride advances.
   EXPECT_GT(stats.hit_rate(), 0.7);
 
-  // Retired stats survive the patient: erase and check the accumulator.
+  // The counts outlive the patient.
   ASSERT_TRUE(extractor.erase_patient(1));
-  EXPECT_EQ(extractor.cache_stats().hits, stats.hits);
-  EXPECT_EQ(extractor.cache_stats().misses, stats.misses);
+  EXPECT_EQ(extractor.stats().cache.hits, stats.hits);
+  EXPECT_EQ(extractor.stats().cache.misses, stats.misses);
 }
 
 // --- Sharded engine at 1/2/4 workers -----------------------------------------
@@ -316,7 +337,8 @@ TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   const auto want = reference.flush();
   ASSERT_FALSE(want.empty());
-  EXPECT_GT(reference.cache_stats().hit_rate(), 0.0);
+  const auto want_cache = reference.stats().cache;
+  EXPECT_GT(want_cache.hit_rate(), 0.0);
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
@@ -325,10 +347,11 @@ TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
     push_interleaved(sharded, ward, 1250);
     sharded.flush();
     expect_bit_identical(collector.all(), want, std::to_string(workers) + " workers");
-    // Quiescent after flush(): the fence orders the workers' counters.
-    const auto stats = sharded.cache_stats();
-    EXPECT_GT(stats.hits + stats.misses, 0u) << workers << " workers";
-    EXPECT_GT(stats.hit_rate(), 0.0) << workers << " workers";
+    // Exact after flush(): the same windows made the same cache traffic.
+    const auto stats = sharded.stats().cache;
+    EXPECT_EQ(stats.hits, want_cache.hits) << workers << " workers";
+    EXPECT_EQ(stats.misses, want_cache.misses) << workers << " workers";
+    EXPECT_EQ(stats.evictions, want_cache.evictions) << workers << " workers";
   }
 }
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,7 +52,7 @@ void check_determinism(const core::TailoredDetector& model, const char* what) {
     push_interleaved(sharded, ward, 733);  // Odd chunk size: windows straddle chunks.
     sharded.flush();
     expect_bit_identical(collector.all(), want, what);
-    EXPECT_EQ(sharded.rejected_windows(), reference.rejected_windows());
+    EXPECT_EQ(sharded.stats().rejected_windows, reference.stats().rejected_windows);
   }
 }
 
@@ -98,8 +99,8 @@ TEST(ShardedStreamClassifier, EmptyFlushAndUnknownPatient) {
   sharded.flush();
   sharded.flush();  // Fence protocol resets cleanly.
   EXPECT_EQ(collector.batches, 0u);
-  EXPECT_EQ(sharded.delivered_windows(), 0u);
-  EXPECT_EQ(sharded.rejected_windows(), 0u);
+  EXPECT_EQ(sharded.stats().delivered_windows, 0u);
+  EXPECT_EQ(sharded.stats().rejected_windows, 0u);
 }
 
 TEST(ShardedStreamClassifier, RejectsBeatlessWindows) {
@@ -112,7 +113,7 @@ TEST(ShardedStreamClassifier, RejectsBeatlessWindows) {
   sharded.flush();
   EXPECT_TRUE(collector.per_patient.empty());
   // 45 s at 20 s windows / 10 s stride -> windows at 0, 10, 20 s.
-  EXPECT_EQ(sharded.rejected_windows(), 3u);
+  EXPECT_EQ(sharded.stats().rejected_windows, 3u);
 }
 
 TEST(ShardedStreamClassifier, ShardAssignmentIsStable) {
@@ -203,45 +204,103 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
   expect_bit_identical(collector.all(), reference.flush(), "concurrent push");
 }
 
-TEST(ShardedStreamClassifier, LaneCountersAccountForEverySample) {
-  // EngineStats' lane counters split every extracted sample between the
-  // lockstep and scalar steps. A producer streams while the main thread
-  // reads stats() (race-free mid-stream reads that never run ahead of the
-  // samples pushed, nor backwards); after the fence the split covers
-  // exactly the samples pushed, on both engines.
-  const auto ward = make_ward();
+/// Every EngineStats counter, lane split last (kLaneFields of them).
+std::vector<std::uint64_t> stat_fields(const rt::EngineStats& s) {
+  const features::SegmentCacheStats& c = s.cache;
+  const ecg::QualityStats& q = s.quality;
+  std::vector<std::uint64_t> fields = {s.delivered_windows, s.rejected_windows, s.dropped_chunks};
+  fields.insert(fields.end(), {c.hits, c.misses, c.evictions, q.artifact_hits, q.artifact_spans});
+  fields.insert(fields.end(), {q.rejected_samples, q.rr_outliers, q.windows_annotated});
+  fields.insert(fields.end(), {q.windows_suppressed, s.lane_vector_samples, s.lane_scalar_samples});
+  return fields;
+}
+constexpr std::size_t kLaneFields = 2;
+
+TEST(ShardedStreamClassifier, StatsAreLiveMonotoneAndExactAfterFlush) {
+  // stats() needs no fence: a reader thread polls it while two producers
+  // push a gated ward with artifacts (patients 2 and 3) and a lead-off
+  // stretch (patient 7, whose beatless windows are rejected), and while the
+  // streams then end. Every field only grows and the lane split never runs
+  // ahead of the samples pushed. After each fence — one behind the pushes,
+  // one behind the stream ends — every field equals the single-threaded
+  // engine's at the same point, except the lane split, which depends on how
+  // rounds coalesce; there the sum (every sample extracted) must agree.
+  auto ward = make_ward();
+  // Cut 0.1 s past a window end, inside the emission lag: the window ending
+  // at 50 s is held back by the live path and delivered by end_stream.
+  // Chunks of just over a stride complete a window each from the second
+  // on, so every shard's last round delivers.
+  for (auto& [pid, wf] : ward) wf.samples_mv.resize(static_cast<std::size_t>(50.1 * 250.0));
+  constexpr std::size_t kChunk = 2505;
+  for (const int pid : {2, 3}) {
+    auto& samples = ward[pid].samples_mv;
+    for (const double at_s : {12.0, 31.5})
+      std::fill_n(samples.begin() + static_cast<std::ptrdiff_t>(at_s * 250.0), 50, 8.5);
+  }
+  std::fill(ward[7].samples_mv.begin() + 10 * 250, ward[7].samples_mv.begin() + 35 * 250, 0.0);
+  std::map<int, ecg::EcgWaveform> halves[2];
+  std::size_t next_half = 0;
+  for (const auto& [pid, wf] : ward) halves[next_half++ % 2][pid] = wf;
   std::uint64_t pushed = 0;
   for (const auto& [pid, wf] : ward) pushed += wf.samples_mv.size();
+  rt::StreamConfig config = short_window_config();
+  config.quality.enable = true;
 
-  Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
-                                      engine_options(2, collector.sink()));
-  std::atomic<bool> produced{false};
-  std::thread producer([&] {
-    push_interleaved(sharded, ward, 611);
-    produced.store(true);
-  });
-  std::uint64_t seen = 0;
-  do {
-    const rt::EngineStats mid = sharded.stats();
-    const std::uint64_t now = mid.lane_vector_samples + mid.lane_scalar_samples;
-    EXPECT_GE(now, seen);
-    EXPECT_LE(now, pushed);
-    seen = now;
-    std::this_thread::yield();
-  } while (!produced.load());
-  producer.join();
-  sharded.flush();
-  const rt::EngineStats after = sharded.stats();
-  EXPECT_EQ(after.lane_vector_samples + after.lane_scalar_samples, pushed);
-
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(detector(), config);
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   reference.flush();
-  const rt::EngineStats solo = reference.stats();
-  EXPECT_EQ(solo.lane_vector_samples + solo.lane_scalar_samples, pushed);
+  const rt::EngineStats want_pushed = reference.stats();
+  for (const auto& [pid, wf] : ward) reference.end_stream(pid);
+  reference.flush();
+  const rt::EngineStats want_ended = reference.stats();
+  ASSERT_GT(want_pushed.rejected_windows, 0u);
+  ASSERT_GT(want_pushed.quality.windows_annotated, 0u);
+  ASSERT_GT(want_pushed.cache.hits, 0u);
+  ASSERT_GT(want_ended.delivered_windows, want_pushed.delivered_windows);
+
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(detector(), config, engine_options(2, collector.sink()));
+  std::atomic<bool> done{false};
+  std::size_t reads = 0;
+  std::string violation;
+  std::thread reader([&] {
+    std::vector<std::uint64_t> seen = stat_fields({});
+    do {
+      const std::vector<std::uint64_t> now = stat_fields(sharded.stats());
+      for (std::size_t f = 0; f < now.size() && violation.empty(); ++f)
+        if (now[f] < seen[f]) violation = "field " + std::to_string(f) + " went backwards";
+      if (now[now.size() - 2] + now.back() > pushed) violation = "lanes ran ahead of the pushes";
+      seen = now;
+      ++reads;
+      std::this_thread::yield();
+    } while (!done.load());
+  });
+  const auto expect_matches = [&](const rt::EngineStats& want, const char* when) {
+    const rt::EngineStats got = sharded.stats();
+    const std::vector<std::uint64_t> got_fields = stat_fields(got);
+    const std::vector<std::uint64_t> want_fields = stat_fields(want);
+    for (std::size_t f = 0; f + kLaneFields < got_fields.size(); ++f)
+      EXPECT_EQ(got_fields[f], want_fields[f]) << when << ", field " << f;
+    EXPECT_EQ(got.lane_vector_samples + got.lane_scalar_samples, pushed) << when;
+    EXPECT_EQ(got.delivered_windows, collector.all().size()) << when;
+  };
+
+  std::vector<std::thread> producers;
+  for (const auto& half : halves)
+    producers.emplace_back([&sharded, &half] { push_interleaved(sharded, half, kChunk); });
+  for (auto& producer : producers) producer.join();
+  sharded.flush();
+  expect_matches(want_pushed, "after the pushes");
+  for (const auto& [pid, wf] : ward) sharded.end_stream(pid);
+  sharded.flush();
+  expect_matches(want_ended, "after the stream ends");
+  done.store(true);
+  reader.join();
+  EXPECT_TRUE(violation.empty()) << violation;
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(want_ended.lane_vector_samples + want_ended.lane_scalar_samples, pushed);
   // One patient per push never fills a lane pair.
-  EXPECT_EQ(solo.lane_vector_samples, 0u);
+  EXPECT_EQ(want_ended.lane_vector_samples, 0u);
 }
 
 TEST(ShardedStreamClassifier, ThrowsWithoutAnyModel) {

@@ -38,10 +38,10 @@ TEST(StreamClassifier, WindowBoundariesWithOverlap) {
   // than one stride past the last emitted window) stays buffered.
   const std::size_t expected =
       (n - sc.window_samples()) / sc.stride_samples() + 1;
-  EXPECT_EQ(sc.pending_windows() + sc.rejected_windows(), expected);
+  EXPECT_EQ(sc.pending_windows() + sc.stats().rejected_windows, expected);
   EXPECT_EQ(sc.buffered_samples(1), n - expected * sc.stride_samples());
   // A healthy synthetic ECG yields beats in every window: nothing rejected.
-  EXPECT_EQ(sc.rejected_windows(), 0u);
+  EXPECT_EQ(sc.stats().rejected_windows, 0u);
 
   const auto results = sc.flush();
   ASSERT_EQ(results.size(), expected);
@@ -64,11 +64,11 @@ TEST(StreamClassifier, PartialWindowEmitsNothing) {
   ASSERT_GT(samples.size(), due);
   // One sample short: nothing may be emitted yet.
   sc.push_samples(7, samples.first(due - 1));
-  EXPECT_EQ(sc.pending_windows() + sc.rejected_windows(), 0u);
+  EXPECT_EQ(sc.pending_windows() + sc.stats().rejected_windows, 0u);
   EXPECT_EQ(sc.buffered_samples(7), due - 1);
   // The missing sample completes the window.
   sc.push_samples(7, samples.subspan(due - 1, 1));
-  EXPECT_EQ(sc.pending_windows() + sc.rejected_windows(), 1u);
+  EXPECT_EQ(sc.pending_windows() + sc.stats().rejected_windows, 1u);
 }
 
 TEST(StreamClassifier, ChunkSizeDoesNotChangeResults) {
@@ -102,15 +102,15 @@ TEST(StreamClassifier, EndStreamClassifiesHeldBackTailWindows) {
   const std::size_t total = sc.window_samples() + 4 * sc.stride_samples();
   ASSERT_LE(total, wf.samples_mv.size());
   sc.push_samples(5, std::span(wf.samples_mv).first(total));
-  const std::size_t live = sc.pending_windows() + sc.rejected_windows();
+  const std::size_t live = sc.pending_windows() + sc.stats().rejected_windows;
   EXPECT_LT(live, 5u);  // The trailing window is held back by the lag.
   ASSERT_TRUE(sc.end_stream(5));
   EXPECT_FALSE(sc.end_stream(5));  // Stream state is gone.
   EXPECT_EQ(sc.num_patients(), 0u);
   // Every full window of the finite record is now accounted for.
-  EXPECT_EQ(sc.pending_windows() + sc.rejected_windows(), 5u);
+  EXPECT_EQ(sc.pending_windows() + sc.stats().rejected_windows, 5u);
   const auto results = sc.flush();
-  EXPECT_EQ(results.size() + sc.rejected_windows(), 5u);
+  EXPECT_EQ(results.size() + sc.stats().rejected_windows, 5u);
   for (const auto& r : results) EXPECT_EQ(r.label, r.decision_value >= 0.0 ? 1 : -1);
 }
 

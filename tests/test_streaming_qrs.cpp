@@ -221,7 +221,7 @@ TEST(WindowExtractor, WindowsBitIdenticalToBatchReference) {
       total - lag >= window
           ? static_cast<std::size_t>((total - lag - window) / stride) + 1
           : 0;
-  ASSERT_EQ(windows.size() + extractor.rejected_windows(), expected);
+  ASSERT_EQ(windows.size() + extractor.stats().rejected_windows, expected);
   ASSERT_GT(windows.size(), 5u);
 
   for (const auto& w : windows) expect_matches_reference(w, beats, extractor, config.fs_hz);
@@ -296,13 +296,13 @@ TEST(WindowExtractor, EndPatientEmitsHeldBackTailWindows) {
   // The last window [50 s, 70 s) has no lookahead samples after it: held back.
   const std::size_t live_expected =
       (total - window - extractor.emission_lag_samples()) / stride + 1;
-  ASSERT_EQ(live.size() + extractor.rejected_windows(), live_expected);
+  ASSERT_EQ(live.size() + extractor.stats().rejected_windows, live_expected);
   EXPECT_LT(live_expected, 6u);
 
   ASSERT_TRUE(extractor.end_patient(3, [&tail](rt::ExtractedWindow&& w) { tail.push_back(w); }));
   EXPECT_EQ(extractor.num_patients(), 0u);
   EXPECT_FALSE(extractor.end_patient(3, [](rt::ExtractedWindow&&) {}));
-  ASSERT_EQ(live.size() + tail.size() + extractor.rejected_windows(), 6u);
+  ASSERT_EQ(live.size() + tail.size() + extractor.stats().rejected_windows, 6u);
   ASSERT_FALSE(tail.empty());
 
   // Reference: finished detector over the same finite record.

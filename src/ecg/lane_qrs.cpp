@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
 #if defined(__SSE2__) || defined(_M_X64)
@@ -12,10 +13,6 @@
 
 namespace svt::ecg {
 
-namespace detail {
-const double kZeros[kStepBlock] = {};
-}  // namespace detail
-
 namespace {
 
 std::size_t next_pow2(std::size_t n) {
@@ -24,7 +21,13 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-constexpr std::size_t kFilterDoubles = 13;  ///< Per-lane filter-state scalars.
+/// The detector's band-pass, windows and learning period.
+constexpr PanTompkinsParams kParams{};
+
+/// Blocks are capped at this many samples so the deferred per-lane decision
+/// catch-up never trails the stream by more than kStepBlock; the history
+/// rings carry exactly this much extra capacity.
+constexpr std::size_t kStepBlock = 64;
 
 /// Decision samples scanned per candidate mask (one bit each).
 constexpr std::int64_t kScanSpan = 64;
@@ -70,6 +73,124 @@ std::uint64_t local_maxima(const double* buf, std::size_t mask, std::int64_t i, 
   return bits;
 }
 
+#if defined(__SSE2__) || defined(_M_X64)
+
+/// One lane's cursor through a lockstep block: its input, its absolute
+/// stream position and its (power-of-two, absolute-indexed) filter-output
+/// rings. The raw ring is not here: the caller copies each block's input
+/// into it with one contiguous copy before stepping.
+struct LaneRun {
+  const double* input;  ///< `steps` samples to consume.
+  double* squared;
+  std::size_t squared_mask;
+  double* integrated;
+  std::size_t integrated_mask;
+  std::int64_t n;  ///< Absolute sample count at the block start.
+};
+
+// Step `steps` (<= kStepBlock) samples for the lane slots [base, base + 2) in
+// SSE2 lockstep, writing only those slots' filter columns and the two filter
+// output rings (one half-register store per lane). SSE2 is the x86-64
+// baseline, so this compiles with no extra flags. Both lanes must be past
+// integrator warmup (n >= win): the window subtrahend then loads straight
+// from the squared ring (written `win` iterations earlier, so no
+// store-forward stall) and the divisor is `win` for every sample, which
+// keeps the accumulator's loop-carried chain free of per-lane branches. The
+// loop is bound by instruction throughput, not by that chain.
+void lane_step_block_sse2(const detail::LaneCoeffs& c, detail::LaneFilterState& s,
+                          std::size_t base, const LaneRun (&runs)[2], std::size_t steps) {
+  SVT_ASSERT(base % 2 == 0 && base + 2 <= detail::kMaxLanes && steps <= kStepBlock);
+  SVT_ASSERT(runs[0].n >= c.win && runs[1].n >= c.win);
+  const __m128d hp_b0 = _mm_set1_pd(c.hp_b0), hp_b1 = _mm_set1_pd(c.hp_b1);
+  const __m128d hp_b2 = _mm_set1_pd(c.hp_b2), hp_a1 = _mm_set1_pd(c.hp_a1);
+  const __m128d hp_a2 = _mm_set1_pd(c.hp_a2);
+  const __m128d lp_b0 = _mm_set1_pd(c.lp_b0), lp_b1 = _mm_set1_pd(c.lp_b1);
+  const __m128d lp_b2 = _mm_set1_pd(c.lp_b2), lp_a1 = _mm_set1_pd(c.lp_a1);
+  const __m128d lp_a2 = _mm_set1_pd(c.lp_a2);
+  const __m128d fs = _mm_set1_pd(c.fs);
+  const __m128d two = _mm_set1_pd(2.0);
+  // 1/8 is exact in binary64, so x * 0.125 == x / 8.0 bit-for-bit — one fewer
+  // divide on the per-sample critical path (vdivpd is the throughput bottleneck).
+  const __m128d eighth = _mm_set1_pd(0.125);
+  const __m128d nrm = _mm_set1_pd(static_cast<double>(c.win));
+
+  __m128d hx1 = _mm_load_pd(&s.hp_x1[base]), hx2 = _mm_load_pd(&s.hp_x2[base]);
+  __m128d hy1 = _mm_load_pd(&s.hp_y1[base]), hy2 = _mm_load_pd(&s.hp_y2[base]);
+  __m128d lx1 = _mm_load_pd(&s.lp_x1[base]), lx2 = _mm_load_pd(&s.lp_x2[base]);
+  __m128d ly1 = _mm_load_pd(&s.lp_y1[base]), ly2 = _mm_load_pd(&s.lp_y2[base]);
+  __m128d f1 = _mm_load_pd(&s.f1[base]), f2 = _mm_load_pd(&s.f2[base]);
+  __m128d f3 = _mm_load_pd(&s.f3[base]), f4 = _mm_load_pd(&s.f4[base]);
+  __m128d acc = _mm_load_pd(&s.integ_acc[base]);
+
+  const double* in[2] = {runs[0].input, runs[1].input};
+  double* squared[2] = {runs[0].squared, runs[1].squared};
+  double* integrated[2] = {runs[0].integrated, runs[1].integrated};
+  const std::size_t sq_m[2] = {runs[0].squared_mask, runs[1].squared_mask};
+  const std::size_t integ_m[2] = {runs[0].integrated_mask, runs[1].integrated_mask};
+  std::int64_t n[2] = {runs[0].n, runs[1].n};
+  for (std::size_t k = 0; k < steps; ++k) {
+    const __m128d x = _mm_set_pd(in[1][k], in[0][k]);
+    __m128d hy = _mm_mul_pd(hp_b0, x);
+    hy = _mm_add_pd(hy, _mm_mul_pd(hp_b1, hx1));
+    hy = _mm_add_pd(hy, _mm_mul_pd(hp_b2, hx2));
+    hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a1, hy1));
+    hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a2, hy2));
+    hx2 = hx1;
+    hx1 = x;
+    hy2 = hy1;
+    hy1 = hy;
+    __m128d f = _mm_mul_pd(lp_b0, hy);
+    f = _mm_add_pd(f, _mm_mul_pd(lp_b1, lx1));
+    f = _mm_add_pd(f, _mm_mul_pd(lp_b2, lx2));
+    f = _mm_sub_pd(f, _mm_mul_pd(lp_a1, ly1));
+    f = _mm_sub_pd(f, _mm_mul_pd(lp_a2, ly2));
+    lx2 = lx1;
+    lx1 = hy;
+    ly2 = ly1;
+    ly1 = f;
+    __m128d d = _mm_mul_pd(two, f);
+    d = _mm_add_pd(d, f1);
+    d = _mm_sub_pd(d, f3);
+    d = _mm_sub_pd(d, _mm_mul_pd(two, f4));
+    d = _mm_mul_pd(_mm_mul_pd(fs, d), eighth);
+    f4 = f3;
+    f3 = f2;
+    f2 = f1;
+    f1 = f;
+    const __m128d sq = _mm_mul_pd(d, d);
+    acc = _mm_add_pd(acc, sq);
+    const __m128d sub =
+        _mm_set_pd(squared[1][static_cast<std::size_t>(n[1] - c.win) & sq_m[1]],
+                   squared[0][static_cast<std::size_t>(n[0] - c.win) & sq_m[0]]);
+    acc = _mm_sub_pd(acc, sub);
+    const __m128d integ = _mm_div_pd(acc, nrm);
+    const auto n0 = static_cast<std::size_t>(n[0]);
+    const auto n1 = static_cast<std::size_t>(n[1]);
+    _mm_storel_pd(&squared[0][n0 & sq_m[0]], sq);
+    _mm_storeh_pd(&squared[1][n1 & sq_m[1]], sq);
+    _mm_storel_pd(&integrated[0][n0 & integ_m[0]], integ);
+    _mm_storeh_pd(&integrated[1][n1 & integ_m[1]], integ);
+    ++n[0];
+    ++n[1];
+  }
+
+  _mm_store_pd(&s.hp_x1[base], hx1);
+  _mm_store_pd(&s.hp_x2[base], hx2);
+  _mm_store_pd(&s.hp_y1[base], hy1);
+  _mm_store_pd(&s.hp_y2[base], hy2);
+  _mm_store_pd(&s.lp_x1[base], lx1);
+  _mm_store_pd(&s.lp_x2[base], lx2);
+  _mm_store_pd(&s.lp_y1[base], ly1);
+  _mm_store_pd(&s.lp_y2[base], ly2);
+  _mm_store_pd(&s.f1[base], f1);
+  _mm_store_pd(&s.f2[base], f2);
+  _mm_store_pd(&s.f3[base], f3);
+  _mm_store_pd(&s.f4[base], f4);
+  _mm_store_pd(&s.integ_acc[base], acc);
+}
+
+#endif
+
 }  // namespace
 
 void BeatRing::grow() {
@@ -86,14 +207,16 @@ void LaneQrsDetector::Ring::init(std::size_t min_capacity) {
   mask = buf.size() - 1;
 }
 
-LaneQrsDetector::LaneQrsDetector(double fs_hz, const PanTompkinsParams& params)
-    : params_(params), tier_(common::simd_tier()) {
-  if (fs_hz <= 0.0) throw std::invalid_argument("LaneQrsDetector: fs_hz <= 0");
-  if (!(0.0 < params.bandpass_lo_hz && params.bandpass_lo_hz < params.bandpass_hi_hz &&
-        params.bandpass_hi_hz < fs_hz / 2.0))
-    throw std::invalid_argument("LaneQrsDetector: need 0 < lo < hi < fs/2");
-  const dsp::Biquad hp = dsp::butterworth_highpass(params.bandpass_lo_hz, fs_hz);
-  const dsp::Biquad lp = dsp::butterworth_lowpass(params.bandpass_hi_hz, fs_hz);
+LaneQrsDetector::LaneQrsDetector(double fs_hz) : tier_(common::simd_tier()) {
+  if (!std::isfinite(fs_hz)) throw std::invalid_argument("LaneQrsDetector: fs_hz not finite");
+  if (!(kParams.bandpass_hi_hz < fs_hz / 2.0))
+    throw std::invalid_argument("LaneQrsDetector: fs_hz must exceed twice the band-pass edge");
+  // The learning period is the longest window cast to a sample count below;
+  // bounding it keeps every cast in range.
+  if (kParams.learning_s * fs_hz > 0x1p53)
+    throw std::invalid_argument("LaneQrsDetector: learning window exceeds 2^53 samples");
+  const dsp::Biquad hp = dsp::butterworth_highpass(kParams.bandpass_lo_hz, fs_hz);
+  const dsp::Biquad lp = dsp::butterworth_lowpass(kParams.bandpass_hi_hz, fs_hz);
   coeffs_.hp_b0 = hp.b0();
   coeffs_.hp_b1 = hp.b1();
   coeffs_.hp_b2 = hp.b2();
@@ -105,10 +228,10 @@ LaneQrsDetector::LaneQrsDetector(double fs_hz, const PanTompkinsParams& params)
   coeffs_.lp_a1 = lp.a1();
   coeffs_.lp_a2 = lp.a2();
   coeffs_.fs = fs_hz;
-  win_ = std::max<std::size_t>(1, static_cast<std::size_t>(params.integration_window_s * fs_hz));
+  win_ = std::max<std::size_t>(1, static_cast<std::size_t>(kParams.integration_window_s * fs_hz));
   coeffs_.win = static_cast<std::int64_t>(win_);
-  refractory_ = static_cast<std::size_t>(params.refractory_s * fs_hz);
-  learning_n_ = static_cast<std::int64_t>(static_cast<std::size_t>(params.learning_s * fs_hz));
+  refractory_ = static_cast<std::size_t>(kParams.refractory_s * fs_hz);
+  learning_n_ = static_cast<std::int64_t>(static_cast<std::size_t>(kParams.learning_s * fs_hz));
   decision_lag_ = std::max<std::size_t>(1, win_ / 4);
 }
 
@@ -138,8 +261,8 @@ void LaneQrsDetector::reset_lane(std::size_t lane) {
   // entries a deferred learning scan / decision catch-up reads survive a
   // whole lockstep block.
   state.squared.init(win_ + 2);
-  state.integrated.init(learning + decision_lag_ + 4 + detail::kStepBlock);
-  state.raw.init(std::max(learning + 2, win_ + decision_lag_ + 2) + detail::kStepBlock);
+  state.integrated.init(learning + decision_lag_ + 4 + kStepBlock);
+  state.raw.init(std::max(learning + 2, win_ + decision_lag_ + 2) + kStepBlock);
   state.beats.clear();
   state.n = 0;
   state.cursor = 1;
@@ -265,7 +388,7 @@ void LaneQrsDetector::take_peak(std::size_t lane, std::int64_t i, std::int64_t r
     if (state.raw.at(j) > state.raw.at(best)) best = j;
   }
   const double t = static_cast<double>(best) / coeffs_.fs;
-  if (!state.have_kept || t > state.last_kept_time + params_.refractory_s * 0.5) {
+  if (!state.have_kept || t > state.last_kept_time + kParams.refractory_s * 0.5) {
     state.beats.push_back({best, state.raw.at(best)});
     state.last_kept_time = t;
     state.have_kept = true;
@@ -349,108 +472,47 @@ void LaneQrsDetector::push_one(std::size_t lane, std::span<const double> samples
 void LaneQrsDetector::run_group(std::size_t base, std::size_t width,
                                 std::array<const double*, kMaxLanes>& cur,
                                 std::array<std::size_t, kMaxLanes>& rem) {
-  // A stream's first sample seeds the derivative delay line: peel it through
-  // the scalar step so the vector body stays branch-free.
-  for (std::size_t w = 0; w < width; ++w) {
-    const std::size_t lane = base + w;
-    if (rem[lane] > 0 && lanes_[lane].n == 0) {
-      step_scalar(lane, cur[lane], 1);
+  const auto scalar = [&](std::size_t lane, std::size_t count) {
+    step_scalar(lane, cur[lane], count);
+    after_block(lane);
+    cur[lane] += count;
+    rem[lane] -= count;
+    scalar_samples_ += count;
+  };
+  // A stream's first win_ samples run scalar: the first seeds the derivative
+  // delay line, and until the integration window fills, its subtrahend and
+  // divisor depend on n. The lockstep body below then has no per-lane branch.
+  for (std::size_t lane = base; lane < base + width; ++lane) {
+    while (rem[lane] > 0 && lanes_[lane].n < coeffs_.win) {
+      const auto warmup = static_cast<std::size_t>(coeffs_.win - lanes_[lane].n);
+      scalar(lane, std::min({rem[lane], warmup, kStepBlock}));
+    }
+  }
+#if defined(__SSE2__) || defined(_M_X64)
+  // Lockstep while both lanes of the pair have input (SSE2 tier only).
+  while (width == 2 && rem[base] > 0 && rem[base + 1] > 0) {
+    const std::size_t m = std::min({rem[base], rem[base + 1], kStepBlock});
+    LaneRun runs[2];
+    for (std::size_t w = 0; w < 2; ++w) {
+      const std::size_t lane = base + w;
+      store_raw(lane, cur[lane], m);
+      LaneState& state = lanes_[lane];
+      runs[w] = {cur[lane], state.squared.buf.data(), state.squared.mask,
+                 state.integrated.buf.data(), state.integrated.mask, state.n};
+    }
+    lane_step_block_sse2(coeffs_, filt_, base, runs, m);
+    for (std::size_t lane = base; lane < base + 2; ++lane) {
+      lanes_[lane].n += static_cast<std::int64_t>(m);
       after_block(lane);
-      ++cur[lane];
-      --rem[lane];
-      ++scalar_samples_;
+      cur[lane] += m;
+      rem[lane] -= m;
     }
+    vector_samples_ += 2 * m;
   }
-  for (;;) {
-    std::size_t engaged = 0;
-    std::size_t m = detail::kStepBlock;
-    for (std::size_t w = 0; w < width; ++w) {
-      if (rem[base + w] > 0) {
-        ++engaged;
-        m = std::min(m, rem[base + w]);
-      }
-    }
-    if (engaged == 0) return;
-    if (engaged < 2 || width < 2) {
-      // Ragged tail / lone lane / scalar tier: nothing left in lockstep.
-      for (std::size_t w = 0; w < width; ++w) {
-        const std::size_t lane = base + w;
-        while (rem[lane] > 0) {
-          const std::size_t take = std::min(rem[lane], detail::kStepBlock);
-          step_scalar(lane, cur[lane], take);
-          after_block(lane);
-          cur[lane] += take;
-          rem[lane] -= take;
-          scalar_samples_ += take;
-        }
-      }
-      return;
-    }
-    // Lockstep block over the group. The kernel clobbers every slot's
-    // filter state, so live-but-idle lanes are snapshotted and restored.
-    detail::LaneRun runs[2];
-    double saved[2][kFilterDoubles];
-    bool protect[2] = {};
-    for (std::size_t w = 0; w < width; ++w) {
-      const std::size_t lane = base + w;
-      detail::LaneRun& r = runs[w];
-      r = detail::LaneRun{};
-      if (rem[lane] > 0) {
-        store_raw(lane, cur[lane], m);
-        LaneState& state = lanes_[lane];
-        r.engaged = true;
-        r.input = cur[lane];
-        r.squared = state.squared.buf.data();
-        r.squared_mask = state.squared.mask;
-        r.integrated = state.integrated.buf.data();
-        r.integrated_mask = state.integrated.mask;
-        r.n = state.n;
-      } else if (lanes_[lane].active) {
-        protect[w] = true;
-        double* out = saved[w];
-        *out++ = filt_.hp_x1[lane];
-        *out++ = filt_.hp_x2[lane];
-        *out++ = filt_.hp_y1[lane];
-        *out++ = filt_.hp_y2[lane];
-        *out++ = filt_.lp_x1[lane];
-        *out++ = filt_.lp_x2[lane];
-        *out++ = filt_.lp_y1[lane];
-        *out++ = filt_.lp_y2[lane];
-        *out++ = filt_.f1[lane];
-        *out++ = filt_.f2[lane];
-        *out++ = filt_.f3[lane];
-        *out++ = filt_.f4[lane];
-        *out++ = filt_.integ_acc[lane];
-      }
-    }
-    detail::lane_step_block_sse2(coeffs_, filt_, base, runs, m);
-    for (std::size_t w = 0; w < width; ++w) {
-      const std::size_t lane = base + w;
-      if (protect[w]) {
-        const double* in = saved[w];
-        filt_.hp_x1[lane] = *in++;
-        filt_.hp_x2[lane] = *in++;
-        filt_.hp_y1[lane] = *in++;
-        filt_.hp_y2[lane] = *in++;
-        filt_.lp_x1[lane] = *in++;
-        filt_.lp_x2[lane] = *in++;
-        filt_.lp_y1[lane] = *in++;
-        filt_.lp_y2[lane] = *in++;
-        filt_.f1[lane] = *in++;
-        filt_.f2[lane] = *in++;
-        filt_.f3[lane] = *in++;
-        filt_.f4[lane] = *in++;
-        filt_.integ_acc[lane] = *in++;
-      }
-      if (runs[w].engaged) {
-        lanes_[lane].n = runs[w].n;
-        cur[lane] += m;
-        rem[lane] -= m;
-        after_block(lane);
-        vector_samples_ += m;
-      }
-    }
-  }
+#endif
+  // Ragged tail, lone lane or scalar tier: nothing left in lockstep.
+  for (std::size_t lane = base; lane < base + width; ++lane)
+    while (rem[lane] > 0) scalar(lane, std::min(rem[lane], kStepBlock));
 }
 
 void LaneQrsDetector::finish(std::size_t lane) {
@@ -477,201 +539,5 @@ std::size_t LaneQrsDetector::resident_bytes() const {
   }
   return bytes;
 }
-
-// --- SSE2 lockstep kernel ----------------------------------------------------
-// SSE2 is architectural baseline on x86-64, so this compiles in the plain
-// library TU with no extra flags; two patients per instruction.
-
-namespace detail {
-
-#if defined(__SSE2__) || defined(_M_X64)
-
-void lane_step_block_sse2(const LaneCoeffs& c, LaneFilterState& s, std::size_t base,
-                          LaneRun* runs, std::size_t steps) {
-  SVT_ASSERT(base % 2 == 0 && base + 2 <= kMaxLanes && steps <= kStepBlock);
-  const __m128d hp_b0 = _mm_set1_pd(c.hp_b0), hp_b1 = _mm_set1_pd(c.hp_b1);
-  const __m128d hp_b2 = _mm_set1_pd(c.hp_b2), hp_a1 = _mm_set1_pd(c.hp_a1);
-  const __m128d hp_a2 = _mm_set1_pd(c.hp_a2);
-  const __m128d lp_b0 = _mm_set1_pd(c.lp_b0), lp_b1 = _mm_set1_pd(c.lp_b1);
-  const __m128d lp_b2 = _mm_set1_pd(c.lp_b2), lp_a1 = _mm_set1_pd(c.lp_a1);
-  const __m128d lp_a2 = _mm_set1_pd(c.lp_a2);
-  const __m128d fs = _mm_set1_pd(c.fs);
-  const __m128d two = _mm_set1_pd(2.0);
-  // 1/8 is exact in binary64, so x * 0.125 == x / 8.0 bit-for-bit — one fewer
-  // divide on the per-sample critical path (vdivpd is the throughput bottleneck).
-  const __m128d eighth = _mm_set1_pd(0.125);
-
-  __m128d hx1 = _mm_load_pd(&s.hp_x1[base]), hx2 = _mm_load_pd(&s.hp_x2[base]);
-  __m128d hy1 = _mm_load_pd(&s.hp_y1[base]), hy2 = _mm_load_pd(&s.hp_y2[base]);
-  __m128d lx1 = _mm_load_pd(&s.lp_x1[base]), lx2 = _mm_load_pd(&s.lp_x2[base]);
-  __m128d ly1 = _mm_load_pd(&s.lp_y1[base]), ly2 = _mm_load_pd(&s.lp_y2[base]);
-  __m128d f1 = _mm_load_pd(&s.f1[base]), f2 = _mm_load_pd(&s.f2[base]);
-  __m128d f3 = _mm_load_pd(&s.f3[base]), f4 = _mm_load_pd(&s.f4[base]);
-  __m128d acc = _mm_load_pd(&s.integ_acc[base]);
-
-  std::int64_t n[2] = {runs[0].n, runs[1].n};
-
-  // Steady state (every engaged lane past integrator warmup) runs the
-  // branch-free fast path: the window subtrahend loads straight from the
-  // squared rings (written `win` iterations earlier, so no store-forward
-  // stall) and disengaged lanes write into a dummy ring, keeping the
-  // accumulator's loop-carried chain free of per-lane branches.
-  const bool steady = (!runs[0].engaged || runs[0].n >= c.win) &&
-                      (!runs[1].engaged || runs[1].n >= c.win);
-
-  if (steady) {
-    alignas(16) double dummy[8] = {};
-    const double* in[2];
-    double* squared[2];
-    double* integrated[2];
-    std::size_t sq_m[2], integ_m[2];
-    for (int w = 0; w < 2; ++w) {
-      const LaneRun& r = runs[w];
-      in[w] = r.input;
-      if (r.engaged) {
-        squared[w] = r.squared;
-        integrated[w] = r.integrated;
-        sq_m[w] = r.squared_mask;
-        integ_m[w] = r.integrated_mask;
-      } else {
-        squared[w] = integrated[w] = dummy;
-        sq_m[w] = integ_m[w] = 7;
-      }
-    }
-    const __m128d nrm = _mm_set1_pd(static_cast<double>(c.win));
-    for (std::size_t k = 0; k < steps; ++k) {
-      const __m128d x = _mm_set_pd(in[1][k], in[0][k]);
-      __m128d hy = _mm_mul_pd(hp_b0, x);
-      hy = _mm_add_pd(hy, _mm_mul_pd(hp_b1, hx1));
-      hy = _mm_add_pd(hy, _mm_mul_pd(hp_b2, hx2));
-      hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a1, hy1));
-      hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a2, hy2));
-      hx2 = hx1;
-      hx1 = x;
-      hy2 = hy1;
-      hy1 = hy;
-      __m128d f = _mm_mul_pd(lp_b0, hy);
-      f = _mm_add_pd(f, _mm_mul_pd(lp_b1, lx1));
-      f = _mm_add_pd(f, _mm_mul_pd(lp_b2, lx2));
-      f = _mm_sub_pd(f, _mm_mul_pd(lp_a1, ly1));
-      f = _mm_sub_pd(f, _mm_mul_pd(lp_a2, ly2));
-      lx2 = lx1;
-      lx1 = hy;
-      ly2 = ly1;
-      ly1 = f;
-      __m128d d = _mm_mul_pd(two, f);
-      d = _mm_add_pd(d, f1);
-      d = _mm_sub_pd(d, f3);
-      d = _mm_sub_pd(d, _mm_mul_pd(two, f4));
-      d = _mm_mul_pd(_mm_mul_pd(fs, d), eighth);
-      f4 = f3;
-      f3 = f2;
-      f2 = f1;
-      f1 = f;
-      const __m128d sq = _mm_mul_pd(d, d);
-      acc = _mm_add_pd(acc, sq);
-      const __m128d sub =
-          _mm_set_pd(squared[1][static_cast<std::size_t>(n[1] - c.win) & sq_m[1]],
-                     squared[0][static_cast<std::size_t>(n[0] - c.win) & sq_m[0]]);
-      acc = _mm_sub_pd(acc, sub);
-      const __m128d integ = _mm_div_pd(acc, nrm);
-      const auto n0 = static_cast<std::size_t>(n[0]);
-      const auto n1 = static_cast<std::size_t>(n[1]);
-      _mm_storel_pd(&squared[0][n0 & sq_m[0]], sq);
-      _mm_storeh_pd(&squared[1][n1 & sq_m[1]], sq);
-      _mm_storel_pd(&integrated[0][n0 & integ_m[0]], integ);
-      _mm_storeh_pd(&integrated[1][n1 & integ_m[1]], integ);
-      ++n[0];
-      ++n[1];
-    }
-  } else {
-    alignas(16) double tmp[2], sub[2], nrm[2];
-    for (std::size_t k = 0; k < steps; ++k) {
-      const __m128d x = _mm_set_pd(runs[1].input[k], runs[0].input[k]);
-      __m128d hy = _mm_mul_pd(hp_b0, x);
-      hy = _mm_add_pd(hy, _mm_mul_pd(hp_b1, hx1));
-      hy = _mm_add_pd(hy, _mm_mul_pd(hp_b2, hx2));
-      hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a1, hy1));
-      hy = _mm_sub_pd(hy, _mm_mul_pd(hp_a2, hy2));
-      hx2 = hx1;
-      hx1 = x;
-      hy2 = hy1;
-      hy1 = hy;
-      __m128d f = _mm_mul_pd(lp_b0, hy);
-      f = _mm_add_pd(f, _mm_mul_pd(lp_b1, lx1));
-      f = _mm_add_pd(f, _mm_mul_pd(lp_b2, lx2));
-      f = _mm_sub_pd(f, _mm_mul_pd(lp_a1, ly1));
-      f = _mm_sub_pd(f, _mm_mul_pd(lp_a2, ly2));
-      lx2 = lx1;
-      lx1 = hy;
-      ly2 = ly1;
-      ly1 = f;
-      __m128d d = _mm_mul_pd(two, f);
-      d = _mm_add_pd(d, f1);
-      d = _mm_sub_pd(d, f3);
-      d = _mm_sub_pd(d, _mm_mul_pd(two, f4));
-      d = _mm_mul_pd(_mm_mul_pd(fs, d), eighth);
-      f4 = f3;
-      f3 = f2;
-      f2 = f1;
-      f1 = f;
-      const __m128d sq = _mm_mul_pd(d, d);
-      acc = _mm_add_pd(acc, sq);
-      _mm_store_pd(tmp, sq);
-      for (int w = 0; w < 2; ++w) {
-        LaneRun& r = runs[w];
-        if (r.engaged) {
-          r.squared[static_cast<std::size_t>(n[w]) & r.squared_mask] = tmp[w];
-          sub[w] = n[w] >= c.win
-                       ? r.squared[static_cast<std::size_t>(n[w] - c.win) & r.squared_mask]
-                       : 0.0;
-          nrm[w] = static_cast<double>(n[w] + 1 < c.win ? n[w] + 1 : c.win);
-        } else {
-          sub[w] = 0.0;
-          nrm[w] = 1.0;
-        }
-      }
-      acc = _mm_sub_pd(acc, _mm_set_pd(sub[1], sub[0]));
-      const __m128d integ = _mm_div_pd(acc, _mm_set_pd(nrm[1], nrm[0]));
-      _mm_store_pd(tmp, integ);
-      for (int w = 0; w < 2; ++w) {
-        LaneRun& r = runs[w];
-        if (r.engaged) {
-          r.integrated[static_cast<std::size_t>(n[w]) & r.integrated_mask] = tmp[w];
-          ++n[w];
-        }
-      }
-    }
-  }
-
-  _mm_store_pd(&s.hp_x1[base], hx1);
-  _mm_store_pd(&s.hp_x2[base], hx2);
-  _mm_store_pd(&s.hp_y1[base], hy1);
-  _mm_store_pd(&s.hp_y2[base], hy2);
-  _mm_store_pd(&s.lp_x1[base], lx1);
-  _mm_store_pd(&s.lp_x2[base], lx2);
-  _mm_store_pd(&s.lp_y1[base], ly1);
-  _mm_store_pd(&s.lp_y2[base], ly2);
-  _mm_store_pd(&s.f1[base], f1);
-  _mm_store_pd(&s.f2[base], f2);
-  _mm_store_pd(&s.f3[base], f3);
-  _mm_store_pd(&s.f4[base], f4);
-  _mm_store_pd(&s.integ_acc[base], acc);
-  // Steady path advances disengaged lanes' local count into the dummy ring;
-  // their real cursors must not move.
-  if (runs[0].engaged) runs[0].n = n[0];
-  if (runs[1].engaged) runs[1].n = n[1];
-}
-
-#else
-
-void lane_step_block_sse2(const LaneCoeffs&, LaneFilterState&, std::size_t, LaneRun*,
-                          std::size_t) {
-  SVT_ASSERT(false && "lane_step_block_sse2 called on a non-SSE2 target");
-}
-
-#endif
-
-}  // namespace detail
 
 }  // namespace svt::ecg

@@ -6,7 +6,9 @@
 // many patients through the *same* chain, so it vectorises *across* them:
 // LaneQrsDetector holds up to kMaxLanes (8) patient streams as
 // structure-of-arrays filter state and steps 2 lanes per SSE2 instruction,
-// one patient per SIMD lane.
+// one patient per SIMD lane. History rings stay per lane (lanes sit at
+// different absolute stream positions, so ring traffic is scalar — the ~20
+// FLOPs of chain arithmetic per sample are what vectorise).
 //
 // Bit-exactness contract: each lane executes the exact per-sample operation
 // sequence of StreamingQrsDetector — same expression order, elementwise IEEE
@@ -14,7 +16,7 @@
 // to a dedicated scalar detector fed the same samples, for every dispatch
 // tier (asserted by tests/test_lane_qrs.cpp). Divergent control flow
 // (threshold learning, peak confirmation, refractory, dedup) runs per lane:
-// samples are ingested in lockstep blocks of <= kStepBlock, then each lane
+// samples are ingested in blocks of <= kStepBlock (64), then each lane
 // replays its decision catch-up scalar. Deferring decisions by a bounded
 // block is exact because decisions never feed back into the filter chain and
 // the raw-search clamp min(raw_end, i + win/4) is unaffected by a later
@@ -25,24 +27,32 @@
 // reduced to a bitmask of them (two SSE2 compares per 2 samples), and the
 // threshold logic visits the set bits in order.
 //
+// Lockstep has one shape: the two lanes of a fixed slot pair (0/1, 2/3, ...)
+// both have input for the round and are both past integrator warmup (at
+// least win samples seen, the 150 ms window), so the kernel's window
+// subtrahend and divisor are the same for every sample and lane. Everything
+// else takes the scalar per-lane step, which keeps the lane's filter column
+// in registers for the block: a stream's first win samples (the first also
+// seeds the derivative delay line), ragged tails (one lane of the pair ran
+// out of samples for the round) and lanes with no partner. The kernel
+// touches only its pair's filter columns, so an idle lane's state is never
+// written. vector_samples() / scalar_samples() expose the split. Each
+// block's input reaches the raw ring (read only by the R-peak search) as
+// one contiguous copy per lane, not a store per sample.
+//
 // Lane lifecycle: lanes occupy fixed slots (no state moves on churn), so
 // patients join (add_lane) and leave (remove_lane) without perturbing other
 // lanes' results; a freed slot keeps its ring allocations pooled for the
 // next occupant, bounding resident memory by the pack width, not by patient
-// churn. Ragged input (lanes with different chunk lengths, idle lanes,
-// fresh lanes) falls back to the scalar per-lane step, which keeps the
-// lane's filter column in registers for the block; vector_samples() /
-// scalar_samples() expose how much of the traffic ran in lockstep. Each
-// block's input reaches the raw ring (read only by the R-peak search) as one
-// contiguous copy per lane, not a store per sample.
+// churn.
 //
 // Dispatch: the tier is common::simd_tier() at construction — SSE2 on
 // x86-64, where it is the baseline ISA, scalar elsewhere (see
 // common/simd_dispatch.hpp). SVT_LANE_ISA=scalar forces the scalar path for
 // CI parity coverage. There is no wider kernel: a 4-wide AVX2 step measured
 // no faster on the ward workloads, because instruction throughput, not the
-// loop-carried filter chain, bounds a lane step: the steady 2-lane SSE2
-// loop is ~80 instructions (per-lane ring stores, window-subtrahend loads,
+// loop-carried filter chain, bounds a lane step: the 2-lane SSE2 loop is
+// ~80 instructions (per-lane ring stores, window-subtrahend loads,
 // coefficient spills) that take about twice as long to issue as its
 // recurrence (~10 cycles) takes to resolve.
 #pragma once
@@ -55,10 +65,35 @@
 
 #include "common/assert.hpp"
 #include "common/simd_dispatch.hpp"
-#include "ecg/lane_qrs_kernel.hpp"
 #include "ecg/qrs_detect.hpp"
 
 namespace svt::ecg {
+
+namespace detail {
+
+inline constexpr std::size_t kMaxLanes = 8;
+
+/// Lane-invariant chain coefficients (same fs and band-pass for every lane).
+struct LaneCoeffs {
+  double hp_b0 = 1.0, hp_b1 = 0.0, hp_b2 = 0.0, hp_a1 = 0.0, hp_a2 = 0.0;
+  double lp_b0 = 1.0, lp_b1 = 0.0, lp_b2 = 0.0, lp_a1 = 0.0, lp_a2 = 0.0;
+  double fs = 0.0;
+  std::int64_t win = 1;  ///< Integration window length in samples.
+};
+
+/// Structure-of-arrays filter-chain state, indexed by lane slot. Aligned so
+/// a slot pair loads into one SSE2 register.
+struct LaneFilterState {
+  alignas(64) double hp_x1[kMaxLanes] = {}, hp_x2[kMaxLanes] = {};
+  alignas(64) double hp_y1[kMaxLanes] = {}, hp_y2[kMaxLanes] = {};
+  alignas(64) double lp_x1[kMaxLanes] = {}, lp_x2[kMaxLanes] = {};
+  alignas(64) double lp_y1[kMaxLanes] = {}, lp_y2[kMaxLanes] = {};
+  alignas(64) double f1[kMaxLanes] = {}, f2[kMaxLanes] = {};
+  alignas(64) double f3[kMaxLanes] = {}, f4[kMaxLanes] = {};
+  alignas(64) double integ_acc[kMaxLanes] = {};
+};
+
+}  // namespace detail
 
 /// One detected heartbeat: where its R peak sits in the raw stream and the
 /// raw-signal amplitude there.
@@ -128,9 +163,12 @@ class LaneQrsDetector {
     std::span<const double> samples;
   };
 
-  /// Same validation rules as StreamingQrsDetector. Construction allocates
-  /// nothing per lane; ring storage appears on add_lane.
-  explicit LaneQrsDetector(double fs_hz, const PanTompkinsParams& params = {});
+  /// Runs the default PanTompkinsParams at `fs_hz`. Throws
+  /// std::invalid_argument unless fs_hz is finite, above twice the 15 Hz
+  /// band-pass edge, and its 2 s learning window fits in 2^53 samples.
+  /// Construction allocates nothing per lane; ring storage appears on
+  /// add_lane.
+  explicit LaneQrsDetector(double fs_hz);
 
   /// Claim a free lane slot for a new stream (fresh detector state; pooled
   /// ring storage from a previous occupant is reused). Requires
@@ -226,7 +264,6 @@ class LaneQrsDetector {
 
   detail::LaneCoeffs coeffs_;
   detail::LaneFilterState filt_;
-  PanTompkinsParams params_;
   std::size_t win_ = 0;
   std::size_t refractory_ = 0;
   std::int64_t learning_n_ = 0;

@@ -95,7 +95,7 @@ std::size_t WindowExtractor::claim_pack() {
   // with a free lane, else a released pack slot, else a new pack.
   std::size_t pack_idx = packs_.size();
   for (std::size_t i = 0; i < packs_.size(); ++i) {
-    if (packs_[i] && packs_[i]->detector.free_lanes() > 0) {
+    if (packs_[i] && packs_[i]->free_lanes() > 0) {
       pack_idx = i;
       break;
     }
@@ -108,7 +108,7 @@ std::size_t WindowExtractor::claim_pack() {
       }
     }
     if (pack_idx == packs_.size()) packs_.emplace_back();
-    packs_[pack_idx] = std::make_unique<Pack>(config_.fs_hz);
+    packs_[pack_idx] = std::make_unique<ecg::LaneQrsDetector>(config_.fs_hz);
   }
   return pack_idx;
 }
@@ -116,24 +116,21 @@ std::size_t WindowExtractor::claim_pack() {
 WindowExtractor::PatientState& WindowExtractor::find_or_create(int patient_id) {
   auto it = patients_.find(patient_id);
   if (it != patients_.end()) return it->second;
-  const std::size_t pack_idx = claim_pack();
-  Pack& pack = *packs_[pack_idx];
   PatientState state;
-  state.pack = pack_idx;
-  state.lane = pack.detector.add_lane();
+  state.pack = claim_pack();
+  state.lane = packs_[state.pack]->add_lane();
   state.cache = std::make_unique<features::SegmentFeatureCache>(cache_layout_, config_.incremental);
   if (config_.quality.enable)
     state.gate = std::make_unique<ecg::SignalQualityGate>(config_.quality, config_.fs_hz);
-  ++pack.active;
   return patients_.emplace(patient_id, std::move(state)).first->second;
 }
 
 void WindowExtractor::release_patient(PatientState& state) {
-  Pack& pack = *packs_[state.pack];
-  pack.detector.remove_lane(state.lane);
+  auto& pack = packs_[state.pack];
+  pack->remove_lane(state.lane);
   // Last occupant gone: release the pack's ring storage outright, so
   // resident memory tracks live patients rather than historical churn.
-  if (--pack.active == 0) packs_[state.pack].reset();
+  if (pack->active_lanes() == 0) pack.reset();
 }
 
 void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink) {
@@ -164,7 +161,7 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
       const PatientState& state = patients_.find(chunks[j].patient_id)->second;
       if (state.pack == pack_idx) lane_chunks_.push_back({state.lane, chunks[j].samples_mv});
     }
-    auto& detector = packs_[pack_idx]->detector;
+    auto& detector = *packs_[pack_idx];
     const std::uint64_t vector_before = detector.vector_samples();
     const std::uint64_t scalar_before = detector.scalar_samples();
     detector.push(lane_chunks_);
@@ -185,8 +182,8 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
       stats_.quality += state.gate->stats() - before;
     }
     state.pushed += static_cast<std::int64_t>(chunk.samples_mv.size());
-    const auto& detector = packs_[state.pack]->detector;
-    emit_ready_windows(chunk.patient_id, state, detector.final_through(state.lane), sink);
+    emit_ready_windows(chunk.patient_id, state, packs_[state.pack]->final_through(state.lane),
+                       sink);
   }
 }
 
@@ -201,7 +198,7 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
   // A window [start, start + W) is complete once every beat that can fall
   // inside it is final — i.e. the frontier has passed its end.
   const auto window = static_cast<std::int64_t>(window_samples_);
-  auto& detector = packs_[state.pack]->detector;
+  auto& detector = *packs_[state.pack];
   while (frontier >= state.consumed + window) {
     const features::SegmentCacheStats cache_before = state.cache->stats();
     emit_window(patient_id, state, sink);
@@ -226,7 +223,7 @@ void WindowExtractor::emit_window(int patient_id, PatientState& state, const Win
   // Ensure every covered chunk's products (EDR values, RR slice, beat
   // count), then assemble the window by concatenation — at 6x overlap five
   // of the six chunks are already resident in steady state.
-  const auto& ring = packs_[state.pack]->detector.beats(state.lane);
+  const auto& ring = packs_[state.pack]->beats(state.lane);
   for (std::int64_t j = 0; j < layout.chunks_per_window; ++j) cache.chunk(ring, m0 + j);
   const auto view = cache.assemble_window(m0);
   if (view.beats < config_.min_beats || view.beats < 2) {
@@ -286,7 +283,7 @@ bool WindowExtractor::end_patient(int patient_id, const WindowSink& sink) {
   PatientState& state = it->second;
   // finish() runs the remaining decisions with the batch detector's
   // end-of-record clamping, so every beat is final through the last sample.
-  packs_[state.pack]->detector.finish(state.lane);
+  packs_[state.pack]->finish(state.lane);
   emit_ready_windows(patient_id, state, state.pushed, sink);
   release_patient(state);
   patients_.erase(it);
@@ -307,12 +304,10 @@ std::size_t WindowExtractor::buffered_samples(int patient_id) const {
                                : static_cast<std::size_t>(it->second.pushed - it->second.consumed);
 }
 
-const char* WindowExtractor::lane_isa() const { return ecg::lane_isa_name(); }
-
 std::size_t WindowExtractor::resident_detector_bytes() const {
   std::size_t total = 0;
   for (const auto& pack : packs_)
-    if (pack) total += pack->detector.resident_bytes();
+    if (pack) total += pack->resident_bytes();
   return total;
 }
 

@@ -185,9 +185,6 @@ class WindowExtractor {
   std::size_t stride_samples() const { return stride_samples_; }
   const StreamConfig& config() const { return config_; }
 
-  /// Dispatch tier the lane packs run at: "scalar" or "sse2".
-  const char* lane_isa() const;
-
   /// Detector ring/beat storage currently resident across all packs
   /// (including lanes pooled after eviction). Bounded by the number of
   /// concurrently active patients, independent of churn; 0 when no
@@ -195,13 +192,6 @@ class WindowExtractor {
   std::size_t resident_detector_bytes() const;
 
  private:
-  /// Up to LaneQrsDetector::kMaxLanes patients stepped in lockstep.
-  struct Pack {
-    ecg::LaneQrsDetector detector;
-    std::size_t active = 0;  ///< Occupied lanes.
-    explicit Pack(double fs_hz) : detector(fs_hz) {}
-  };
-
   struct PatientState {
     std::size_t pack = 0;       ///< Index into packs_.
     std::size_t lane = 0;       ///< Lane slot within the pack.
@@ -228,7 +218,9 @@ class WindowExtractor {
   std::size_t window_samples_ = 0;
   std::size_t stride_samples_ = 0;
   std::size_t emission_lag_samples_ = 0;
-  std::vector<std::unique_ptr<Pack>> packs_;  ///< Null slots are reusable.
+  /// Lane packs of up to LaneQrsDetector::kMaxLanes patients stepped in
+  /// lockstep. Null slots are reusable.
+  std::vector<std::unique_ptr<ecg::LaneQrsDetector>> packs_;
   std::map<int, PatientState> patients_;
   EngineStats stats_;  ///< Running totals (see stats()).
   features::SegmentFeatureCache::Layout cache_layout_;  ///< Stride-chunk geometry.

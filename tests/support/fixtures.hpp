@@ -27,9 +27,9 @@
 
 namespace svt::test {
 
-/// `duration_s` of single-lead ECG for one simulated patient, reproducible
-/// from `seed`.
-inline ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
+/// `duration_s` of single-lead ECG at `fs_hz` for one simulated patient,
+/// reproducible from `seed`.
+inline ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed, double fs_hz = 250.0) {
   ecg::PatientProfile patient;
   ecg::SessionEvents events;
   ecg::SessionSignalParams sp;
@@ -37,7 +37,9 @@ inline ecg::EcgWaveform synth_ecg(double duration_s, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   const auto rr = ecg::generate_rr_series(patient, events, sp, rng);
   const auto resp = ecg::generate_respiration(patient, events, sp, rng);
-  return ecg::synthesize_ecg(rr, resp, ecg::EcgSynthParams{}, rng);
+  ecg::EcgSynthParams params;
+  params.fs_hz = fs_hz;
+  return ecg::synthesize_ecg(rr, resp, params, rng);
 }
 
 /// 250 Hz, 20 s windows every 10 s: short records still yield several

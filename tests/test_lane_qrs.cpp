@@ -65,11 +65,11 @@ void expect_lane_matches(const ecg::LaneQrsDetector& pack, std::size_t lane,
   }
 }
 
-/// kMaxLanes clean synthetic records.
-std::vector<std::vector<double>> clean_records() {
+/// kMaxLanes clean synthetic records at `fs_hz`.
+std::vector<std::vector<double>> clean_records(double fs_hz) {
   std::vector<std::vector<double>> records;
   for (std::size_t p = 0; p < ecg::LaneQrsDetector::kMaxLanes; ++p)
-    records.push_back(synth_ecg(30.0, 11000 + p).samples_mv);
+    records.push_back(synth_ecg(30.0, 11000 + p, fs_hz).samples_mv);
   return records;
 }
 
@@ -118,23 +118,29 @@ TEST(LaneQrs, TierIsClampedToBuild) {
 // Every tier x every pack size, ragged random chunking with idle rounds:
 // each lane's beat stream must be bit-identical to its dedicated scalar
 // detector, before and after finish(). Ragged rounds step every lane both
-// in lockstep and alone, on clean records and on poisoned ones.
+// in lockstep and alone, on clean records and on poisoned ones at 250 Hz,
+// and on clean records at 500 Hz, where the 75-sample integration window
+// spans two 64-sample blocks, so a stream's scalar warmup takes two steps.
 TEST(LaneQrs, ParityAcrossTiersPackSizesAndChunkings) {
-  const double fs = 250.0;  // synth_ecg's rate.
-  const auto poisoned = poisoned_records();
-  // Not vacuous: beats follow the plateau and precede the NaN burst, and a
-  // flat line has no local maxima at all.
-  const auto beats_of = [fs](const std::vector<double>& record) {
-    ecg::StreamingQrsDetector ref(fs);
-    ref.push(record);
+  struct RecordSet {
+    double fs;
+    std::vector<std::vector<double>> records;
+  };
+  const std::vector<RecordSet> sets{
+      {250.0, clean_records(250.0)}, {250.0, poisoned_records()}, {500.0, clean_records(500.0)}};
+  // Not vacuous: beats follow the plateau and precede the NaN burst, a flat
+  // line has no local maxima at all, and the 500 Hz records have beats.
+  const auto beats_of = [](const RecordSet& set, std::size_t p) {
+    ecg::StreamingQrsDetector ref(set.fs);
+    ref.push(set.records[p]);
     ref.finish();
     return ref.beats().size();
   };
-  EXPECT_GT(beats_of(poisoned[0]), 0u);
-  EXPECT_EQ(beats_of(poisoned[2]), 0u);
-  EXPECT_GT(beats_of(poisoned[3]), 0u);
-
-  for (const auto& records : {clean_records(), poisoned}) {
+  EXPECT_GT(beats_of(sets[1], 0), 0u);
+  EXPECT_EQ(beats_of(sets[1], 2), 0u);
+  EXPECT_GT(beats_of(sets[1], 3), 0u);
+  EXPECT_GT(beats_of(sets[2], 0), 20u);
+  for (const auto& [fs, records] : sets) {
     for (const auto tier : available_tiers()) {
       TierGuard guard(tier);
       for (std::size_t size = 1; size <= ecg::LaneQrsDetector::kMaxLanes; ++size) {
@@ -183,6 +189,18 @@ TEST(LaneQrs, ParityAcrossTiersPackSizesAndChunkings) {
       }
     }
   }
+}
+
+// A rate that is not finite, leaves no room for the 5-15 Hz band-pass, or
+// whose 2 s learning window exceeds 2^53 samples is rejected at
+// construction, before any sample count is cast from it.
+TEST(LaneQrs, RejectsUnusableSamplingRates) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double fs : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), 30.0, kInf, 1e300,
+                          std::nextafter(0x1p52, kInf)})
+    EXPECT_THROW(ecg::LaneQrsDetector{fs}, std::invalid_argument) << fs;
+  for (const double fs : {250.0, 500.0, 0x1p52})
+    EXPECT_NO_THROW(ecg::LaneQrsDetector{fs}) << fs;
 }
 
 // A lane evicted mid-stream must not perturb the other lanes, and a new
@@ -286,12 +304,16 @@ TEST(LaneQrs, VectorOccupancyAndPooledResidency) {
   std::vector<ecg::LaneQrsDetector::LaneChunk> chunks{
       {a, std::span<const double>(wf.samples_mv)}, {b, std::span<const double>(wf.samples_mv)}};
   pack.push(chunks);
+  const std::uint64_t n = wf.samples_mv.size();
   if (pack.tier() >= common::SimdTier::kSse2) {
-    EXPECT_GT(pack.vector_samples(), 0u);
+    // Each lane's first 37 samples (the 150 ms integration window at 250 Hz)
+    // run scalar, the rest in lockstep.
+    EXPECT_EQ(pack.scalar_samples(), 2u * 37);
+    EXPECT_EQ(pack.vector_samples(), 2 * (n - 37));
   } else {
     EXPECT_EQ(pack.vector_samples(), 0u);
   }
-  EXPECT_EQ(pack.vector_samples() + pack.scalar_samples(), 2 * wf.samples_mv.size());
+  EXPECT_EQ(pack.vector_samples() + pack.scalar_samples(), 2 * n);
 
   const std::size_t resident_full = pack.resident_bytes();
   EXPECT_GT(resident_full, 0u);
@@ -487,7 +509,6 @@ TEST(LaneWindowExtractor, OccupancyCountersSurviveChurn) {
   }
   for (int p = 0; p < 6; ++p) extractor.erase_patient(p);
   EXPECT_EQ(extractor.stats().lane_vector_samples + extractor.stats().lane_scalar_samples, pushed);
-  EXPECT_STREQ(extractor.lane_isa(), ecg::lane_isa_name());
 }
 
 }  // namespace

@@ -165,61 +165,9 @@ __int128 QuantizedModel::decision_accumulator(std::span<const std::int64_t> qx) 
   return acc2;
 }
 
-std::vector<__int128> QuantizedModel::batch_accumulators(
-    std::span<const std::vector<double>> xs) const {
-  rt::KernelScratch scratch;
-  batch_accumulators(xs, scratch);
-  return std::move(scratch.accs);
-}
-
-void QuantizedModel::batch_accumulators(std::span<const std::vector<double>> xs,
-                                        rt::KernelScratch& scratch) const {
-  const std::size_t nwin = xs.size();
-  const std::size_t nfeat = num_features();
-  auto& accs = scratch.accs;
-  accs.assign(nwin, 0);
-  if (nwin == 0) return;
-
-  // Quantise every window directly into the feature-major layout the blocked
-  // kernel consumes: qxt[f * nwin + w].
-  auto& qxt = scratch.qxt;
-  qxt.resize(nwin * nfeat);
-  for (std::size_t w = 0; w < nwin; ++w) {
-    if (xs[w].size() != nfeat)
-      throw std::invalid_argument("QuantizedModel: feature-count mismatch");
-    for (std::size_t j = 0; j < nfeat; ++j) {
-      const fixed::QuantFormat fmt{config_.feature_bits, ranges_[j]};
-      qxt[j * nwin + w] = fmt.quantize(xs[w][j]);
-    }
-  }
-
-  rt::PackedQuantKernel kernel;
-  kernel.nfeat = nfeat;
-  kernel.nsv = num_support_vectors();
-  kernel.q_svs = q_sv_packed_.data();
-  kernel.q_alpha_y = q_alpha_y_.data();
-  kernel.product_shifts = product_shifts_.data();
-  kernel.q_one = q_one_;
-  kernel.q_bias = q_bias_;
-  kernel.mac1_bits = pipeline_.mac1_accumulator_bits();
-  kernel.kin_bits = pipeline_.kernel_input_bits();
-  kernel.kout_bits = pipeline_.kernel_output_bits();
-  kernel.mac2_bits = std::min(126, pipeline_.mac2_accumulator_bits());
-  kernel.dot_truncate_bits = config_.dot_truncate_bits;
-  kernel.square_truncate_bits = config_.square_truncate_bits;
-  rt::batch_quantized_accumulators(kernel, qxt.data(), nwin, accs.data());
-}
-
 int QuantizedModel::classify(std::span<const double> x) const {
   const auto qx = quantize_input(x);
   return decision_accumulator(qx) >= 0 ? +1 : -1;
-}
-
-std::vector<int> QuantizedModel::classify_batch(std::span<const std::vector<double>> xs) const {
-  const auto accs = batch_accumulators(xs);
-  std::vector<int> labels(accs.size());
-  for (std::size_t w = 0; w < accs.size(); ++w) labels[w] = accs[w] >= 0 ? +1 : -1;
-  return labels;
 }
 
 double QuantizedModel::dequantized_decision(std::span<const double> x) const {
@@ -253,6 +201,8 @@ void QuantizedModel::save(std::ostream& os) const {
 QuantizedModel QuantizedModel::load(std::istream& is) {
   using svt::svm::io::expect_header;
   using svt::svm::io::expect_tag;
+  using svt::svm::io::read_value;
+  using svt::svm::io::read_values;
   using svt::svm::io::require_good;
   expect_header(is, "svmtailor-qmodel", "v1", "QuantizedModel::load");
   QuantizedModel qm;
@@ -273,14 +223,14 @@ QuantizedModel QuantizedModel::load(std::istream& is) {
       qm.config_.alpha_bits < 2 || qm.config_.alpha_bits > 32 ||
       qm.config_.dot_truncate_bits < 0 || qm.config_.square_truncate_bits < 0)
     throw std::invalid_argument("QuantizedModel::load: config out of range");
-  qm.ranges_.resize(nfeat);
   expect_tag(is, "ranges", "QuantizedModel::load");
-  for (int& r : qm.ranges_) {
-    is >> r;
+  for (std::size_t j = 0; j < nfeat; ++j) {
+    const int r = read_value<int>(is, "QuantizedModel::load");
     // Keep every ldexp/QuantFormat scale finite and the shift table (checked
     // again in compute_derived) representable.
-    if (is && (r < -62 || r > 62))
+    if (r < -62 || r > 62)
       throw std::invalid_argument("QuantizedModel::load: feature range outside [-62,62]");
+    qm.ranges_.push_back(r);
   }
   expect_tag(is, "alpha_range", "QuantizedModel::load");
   is >> qm.alpha_range_log2_;
@@ -293,13 +243,10 @@ QuantizedModel QuantizedModel::load(std::istream& is) {
   is >> bias_text;
   require_good(is, "QuantizedModel::load");
   qm.q_bias_ = fixed::parse_int128(bias_text);
-  qm.q_alpha_y_.resize(nsv);
-  qm.q_sv_packed_.resize(nsv * nfeat);
   for (std::size_t i = 0; i < nsv; ++i) {
-    is >> qm.q_alpha_y_[i];
-    for (std::size_t j = 0; j < nfeat; ++j) is >> qm.q_sv_packed_[i * nfeat + j];
+    qm.q_alpha_y_.push_back(read_value<std::int64_t>(is, "QuantizedModel::load"));
+    read_values(is, nfeat, qm.q_sv_packed_, "QuantizedModel::load");
   }
-  require_good(is, "QuantizedModel::load");
   // Derived fields (shift table, pipeline widths, MAC2 scale) are functions
   // of the primaries just read; recomputing them keeps the file format
   // minimal and the loaded engine bit-identical to the built one.
@@ -307,21 +254,45 @@ QuantizedModel QuantizedModel::load(std::istream& is) {
   return qm;
 }
 
-std::vector<double> QuantizedModel::dequantized_decisions(
-    std::span<const std::vector<double>> xs) const {
-  rt::KernelScratch scratch;
-  std::vector<double> values;
-  dequantized_decisions(xs, scratch, values);
-  return values;
-}
-
 void QuantizedModel::dequantized_decisions(std::span<const std::vector<double>> xs,
                                            rt::KernelScratch& scratch,
                                            std::vector<double>& out) const {
-  batch_accumulators(xs, scratch);
-  out.resize(scratch.accs.size());
-  for (std::size_t w = 0; w < scratch.accs.size(); ++w)
-    out[w] = static_cast<double>(scratch.accs[w]) * acc2_scale_;
+  const std::size_t nwin = xs.size();
+  const std::size_t nfeat = num_features();
+  out.resize(nwin);
+  if (nwin == 0) return;
+
+  // Quantise every window directly into the feature-major layout the blocked
+  // kernel consumes: qxt[f * nwin + w].
+  auto& qxt = scratch.qxt;
+  qxt.resize(nwin * nfeat);
+  for (std::size_t w = 0; w < nwin; ++w) {
+    if (xs[w].size() != nfeat)
+      throw std::invalid_argument("QuantizedModel: feature-count mismatch");
+    for (std::size_t j = 0; j < nfeat; ++j) {
+      const fixed::QuantFormat fmt{config_.feature_bits, ranges_[j]};
+      qxt[j * nwin + w] = fmt.quantize(xs[w][j]);
+    }
+  }
+
+  rt::PackedQuantKernel kernel;
+  kernel.nfeat = nfeat;
+  kernel.nsv = num_support_vectors();
+  kernel.q_svs = q_sv_packed_.data();
+  kernel.q_alpha_y = q_alpha_y_.data();
+  kernel.product_shifts = product_shifts_.data();
+  kernel.q_one = q_one_;
+  kernel.q_bias = q_bias_;
+  kernel.mac1_bits = pipeline_.mac1_accumulator_bits();
+  kernel.kin_bits = pipeline_.kernel_input_bits();
+  kernel.kout_bits = pipeline_.kernel_output_bits();
+  kernel.mac2_bits = std::min(126, pipeline_.mac2_accumulator_bits());
+  kernel.dot_truncate_bits = config_.dot_truncate_bits;
+  kernel.square_truncate_bits = config_.square_truncate_bits;
+  auto& accs = scratch.accs;
+  accs.resize(nwin);
+  rt::batch_quantized_accumulators(kernel, qxt.data(), nwin, accs.data());
+  for (std::size_t w = 0; w < nwin; ++w) out[w] = static_cast<double>(accs[w]) * acc2_scale_;
 }
 
 }  // namespace svt::core

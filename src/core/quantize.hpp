@@ -69,23 +69,17 @@ class QuantizedModel {
   /// pipeline, return the sign (+1 / -1). Throws on dimension mismatch.
   int classify(std::span<const double> x) const;
 
-  /// Batched classification: quantise every window and run the blocked
-  /// packed-SV integer kernel (rt::batch_quantized_accumulators). Bit-exact
-  /// with classify() applied per window. Throws on dimension mismatch.
-  std::vector<int> classify_batch(std::span<const std::vector<double>> xs) const;
-
   /// The decision value reconstructed from the final integer accumulator
   /// (for tests and diagnostics; hardware only exposes the sign).
   double dequantized_decision(std::span<const double> x) const;
 
-  /// Batched dequantised decision values; bit-exact accumulators vs the
-  /// per-window path, scaled by the MAC2 LSB.
-  std::vector<double> dequantized_decisions(std::span<const std::vector<double>> xs) const;
-
-  /// Scratch variant: stages the quantised feature-major batch and the
-  /// accumulators in `scratch` and writes the values into `out` (resized),
-  /// so repeated batch classification allocates nothing once warm.
-  /// Bit-identical to the allocating overload.
+  /// The batch entry the serving engines use: quantise every window into
+  /// the feature-major layout, run the blocked packed-SV integer kernel
+  /// (rt::batch_quantized_accumulators) and scale each accumulator by the
+  /// MAC2 LSB. Bit-exact with dequantized_decision() per window. `out` is
+  /// resized; `scratch` stages the quantised batch and the accumulators, so
+  /// repeated calls allocate nothing once warm. Throws
+  /// std::invalid_argument on dimension mismatch.
   void dequantized_decisions(std::span<const std::vector<double>> xs, rt::KernelScratch& scratch,
                              std::vector<double>& out) const;
 
@@ -124,13 +118,6 @@ class QuantizedModel {
 
   /// Integer decision accumulator (sign = class).
   __int128 decision_accumulator(std::span<const std::int64_t> qx) const;
-
-  /// Batched accumulators over the packed (flattened) SV table; bit-exact
-  /// with decision_accumulator() per window. The scratch variant stages the
-  /// quantised batch in scratch.qxt and leaves the result in scratch.accs.
-  std::vector<__int128> batch_accumulators(std::span<const std::vector<double>> xs) const;
-  void batch_accumulators(std::span<const std::vector<double>> xs,
-                          rt::KernelScratch& scratch) const;
 
   QuantConfig config_;
   hw::PipelineConfig pipeline_;

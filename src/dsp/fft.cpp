@@ -126,25 +126,4 @@ void fft_inplace(std::span<std::complex<double>> x, const FftPlan& plan) {
   }
 }
 
-FftPlanCache::FftPlanCache(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("FftPlanCache: capacity == 0");
-}
-
-const FftPlan& FftPlanCache::get(std::size_t n) {
-  // Linear scan: the bound is single-digit, so this beats a map on both
-  // lookup cost and locality.
-  for (auto it = plans_.begin(); it != plans_.end(); ++it) {
-    if (it->size() == n) {
-      plans_.splice(plans_.begin(), plans_, it);  // Touch: move to MRU.
-      return plans_.front();
-    }
-  }
-  if (plans_.size() == capacity_) {
-    plans_.pop_back();  // Evict the LRU plan.
-    ++evictions_;
-  }
-  plans_.emplace_front(n);
-  return plans_.front();
-}
-
 }  // namespace svt::dsp

@@ -8,8 +8,6 @@
 
 #include <complex>
 #include <cstddef>
-#include <cstdint>
-#include <list>
 #include <span>
 #include <vector>
 
@@ -58,33 +56,5 @@ struct FftPlan {
 /// In-place forward FFT through a plan; x.size() must equal plan.size().
 /// Bit-identical to fft_inplace on the same input.
 void fft_inplace(std::span<std::complex<double>> x, const FftPlan& plan);
-
-/// Lazily built per-size plan store with a small LRU bound: at most
-/// `capacity` plans are resident, and requesting a new size beyond that
-/// evicts the least-recently-used plan. A workload cycling through more
-/// distinct FFT lengths than the capacity replans on each get (counted by
-/// evictions()); the steady-state feature path uses one or two lengths, so
-/// it is allocation-free once warm. The returned reference stays valid
-/// until a later get() evicts that plan — use it before the next get, do
-/// not hold it across unrelated calls.
-class FftPlanCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 8;
-
-  /// Throws std::invalid_argument on capacity == 0.
-  explicit FftPlanCache(std::size_t capacity = kDefaultCapacity);
-
-  const FftPlan& get(std::size_t n);
-
-  std::size_t size() const { return plans_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  /// Plans discarded to stay within the bound (not: total plans built).
-  std::uint64_t evictions() const { return evictions_; }
-
- private:
-  std::list<FftPlan> plans_;  ///< Front = most recently used; nodes are stable.
-  std::size_t capacity_ = kDefaultCapacity;
-  std::uint64_t evictions_ = 0;
-};
 
 }  // namespace svt::dsp

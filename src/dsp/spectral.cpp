@@ -46,7 +46,8 @@ void segment_power_into(std::span<const double> x, double fs_hz, std::span<const
   auto& buf = scratch.fft_buf;
   buf.assign(nfft, {0.0, 0.0});
   for (std::size_t i = 0; i < x.size(); ++i) buf[i] = {x[i] * w[i], 0.0};
-  fft_inplace(buf, scratch.plans.get(nfft));
+  if (!scratch.plan || scratch.plan->size() != nfft) scratch.plan.emplace(nfft);
+  fft_inplace(buf, *scratch.plan);
 
   const std::size_t half = nfft / 2;
   const double norm = fs_hz * window_power(w);

@@ -8,6 +8,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -45,16 +46,17 @@ struct WelchParams {
 PsdEstimate welch_psd(std::span<const double> x, double fs_hz, const WelchParams& params = {});
 
 /// Reusable workspace for the scratch Welch path: segment copy, cached
-/// taper, FFT buffer and per-size FFT plans. Allocation-free once warm
-/// (every buffer keeps its capacity between calls; the plan cache holds one
-/// plan per distinct FFT size seen).
+/// taper, FFT buffer and FFT plan. Allocation-free once warm: every buffer
+/// keeps its capacity between calls, and the taper and the plan are rebuilt
+/// only when the segment length changes (a scratch serving one stream
+/// geometry sees one length).
 struct SpectralScratch {
   std::vector<double> segment;
   std::vector<double> window;  ///< Cached taper for (window_type, window_len).
   WindowType window_type = WindowType::kHann;
   std::size_t window_len = 0;
   std::vector<std::complex<double>> fft_buf;
-  FftPlanCache plans;
+  std::optional<FftPlan> plan;  ///< Plan for the last FFT length.
 };
 
 /// Scratch variant of welch_psd: the estimate lands in `out` (resized;

@@ -37,8 +37,7 @@ std::optional<SegmentFeatureCache::Layout> SegmentFeatureCache::plan(
   return layout;
 }
 
-SegmentFeatureCache::SegmentFeatureCache(const Layout& layout, bool memoize)
-    : layout_(layout), memoize_(memoize) {
+SegmentFeatureCache::SegmentFeatureCache(const Layout& layout) : layout_(layout) {
   SVT_ASSERT(layout_.chunks_per_window >= 1 && layout_.chunk_len >= 1 &&
              layout_.num_segments >= 1);
   chunks_.resize(static_cast<std::size_t>(layout_.chunks_per_window));
@@ -49,7 +48,7 @@ const SegmentFeatureCache::Chunk& SegmentFeatureCache::chunk(const ecg::BeatRing
                                                              std::int64_t m) {
   SVT_ASSERT(m >= 0);
   Chunk& c = slot(m);
-  if (memoize_ && c.index == m) {
+  if (c.index == m) {
     ++stats_.hits;
     return c;
   }
@@ -101,7 +100,7 @@ const std::vector<double>& SegmentFeatureCache::segment_psd(std::int64_t m,
                                                             dsp::SpectralScratch& scratch) {
   SVT_ASSERT(m >= 0);
   WelchEntry& e = welch_[static_cast<std::size_t>(m % layout_.num_segments)];
-  if (memoize_ && e.index == m) {
+  if (e.index == m) {
     ++stats_.hits;
     return e.power;
   }

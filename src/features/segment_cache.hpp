@@ -19,12 +19,12 @@
 // absolute integer sample indices, and the interpolation runs the exact
 // resample_linear_into arithmetic — so recomputing an entry from the same
 // stream yields the identical bits wherever it runs. A window is then
-// assembled purely by concatenating chunk products: the cached and the
-// memoization-disabled pipeline execute the same code on the same values
-// (asserted by tests/test_rt_feature_cache.cpp with EXPECT_EQ on doubles,
-// across strides, chunkings and eviction).
+// assembled purely by concatenating chunk products, so a live cache and a
+// fresh cache per window produce the same values (asserted by
+// tests/test_rt_feature_cache.cpp with EXPECT_EQ on doubles, across
+// strides, chunkings and eviction).
 //
-// Chunk semantics (shared by the cached and uncached builds):
+// Chunk semantics:
 //  * A chunk sees one stride of left context: beats in [(m-1)*S, (m+1)*S).
 //    Grid points before the first such beat clamp to its amplitude; points
 //    after the last one hold its amplitude (the next beat is outside the
@@ -114,13 +114,9 @@ class SegmentFeatureCache {
   static std::optional<Layout> plan(double fs_hz, double edr_fs_hz,
                                     std::int64_t stride_samples, std::int64_t window_samples);
 
-  /// memoize=false runs the identical build code but rebuilds every product
-  /// on every access — the "from scratch" reference the parity suite holds
-  /// the cached pipeline to.
-  SegmentFeatureCache(const Layout& layout, bool memoize);
+  explicit SegmentFeatureCache(const Layout& layout);
 
   const Layout& layout() const { return layout_; }
-  bool memoize() const { return memoize_; }
   const SegmentCacheStats& stats() const { return stats_; }
 
   /// One stride chunk's memoized products.
@@ -174,7 +170,6 @@ class SegmentFeatureCache {
   };
 
   Layout layout_;
-  bool memoize_ = true;
   std::vector<Chunk> chunks_;      ///< Ring keyed m % chunks_per_window.
   std::vector<WelchEntry> welch_;  ///< Ring keyed m % num_segments.
   SegmentCacheStats stats_;

@@ -21,14 +21,13 @@ ServableModel::ServableModel(std::vector<std::size_t> selected, svm::StandardSca
     throw std::invalid_argument("ServableModel: model/selection feature-count mismatch");
   if (!scaler_.fitted() || scaler_.num_features() != selected_.size())
     throw std::invalid_argument("ServableModel: scaler not fitted to the selection");
+  if (model_.kernel.type != svm::KernelType::kPolynomial || model_.kernel.degree != 2)
+    throw std::invalid_argument("ServableModel: kernel must be quadratic polynomial");
   if (quantized_ && quantized_->num_features() != selected_.size())
     throw std::invalid_argument("ServableModel: quantised engine feature-count mismatch");
-  // Same fast-path rule as StreamClassifier: the packed float model is only
-  // read when there is no quantised engine, so skip the SV-table copy then.
-  if (!quantized_ && model_.kernel.type == svm::KernelType::kPolynomial &&
-      model_.kernel.degree == 2) {
-    packed_.emplace(model_);
-  }
+  // The packed float model is only read when there is no quantised engine,
+  // so skip the SV-table copy then.
+  if (!quantized_) packed_.emplace(model_);
 }
 
 ServableModel ServableModel::from_detector(const core::TailoredDetector& detector) {
@@ -58,13 +57,9 @@ void ServableModel::decision_values(std::span<const std::vector<double>> rows,
                                     std::vector<double>& out, KernelScratch& scratch) const {
   if (quantized_) {
     quantized_->dequantized_decisions(rows, scratch, out);
-    return;
-  }
-  out.resize(rows.size());
-  if (packed_) {
-    packed_->decision_values(rows, out, scratch);
   } else {
-    model_.decision_values(rows, out);
+    out.resize(rows.size());
+    packed_->decision_values(rows, out, scratch);
   }
 }
 
@@ -88,9 +83,8 @@ ServableModel ServableModel::load(std::istream& is) {
   expect_tag(is, "selected", "ServableModel::load");
   is >> nselected;
   require_good(is, "ServableModel::load");
-  std::vector<std::size_t> selected(nselected);
-  for (std::size_t& j : selected) is >> j;
-  require_good(is, "ServableModel::load");
+  std::vector<std::size_t> selected;
+  svm::io::read_values(is, nselected, selected, "ServableModel::load");
   auto scaler = svm::StandardScaler::load(is);
   auto model = svm::SvmModel::load(is);
   int has_quantized = 0;

@@ -6,12 +6,13 @@
 // arrives from the tailoring flow, or is loaded from disk). Two pieces:
 //
 //  * ServableModel — an immutable, self-contained deployable unit: the
-//    tailored front half (feature selection + scaler) plus the decision
-//    engine (bit-exact fixed-point core::QuantizedModel when quantised, the
-//    packed float fast path otherwise). Immutability is what makes hot-swap
-//    safe: classification threads only ever read a ServableModel through a
-//    shared_ptr snapshot, so an in-flight batch keeps the model it started
-//    with even if the registry entry is replaced mid-batch.
+//    tailored front half (feature selection + scaler) plus one of two
+//    decision engines for the paper's quadratic kernel, the only kernel it
+//    accepts: the bit-exact fixed-point core::QuantizedModel when quantised,
+//    the packed float rt::PackedModel otherwise. Immutability is what makes
+//    hot-swap safe: classification threads only ever read a ServableModel
+//    through a shared_ptr snapshot, so an in-flight batch keeps the model it
+//    started with even if the registry entry is replaced mid-batch.
 //
 //  * ModelRegistry — the mutable patient -> shared_ptr<const ServableModel>
 //    map (plus a cohort-wide default), guarded by a mutex. install() is the
@@ -51,9 +52,10 @@ class ServableModel {
  public:
   /// Bundle a deployable model. `selected` are indices into the raw
   /// full-length feature vector; `scaler` must be fitted to that selection.
-  /// When `quantized` is absent and the model uses the quadratic kernel, the
-  /// packed float fast path is built up front. Throws std::invalid_argument
-  /// if the scaler/model feature counts disagree with the selection.
+  /// When `quantized` is absent, the packed float engine is built up front.
+  /// Throws std::invalid_argument if the model's kernel is not the quadratic
+  /// polynomial, or the scaler/model feature counts disagree with the
+  /// selection.
   ServableModel(std::vector<std::size_t> selected, svm::StandardScaler scaler,
                 svm::SvmModel model, std::optional<core::QuantizedModel> quantized);
 
@@ -72,8 +74,8 @@ class ServableModel {
 
   /// The back half: decision values for prepared rows through this model's
   /// engine — the bit-exact fixed-point pipeline (dequantised accumulator)
-  /// when quantised, else the packed float kernel, else the generic SVM.
-  /// `out` is resized; `scratch` keeps the kernel's buffers across calls.
+  /// when quantised, else the packed float kernel. `out` is resized;
+  /// `scratch` keeps the kernel's buffers across calls.
   void decision_values(std::span<const std::vector<double>> rows, std::vector<double>& out,
                        KernelScratch& scratch) const;
 
@@ -85,7 +87,8 @@ class ServableModel {
 
   /// Text serialisation (round-trippable; the loaded engine is bit-identical,
   /// so deployments skip requantisation at startup). load() throws
-  /// std::invalid_argument on corrupt input.
+  /// std::invalid_argument on corrupt input, including a non-quadratic
+  /// kernel, and allocates only for the values it has read.
   void save(std::ostream& os) const;
   static ServableModel load(std::istream& is);
 

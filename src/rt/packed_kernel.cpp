@@ -22,21 +22,6 @@ inline std::int64_t saturate64(std::int64_t v, std::int64_t hi, std::int64_t lo)
 
 }  // namespace
 
-void transpose_batch(const double* in, std::size_t nwin, std::size_t nfeat, double* out) {
-  // Tiled: one kTile x kTile tile touches kTile cache lines on each side
-  // regardless of the matrix extents, instead of striding the full row
-  // length per element.
-  constexpr std::size_t kTile = 32;
-  for (std::size_t w0 = 0; w0 < nwin; w0 += kTile) {
-    const std::size_t w1 = std::min(nwin, w0 + kTile);
-    for (std::size_t f0 = 0; f0 < nfeat; f0 += kTile) {
-      const std::size_t f1 = std::min(nfeat, f0 + kTile);
-      for (std::size_t w = w0; w < w1; ++w)
-        for (std::size_t f = f0; f < f1; ++f) out[f * nwin + w] = in[w * nfeat + f];
-    }
-  }
-}
-
 void batch_quadratic_decisions(const double* xt, std::size_t nwin, std::size_t nfeat,
                                const double* svs, std::size_t nsv, const double* alpha_y,
                                double bias, double coef0, double* out) {

@@ -14,9 +14,10 @@
 // window-block loop, and its bits match the per-window engine across
 // feature widths (asserted by tests/test_simd_kernel.cpp).
 //
-// This header is a leaf: it depends only on svt::fixed, so both the float
-// SVM layer and the fixed-point core can route their batch entry points
-// through it without a dependency cycle.
+// This header is a leaf (its source depends only on svt::fixed), so the
+// fixed-point core (core::QuantizedModel) and the packed float model
+// (rt::PackedModel) both run their one batch entry point through it without
+// a dependency cycle.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@ namespace svt::rt {
 /// block of accumulators and partial dot products stays in registers/L1.
 inline constexpr std::size_t kWindowBlock = 16;
 
-/// Reusable buffers for the batch classification hot loop: the transposed
-/// (feature-major) float batch, the quantised feature-major batch, and the
+/// Reusable buffers for the batch classification hot loop: the
+/// feature-major float batch, the quantised feature-major batch, and the
 /// MAC2 accumulators. Callers that classify repeatedly (the serving
 /// engines) keep one per worker so the per-batch transpose/quantise staging
 /// allocates nothing once warm. Not thread-safe; carries no model or
@@ -42,20 +43,11 @@ struct KernelScratch {
   std::vector<__int128> accs;
 };
 
-/// Transpose a row-major batch (nwin x nfeat) into feature-major layout
-/// (nfeat x nwin): out[f * nwin + w] = in[w * nfeat + f]. Blocked/tiled so
-/// both sides stream through the cache a tile at a time instead of striding
-/// the whole matrix per element. The feature-major layout makes the
-/// innermost per-window loops of the blocked kernels contiguous (unit
-/// stride), which is what lets them vectorise. (The quantised batch path
-/// needs no transpose: it quantises straight into the feature-major
-/// layout.)
-void transpose_batch(const double* in, std::size_t nwin, std::size_t nfeat, double* out);
-
 /// Batched float decision values of a quadratic-polynomial SVM:
 ///   out[w] = bias + sum_i alpha_y[i] * (x_w . sv_i + coef0)^2
-/// `xt` is the batch in feature-major layout (see transpose_batch), `svs` the
-/// row-major nsv x nfeat SV matrix. Per-window accumulation order matches
+/// `xt` is the batch in feature-major layout (xt[f * nwin + w]: the
+/// innermost per-window loop is unit stride, which lets it vectorise), `svs`
+/// the row-major nsv x nfeat SV matrix. Per-window accumulation order matches
 /// SvmModel::decision_value (SVs in order, features in order).
 void batch_quadratic_decisions(const double* xt, std::size_t nwin, std::size_t nfeat,
                                const double* svs, std::size_t nsv, const double* alpha_y,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "rt/packed_kernel.hpp"
-
 namespace svt::rt {
 
 PackedModel::PackedModel(const svt::svm::SvmModel& model) {
@@ -24,20 +22,6 @@ PackedModel::PackedModel(const svt::svm::SvmModel& model) {
               svs_.begin() + i * nfeat_);
 }
 
-void PackedModel::decision_values_flat(const double* xs, std::size_t nwin, double* out) const {
-  if (nwin == 0) return;
-  std::vector<double> xt(nwin * nfeat_);
-  transpose_batch(xs, nwin, nfeat_, xt.data());
-  batch_quadratic_decisions(xt.data(), nwin, nfeat_, svs_.data(), nsv_, alpha_y_.data(), bias_,
-                            coef0_, out);
-}
-
-void PackedModel::decision_values(std::span<const std::vector<double>> xs,
-                                  std::span<double> out) const {
-  KernelScratch scratch;
-  decision_values(xs, out, scratch);
-}
-
 void PackedModel::decision_values(std::span<const std::vector<double>> xs, std::span<double> out,
                                   KernelScratch& scratch) const {
   if (out.size() != xs.size())
@@ -53,20 +37,6 @@ void PackedModel::decision_values(std::span<const std::vector<double>> xs, std::
   }
   batch_quadratic_decisions(xt.data(), nwin, nfeat_, svs_.data(), nsv_, alpha_y_.data(), bias_,
                             coef0_, out.data());
-}
-
-std::vector<double> PackedModel::decision_values(std::span<const std::vector<double>> xs) const {
-  std::vector<double> out(xs.size());
-  decision_values(xs, out);
-  return out;
-}
-
-double PackedModel::decision_value(std::span<const double> x) const {
-  if (x.size() != nfeat_)
-    throw std::invalid_argument("PackedModel::decision_value: feature-count mismatch");
-  double out = 0.0;
-  decision_values_flat(x.data(), 1, &out);
-  return out;
 }
 
 }  // namespace svt::rt

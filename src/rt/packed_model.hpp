@@ -1,8 +1,9 @@
 // Packed (flattened) representation of a trained quadratic SVM for the
 // streaming runtime: the SV table is stored once as a contiguous row-major
 // matrix plus a per-SV weight array, so repeated batch classification pays
-// no per-call packing cost (unlike SvmModel::decision_values, which packs on
-// every call) and no vector<vector> pointer chasing.
+// no per-call packing cost and no vector<vector> pointer chasing. This is
+// the float engine of rt::ServableModel; the per-window reference it
+// matches is svm::SvmModel::decision_value.
 #pragma once
 
 #include <span>
@@ -21,23 +22,14 @@ class PackedModel {
 
   std::size_t num_features() const { return nfeat_; }
   std::size_t num_support_vectors() const { return nsv_; }
-  double bias() const { return bias_; }
 
-  /// Batched decision values; `out.size()` must equal `xs.size()`. Matches
+  /// Batched decision values, staging the feature-major batch in
+  /// `scratch.xt` so repeated calls allocate nothing once warm. Matches
   /// SvmModel::decision_value per window (same accumulation order).
-  void decision_values(std::span<const std::vector<double>> xs, std::span<double> out) const;
-  std::vector<double> decision_values(std::span<const std::vector<double>> xs) const;
-
-  /// Scratch variant: stages the transposed batch in `scratch.xt` instead
-  /// of a per-call allocation. Bit-identical results.
+  /// Throws std::invalid_argument unless `out.size()` equals `xs.size()`
+  /// and every row has num_features() entries.
   void decision_values(std::span<const std::vector<double>> xs, std::span<double> out,
                        KernelScratch& scratch) const;
-
-  /// Batched decision values over a flat row-major batch (nwin x nfeat).
-  void decision_values_flat(const double* xs, std::size_t nwin, double* out) const;
-
-  /// Single-window decision value through the packed path.
-  double decision_value(std::span<const double> x) const;
 
  private:
   std::size_t nfeat_ = 0;

@@ -201,58 +201,26 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
 void ShardedStreamClassifier::classify_batch(int patient_id,
                                              std::span<const ExtractedWindow> windows,
                                              Shard& shard) {
-  // All staging lives in the shard's scratch: rows, values and the kernel's
-  // transpose/quantise buffers keep their capacity between batches, so the
-  // steady-state serve loop performs no heap allocation.
-  const std::size_t n = windows.size();
-  ClassifyScratch& scratch = shard.scratch;
-  auto& batch = scratch.batch;
-  batch.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    batch[k].patient_id = patient_id;
-    batch[k].start_s = windows[k].start_s;
-    batch[k].num_beats = windows[k].num_beats;
-    batch[k].workload = windows[k].workload;
-    batch[k].quality = windows[k].quality;
-  }
-
-  // One batched kernel call per workload: gather that workload's windows in
-  // emission order, classify, scatter the values back. A single-workload
-  // stream takes exactly one call over the whole batch in emission order —
-  // the historical behaviour, bit for bit.
-  const std::size_t num_workloads = shard.extractor.num_workloads();
-  for (std::uint32_t w = 0; w < num_workloads; ++w) {
-    auto& index = scratch.index;
-    index.clear();
-    for (std::size_t k = 0; k < n; ++k)
-      if (windows[k].workload == w) index.push_back(k);
-    if (index.empty()) continue;
-
-    // Snapshot the (workload, patient) model once per batch: this is the
-    // hot-swap fence. The batch runs to completion on the snapshot even if
-    // install() replaces the registry entry mid-batch; the next batch sees
-    // the new model.
-    const auto model = registry_->resolve(w, patient_id);
-    if (!model)
+  // Snapshot the patient's model for every workload once per batch: this is
+  // the hot-swap fence. The batch runs to completion on the snapshot even if
+  // install() replaces a registry entry mid-batch; the next batch sees the
+  // new model. The snapshot is dropped when the batch ends, however it
+  // ends, so a replaced model dies with its last batch.
+  struct Release {
+    std::vector<std::shared_ptr<const ServableModel>>& models;
+    ~Release() { std::fill(models.begin(), models.end(), nullptr); }
+  } release{shard.models};
+  auto& models = shard.models;
+  for (std::uint32_t w = 0; w < models.size(); ++w) {
+    models[w] = registry_->resolve(w, patient_id);
+    if (!models[w])
       throw std::runtime_error("ShardedStreamClassifier: no model for workload " +
                                std::to_string(w) + ", patient " +
                                std::to_string(patient_id));
-
-    const std::size_t m = index.size();
-    if (scratch.rows.size() < m) scratch.rows.resize(m);
-    for (std::size_t k = 0; k < m; ++k)
-      model->prepare_row(windows[index[k]].features_view(), scratch.rows[k]);
-    const std::span<const std::vector<double>> rows(scratch.rows.data(), m);
-
-    auto& values = scratch.values;
-    model->decision_values(rows, values, scratch.kernel);
-    for (std::size_t k = 0; k < m; ++k) {
-      batch[index[k]].decision_value = values[k];
-      batch[index[k]].label = values[k] >= 0.0 ? +1 : -1;
-    }
   }
-  options_.sink(batch);
-  shard.delivered += n;
+  classify_windows(windows, models, shard.scratch, shard.results);
+  options_.sink(shard.results);
+  shard.delivered += windows.size();
 }
 
 void ShardedStreamClassifier::flush() {

@@ -11,7 +11,7 @@
 //   ┌─────────────┐ coalesced    │ WindowExtractor (lane packs: queued    │
 //   │ bounded     │ round of     │  patients' chunks step SIMD lockstep)  │
 //   │ shard queue │ ≤8 patients' │  -> registry snapshot (per batch)      │
-//   │ (x N)       │ chunks       │  -> prepare + packed batch kernel      │
+//   │ (x N)       │ chunks       │  -> classify_windows (prepare + kernel)│
 //   └─────────────┘  block/drop  │  -> ResultSink(batch)   ──────────────────> results
 //                                └────────────────────────────────────────┘
 //
@@ -52,9 +52,11 @@
 // pushed before the call has been extracted, classified, and delivered to
 // the sink.
 //
-// Hot-swap fencing: workers snapshot a patient's model from the registry
-// once per classified batch, so an install() takes effect at the patient's
-// next batch boundary — never mid-batch.
+// Hot-swap fencing: workers snapshot a patient's model for every workload
+// from the registry once per classified batch, so an install() takes effect
+// at the patient's next batch boundary — never mid-batch. The batch then
+// goes through classify_windows, the classify step StreamClassifier runs
+// too.
 //
 // Determinism: a patient's chunks are processed serially by one worker, in
 // push order, through per-window arithmetic identical to the
@@ -180,22 +182,21 @@ class ShardedStreamClassifier {
     bool end_stream = false;
   };
 
-  /// Per-worker classification staging, reused across batches so the serve
-  /// hot loop is allocation-free once warm (one per shard, worker-only).
-  struct ClassifyScratch {
-    std::vector<std::vector<double>> rows;  ///< Prepared (selected+scaled) rows.
-    std::vector<double> values;
-    std::vector<WindowResult> batch;
-    std::vector<std::size_t> index;  ///< Batch positions of one workload's windows.
-    KernelScratch kernel;
-  };
-
   struct Shard {
     explicit Shard(const StreamConfig& config, const EngineOptions& options)
-        : tasks(options.queue_capacity, options.backpressure), extractor(config) {}
+        : tasks(options.queue_capacity, options.backpressure),
+          extractor(config),
+          models(extractor.num_workloads()) {}
     WorkQueue<Task> tasks;
-    WindowExtractor extractor;  ///< Touched only by the worker thread.
-    ClassifyScratch scratch;    ///< Touched only by the worker thread.
+    // Touched only by the worker thread: the extractor, and the classify
+    // step's staging, reused across batches so the serve hot loop is
+    // allocation-free once warm.
+    WindowExtractor extractor;
+    ClassifyScratch scratch;
+    std::vector<WindowResult> results;
+    /// One batch's model snapshot, one slot per workload (null between
+    /// batches).
+    std::vector<std::shared_ptr<const ServableModel>> models;
     std::size_t delivered = 0;  ///< Windows this worker delivered (worker-only).
     /// The worker's counters as of its last task — the extractor's totals
     /// plus `delivered` — copied in by the worker after every round and
@@ -224,6 +225,9 @@ class ShardedStreamClassifier {
   void worker_loop(Shard& shard);
   /// Copy the shard's current counters into its published slot.
   static void publish(Shard& shard);
+  /// Snapshot the patient's model for every workload, run classify_windows
+  /// and deliver the batch to the sink. Throws std::runtime_error when a
+  /// workload has no model for the patient.
   void classify_batch(int patient_id, std::span<const ExtractedWindow> windows, Shard& shard);
   /// Return drained chunks' sample buffers to the shard's pool (up to
   /// kSamplePoolCap).

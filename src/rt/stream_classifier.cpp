@@ -6,6 +6,43 @@
 
 namespace svt::rt {
 
+void classify_windows(std::span<const ExtractedWindow> windows,
+                      std::span<const std::shared_ptr<const ServableModel>> models,
+                      ClassifyScratch& scratch, std::vector<WindowResult>& results) {
+  const std::size_t n = windows.size();
+  results.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    results[k].patient_id = windows[k].patient_id;
+    results[k].start_s = windows[k].start_s;
+    results[k].num_beats = windows[k].num_beats;
+    results[k].workload = windows[k].workload;
+    results[k].quality = windows[k].quality;
+  }
+
+  // One batched kernel call per workload: gather that workload's windows in
+  // order, classify, scatter the values back. A single-workload batch takes
+  // exactly one call over every window in order.
+  auto& index = scratch.index;
+  auto& values = scratch.values;
+  for (std::uint32_t w = 0; w < models.size(); ++w) {
+    index.clear();
+    for (std::size_t k = 0; k < n; ++k)
+      if (windows[k].workload == w) index.push_back(k);
+    if (index.empty()) continue;
+
+    const ServableModel& model = *models[w];
+    const std::size_t m = index.size();
+    if (scratch.rows.size() < m) scratch.rows.resize(m);
+    for (std::size_t k = 0; k < m; ++k)
+      model.prepare_row(windows[index[k]].features_view(), scratch.rows[k]);
+    model.decision_values({scratch.rows.data(), m}, values, scratch.kernel);
+    for (std::size_t k = 0; k < m; ++k) {
+      results[index[k]].decision_value = values[k];
+      results[index[k]].label = values[k] >= 0.0 ? +1 : -1;
+    }
+  }
+}
+
 namespace {
 
 std::vector<ServableModel> single_model(ServableModel model) {
@@ -20,12 +57,14 @@ StreamClassifier::StreamClassifier(ServableModel model, StreamConfig config)
     : StreamClassifier(single_model(std::move(model)), std::move(config)) {}
 
 StreamClassifier::StreamClassifier(std::vector<ServableModel> models, StreamConfig config)
-    : models_(std::move(models)), extractor_(std::move(config)) {
-  if (models_.size() != extractor_.num_workloads())
+    : extractor_(std::move(config)) {
+  if (models.size() != extractor_.num_workloads())
     throw std::invalid_argument(
         "StreamClassifier: one model per registered workload required (got " +
-        std::to_string(models_.size()) + " for " +
+        std::to_string(models.size()) + " for " +
         std::to_string(extractor_.num_workloads()) + " workloads)");
+  for (ServableModel& model : models)
+    models_.push_back(std::make_shared<const ServableModel>(std::move(model)));
 }
 
 StreamClassifier::StreamClassifier(const core::TailoredDetector& detector, StreamConfig config)
@@ -33,59 +72,20 @@ StreamClassifier::StreamClassifier(const core::TailoredDetector& detector, Strea
 
 void StreamClassifier::push_samples(int patient_id, std::span<const double> samples_mv) {
   extractor_.push_samples(patient_id, samples_mv, [this](ExtractedWindow&& window) {
-    // The model's per-window front half (feature selection + scaling); the
-    // back half (the decision kernel) is deferred to flush(), where all
-    // queued rows go through one batched call per workload.
-    queue_window(window);
+    pending_.push_back(std::move(window));
   });
 }
 
 bool StreamClassifier::end_stream(int patient_id) {
   return extractor_.end_patient(
-      patient_id, [this](ExtractedWindow&& window) { queue_window(window); });
-}
-
-void StreamClassifier::queue_window(const ExtractedWindow& window) {
-  pending_rows_.push_back(models_[window.workload].prepare_row(window.features_view()));
-  WindowResult meta;
-  meta.patient_id = window.patient_id;
-  meta.start_s = window.start_s;
-  meta.num_beats = window.num_beats;
-  meta.workload = window.workload;
-  meta.quality = window.quality;
-  pending_meta_.push_back(meta);
+      patient_id, [this](ExtractedWindow&& window) { pending_.push_back(std::move(window)); });
 }
 
 std::vector<WindowResult> StreamClassifier::flush() {
-  std::vector<WindowResult> results = std::move(pending_meta_);
-  std::vector<std::vector<double>> rows = std::move(pending_rows_);
-  pending_meta_.clear();
-  pending_rows_.clear();
+  const std::vector<ExtractedWindow> windows = std::exchange(pending_, {});
+  std::vector<WindowResult> results;
+  classify_windows(windows, models_, scratch_, results);
   delivered_windows_ += results.size();
-  if (results.empty()) return results;
-
-  // One batched kernel call per workload: gather that workload's rows in
-  // queue order, classify, scatter the values back. With a single workload
-  // this is exactly one call over all rows in push order — the historical
-  // (pre-multi-workload) behaviour, bit for bit.
-  std::vector<std::size_t> index;
-  std::vector<std::vector<double>> workload_rows;
-  std::vector<double> values;
-  KernelScratch scratch;
-  for (std::uint32_t w = 0; w < models_.size(); ++w) {
-    index.clear();
-    for (std::size_t i = 0; i < results.size(); ++i)
-      if (results[i].workload == w) index.push_back(i);
-    if (index.empty()) continue;
-    workload_rows.clear();
-    for (const std::size_t i : index) workload_rows.push_back(std::move(rows[i]));
-
-    models_[w].decision_values(workload_rows, values, scratch);
-    for (std::size_t k = 0; k < index.size(); ++k) {
-      results[index[k]].decision_value = values[k];
-      results[index[k]].label = values[k] >= 0.0 ? +1 : -1;
-    }
-  }
   return results;
 }
 

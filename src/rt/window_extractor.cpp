@@ -60,9 +60,7 @@ WindowExtractor::WindowExtractor(StreamConfig config) : config_(config) {
   const ecg::LaneQrsDetector probe(config.fs_hz);
   emission_lag_samples_ = static_cast<std::size_t>(probe.finality_lag());
   // Windows are assembled from per-stride chunks, so the geometry must tile:
-  // whole strides per window, whole EDR grid points per stride. The layout
-  // is the same with incremental=false, so the parity reference runs the
-  // same chunked code with memoization off.
+  // whole strides per window, whole EDR grid points per stride.
   const auto layout = features::SegmentFeatureCache::plan(
       config_.fs_hz, config_.edr_fs_hz, static_cast<std::int64_t>(stride_samples_),
       static_cast<std::int64_t>(window_samples_));
@@ -119,7 +117,7 @@ WindowExtractor::PatientState& WindowExtractor::find_or_create(int patient_id) {
   PatientState state;
   state.pack = claim_pack();
   state.lane = packs_[state.pack]->add_lane();
-  state.cache = std::make_unique<features::SegmentFeatureCache>(cache_layout_, config_.incremental);
+  state.cache = std::make_unique<features::SegmentFeatureCache>(cache_layout_);
   if (config_.quality.enable)
     state.gate = std::make_unique<ecg::SignalQualityGate>(config_.quality, config_.fs_hz);
   return patients_.emplace(patient_id, std::move(state)).first->second;

@@ -75,12 +75,6 @@ struct StreamConfig {
   /// Windows with fewer beats than this are rejected (counted, not
   /// emitted): too few beats to rebuild the RR/EDR series.
   std::size_t min_beats = 4;
-  /// Memoize per-stride feature intermediates (RR slices, EDR chunks, Welch
-  /// segment periodograms), so overlapping windows stop recomputing their
-  /// shared samples. false runs the identical chunked pipeline but rebuilds
-  /// every product per window — the parity reference (bit-identical output,
-  /// none of the speedup).
-  bool incremental = true;
   /// Workloads served per window, indexed by position (the workload id on
   /// every result). Empty = exactly {apnea_workload()} as workload 0 — the
   /// back-compatible single-pipeline default. The per-patient substrate

@@ -1,13 +1,10 @@
 #include "svm/model.hpp"
 
-#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-
-#include "common/assert.hpp"
-#include "rt/packed_model.hpp"
+#include <string>
 
 namespace svt::svm {
 
@@ -42,40 +39,6 @@ double SvmModel::decision_value(std::span<const double> x) const {
 
 int SvmModel::predict(std::span<const double> x) const {
   return decision_value(x) >= 0.0 ? +1 : -1;
-}
-
-void SvmModel::decision_values(std::span<const std::vector<double>> xs,
-                               std::span<double> out) const {
-  if (out.size() != xs.size())
-    throw std::invalid_argument("SvmModel::decision_values: output size mismatch");
-  const std::size_t nfeat = num_features();
-  for (const auto& x : xs)
-    if (x.size() != nfeat)
-      throw std::invalid_argument("SvmModel::decision_values: feature-count mismatch");
-
-  const bool quadratic = kernel.type == KernelType::kPolynomial && kernel.degree == 2;
-  if (!quadratic || xs.empty() || nfeat == 0 || support_vectors.empty()) {
-    for (std::size_t w = 0; w < xs.size(); ++w) out[w] = decision_value(xs[w]);
-    return;
-  }
-
-  // Pack once and run the blocked kernel. The packing cost is amortised over
-  // the batch; callers with a long-lived model should hold the
-  // rt::PackedModel themselves so it is paid once, not per call.
-  rt::PackedModel(*this).decision_values(xs, out);
-}
-
-std::vector<double> SvmModel::decision_values(std::span<const std::vector<double>> xs) const {
-  std::vector<double> out(xs.size());
-  decision_values(xs, out);
-  return out;
-}
-
-std::vector<int> SvmModel::predict_batch(std::span<const std::vector<double>> xs) const {
-  const auto values = decision_values(xs);
-  std::vector<int> labels(values.size());
-  for (std::size_t w = 0; w < values.size(); ++w) labels[w] = values[w] >= 0.0 ? +1 : -1;
-  return labels;
 }
 
 std::vector<double> SvmModel::sv_norms() const {
@@ -116,13 +79,13 @@ SvmModel SvmModel::load(std::istream& is) {
   io::expect_tag(is, "nfeat", "SvmModel::load");
   is >> nfeat;
   io::require_good(is, "SvmModel::load");
-  m.support_vectors.resize(nsv, std::vector<double>(nfeat));
-  m.alpha_y.resize(nsv);
+  std::vector<double> row;
   for (std::size_t i = 0; i < nsv; ++i) {
-    is >> m.alpha_y[i];
-    for (std::size_t j = 0; j < nfeat; ++j) is >> m.support_vectors[i][j];
+    m.alpha_y.push_back(io::read_value<double>(is, "SvmModel::load"));
+    row.clear();
+    io::read_values(is, nfeat, row, "SvmModel::load");
+    m.support_vectors.push_back(row);
   }
-  io::require_good(is, "SvmModel::load");
   return m;
 }
 

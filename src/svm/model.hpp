@@ -1,10 +1,17 @@
 // Trained SVM model (paper Eq. 1): the support vectors, their signed weights
-// alpha_i * y_i, the bias b and the kernel. Provides float inference and
-// text serialisation; the fixed-point engine (svt::core) quantises this.
+// alpha_i * y_i, the bias b and the kernel. Provides per-window float
+// inference, for any kernel, and text serialisation. Training, cross-
+// validation and the parity tests use it as is; serving packs it
+// (rt::PackedModel, quadratic kernel only, matching decision_value per
+// window) or quantises it (core::QuantizedModel). Nothing here depends on
+// the serving runtime.
 #pragma once
 
 #include <iosfwd>
+#include <istream>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "svm/kernel.hpp"
@@ -25,17 +32,6 @@ struct SvmModel {
   /// Decision value f(x) = sum_i alpha_y_i k(x, sv_i) + b (paper Eq. 1
   /// before the sign). Throws std::invalid_argument on size mismatch.
   double decision_value(std::span<const double> x) const;
-
-  /// Batched decision values for many windows in one call. Quadratic-
-  /// polynomial models route through the packed row-major fast path
-  /// (rt::PackedModel); other kernels fall back to the per-window loop.
-  /// `out.size()` must equal `xs.size()`; every row must
-  /// have num_features() entries. Throws std::invalid_argument otherwise.
-  void decision_values(std::span<const std::vector<double>> xs, std::span<double> out) const;
-  std::vector<double> decision_values(std::span<const std::vector<double>> xs) const;
-
-  /// Batched class labels (sign of the batched decision values).
-  std::vector<int> predict_batch(std::span<const std::vector<double>> xs) const;
 
   /// Class label: sign of the decision value (+1 / -1; 0 maps to +1).
   int predict(std::span<const double> x) const;
@@ -66,6 +62,23 @@ void expect_header(std::istream& is, const char* magic, const char* version, con
 /// Throw std::invalid_argument("<ctx>: truncated") if the stream has failed
 /// (call after a block of extractions).
 void require_good(const std::istream& is, const char* ctx);
+
+/// Read one value; throws std::invalid_argument("<ctx>: truncated") when
+/// the stream has none left.
+template <typename T>
+T read_value(std::istream& is, const char* ctx) {
+  T value{};
+  if (!(is >> value)) throw std::invalid_argument(std::string(ctx) + ": truncated");
+  return value;
+}
+
+/// Append `count` values to `out`, one at a time as they are read, so a
+/// corrupt count allocates no more than the stream actually holds; throws
+/// like read_value at the first missing value.
+template <typename T>
+void read_values(std::istream& is, std::size_t count, std::vector<T>& out, const char* ctx) {
+  for (std::size_t i = 0; i < count; ++i) out.push_back(read_value<T>(is, ctx));
+}
 
 }  // namespace io
 

@@ -94,19 +94,15 @@ StandardScaler StandardScaler::load(std::istream& is) {
   io::expect_tag(is, "nfeat", "StandardScaler::load");
   is >> nfeat;
   io::require_good(is, "StandardScaler::load");
-  s.mean_.resize(nfeat);
-  s.std_.resize(nfeat);
   io::expect_tag(is, "means", "StandardScaler::load");
-  for (double& m : s.mean_) is >> m;
+  io::read_values(is, nfeat, s.mean_, "StandardScaler::load");
   io::expect_tag(is, "stds", "StandardScaler::load");
-  for (double& v : s.std_) is >> v;
+  io::read_values(is, nfeat, s.std_, "StandardScaler::load");
   std::size_t ngains = 0;
   io::expect_tag(is, "gains", "StandardScaler::load");
   is >> ngains;
   io::require_good(is, "StandardScaler::load");
-  s.gains_.resize(ngains);
-  for (double& g : s.gains_) is >> g;
-  io::require_good(is, "StandardScaler::load");
+  io::read_values(is, ngains, s.gains_, "StandardScaler::load");
   return s;
 }
 

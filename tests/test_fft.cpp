@@ -105,57 +105,22 @@ TEST_P(FftRoundTrip, ParsevalHolds) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
                          ::testing::Values(2u, 4u, 8u, 16u, 64u, 256u, 1024u));
 
-TEST(FftPlanCache, BoundsResidentPlansWithLruEviction) {
-  FftPlanCache cache(3);
-  EXPECT_EQ(cache.capacity(), 3u);
-  EXPECT_EQ(cache.size(), 0u);
+TEST(FftPlan, PlannedTransformBitIdenticalToPlanless) {
+  for (const std::size_t n : {1u, 2u, 8u, 64u, 256u, 1024u}) {
+    std::mt19937_64 rng(7 + n);
+    std::normal_distribution<double> gauss(0.0, 1.0);
+    std::vector<std::complex<double>> x(n);
+    for (auto& v : x) v = {gauss(rng), gauss(rng)};
 
-  cache.get(8);
-  cache.get(16);
-  cache.get(32);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  cache.get(8);  // Touch: 8 becomes most recent, 16 is now LRU.
-  cache.get(64);  // Evicts 16.
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 1u);
-
-  const FftPlan* plan8 = &cache.get(8);  // Still resident: no eviction.
-  EXPECT_EQ(plan8->size(), 8u);
-  EXPECT_EQ(cache.evictions(), 1u);
-
-  cache.get(16);  // Rebuilt; evicts 32 (LRU after the 8/64 touches).
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  cache.get(8);
-  cache.get(64);
-  EXPECT_EQ(cache.evictions(), 2u);  // Both survived the 16 rebuild.
-
-  EXPECT_THROW(FftPlanCache(0), std::invalid_argument);
-  EXPECT_THROW(cache.get(3), std::invalid_argument);  // Non-power-of-two.
-}
-
-TEST(FftPlanCache, PlannedTransformBitIdenticalAcrossEviction) {
-  constexpr std::size_t n = 64;
-  std::mt19937_64 rng(7);
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  std::vector<std::complex<double>> x(n);
-  for (auto& v : x) v = {gauss(rng), gauss(rng)};
-
-  auto want = x;
-  fft_inplace(want);
-
-  FftPlanCache cache(1);
-  auto got = x;
-  fft_inplace(std::span(got), cache.get(n));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]);
-
-  cache.get(128);  // Evict the size-64 plan...
-  EXPECT_EQ(cache.evictions(), 1u);
-  got = x;  // ...then a rebuilt plan must still be bit-identical.
-  fft_inplace(std::span(got), cache.get(n));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]);
+    auto want = x;
+    fft_inplace(want);
+    const FftPlan plan(n);
+    EXPECT_EQ(plan.size(), n);
+    auto got = x;
+    fft_inplace(std::span(got), plan);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << "n " << n << ", bin " << i;
+  }
+  EXPECT_THROW(FftPlan(3), std::invalid_argument);  // Non-power-of-two.
 }
 
 TEST(Fft, LinearityProperty) {

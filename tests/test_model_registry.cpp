@@ -8,11 +8,14 @@
 #include <memory>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/tailoring.hpp"
 #include "rt/model_registry.hpp"
+#include "svm/kernel.hpp"
 #include "support/fixtures.hpp"
 
 namespace svt {
@@ -125,26 +128,82 @@ TEST(ServableModel, RoundTripsFloatWithPackedFastPath) {
   ASSERT_TRUE(loaded.packed().has_value());  // Rebuilt from the loaded SVM.
 
   const auto raw = random_raw_vectors(32, raw_feature_count(float_detector()), 13);
-  for (const auto& x : raw) {
-    const auto row = original.prepare_row(x);
-    EXPECT_EQ(original.packed()->decision_value(row), loaded.packed()->decision_value(row));
+  std::vector<std::vector<double>> rows;
+  for (const auto& x : raw) rows.push_back(original.prepare_row(x));
+  std::vector<double> want(rows.size()), got(rows.size());
+  rt::KernelScratch scratch;
+  original.packed()->decision_values(rows, want, scratch);
+  loaded.packed()->decision_values(rows, got, scratch);
+  EXPECT_EQ(got, want);
+}
+
+/// `text` with the value after the `occurrence`-th (0-based) line that
+/// starts with `tag` replaced by `value`.
+std::string edit_field(const std::string& text, const std::string& tag, int occurrence,
+                       const std::string& value) {
+  std::size_t at = 0;
+  for (int seen = -1; seen < occurrence; ++seen) {
+    at = text.find("\n" + tag + " ", at + 1);
+    EXPECT_NE(at, std::string::npos) << tag;
+    if (at == std::string::npos) return text;
   }
+  const std::size_t begin = at + tag.size() + 2;
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.substr(0, begin) + value + text.substr(end);
 }
 
 TEST(ServableModel, LoadRejectsCorruptInput) {
   const auto original = rt::ServableModel::from_detector(detector());
   std::stringstream stream;
   original.save(stream);
-  std::string text = stream.str();
+  const std::string text = stream.str();
 
-  {
-    std::stringstream bad("not-a-model v1\n");
-    EXPECT_THROW(rt::ServableModel::load(bad), std::invalid_argument);
+  std::vector<std::pair<std::string, std::string>> inputs{
+      {"bad header", "not-a-model v1\n"},
+      {"truncated", text.substr(0, text.size() / 2)},
+  };
+  // Count fields claiming more values than the file holds, far past memory
+  // (10^15) or negative (read into std::size_t as 2^64 - 1). Each must fail
+  // at the first missing value, not size a vector from the count.
+  const std::pair<const char*, int> counts[] = {
+      {"selected", 0}, {"nfeat", 0} /* the scaler's */, {"nsv", 0} /* the SVM's */,
+      {"nsv", 1} /* the quantised engine's */};
+  for (const auto& [tag, occurrence] : counts)
+    for (const char* value : {"1000000000000000", "-1"})
+      inputs.emplace_back(std::string(tag) + "#" + std::to_string(occurrence) + " = " + value,
+                          edit_field(text, tag, occurrence, value));
+  for (const auto& [what, input] : inputs) {
+    std::stringstream is(input);
+    EXPECT_THROW(rt::ServableModel::load(is), std::invalid_argument) << what;
   }
-  {
-    std::stringstream truncated(text.substr(0, text.size() / 2));
-    EXPECT_THROW(rt::ServableModel::load(truncated), std::invalid_argument);
+}
+
+TEST(ServableModel, RejectsNonQuadraticKernels) {
+  const auto& d = test::detector();
+  for (const svm::Kernel& kernel :
+       {svm::linear_kernel(), svm::cubic_kernel(), svm::gaussian_kernel(0.3)}) {
+    auto model = d.model();
+    model.kernel = kernel;
+    // With or without a quantised engine: nothing serves another kernel.
+    EXPECT_THROW(rt::ServableModel(d.selected_features(), d.scaler(), model, d.quantized()),
+                 std::invalid_argument)
+        << kernel.name();
+    EXPECT_THROW(rt::ServableModel(d.selected_features(), d.scaler(), model, std::nullopt),
+                 std::invalid_argument)
+        << kernel.name();
   }
+
+  // load() builds through the same constructor: a saved model whose kernel
+  // line names another kernel is rejected.
+  std::stringstream stream;
+  rt::ServableModel::from_detector(float_detector()).save(stream);
+  const std::string quadratic = "\nkernel 1 2 ";
+  std::string text = stream.str();
+  const std::size_t at = text.find(quadratic);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, quadratic.size(), "\nkernel 1 3 ");  // Cubic.
+  std::stringstream cubic(text);
+  EXPECT_THROW(rt::ServableModel::load(cubic), std::invalid_argument);
 }
 
 TEST(ServableModel, RejectsMismatchedParts) {

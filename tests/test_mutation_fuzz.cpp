@@ -1,9 +1,11 @@
 // Seeded mutation test for the readers that take untrusted input: the wire
-// codec (FrameDecoder fed in random slices, and every parse_*) and the WFDB
-// header and signal readers. Valid frames and records are mutated by bit
-// flips, truncation, splices and length/count edits. Every outcome must be
-// a typed ErrorCode, a false parse or std::invalid_argument; a crash, a
-// sanitizer report or any other exception fails the test. Each iteration
+// codec (FrameDecoder fed in random slices, and every parse_*), the WFDB
+// header and signal readers, and the model-file loader
+// (rt::ServableModel::load). Valid frames, records and model files are
+// mutated by bit flips, truncation, splices and length/count edits. Every
+// outcome must be a typed ErrorCode, a false parse, a clean load or
+// std::invalid_argument; a crash, a sanitizer report or any other exception
+// (std::bad_alloc and std::length_error included) fails the test. Each iteration
 // draws from its own generator, seeded from (kSeed, phase, iteration), so
 // the seed and iteration a failure prints replay that case alone.
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <random>
 #include <span>
 #include <sstream>
@@ -28,6 +31,8 @@
 
 #include "io/wfdb.hpp"
 #include "net/frame.hpp"
+#include "rt/cohort_replayer.hpp"
+#include "rt/model_registry.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define SVT_MUTATION_ASAN 1
@@ -51,6 +56,7 @@ constexpr std::uint32_t kSeed = 20190325;
 constexpr std::size_t kFrameSessions = 12000;
 constexpr std::size_t kPayloads = 20000;
 constexpr std::size_t kRecords = 2500;
+constexpr std::size_t kModelFiles = 4000;
 
 /// The case being run, for failure messages — and for a sanitizer's death
 /// report, which ends the process before gtest can print anything.
@@ -429,6 +435,41 @@ TEST(MutationFuzz, WfdbReadersSurviveMutatedRecords) {
     for (const auto& [name, bytes] : record.signals) write_file(dir / name, bytes);
   }
   std::filesystem::remove_all(dir);
+}
+
+// --- Model files -------------------------------------------------------------
+
+TEST(MutationFuzz, ModelLoaderSurvivesMutatedModelFiles) {
+  // A quantised and a float model file (the AF model: 3 features, 16 SVs),
+  // edited token by token with edge values (counts far past memory or
+  // negative among them) or truncated. Every outcome must be a clean load
+  // or std::invalid_argument.
+  report_on_sanitizer_death();
+  const rt::ServableModel quantized = rt::synthetic_af_model();
+  const rt::ServableModel float_model(quantized.selected_features(), quantized.scaler(),
+                                      quantized.model(), std::nullopt);
+  std::vector<std::string> texts;
+  for (const rt::ServableModel* model : {&quantized, &float_model}) {
+    std::ostringstream os;
+    model->save(os);
+    texts.push_back(os.str());
+  }
+  for (std::size_t i = 0; i < kModelFiles && !::testing::Test::HasFailure(); ++i) {
+    Rng rng = begin_iteration("model file", 4, i);
+    std::string text = texts[pick(rng, texts.size())];
+    if (pick(rng, 4) == 0) {
+      text.resize(pick(rng, text.size() + 1));
+    } else {
+      for (std::size_t edits = 1 + pick(rng, 2); edits > 0; --edits) edit_token(text, rng);
+    }
+    try {
+      std::istringstream is(text);
+      (void)rt::ServableModel::load(is);
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << where() << ": ServableModel::load threw " << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fixed/fixed_point.hpp"
+#include "rt/packed_kernel.hpp"
 #include "svm/trainer.hpp"
 
 namespace svt::core {
@@ -226,7 +227,11 @@ TEST(Quantize, SaveLoadRoundTripIsBitExact) {
       EXPECT_EQ(loaded.quantize_input(x), original.quantize_input(x));
     }
     const auto batch = std::vector<std::vector<double>>(t.x.begin(), t.x.begin() + 32);
-    EXPECT_EQ(loaded.dequantized_decisions(batch), original.dequantized_decisions(batch));
+    rt::KernelScratch scratch;
+    std::vector<double> want, got;
+    original.dequantized_decisions(batch, scratch, want);
+    loaded.dequantized_decisions(batch, scratch, got);
+    EXPECT_EQ(got, want);
 
     // Serialisation is a fixed point: re-saving reproduces the bytes.
     std::stringstream again;

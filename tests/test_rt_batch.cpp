@@ -1,6 +1,7 @@
-// Parity tests for the packed batch kernels: the batched float and
-// fixed-point entry points must match the per-window engines they replace --
-// bit-exactly for the fixed-point pipeline, to floating rounding of
+// Parity tests for the packed batch kernels: each engine's one batch entry
+// (rt::PackedModel::decision_values, core::QuantizedModel::
+// dequantized_decisions) must match the per-window engine it stands in for
+// -- bit-exactly for the fixed-point pipeline, to floating rounding of
 // pow(s,2) vs s*s for the float path.
 #include <gtest/gtest.h>
 
@@ -45,19 +46,31 @@ std::vector<std::vector<double>> random_batch(std::size_t nwin, std::size_t nfea
   return xs;
 }
 
-TEST(PackedKernel, TransposeRoundTrip) {
-  const std::vector<double> in{1, 2, 3, 4, 5, 6};  // 2 windows x 3 features.
-  std::vector<double> out(6);
-  rt::transpose_batch(in.data(), 2, 3, out.data());
-  EXPECT_EQ(out, (std::vector<double>{1, 4, 2, 5, 3, 6}));
+/// PackedModel's batch entry through a fresh scratch.
+std::vector<double> packed_values(const rt::PackedModel& packed,
+                                  const std::vector<std::vector<double>>& xs) {
+  std::vector<double> out(xs.size());
+  rt::KernelScratch scratch;
+  packed.decision_values(xs, out, scratch);
+  return out;
+}
+
+/// QuantizedModel's batch entry through a fresh scratch.
+std::vector<double> quantized_values(const core::QuantizedModel& qm,
+                                     const std::vector<std::vector<double>>& xs) {
+  std::vector<double> out;
+  rt::KernelScratch scratch;
+  qm.dequantized_decisions(xs, scratch, out);
+  return out;
 }
 
 TEST(BatchDecision, MatchesPerWindowFloatEngine) {
   const auto m = random_quadratic_model(68, 30, 7);
+  const rt::PackedModel packed(m);
   // Sizes straddling the window-block boundary, plus a 64-window batch.
   for (std::size_t nwin : {1u, 15u, 16u, 17u, 64u}) {
     const auto xs = random_batch(nwin, 30, 2.0, 100 + nwin);
-    const auto batched = m.decision_values(xs);
+    const auto batched = packed_values(packed, xs);
     ASSERT_EQ(batched.size(), nwin);
     for (std::size_t w = 0; w < nwin; ++w) {
       const double single = m.decision_value(xs[w]);
@@ -72,47 +85,27 @@ TEST(BatchDecision, PackedModelMatchesModelBatch) {
   EXPECT_EQ(packed.num_features(), 12u);
   EXPECT_EQ(packed.num_support_vectors(), 33u);
   const auto xs = random_batch(37, 12, 2.0, 5);
-  const auto a = m.decision_values(xs);
-  const auto b = packed.decision_values(xs);
-  for (std::size_t w = 0; w < xs.size(); ++w) EXPECT_DOUBLE_EQ(a[w], b[w]);
-  // Single-window packed path agrees too.
-  EXPECT_DOUBLE_EQ(packed.decision_value(xs[0]), b[0]);
-}
-
-TEST(BatchDecision, PredictBatchMatchesPredict) {
-  const auto m = random_quadratic_model(20, 8, 3);
-  const auto xs = random_batch(29, 8, 2.0, 9);
-  const auto labels = m.predict_batch(xs);
-  for (std::size_t w = 0; w < xs.size(); ++w) EXPECT_EQ(labels[w], m.predict(xs[w]));
-}
-
-TEST(BatchDecision, NonQuadraticKernelsFallBack) {
-  auto m = random_quadratic_model(10, 6, 21);
-  m.kernel = svm::gaussian_kernel(0.3);
-  const auto xs = random_batch(19, 6, 2.0, 2);
-  const auto batched = m.decision_values(xs);
+  const auto values = packed_values(packed, xs);
   for (std::size_t w = 0; w < xs.size(); ++w)
-    EXPECT_DOUBLE_EQ(batched[w], m.decision_value(xs[w]));
+    EXPECT_DOUBLE_EQ(values[w], m.decision_value(xs[w])) << "window " << w;
 }
 
 TEST(BatchDecision, EmptyModelAndEmptyBatch) {
-  svm::SvmModel empty;
-  empty.bias = 0.5;
-  const auto xs = random_batch(3, 0, 1.0, 1);
-  const auto values = empty.decision_values(xs);
-  for (double v : values) EXPECT_DOUBLE_EQ(v, 0.5);
-  EXPECT_TRUE(empty.decision_values(std::vector<std::vector<double>>{}).empty());
+  EXPECT_THROW(rt::PackedModel(svm::SvmModel{}), std::invalid_argument);
+  const rt::PackedModel packed(random_quadratic_model(4, 3, 1));
+  EXPECT_TRUE(packed_values(packed, {}).empty());
 }
 
 TEST(BatchDecision, RejectsBadShapes) {
-  const auto m = random_quadratic_model(5, 4, 2);
+  const rt::PackedModel packed(random_quadratic_model(5, 4, 2));
+  rt::KernelScratch scratch;
   auto xs = random_batch(3, 4, 1.0, 1);
   xs[1].pop_back();
-  EXPECT_THROW(m.decision_values(xs), std::invalid_argument);
-  auto good = random_batch(3, 4, 1.0, 1);
-  std::vector<double> out(2);  // Wrong output size.
-  EXPECT_THROW(m.decision_values(good, out), std::invalid_argument);
-  EXPECT_THROW(rt::PackedModel(svm::SvmModel{}), std::invalid_argument);
+  std::vector<double> out(3);
+  EXPECT_THROW(packed.decision_values(xs, out, scratch), std::invalid_argument);
+  const auto good = random_batch(3, 4, 1.0, 1);
+  out.resize(2);  // Wrong output size.
+  EXPECT_THROW(packed.decision_values(good, out, scratch), std::invalid_argument);
 }
 
 TEST(BatchQuantized, BitExactVsPerWindowEngine) {
@@ -122,11 +115,11 @@ TEST(BatchQuantized, BitExactVsPerWindowEngine) {
   // spread 4.0 saturates some inputs; batch sizes straddle the block size.
   for (std::size_t nwin : {1u, 16u, 21u, 64u}) {
     const auto xs = random_batch(nwin, 30, 4.0, 3000 + nwin);
-    const auto labels = qm.classify_batch(xs);
-    const auto values = qm.dequantized_decisions(xs);
-    ASSERT_EQ(labels.size(), nwin);
+    const auto values = quantized_values(qm, xs);
+    ASSERT_EQ(values.size(), nwin);
     for (std::size_t w = 0; w < nwin; ++w) {
-      EXPECT_EQ(labels[w], qm.classify(xs[w])) << "window " << w;
+      // The serving label rule on the batch value is the engine's sign.
+      EXPECT_EQ(values[w] >= 0.0 ? +1 : -1, qm.classify(xs[w])) << "window " << w;
       // Same integer accumulator, same scale: bit-exact, not just close.
       EXPECT_EQ(values[w], qm.dequantized_decision(xs[w])) << "window " << w;
     }
@@ -144,7 +137,7 @@ TEST(BatchQuantized, BitExactAtNarrowWidths) {
   qc.square_truncate_bits = 2;
   const auto qm = core::QuantizedModel::build(m, qc);
   const auto xs = random_batch(48, 16, 6.0, 77);
-  const auto values = qm.dequantized_decisions(xs);
+  const auto values = quantized_values(qm, xs);
   for (std::size_t w = 0; w < xs.size(); ++w)
     EXPECT_EQ(values[w], qm.dequantized_decision(xs[w])) << "window " << w;
 }
@@ -154,8 +147,8 @@ TEST(BatchQuantized, RejectsBadShapes) {
   const auto qm = core::QuantizedModel::build(m, core::QuantConfig{});
   auto xs = random_batch(3, 4, 1.0, 1);
   xs[2].push_back(0.0);
-  EXPECT_THROW(qm.classify_batch(xs), std::invalid_argument);
-  EXPECT_TRUE(qm.classify_batch(std::vector<std::vector<double>>{}).empty());
+  EXPECT_THROW(quantized_values(qm, xs), std::invalid_argument);
+  EXPECT_TRUE(quantized_values(qm, {}).empty());
 }
 
 }  // namespace

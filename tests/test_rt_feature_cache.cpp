@@ -1,15 +1,16 @@
 // SegmentFeatureCache and the incremental (segment-cached) feature
-// pipeline: bit-exact parity with the memoization-disabled reference —
-// which runs the identical chunked code but rebuilds every product per
-// window — across strides, overlaps and chunkings; plus hand-computed chunk
-// semantics and the sharded engine at 1/2/4 workers against the
-// single-threaded oracle.
+// pipeline: bit-exact parity with a from-scratch reference built here —
+// one detector lane over the whole record, a fresh cache per window, the
+// extractor's gates and the seizure workload — across strides, overlaps and
+// chunkings; plus hand-computed chunk semantics and the sharded engine at
+// 1/2/4 workers against the single-threaded oracle.
 //
 // EXPECT_EQ on doubles throughout: the cache must change WHERE values are
 // computed, never the values.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <span>
@@ -18,12 +19,15 @@
 #include <vector>
 
 #include "dsp/spectral.hpp"
+#include "dsp/statistics.hpp"
 #include "ecg/lane_qrs.hpp"
+#include "features/feature_scratch.hpp"
 #include "features/segment_cache.hpp"
 #include "rt/cohort_replayer.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
 #include "rt/window_extractor.hpp"
+#include "rt/workload.hpp"
 #include "support/fixtures.hpp"
 
 namespace svt {
@@ -144,7 +148,7 @@ TEST(SegmentFeatureCache, ChunkProductsMatchHandComputation) {
   const auto layout = SegmentFeatureCache::plan(10.0, 1.0, 20, 60);
   ASSERT_TRUE(layout.has_value());
   ASSERT_EQ(layout->chunk_len, 2);
-  SegmentFeatureCache cache(*layout, /*memoize=*/true);
+  SegmentFeatureCache cache(*layout);
 
   ecg::BeatRing ring;
   ring.push_back({5, 1.0});   // Chunk 0, local t = 0.5 s.
@@ -210,7 +214,7 @@ TEST(SegmentFeatureCache, ChunkProductsMatchHandComputation) {
 TEST(SegmentFeatureCache, EmptyChunkIsHeldFromPrecedingChunk) {
   const auto layout = SegmentFeatureCache::plan(10.0, 1.0, 20, 60);
   ASSERT_TRUE(layout.has_value());
-  SegmentFeatureCache cache(*layout, /*memoize=*/true);
+  SegmentFeatureCache cache(*layout);
 
   ecg::BeatRing ring;
   ring.push_back({5, 1.0});
@@ -235,13 +239,75 @@ TEST(SegmentFeatureCache, EmptyChunkIsHeldFromPrecedingChunk) {
   EXPECT_EQ(view.edr[5], 2.0);
 }
 
-// --- Extractor-level parity: cached vs memoization-off -----------------------
+// --- Extractor-level parity: cached vs a from-scratch reference -------------
+
+/// The extractor's PSD gates over a cache's window PSD (compute_psd_features'
+/// early-outs: too short or constant, keep the zero fill).
+class GatedWindowPsd final : public rt::WindowPsdSource {
+ public:
+  GatedWindowPsd(SegmentFeatureCache& cache, std::int64_t m0, std::span<const double> edr)
+      : cache_(cache), m0_(m0), edr_(edr) {}
+
+  const dsp::PsdEstimate* window_psd(features::FeatureScratch& scratch) override {
+    if (edr_.size() < 32 || dsp::stddev_population(edr_) <= 0.0) return nullptr;
+    return &cache_.window_psd(m0_, scratch.spectral);
+  }
+
+ private:
+  SegmentFeatureCache& cache_;
+  std::int64_t m0_;
+  std::span<const double> edr_;
+};
+
+/// Every full window of a finite single-patient stream, built from scratch:
+/// one detector lane runs the whole record, and each window is assembled
+/// from a fresh SegmentFeatureCache, so no product is reused. Windows below
+/// the beat floor are skipped, like the extractor's rejections.
+std::vector<rt::ExtractedWindow> reference_windows(const rt::StreamConfig& config,
+                                                   const ecg::EcgWaveform& wf) {
+  ecg::LaneQrsDetector detector(config.fs_hz);
+  const std::size_t lane = detector.add_lane();
+  detector.push_one(lane, wf.samples_mv);
+  detector.finish(lane);
+  const ecg::BeatRing& ring = detector.beats(lane);
+
+  const auto stride = static_cast<std::int64_t>(std::llround(config.stride_s * config.fs_hz));
+  const auto window = static_cast<std::int64_t>(std::llround(config.window_s * config.fs_hz));
+  const auto layout = SegmentFeatureCache::plan(config.fs_hz, config.edr_fs_hz, stride, window);
+  EXPECT_TRUE(layout.has_value());
+  if (!layout) return {};
+  const auto workload = rt::apnea_workload();
+  features::FeatureScratch scratch;
+  std::vector<rt::ExtractedWindow> windows;
+  const auto samples = static_cast<std::int64_t>(wf.samples_mv.size());
+  for (std::int64_t m0 = 0; m0 * stride + window <= samples; ++m0) {
+    SegmentFeatureCache cache(*layout);
+    for (std::int64_t j = 0; j < layout->chunks_per_window; ++j) cache.chunk(ring, m0 + j);
+    const auto view = cache.assemble_window(m0);
+    if (view.beats < config.min_beats || view.beats < 2) continue;
+    GatedWindowPsd psd(cache, m0, view.edr);
+    rt::WindowSubstrate substrate;
+    substrate.rr_s = view.rr;
+    substrate.edr = view.edr;
+    substrate.edr_fs_hz = config.edr_fs_hz;
+    substrate.num_beats = view.beats;
+    substrate.psd = &psd;
+    rt::ExtractedWindow out;
+    out.patient_id = 1;
+    out.start_s = static_cast<double>(m0 * stride) / config.fs_hz;
+    out.num_beats = view.beats;
+    out.num_features = workload->num_features();
+    workload->extract(substrate, scratch, {out.raw_features.data(), out.num_features});
+    windows.push_back(out);
+  }
+  return windows;
+}
 
 struct ParityConfig {
   const char* name;
   rt::StreamConfig stream;
   double duration_s;
-  std::size_t chunk_a, chunk_b;  ///< Different chunkings for the two runs.
+  std::size_t chunk_a, chunk_b;  ///< Two chunkings, each checked.
 };
 
 std::vector<ParityConfig> parity_configs() {
@@ -268,19 +334,18 @@ std::vector<ParityConfig> parity_configs() {
   return configs;
 }
 
-TEST(IncrementalPipeline, CachedBitIdenticalToMemoizeOffAcrossConfigs) {
+TEST(IncrementalPipeline, CachedBitIdenticalToFromScratchReferenceAcrossConfigs) {
   for (const auto& pc : parity_configs()) {
     const auto wf = synth_ecg(pc.duration_s, 71);
-    auto cached_config = pc.stream;
-    cached_config.fs_hz = wf.fs_hz;
-    cached_config.incremental = true;
-    auto off_config = cached_config;
-    off_config.incremental = false;
+    auto config = pc.stream;
+    config.fs_hz = wf.fs_hz;
 
-    const auto want = run_stream(off_config, wf, pc.chunk_b);
-    const auto got = run_stream(cached_config, wf, pc.chunk_a);
+    const auto want = reference_windows(config, wf);
     ASSERT_GT(want.size(), 3u) << pc.name;
-    expect_windows_equal(got, want, pc.name);
+    for (const std::size_t chunk : {pc.chunk_a, pc.chunk_b}) {
+      const std::string what = std::string(pc.name) + ", chunk " + std::to_string(chunk);
+      expect_windows_equal(run_stream(config, wf, chunk), want, what.c_str());
+    }
   }
 }
 

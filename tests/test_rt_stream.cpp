@@ -1,15 +1,20 @@
 // StreamClassifier: window boundaries under the incremental extractor
 // (partial windows, overlap, emission lag, end-of-stream), chunk-size
-// invariance, multi-patient isolation, and agreement with the underlying
-// tailored detector.
+// invariance, multi-patient isolation, agreement with the underlying
+// tailored detector, and where a classify-step failure surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/tailoring.hpp"
+#include "rt/cohort_replayer.hpp"
+#include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
+#include "rt/workload.hpp"
 #include "support/fixtures.hpp"
 
 namespace svt {
@@ -183,6 +188,33 @@ TEST(StreamClassifier, FloatDetectorPath) {
   const auto results = sc.flush();
   ASSERT_FALSE(results.empty());
   for (const auto& r : results) EXPECT_EQ(r.label, r.decision_value >= 0.0 ? 1 : -1);
+}
+
+TEST(StreamClassifier, SelectionPastWorkloadFeaturesThrowsFromFlush) {
+  // Rows are prepared in the classify step, so a model that selects
+  // features its workload does not produce (the 53-feature seizure model
+  // serving the 3-feature AF workload) fails at flush() in both engines,
+  // never at push. The failed windows are dropped and the engine stays
+  // usable.
+  auto config = short_window_config();
+  config.workloads = {rt::af_workload()};
+  const auto wf = synth_ecg(45.0, 12);
+
+  rt::StreamClassifier sc(rt::synthetic_full_feature_model(), config);
+  sc.push_samples(1, wf.samples_mv);
+  ASSERT_GT(sc.pending_windows(), 0u);
+  EXPECT_THROW(sc.flush(), std::invalid_argument);
+  EXPECT_EQ(sc.pending_windows(), 0u);
+  EXPECT_TRUE(sc.flush().empty());
+  EXPECT_EQ(sc.stats().delivered_windows, 0u);
+
+  Collector collector;
+  rt::ShardedStreamClassifier sharded(
+      std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model()), config,
+      engine_options(2, collector.sink()));
+  sharded.push_samples(1, wf.samples_mv);
+  EXPECT_THROW(sharded.flush(), std::invalid_argument);
+  EXPECT_TRUE(collector.per_patient.empty());
 }
 
 }  // namespace

@@ -25,15 +25,6 @@ std::vector<double> ArModel::spectrum(std::span<const double> frequencies_hz, do
   return psd;
 }
 
-double ArModel::predict_next(std::span<const double> x) const {
-  if (x.size() < coefficients.size())
-    throw std::invalid_argument("ArModel::predict_next: series shorter than model order");
-  double acc = 0.0;
-  for (std::size_t k = 0; k < coefficients.size(); ++k)
-    acc += coefficients[k] * x[x.size() - 1 - k];
-  return acc;
-}
-
 ArModel levinson_durbin(std::span<const double> autocorr, std::size_t order) {
   if (order == 0) throw std::invalid_argument("levinson_durbin: order == 0");
   if (autocorr.size() < order + 1)
@@ -126,18 +117,6 @@ void ar_burg(std::span<const double> x, std::size_t order, BurgScratch& scratch)
     if (err < 0.0) err = 0.0;
   }
   scratch.noise_variance = err;
-}
-
-std::vector<double> reflection_to_predictor(std::span<const double> reflection) {
-  std::vector<double> a;
-  a.reserve(reflection.size());
-  for (std::size_t m = 0; m < reflection.size(); ++m) {
-    const double k = reflection[m];
-    std::vector<double> prev = a;
-    a.push_back(k);
-    for (std::size_t j = 0; j < m; ++j) a[j] = prev[j] - k * prev[m - 1 - j];
-  }
-  return a;
 }
 
 }  // namespace svt::dsp

@@ -27,11 +27,6 @@ struct ArModel {
   /// for a sampling rate fs_hz: sigma^2 / (fs * |1 - sum a_k e^{-j w k}|^2),
   /// doubled for one-sidedness.
   std::vector<double> spectrum(std::span<const double> frequencies_hz, double fs_hz) const;
-
-  /// One-step-ahead linear prediction of x[n] from the p previous samples
-  /// (x must contain at least `order()` samples; the most recent sample is
-  /// x.back()).
-  double predict_next(std::span<const double> x) const;
 };
 
 /// Levinson-Durbin recursion on an autocorrelation sequence r[0..p].
@@ -56,8 +51,5 @@ struct BurgScratch {
 /// order) and the prediction-error variance in scratch.noise_variance.
 /// Bit-identical to ar_burg — the allocating overload delegates here.
 void ar_burg(std::span<const double> x, std::size_t order, BurgScratch& scratch);
-
-/// Reflection coefficients -> predictor coefficients (step-up recursion).
-std::vector<double> reflection_to_predictor(std::span<const double> reflection);
 
 }  // namespace svt::dsp

@@ -1,9 +1,9 @@
 #include "dsp/filter.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 namespace svt::dsp {
 
@@ -11,13 +11,6 @@ Biquad::Biquad(double b0, double b1, double b2, double a1, double a2)
     : b0_(b0), b1_(b1), b2_(b2), a1_(a1), a2_(a2) {}
 
 void Biquad::reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
-
-std::vector<double> Biquad::filter(std::span<const double> x) {
-  reset();
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = process(x[i]);
-  return y;
-}
 
 namespace {
 
@@ -45,83 +38,6 @@ Biquad butterworth_highpass(double cutoff_hz, double fs_hz) {
   const double norm = 1.0 / (1.0 + k / q + k * k);
   const double b0 = norm;
   return Biquad(b0, -2.0 * b0, b0, 2.0 * (k * k - 1.0) * norm, (1.0 - k / q + k * k) * norm);
-}
-
-std::vector<double> bandpass_filter(std::span<const double> x, double lo_hz, double hi_hz,
-                                    double fs_hz) {
-  if (!(0.0 < lo_hz && lo_hz < hi_hz && hi_hz < fs_hz / 2.0))
-    throw std::invalid_argument("bandpass_filter: need 0 < lo < hi < fs/2");
-  auto hp = butterworth_highpass(lo_hz, fs_hz);
-  auto lp = butterworth_lowpass(hi_hz, fs_hz);
-  auto y = hp.filter(x);
-  return lp.filter(y);
-}
-
-namespace {
-
-void require_odd_window(std::size_t window, const char* what) {
-  if (window == 0) throw std::invalid_argument(std::string(what) + ": window == 0");
-  if (window % 2 == 0) throw std::invalid_argument(std::string(what) + ": window must be odd");
-}
-
-}  // namespace
-
-std::vector<double> moving_average(std::span<const double> x, std::size_t window) {
-  require_odd_window(window, "moving_average");
-  const std::size_t half = window / 2;
-  std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    double acc = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) acc += x[j];
-    y[i] = acc / static_cast<double>(hi - lo + 1);
-  }
-  return y;
-}
-
-std::vector<double> moving_median(std::span<const double> x, std::size_t window) {
-  require_odd_window(window, "moving_median");
-  const std::size_t half = window / 2;
-  std::vector<double> y(x.size());
-  std::vector<double> buf;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(x.size() - 1, i + half);
-    buf.assign(x.begin() + static_cast<std::ptrdiff_t>(lo),
-               x.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-    std::sort(buf.begin(), buf.end());
-    const std::size_t n = buf.size();
-    y[i] = n % 2 == 1 ? buf[n / 2] : 0.5 * (buf[n / 2 - 1] + buf[n / 2]);
-  }
-  return y;
-}
-
-std::vector<double> five_point_derivative(std::span<const double> x, double fs_hz) {
-  if (fs_hz <= 0.0) throw std::invalid_argument("five_point_derivative: fs_hz <= 0");
-  std::vector<double> y(x.size(), 0.0);
-  auto at = [&](std::ptrdiff_t i) {
-    i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(x.size()) - 1);
-    return x[static_cast<std::size_t>(i)];
-  };
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
-    y[static_cast<std::size_t>(i)] =
-        fs_hz * (2.0 * at(i) + at(i - 1) - at(i - 3) - 2.0 * at(i - 4)) / 8.0;
-  }
-  return y;
-}
-
-std::vector<double> moving_window_integrate(std::span<const double> x, std::size_t window) {
-  if (window == 0) throw std::invalid_argument("moving_window_integrate: window == 0");
-  std::vector<double> y(x.size(), 0.0);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    acc += x[i];
-    if (i >= window) acc -= x[i - window];
-    const std::size_t n = std::min(i + 1, window);
-    y[i] = acc / static_cast<double>(n);
-  }
-  return y;
 }
 
 }  // namespace svt::dsp

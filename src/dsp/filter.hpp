@@ -1,10 +1,11 @@
-// Digital filters used by the ECG acquisition path (Pan-Tompkins QRS
-// detection) and by the EDR preprocessing.
+// Second-order IIR sections for the Pan-Tompkins band-pass.
+//
+// ecg::LaneQrsDetector takes its high-pass and low-pass coefficients from
+// the Butterworth designs below and steps them in its own lane kernel; the
+// scalar test oracles (tests/support) run the same sections through
+// Biquad::process. Both evaluate the direct-form-I recurrence in the same
+// order, which is what keeps the lanes bit-identical to the oracles.
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
 
 namespace svt::dsp {
 
@@ -30,9 +31,6 @@ class Biquad {
   /// Reset internal state to zero.
   void reset();
 
-  /// Filter a whole series (stateless convenience; resets first).
-  std::vector<double> filter(std::span<const double> x);
-
   double b0() const { return b0_; }
   double b1() const { return b1_; }
   double b2() const { return b2_; }
@@ -51,25 +49,5 @@ Biquad butterworth_lowpass(double cutoff_hz, double fs_hz);
 
 /// Butterworth 2nd-order high-pass biquad.
 Biquad butterworth_highpass(double cutoff_hz, double fs_hz);
-
-/// Band-pass as a high-pass/low-pass cascade. Throws unless
-/// 0 < lo_hz < hi_hz < fs_hz/2.
-std::vector<double> bandpass_filter(std::span<const double> x, double lo_hz, double hi_hz,
-                                    double fs_hz);
-
-/// Centred moving average of odd window length (edges use shrunken windows).
-/// Throws if window == 0 or window is even.
-std::vector<double> moving_average(std::span<const double> x, std::size_t window);
-
-/// Centred moving median of odd window length (edges use shrunken windows).
-std::vector<double> moving_median(std::span<const double> x, std::size_t window);
-
-/// Five-point derivative used by Pan-Tompkins:
-/// y[n] = (2x[n] + x[n-1] - x[n-3] - 2x[n-4]) / 8 (scaled by fs).
-std::vector<double> five_point_derivative(std::span<const double> x, double fs_hz);
-
-/// Moving-window integration (rectangular, trailing) of given length in
-/// samples; Pan-Tompkins stage. Throws if window == 0.
-std::vector<double> moving_window_integrate(std::span<const double> x, std::size_t window);
 
 }  // namespace svt::dsp

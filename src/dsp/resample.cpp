@@ -65,20 +65,12 @@ void interpolate_grid(std::span<const double> times_s, std::span<const double> v
 
 void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
                           double fs_hz, double& start_time_s, std::vector<double>& out_values) {
-  validate_series(times_s, values, "resample_linear");
-  if (fs_hz <= 0.0) throw std::invalid_argument("resample_linear: fs_hz <= 0");
+  validate_series(times_s, values, "resample_linear_into");
+  if (fs_hz <= 0.0) throw std::invalid_argument("resample_linear_into: fs_hz <= 0");
   start_time_s = times_s.front();
   const double duration = times_s.back() - times_s.front();
   out_values.resize(static_cast<std::size_t>(std::floor(duration * fs_hz)) + 1);
   interpolate_grid(times_s, values, start_time_s, fs_hz, out_values);
-}
-
-UniformSeries resample_linear(std::span<const double> times_s, std::span<const double> values,
-                              double fs_hz) {
-  UniformSeries out;
-  out.fs_hz = fs_hz;
-  resample_linear_into(times_s, values, fs_hz, out.start_time_s, out.values);
-  return out;
 }
 
 }  // namespace svt::dsp

@@ -3,7 +3,9 @@
 // RR-interval tachograms and beat-indexed EDR series are unevenly sampled in
 // time (one sample per heartbeat); spectral analysis (Welch, AR) requires a
 // uniform grid. This module provides linear-interpolation resampling onto a
-// uniform rate, the standard preprocessing in HRV analysis.
+// uniform rate, the standard preprocessing in HRV analysis. The serving
+// path (features::SegmentFeatureCache) runs interpolate_grid per stride
+// chunk; interpolate_at is the per-point reference it is tested against.
 #pragma once
 
 #include <span>
@@ -11,29 +13,14 @@
 
 namespace svt::dsp {
 
-/// A uniformly resampled series: value[i] sampled at start_time_s + i/fs_hz.
-struct UniformSeries {
-  std::vector<double> values;
-  double fs_hz = 0.0;
-  double start_time_s = 0.0;
-
-  double duration_s() const {
-    return fs_hz > 0.0 ? static_cast<double>(values.size()) / fs_hz : 0.0;
-  }
-};
-
-/// Linearly interpolate the samples (t[i], v[i]) onto a uniform grid at fs_hz
-/// spanning [t.front(), t.back()]. Times must be strictly increasing.
-/// Throws on size mismatch, fewer than 2 samples, non-increasing times or
-/// fs_hz <= 0.
-UniformSeries resample_linear(std::span<const double> times_s, std::span<const double> values,
-                              double fs_hz);
-
-/// Scratch variant of resample_linear: the grid values land in `out_values`
-/// (resized; capacity reused across calls) and the grid origin in
-/// `start_time_s`. Validates the series once up front, then runs
-/// interpolate_grid, so every grid value is bit-identical to interpolate_at
-/// at that grid time.
+/// Linearly interpolate the samples (t[i], v[i]) onto a uniform grid at
+/// fs_hz spanning [t.front(), t.back()]: the grid origin t.front() lands in
+/// `start_time_s` and the floor((t.back() - t.front()) * fs_hz) + 1 grid
+/// values in `out_values` (resized; capacity reused across calls). Throws
+/// std::invalid_argument on a size mismatch, fewer than 2 samples,
+/// non-increasing times or fs_hz <= 0. Validates the series once up front,
+/// then runs interpolate_grid, so every grid value is bit-identical to
+/// interpolate_at at that grid time.
 void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
                           double fs_hz, double& start_time_s, std::vector<double>& out_values);
 

@@ -79,38 +79,6 @@ double percentile_sorted(std::span<const double> sorted, double p) {
 
 double median(std::span<const double> x) { return percentile(x, 50.0); }
 
-double iqr(std::span<const double> x) { return percentile(x, 75.0) - percentile(x, 25.0); }
-
-double skewness(std::span<const double> x) {
-  require_non_empty(x, "skewness");
-  const double m = mean(x);
-  double m2 = 0.0, m3 = 0.0;
-  for (double v : x) {
-    const double d = v - m;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= static_cast<double>(x.size());
-  m3 /= static_cast<double>(x.size());
-  if (m2 <= 0.0) return 0.0;
-  return m3 / std::pow(m2, 1.5);
-}
-
-double kurtosis_excess(std::span<const double> x) {
-  require_non_empty(x, "kurtosis_excess");
-  const double m = mean(x);
-  double m2 = 0.0, m4 = 0.0;
-  for (double v : x) {
-    const double d = v - m;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= static_cast<double>(x.size());
-  m4 /= static_cast<double>(x.size());
-  if (m2 <= 0.0) return 0.0;
-  return m4 / (m2 * m2) - 3.0;
-}
-
 double covariance_population(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size()) throw std::invalid_argument("covariance_population: size mismatch");
   require_non_empty(x, "covariance_population");
@@ -154,11 +122,6 @@ double rmssd(std::span<const double> x) {
   return rms(d);
 }
 
-double fraction_successive_diff_above(std::span<const double> x, double threshold) {
-  const auto d = successive_differences(x);
-  return fraction_abs_above(d, threshold);
-}
-
 std::vector<double> autocorrelation(std::span<const double> x, std::size_t max_lag) {
   require_non_empty(x, "autocorrelation");
   if (max_lag >= x.size()) throw std::invalid_argument("autocorrelation: max_lag >= size");
@@ -176,46 +139,6 @@ void remove_mean(std::vector<double>& x) {
   if (x.empty()) return;
   const double m = mean(x);
   for (double& v : x) v -= m;
-}
-
-void remove_linear_trend(std::vector<double>& x) {
-  const auto n = x.size();
-  if (n < 2) return;
-  // Least-squares fit of x[i] = a*i + b over i = 0..n-1.
-  const double nn = static_cast<double>(n);
-  const double sum_i = nn * (nn - 1.0) / 2.0;
-  const double sum_ii = (nn - 1.0) * nn * (2.0 * nn - 1.0) / 6.0;
-  double sum_x = 0.0, sum_ix = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum_x += x[i];
-    sum_ix += static_cast<double>(i) * x[i];
-  }
-  const double denom = nn * sum_ii - sum_i * sum_i;
-  if (denom == 0.0) return;
-  const double a = (nn * sum_ix - sum_i * sum_x) / denom;
-  const double b = (sum_x - a * sum_i) / nn;
-  for (std::size_t i = 0; i < n; ++i) x[i] -= a * static_cast<double>(i) + b;
-}
-
-double histogram_entropy(std::span<const double> x, std::size_t bins) {
-  if (bins == 0) throw std::invalid_argument("histogram_entropy: bins == 0");
-  require_non_empty(x, "histogram_entropy");
-  const double lo = min_value(x);
-  const double hi = max_value(x);
-  if (hi <= lo) return 0.0;
-  std::vector<std::size_t> hist(bins, 0);
-  for (double v : x) {
-    auto bin = static_cast<std::size_t>((v - lo) / (hi - lo) * static_cast<double>(bins));
-    if (bin >= bins) bin = bins - 1;
-    ++hist[bin];
-  }
-  double h = 0.0;
-  for (std::size_t c : hist) {
-    if (c == 0) continue;
-    const double p = static_cast<double>(c) / static_cast<double>(x.size());
-    h -= p * std::log2(p);
-  }
-  return h;
 }
 
 }  // namespace svt::dsp

@@ -47,15 +47,6 @@ double percentile(std::span<const double> x, double p);
 /// the same buffer; percentile() delegates here, so both agree bit-for-bit.
 double percentile_sorted(std::span<const double> sorted, double p);
 
-/// Inter-quartile range (P75 - P25).
-double iqr(std::span<const double> x);
-
-/// Fisher skewness (population form). Returns 0 for constant series.
-double skewness(std::span<const double> x);
-
-/// Excess kurtosis (population form). Returns 0 for constant series.
-double kurtosis_excess(std::span<const double> x);
-
 /// Population covariance between two equally-sized series. Throws on size
 /// mismatch or empty input.
 double covariance_population(std::span<const double> x, std::span<const double> y);
@@ -73,16 +64,13 @@ std::vector<double> successive_differences(std::span<const double> x);
 /// implementation. Throws if x has < 2 samples.
 void successive_differences_into(std::span<const double> x, std::vector<double>& out);
 
-/// Fraction (in [0,1]) of values with |v| > threshold. Shared by
-/// fraction_successive_diff_above and the scratch HRV path.
+/// Fraction (in [0,1]) of values with |v| > threshold. Over successive
+/// differences this is the HRV "pNNx" primitive (the scratch HRV path's
+/// pNN50).
 double fraction_abs_above(std::span<const double> values, double threshold);
 
 /// Root mean square of successive differences (the HRV "RMSSD" primitive).
 double rmssd(std::span<const double> x);
-
-/// Fraction (in [0,1]) of successive differences with |diff| > threshold
-/// (the HRV "pNNx" primitive). Throws if x has < 2 samples.
-double fraction_successive_diff_above(std::span<const double> x, double threshold);
 
 /// Biased autocorrelation r[k] = (1/N) * sum_{n} x[n] x[n+k], k = 0..max_lag.
 /// Throws if max_lag >= x.size().
@@ -90,12 +78,5 @@ std::vector<double> autocorrelation(std::span<const double> x, std::size_t max_l
 
 /// Remove the arithmetic mean in place.
 void remove_mean(std::vector<double>& x);
-
-/// Remove a least-squares linear trend in place.
-void remove_linear_trend(std::vector<double>& x);
-
-/// Shannon entropy (bits) of a fixed-bin histogram of x over [min,max].
-/// Returns 0 for constant series. Throws if bins == 0.
-double histogram_entropy(std::span<const double> x, std::size_t bins);
 
 }  // namespace svt::dsp

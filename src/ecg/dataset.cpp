@@ -197,29 +197,4 @@ Dataset generate_dataset(const DatasetParams& params) {
   return ds;
 }
 
-std::vector<Fold> make_session_folds(const Dataset& dataset) {
-  // Flattened window order must match Dataset::all_windows().
-  std::vector<int> window_session;
-  window_session.reserve(dataset.num_windows());
-  for (const auto& s : dataset.sessions) {
-    for (std::size_t i = 0; i < s.windows.size(); ++i) window_session.push_back(s.session_index);
-  }
-
-  std::vector<Fold> folds;
-  folds.reserve(dataset.sessions.size());
-  for (const auto& s : dataset.sessions) {
-    Fold f;
-    f.test_session_index = s.session_index;
-    for (std::size_t i = 0; i < window_session.size(); ++i) {
-      if (window_session[i] == s.session_index) {
-        f.test_indices.push_back(i);
-      } else {
-        f.train_indices.push_back(i);
-      }
-    }
-    folds.push_back(std::move(f));
-  }
-  return folds;
-}
-
 }  // namespace svt::ecg

@@ -1,11 +1,12 @@
-// Synthetic clinical dataset: sessions, windows, labels, folds.
+// Synthetic clinical dataset: sessions, windows, labels.
 //
 // Mirrors the paper's data organisation: recordings are grouped into
 // *sessions* (24 in the paper); each session is segmented into 3-minute
 // windows; a window is labelled +1 if it overlaps an annotated seizure and
 // -1 otherwise; cross-validation is leave-one-session-out (the paper's "24
 // folds, where for each fold the ECG windows originating from a recording
-// session are used as the test set and all others as the training set").
+// session are used as the test set and all others as the training set"),
+// grouped by each window's session index (svm::cross_validate).
 #pragma once
 
 #include <cstdint>
@@ -73,15 +74,5 @@ struct DatasetParams {
 /// the requested seizures cannot fit (more than 2 per session on average
 /// would collide with the spacing constraints).
 Dataset generate_dataset(const DatasetParams& params = {});
-
-/// Leave-one-session-out fold: indices into a flattened window list.
-struct Fold {
-  int test_session_index = 0;
-  std::vector<std::size_t> train_indices;
-  std::vector<std::size_t> test_indices;
-};
-
-/// Build the leave-one-session-out folds over `dataset.all_windows()` order.
-std::vector<Fold> make_session_folds(const Dataset& dataset);
 
 }  // namespace svt::ecg

@@ -1,4 +1,5 @@
-// Cross-patient SIMD lane engine for streaming Pan-Tompkins QRS detection.
+// Cross-patient SIMD lane engine for streaming Pan-Tompkins QRS detection:
+// the library's one QRS detector.
 //
 // The scalar StreamingQrsDetector's serial IIR chain (~13 ns/sample; kept
 // under tests/support as this engine's parity oracle) cannot be vectorised
@@ -65,9 +66,20 @@
 
 #include "common/assert.hpp"
 #include "common/simd_dispatch.hpp"
-#include "ecg/qrs_detect.hpp"
 
 namespace svt::ecg {
+
+/// The Pan-Tompkins chain: band-pass (5-15 Hz) -> five-point derivative ->
+/// squaring -> moving-window integration -> adaptive signal and noise
+/// thresholds (no search-back pass). LaneQrsDetector runs these defaults;
+/// the test oracles (tests/support) take them as a parameter.
+struct PanTompkinsParams {
+  double bandpass_lo_hz = 5.0;
+  double bandpass_hi_hz = 15.0;
+  double integration_window_s = 0.150;
+  double refractory_s = 0.200;  ///< Minimum spacing between QRS complexes.
+  double learning_s = 2.0;      ///< Initial threshold-learning period.
+};
 
 namespace detail {
 

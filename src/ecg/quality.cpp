@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace svt::ecg {
 
@@ -26,11 +27,23 @@ std::size_t count_rr_outliers(std::span<const double> rr_s, const QualityConfig&
 
 SignalQualityGate::SignalQualityGate(const QualityConfig& config, double fs_hz)
     : config_(config) {
-  if (fs_hz <= 0.0) throw std::invalid_argument("SignalQualityGate: fs_hz <= 0");
-  if (config.rr_ratio_low > config.rr_ratio_high)
-    throw std::invalid_argument("SignalQualityGate: inverted RR ratio band");
-  refractory_samples_ =
-      std::max<std::int64_t>(0, std::llround(config.refractory_s * fs_hz));
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("SignalQualityGate: ") + what);
+  };
+  // Each condition holds only for finite values, so a NaN fails it.
+  require(std::isfinite(fs_hz) && fs_hz > 0.0, "fs_hz must be finite and > 0");
+  require(std::isfinite(config.amp_threshold_mv), "amp_threshold_mv must be finite");
+  require(std::isfinite(config.slew_threshold_mv), "slew_threshold_mv must be finite");
+  require(std::isfinite(config.refractory_s) && config.refractory_s >= 0.0,
+          "refractory_s must be finite and >= 0");
+  // The hold is a sample count: it must round to an integer exactly.
+  require(config.refractory_s * fs_hz <= 0x1p53, "refractory_s * fs_hz exceeds 2^53 samples");
+  require(std::isfinite(config.rr_ratio_low) && config.rr_ratio_low > 0.0,
+          "rr_ratio_low must be finite and > 0");
+  require(std::isfinite(config.rr_ratio_high) && config.rr_ratio_high > 0.0,
+          "rr_ratio_high must be finite and > 0");
+  require(config.rr_ratio_low <= config.rr_ratio_high, "inverted RR ratio band");
+  refractory_samples_ = std::llround(config.refractory_s * fs_hz);
 }
 
 void SignalQualityGate::scan(std::span<const double> samples_mv, std::int64_t base_index) {

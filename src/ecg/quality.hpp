@@ -110,7 +110,12 @@ std::size_t count_rr_outliers(std::span<const double> rr_s, const QualityConfig&
 /// counters).
 class SignalQualityGate {
  public:
-  /// Throws std::invalid_argument on fs_hz <= 0 or an inverted RR band.
+  /// Throws std::invalid_argument, naming the field, on a non-finite or
+  /// non-positive fs_hz; a non-finite amp_threshold_mv or
+  /// slew_threshold_mv (a finite value <= 0 still disables its check); a
+  /// non-finite or negative refractory_s, or a hold longer than 2^53
+  /// samples; a non-finite or non-positive rr_ratio_low or rr_ratio_high;
+  /// or an inverted RR band.
   SignalQualityGate(const QualityConfig& config, double fs_hz);
 
   /// Scan one chunk whose first sample has absolute stream index

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <random>
@@ -72,8 +73,15 @@ ReplayReport CohortReplayer::replay_directory(const std::string& dir,
 ReplayReport CohortReplayer::replay_records(const std::string& dir,
                                             const std::vector<std::string>& names,
                                             const ReplayOptions& options) {
-  if (options.chunk_s <= 0.0) throw std::invalid_argument("replay: non-positive chunk_s");
-  if (options.speed < 0.0) throw std::invalid_argument("replay: negative speed");
+  const double fs = engine_.config().fs_hz;
+  // A NaN fails each condition. The chunk is a sample count, so it must
+  // also convert to an integer exactly.
+  if (!(std::isfinite(options.chunk_s) && options.chunk_s > 0.0))
+    throw std::invalid_argument("replay: chunk_s must be finite and > 0");
+  if (options.chunk_s * fs > 0x1p53)
+    throw std::invalid_argument("replay: chunk_s * fs_hz exceeds 2^53 samples");
+  if (!(std::isfinite(options.speed) && options.speed >= 0.0))
+    throw std::invalid_argument("replay: speed must be finite and >= 0");
 
   // Decode the whole cohort up front: replay should measure the *pipeline*,
   // not disk reads, and a corrupt record must fail before any sample flows.
@@ -83,7 +91,6 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
     std::vector<double> samples_mv;
     std::string skip_reason;  ///< Non-empty: report, don't stream.
   };
-  const double fs = engine_.config().fs_hz;
   std::vector<LoadedRecord> cohort;
   std::set<int> patient_ids;
   for (const auto& name : names) {

@@ -101,9 +101,10 @@ class CohortReplayer {
   /// RecordReplayStats (skipped/skip_reason) and counted in
   /// ReplayReport::skipped_records — rather than aborting the whole cohort:
   /// one mis-recorded monitor must not take the ward replay down. Throws
-  /// std::invalid_argument on a name without a trailing record number,
-  /// duplicate patient ids, or an out-of-range channel selection. Not
-  /// reentrant: one replay at a time.
+  /// std::invalid_argument on a non-finite or non-positive chunk_s, a chunk
+  /// longer than 2^53 samples, a non-finite or negative speed, a name
+  /// without a trailing record number, duplicate patient ids, or an
+  /// out-of-range channel selection. Not reentrant: one replay at a time.
   ReplayReport replay_records(const std::string& dir, const std::vector<std::string>& names,
                               const ReplayOptions& options = {});
 

@@ -123,7 +123,9 @@ class WindowExtractor {
   /// one sample or longer than 2^53 samples, a sampling rate too low for the
   /// QRS band-pass (fs_hz <= 30), or a geometry that does not tile: the
   /// window must be a whole number of strides and the stride a whole number
-  /// of EDR grid points (see features::SegmentFeatureCache::plan).
+  /// of EDR grid points (see features::SegmentFeatureCache::plan). With the
+  /// quality gate on, also throws what ecg::SignalQualityGate's constructor
+  /// throws on config.quality.
   explicit WindowExtractor(StreamConfig config = {});
 
   /// Ingest one chunk per patient — the lane-parallel hot path. Patients

@@ -1,38 +1,57 @@
-#include "ecg/qrs_detect.hpp"
+#include "support/batch_qrs.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "common/assert.hpp"
-#include "dsp/filter.hpp"
-#include "dsp/resample.hpp"
 #include "dsp/statistics.hpp"
 
-namespace svt::ecg {
+namespace svt::dsp {
 
-RrSeries QrsDetection::to_rr_series() const {
-  RrSeries rr;
-  if (r_peak_times_s.size() < 2) return rr;
-  rr.beat_times_s.reserve(r_peak_times_s.size() - 1);
-  rr.rr_s.reserve(r_peak_times_s.size() - 1);
-  for (std::size_t i = 1; i < r_peak_times_s.size(); ++i) {
-    rr.beat_times_s.push_back(r_peak_times_s[i]);
-    rr.rr_s.push_back(r_peak_times_s[i] - r_peak_times_s[i - 1]);
+std::vector<double> filter(Biquad biquad, std::span<const double> x) {
+  biquad.reset();
+  std::vector<double> y(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = biquad.process(x[i]);
+  return y;
+}
+
+std::vector<double> bandpass_filter(std::span<const double> x, double lo_hz, double hi_hz,
+                                    double fs_hz) {
+  if (!(0.0 < lo_hz && lo_hz < hi_hz && hi_hz < fs_hz / 2.0))
+    throw std::invalid_argument("bandpass_filter: need 0 < lo < hi < fs/2");
+  const auto high = filter(butterworth_highpass(lo_hz, fs_hz), x);
+  return filter(butterworth_lowpass(hi_hz, fs_hz), high);
+}
+
+std::vector<double> five_point_derivative(std::span<const double> x, double fs_hz) {
+  if (fs_hz <= 0.0) throw std::invalid_argument("five_point_derivative: fs_hz <= 0");
+  std::vector<double> y(x.size(), 0.0);
+  auto at = [&](std::ptrdiff_t i) {
+    i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(x.size()) - 1);
+    return x[static_cast<std::size_t>(i)];
+  };
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(x.size()); ++i) {
+    y[static_cast<std::size_t>(i)] =
+        fs_hz * (2.0 * at(i) + at(i - 1) - at(i - 3) - 2.0 * at(i - 4)) / 8.0;
   }
-  return rr;
+  return y;
 }
 
-RespirationSeries QrsDetection::to_edr(double fs_hz) const {
-  if (r_peak_times_s.size() < 2)
-    throw std::invalid_argument("QrsDetection::to_edr: need at least 2 peaks");
-  const auto uniform = dsp::resample_linear(r_peak_times_s, r_amplitudes_mv, fs_hz);
-  RespirationSeries edr;
-  edr.fs_hz = fs_hz;
-  edr.values = uniform.values;
-  dsp::remove_mean(edr.values);
-  return edr;
+std::vector<double> moving_window_integrate(std::span<const double> x, std::size_t window) {
+  if (window == 0) throw std::invalid_argument("moving_window_integrate: window == 0");
+  std::vector<double> y(x.size(), 0.0);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    acc += x[i];
+    if (i >= window) acc -= x[i - window];
+    const std::size_t n = std::min(i + 1, window);
+    y[i] = acc / static_cast<double>(n);
+  }
+  return y;
 }
+
+}  // namespace svt::dsp
+
+namespace svt::ecg {
 
 QrsDetection detect_qrs(const EcgWaveform& ecg, const PanTompkinsParams& params) {
   if (ecg.samples_mv.empty()) throw std::invalid_argument("detect_qrs: empty waveform");

@@ -3,15 +3,16 @@
 // Test-only. Serving runs ecg::LaneQrsDetector, which steps several
 // patients per SIMD instruction; this one-patient detector is the
 // independent reference each lane is proven bit-identical to
-// (tests/test_lane_qrs.cpp).
+// (tests/test_lane_qrs.cpp). It is in turn proven against the batch
+// whole-record oracle beside it (support/batch_qrs.hpp, ecg::detect_qrs).
 //
-// The batch detector (ecg::detect_qrs) re-runs the whole filter chain over
-// every analysis window, so a streaming runtime with overlapping windows
-// pays O(window / stride) passes per raw sample. This detector consumes
-// each sample exactly once: the band-pass biquads, the five-point
-// derivative's delay line, the trailing moving-window integrator, and the
-// adaptive dual thresholds are all persistent state, so the amortised cost
-// is O(1) per sample regardless of the windowing on top.
+// The batch detector re-runs the whole filter chain over its input, so a
+// streaming runtime with overlapping windows would pay O(window / stride)
+// passes per raw sample. This detector consumes each sample exactly once:
+// the band-pass biquads, the five-point derivative's delay line, the
+// trailing moving-window integrator, and the adaptive dual thresholds are
+// all persistent state, so the amortised cost is O(1) per sample regardless
+// of the windowing on top.
 //
 // Equivalence contract: the whole chain is causal, so feeding a record
 // through push() (in chunks of any size) and then finish() yields *bit-
@@ -39,7 +40,6 @@
 
 #include "dsp/filter.hpp"
 #include "ecg/lane_qrs.hpp"
-#include "ecg/qrs_detect.hpp"
 
 namespace svt::ecg {
 

@@ -91,22 +91,6 @@ TEST(ArModel, SpectrumPeaksAtResonance) {
   EXPECT_NEAR(freqs[peak], f0 * fs, 0.05);
 }
 
-TEST(ArModel, PredictNextOnDeterministicAr1) {
-  ArModel model{{0.5}, 0.0};
-  std::vector<double> x{1.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(model.predict_next(x), 2.0);
-  std::vector<double> too_short;
-  EXPECT_THROW(model.predict_next(too_short), std::invalid_argument);
-}
-
-TEST(ReflectionToPredictor, MatchesLevinsonStepUp) {
-  // For a single reflection coefficient the predictor equals it.
-  std::vector<double> k1{0.7};
-  const auto a1 = reflection_to_predictor(k1);
-  ASSERT_EQ(a1.size(), 1u);
-  EXPECT_DOUBLE_EQ(a1[0], 0.7);
-}
-
 // Property: Burg and Yule-Walker agree on long series, and the estimated
 // noise variance is non-negative and no larger than the signal variance.
 class ArAgreement : public ::testing::TestWithParam<unsigned> {};

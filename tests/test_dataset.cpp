@@ -102,25 +102,5 @@ TEST(Dataset, Validation) {
   EXPECT_THROW(generate_dataset(bad), std::invalid_argument);
 }
 
-TEST(Folds, LeaveOneSessionOutPartition) {
-  const auto ds = generate_dataset(small_params());
-  const auto folds = make_session_folds(ds);
-  ASSERT_EQ(folds.size(), 24u);
-  const std::size_t total = ds.num_windows();
-  for (const auto& f : folds) {
-    EXPECT_EQ(f.train_indices.size() + f.test_indices.size(), total);
-    // Disjointness.
-    std::set<std::size_t> train(f.train_indices.begin(), f.train_indices.end());
-    for (std::size_t t : f.test_indices) EXPECT_EQ(train.count(t), 0u);
-    EXPECT_EQ(f.test_indices.size(), 8u);  // One session per fold.
-  }
-  // Every window is a test sample exactly once.
-  std::vector<int> seen(total, 0);
-  for (const auto& f : folds) {
-    for (std::size_t t : f.test_indices) seen[t] += 1;
-  }
-  for (int c : seen) EXPECT_EQ(c, 1);
-}
-
 }  // namespace
 }  // namespace svt::ecg

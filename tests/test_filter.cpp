@@ -1,3 +1,5 @@
+// The band-pass biquads the lane detector takes its coefficients from, and
+// the batch Pan-Tompkins stages of the test oracle (support/batch_qrs.hpp).
 #include "dsp/filter.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +8,7 @@
 #include <numbers>
 
 #include "dsp/statistics.hpp"
+#include "support/batch_qrs.hpp"
 
 namespace svt::dsp {
 namespace {
@@ -24,8 +27,8 @@ double steady_state_rms(const std::vector<double>& x) {
 
 TEST(Biquad, LowpassPassesLowRejectsHigh) {
   auto lp = butterworth_lowpass(10.0, 250.0);
-  auto low = lp.filter(tone(2.0, 250.0, 2000));
-  auto high = lp.filter(tone(60.0, 250.0, 2000));
+  auto low = filter(lp, tone(2.0, 250.0, 2000));
+  auto high = filter(lp, tone(60.0, 250.0, 2000));
   EXPECT_GT(steady_state_rms(low), 0.6);
   EXPECT_LT(steady_state_rms(high), 0.1);
 }
@@ -33,9 +36,9 @@ TEST(Biquad, LowpassPassesLowRejectsHigh) {
 TEST(Biquad, HighpassRejectsDc) {
   auto hp = butterworth_highpass(5.0, 250.0);
   std::vector<double> dc(2000, 1.0);
-  auto out = hp.filter(dc);
+  auto out = filter(hp, dc);
   EXPECT_LT(std::abs(out.back()), 1e-3);
-  auto fast = hp.filter(tone(50.0, 250.0, 2000));
+  auto fast = filter(hp, tone(50.0, 250.0, 2000));
   EXPECT_GT(steady_state_rms(fast), 0.6);
 }
 
@@ -65,28 +68,6 @@ TEST(Bandpass, SelectsMidBand) {
   EXPECT_THROW(bandpass_filter(x, 15.0, 5.0, fs), std::invalid_argument);
 }
 
-TEST(MovingAverage, ConstantIsFixedPoint) {
-  std::vector<double> x(20, 3.0);
-  const auto y = moving_average(x, 5);
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 3.0);
-  EXPECT_THROW(moving_average(x, 0), std::invalid_argument);
-  EXPECT_THROW(moving_average(x, 4), std::invalid_argument);
-}
-
-TEST(MovingAverage, SmoothsAlternation) {
-  std::vector<double> x{1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0};
-  const auto y = moving_average(x, 3);
-  // Interior samples average to +-1/3.
-  EXPECT_NEAR(std::abs(y[3]), 1.0 / 3.0, 1e-12);
-}
-
-TEST(MovingMedian, RemovesImpulse) {
-  std::vector<double> x(15, 1.0);
-  x[7] = 100.0;
-  const auto y = moving_median(x, 5);
-  for (double v : y) EXPECT_DOUBLE_EQ(v, 1.0);
-}
-
 TEST(FivePointDerivative, RampHasConstantSlope) {
   const double fs = 100.0;
   std::vector<double> x(64);
@@ -113,8 +94,8 @@ TEST_P(LowpassAttenuation, MonotoneBeyondCutoff) {
   const double fs = 250.0;
   auto lp = butterworth_lowpass(10.0, fs);
   const double f = GetParam();
-  auto at_f = lp.filter(tone(f, fs, 4000));
-  auto at_2f = butterworth_lowpass(10.0, fs).filter(tone(2.0 * f, fs, 4000));
+  auto at_f = filter(lp, tone(f, fs, 4000));
+  auto at_2f = filter(butterworth_lowpass(10.0, fs), tone(2.0 * f, fs, 4000));
   EXPECT_GT(steady_state_rms(at_f), steady_state_rms(at_2f));
 }
 

@@ -1,11 +1,20 @@
-#include "ecg/qrs_detect.hpp"
+// Pan-Tompkins detection quality on synthetic ECG, measured on what is
+// served: the beats of one ecg::LaneQrsDetector lane, and the R-amplitude
+// EDR series rt::WindowExtractor rebuilds from them.
+#include "ecg/lane_qrs.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <numbers>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "dsp/statistics.hpp"
 #include "ecg/ecg_synth.hpp"
+#include "rt/window_extractor.hpp"
 
 namespace svt::ecg {
 namespace {
@@ -22,6 +31,37 @@ RrSeries fixed_rate_rr(double hr_bpm, double duration_s) {
   }
   return rr;
 }
+
+/// Beat times [s] from one LaneQrsDetector lane run over the whole record
+/// and finished as a finite record.
+std::vector<double> served_beat_times(const EcgWaveform& ecg) {
+  LaneQrsDetector detector(ecg.fs_hz);
+  const std::size_t lane = detector.add_lane();
+  detector.push_one(lane, ecg.samples_mv);
+  detector.finish(lane);
+  const BeatRing& beats = detector.beats(lane);
+  std::vector<double> times(beats.size());
+  for (std::size_t i = 0; i < beats.size(); ++i)
+    times[i] = static_cast<double>(beats[i].sample_index) / ecg.fs_hz;
+  return times;
+}
+
+/// A one-feature workload that records each window's served EDR series.
+class EdrCapture final : public rt::Workload {
+ public:
+  explicit EdrCapture(std::vector<std::vector<double>>& windows) : windows_(windows) {}
+  const char* name() const override { return "edr_capture"; }
+  std::size_t num_features() const override { return 1; }
+  std::string feature_name(std::size_t) const override { return "edr_points"; }
+  void extract(const rt::WindowSubstrate& substrate, features::FeatureScratch&,
+               std::span<double> out) const override {
+    windows_.emplace_back(substrate.edr.begin(), substrate.edr.end());
+    out[0] = static_cast<double>(substrate.edr.size());
+  }
+
+ private:
+  std::vector<std::vector<double>>& windows_;
+};
 
 TEST(EcgSynth, ProducesPlausibleWaveform) {
   const auto rr = fixed_rate_rr(72.0, 30.0);
@@ -50,9 +90,9 @@ TEST(PanTompkins, RecoversBeatCountOnCleanEcg) {
   EcgSynthParams params;
   std::mt19937_64 rng(2);
   const auto ecg = synthesize_ecg(rr, RespirationSeries{}, params, rng);
-  const auto detection = detect_qrs(ecg);
+  const auto beats = served_beat_times(ecg);
   const auto expected = static_cast<double>(rr.size());
-  EXPECT_NEAR(static_cast<double>(detection.size()), expected, expected * 0.05 + 2.0);
+  EXPECT_NEAR(static_cast<double>(beats.size()), expected, expected * 0.05 + 2.0);
 }
 
 TEST(PanTompkins, RecoveredRrMatchesTruth) {
@@ -60,16 +100,16 @@ TEST(PanTompkins, RecoveredRrMatchesTruth) {
   EcgSynthParams params;
   std::mt19937_64 rng(3);
   const auto ecg = synthesize_ecg(rr, RespirationSeries{}, params, rng);
-  const auto detection = detect_qrs(ecg);
-  const auto recovered = detection.to_rr_series();
+  const auto recovered = dsp::successive_differences(served_beat_times(ecg));
   ASSERT_GT(recovered.size(), 30u);
   // Median recovered interval within 10 ms of the true one.
-  EXPECT_NEAR(dsp::median(recovered.rr_s), 60.0 / 66.0, 0.010);
+  EXPECT_NEAR(dsp::median(recovered), 60.0 / 66.0, 0.010);
 }
 
-TEST(PanTompkins, EdrTracksRespiration) {
-  // Respiration modulates R amplitude; the detected-amplitude EDR series
-  // must correlate with the respiration signal.
+TEST(PanTompkins, WindowEdrTracksRespiration) {
+  // Respiration modulates R amplitude; the EDR series the extractor rebuilds
+  // from the served beats must follow the respiration over each window's
+  // grid (point k of a window sits at its start + k / edr_fs_hz).
   const auto rr = fixed_rate_rr(72.0, 120.0);
   RespirationSeries resp;
   resp.fs_hz = 4.0;
@@ -84,23 +124,30 @@ TEST(PanTompkins, EdrTracksRespiration) {
   params.noise_sigma_mv = 0.002;
   std::mt19937_64 rng(4);
   const auto ecg = synthesize_ecg(rr, resp, params, rng);
-  const auto detection = detect_qrs(ecg);
-  ASSERT_GT(detection.size(), 60u);
-  const auto edr = detection.to_edr(4.0);
 
-  // Compare against the respiration over the overlapping range.
-  const std::size_t n = std::min(edr.values.size(), resp.values.size());
-  std::vector<double> a(edr.values.begin(), edr.values.begin() + static_cast<std::ptrdiff_t>(n));
-  std::vector<double> b(resp.values.begin(), resp.values.begin() + static_cast<std::ptrdiff_t>(n));
-  EXPECT_GT(std::abs(dsp::pearson(a, b)), 0.4);
-}
+  std::vector<std::vector<double>> edr_windows;
+  rt::StreamConfig config;
+  config.fs_hz = ecg.fs_hz;
+  config.window_s = 60.0;
+  config.stride_s = 60.0;
+  config.edr_fs_hz = resp.fs_hz;
+  config.workloads = {std::make_shared<EdrCapture>(edr_windows)};
+  rt::WindowExtractor extractor(config);
+  std::vector<double> starts;
+  const rt::WindowSink sink = [&](rt::ExtractedWindow&& w) { starts.push_back(w.start_s); };
+  extractor.push_samples(1, ecg.samples_mv, sink);
+  extractor.end_patient(1, sink);
 
-TEST(PanTompkins, Validation) {
-  EcgWaveform empty;
-  EXPECT_THROW(detect_qrs(empty), std::invalid_argument);
-  QrsDetection d;
-  EXPECT_THROW(d.to_edr(4.0), std::invalid_argument);
-  EXPECT_EQ(d.to_rr_series().size(), 0u);
+  ASSERT_EQ(starts.size(), 2u);
+  ASSERT_EQ(edr_windows.size(), 2u);
+  for (std::size_t w = 0; w < starts.size(); ++w) {
+    const auto& edr = edr_windows[w];
+    const auto first = static_cast<std::size_t>(std::llround(starts[w] * resp.fs_hz));
+    ASSERT_EQ(edr.size(), static_cast<std::size_t>(config.window_s * resp.fs_hz));
+    ASSERT_LE(first + edr.size(), resp.values.size());
+    const std::span<const double> truth(resp.values.data() + first, edr.size());
+    EXPECT_GT(dsp::pearson(edr, truth), 0.9) << "window at " << starts[w] << " s";
+  }
 }
 
 class PanTompkinsRates : public ::testing::TestWithParam<double> {};
@@ -111,10 +158,9 @@ TEST_P(PanTompkinsRates, TracksHeartRate) {
   EcgSynthParams params;
   std::mt19937_64 rng(static_cast<unsigned>(hr));
   const auto ecg = synthesize_ecg(rr, RespirationSeries{}, params, rng);
-  const auto detection = detect_qrs(ecg);
-  const auto recovered = detection.to_rr_series();
+  const auto recovered = dsp::successive_differences(served_beat_times(ecg));
   ASSERT_GT(recovered.size(), 20u);
-  const double hr_est = 60.0 / dsp::median(recovered.rr_s);
+  const double hr_est = 60.0 / dsp::median(recovered);
   EXPECT_NEAR(hr_est, hr, hr * 0.05);
 }
 

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "ecg/ecg_synth.hpp"
@@ -40,12 +42,53 @@ ecg::QualityConfig gate_config() {
 }
 
 TEST(SignalQualityGate, RejectsBadConstruction) {
-  EXPECT_THROW(ecg::SignalQualityGate(gate_config(), 0.0), std::invalid_argument);
-  EXPECT_THROW(ecg::SignalQualityGate(gate_config(), -250.0), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double fs : {0.0, -250.0, nan})
+    EXPECT_THROW(ecg::SignalQualityGate(gate_config(), fs), std::invalid_argument) << fs;
   auto inverted = gate_config();
   inverted.rr_ratio_low = 2.0;
   inverted.rr_ratio_high = 0.5;
   EXPECT_THROW(ecg::SignalQualityGate(inverted, 250.0), std::invalid_argument);
+
+  // Values the gate compares or casts: a NaN threshold would switch its
+  // check off, a non-finite, negative or > 2^53-sample hold would be
+  // clamped to no hold at all, and a NaN or non-positive ratio bound would
+  // pass the inverted-band check.
+  using Field = double ecg::QualityConfig::*;
+  const std::vector<std::pair<Field, double>> bad = {
+      {&ecg::QualityConfig::amp_threshold_mv, nan},
+      {&ecg::QualityConfig::amp_threshold_mv, inf},
+      {&ecg::QualityConfig::amp_threshold_mv, -inf},
+      {&ecg::QualityConfig::slew_threshold_mv, nan},
+      {&ecg::QualityConfig::slew_threshold_mv, inf},
+      {&ecg::QualityConfig::refractory_s, inf},
+      {&ecg::QualityConfig::refractory_s, nan},
+      {&ecg::QualityConfig::refractory_s, 1e300},
+      {&ecg::QualityConfig::refractory_s, -1.0},
+      {&ecg::QualityConfig::rr_ratio_low, nan},
+      {&ecg::QualityConfig::rr_ratio_low, 0.0},
+      {&ecg::QualityConfig::rr_ratio_low, -0.5},
+      {&ecg::QualityConfig::rr_ratio_high, nan},
+      {&ecg::QualityConfig::rr_ratio_high, inf},
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    auto config = gate_config();
+    config.*bad[i].first = bad[i].second;
+    EXPECT_THROW(ecg::SignalQualityGate(config, 250.0), std::invalid_argument) << "case " << i;
+    // The extractor validates the gate config up front, so every engine
+    // rejects it at construction.
+    rt::StreamConfig stream = short_window_config();
+    stream.quality = config;
+    EXPECT_THROW(rt::WindowExtractor{stream}, std::invalid_argument) << "case " << i;
+  }
+
+  // Still accepted: a threshold <= 0 disables its check, and a zero hold.
+  auto lenient = gate_config();
+  lenient.amp_threshold_mv = 0.0;
+  lenient.slew_threshold_mv = -1.0;
+  lenient.refractory_s = 0.0;
+  EXPECT_NO_THROW(ecg::SignalQualityGate(lenient, 250.0));
 }
 
 TEST(SignalQualityGate, BurstBecomesOneSpanUnderRefractoryHold) {

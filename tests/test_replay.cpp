@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -196,6 +197,35 @@ TEST(CohortReplay, DuplicatePatientIdsThrow) {
       std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   EXPECT_THROW(replayer.replay_records(dir, {"p001", "p001"}, {}), std::invalid_argument);
+}
+
+TEST(CohortReplay, RejectsNonFiniteOrOversizedOptions) {
+  // A NaN or infinite chunk_s would pass a `<= 0` check and reach a
+  // float-to-size_t cast; a NaN speed would replay unpaced.
+  const auto dir = fixture_dir("options", 1, 30.0);
+  auto registry =
+      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double chunk_s : {nan, inf, -inf, 0.0, -4.0, 0x1p53}) {
+    rt::ReplayOptions options;
+    options.chunk_s = chunk_s;
+    EXPECT_THROW(replayer.replay_records(dir, {"p001"}, options), std::invalid_argument)
+        << "chunk_s " << chunk_s;
+  }
+  for (const double speed : {nan, inf, -1.0}) {
+    rt::ReplayOptions options;
+    options.speed = speed;
+    EXPECT_THROW(replayer.replay_records(dir, {"p001"}, options), std::invalid_argument)
+        << "speed " << speed;
+  }
+  // Nothing was streamed, and the replayer still works.
+  EXPECT_EQ(replayer.engine().stats().delivered_windows, 0u);
+  const auto report = replayer.replay_records(dir, {"p001"}, {});
+  EXPECT_EQ(report.records.size(), 1u);
+  EXPECT_GT(report.windows, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CohortReplay, PatientIdParsing) {

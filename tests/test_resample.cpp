@@ -39,14 +39,14 @@ TEST(Interpolate, Validation) {
 TEST(Resample, UniformGridProperties) {
   std::vector<double> t{0.0, 0.8, 1.7, 2.4, 4.0};
   std::vector<double> v{0.0, 0.8, 1.7, 2.4, 4.0};  // Identity: v = t.
-  const auto u = resample_linear(t, v, 4.0);
-  EXPECT_DOUBLE_EQ(u.fs_hz, 4.0);
-  EXPECT_DOUBLE_EQ(u.start_time_s, 0.0);
-  EXPECT_EQ(u.values.size(), 17u);  // floor(4s * 4Hz) + 1.
-  for (std::size_t i = 0; i < u.values.size(); ++i) {
-    EXPECT_NEAR(u.values[i], static_cast<double>(i) / 4.0, 1e-12);
+  double start = -1.0;
+  std::vector<double> values;
+  resample_linear_into(t, v, 4.0, start, values);
+  EXPECT_DOUBLE_EQ(start, 0.0);
+  EXPECT_EQ(values.size(), 17u);  // floor(4s * 4Hz) + 1.
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_NEAR(values[i], static_cast<double>(i) / 4.0, 1e-12);
   }
-  EXPECT_NEAR(u.duration_s(), 4.25, 1e-12);
 }
 
 TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
@@ -94,7 +94,9 @@ TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
 TEST(Resample, RejectsBadRate) {
   std::vector<double> t{0.0, 1.0};
   std::vector<double> v{0.0, 1.0};
-  EXPECT_THROW(resample_linear(t, v, 0.0), std::invalid_argument);
+  double start = 0.0;
+  std::vector<double> values;
+  EXPECT_THROW(resample_linear_into(t, v, 0.0, start, values), std::invalid_argument);
 }
 
 class ResampleSineProperty : public ::testing::TestWithParam<double> {};
@@ -110,10 +112,12 @@ TEST_P(ResampleSineProperty, PreservesSlowSine) {
     v.push_back(std::sin(2.0 * std::numbers::pi * f * time));
     time += 0.7 + 0.3 * std::sin(static_cast<double>(i++));  // Uneven spacing.
   }
-  const auto u = resample_linear(t, v, 4.0);
-  for (std::size_t k = 0; k < u.values.size(); ++k) {
-    const double tk = u.start_time_s + static_cast<double>(k) / u.fs_hz;
-    EXPECT_NEAR(u.values[k], std::sin(2.0 * std::numbers::pi * f * tk), 0.15);
+  double start = 0.0;
+  std::vector<double> values;
+  resample_linear_into(t, v, 4.0, start, values);
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const double tk = start + static_cast<double>(k) / 4.0;
+    EXPECT_NEAR(values[k], std::sin(2.0 * std::numbers::pi * f * tk), 0.15);
   }
 }
 

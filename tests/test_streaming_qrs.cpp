@@ -19,10 +19,10 @@
 #include <span>
 #include <vector>
 
-#include "ecg/qrs_detect.hpp"
 #include "features/hrv_features.hpp"
 #include "features/lorentz_features.hpp"
 #include "rt/window_extractor.hpp"
+#include "support/batch_qrs.hpp"
 #include "support/fixtures.hpp"
 #include "support/streaming_qrs.hpp"
 

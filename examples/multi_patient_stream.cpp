@@ -10,7 +10,7 @@
 // latency instead of waiting for a flush.
 //
 // The demo also exercises the serving-infrastructure features:
-//  * backpressure: the shard queues are bounded (kBlock policy -- a
+//  * backpressure: the shard queues are bounded and block when full (a
 //    too-fast gateway is throttled, never OOMs the pipeline),
 //  * per-patient models: the seizing patient gets a dedicated registry
 //    entry,
@@ -67,7 +67,6 @@ int main() {
   sconfig.stride_s = 30.0;
   rt::EngineOptions options;
   options.queue_capacity = 256;
-  options.backpressure = rt::BackpressurePolicy::kBlock;
   auto registry = std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector));
 
   std::mutex print_mutex;
@@ -87,9 +86,8 @@ int main() {
   options.num_workers = 4;
   options.sink = std::move(sink);
   rt::ShardedStreamClassifier classifier(registry, sconfig, std::move(options));
-  std::printf("runtime: %zu workers, continuous delivery, %zu-chunk bounded queues (%s)\n\n",
-              classifier.num_workers(), options.queue_capacity,
-              options.backpressure == rt::BackpressurePolicy::kBlock ? "block" : "drop-oldest");
+  std::printf("runtime: %zu workers, continuous delivery, %zu-chunk bounded queues (block)\n\n",
+              classifier.num_workers(), classifier.options().queue_capacity);
 
   // 3. A patient-3-specific model: same trained SVM, but quantised at a
   //    wider 12-bit design point (say, after a clinician flagged borderline

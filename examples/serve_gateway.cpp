@@ -7,8 +7,8 @@
 // client continuously.
 //
 //   ./serve_gateway [--tcp PORT] [--uds PATH] [--workers N] [--queue N]
-//                   [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S]
-//                   [--stride S] [--seed S] [--exit-after N]
+//                   [--fs HZ] [--window S] [--stride S] [--seed S]
+//                   [--exit-after N]
 //
 // With neither --tcp nor --uds, an ephemeral TCP port is bound and printed.
 // --exit-after N serves until N connections have come and gone, prints the
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   using namespace svt;
 
   std::vector<net::Endpoint> endpoints;
-  net::GatewayOptions options;
+  rt::EngineOptions options;
   rt::StreamConfig config;
   config.fs_hz = 250.0;
   config.window_s = 20.0;
@@ -50,16 +50,10 @@ int main(int argc, char** argv) {
       endpoints.push_back(net::Endpoint::unix_path(value));
       ++a;
     } else if (arg == "--workers" && value) {
-      options.engine.num_workers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      options.num_workers = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
       ++a;
     } else if (arg == "--queue" && value) {
-      options.engine.queue_capacity = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
-      ++a;
-    } else if (arg == "--drop-oldest") {
-      options.engine.backpressure = rt::BackpressurePolicy::kDropOldest;
-      options.send_backpressure = rt::BackpressurePolicy::kDropOldest;
-    } else if (arg == "--flush-bytes" && value) {
-      options.flush_bytes = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      options.queue_capacity = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
       ++a;
     } else if (arg == "--fs" && value) {
       config.fs_hz = std::strtod(value, nullptr);
@@ -79,8 +73,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--tcp PORT] [--uds PATH] [--workers N] [--queue N]"
-                   " [--drop-oldest] [--flush-bytes B] [--fs HZ] [--window S] [--stride S]"
-                   " [--seed S] [--exit-after N]\n",
+                   " [--fs HZ] [--window S] [--stride S] [--seed S] [--exit-after N]\n",
                    argv[0]);
       return 2;
     }
@@ -103,8 +96,8 @@ int main(int argc, char** argv) {
     std::printf("listening on %s\n", bound.to_string().c_str());
   }
   std::printf("serving %.0f Hz, %.0f s windows / %.0f s stride, %zu worker%s (model seed %llu)\n",
-              config.fs_hz, config.window_s, config.stride_s, options.engine.num_workers,
-              options.engine.num_workers == 1 ? "" : "s", static_cast<unsigned long long>(seed));
+              config.fs_hz, config.window_s, config.stride_s, options.num_workers,
+              options.num_workers == 1 ? "" : "s", static_cast<unsigned long long>(seed));
   std::fflush(stdout);  // Drivers wait for the "listening on" lines.
   gateway.start();
 
@@ -118,9 +111,9 @@ int main(int argc, char** argv) {
               stats.connections_closed, stats.streams_opened, stats.frames_received,
               stats.samples_ingested);
   std::printf("         %" PRIu64 " decision batches (%" PRIu64 " windows) out, %" PRIu64
-              " windows dropped, %" PRIu64 " protocol errors, %" PRIu64 " orphan batches\n",
-              stats.decision_batches_sent, stats.decision_windows_sent,
-              stats.decision_windows_dropped, stats.protocol_errors, stats.orphan_batches);
+              " protocol errors, %" PRIu64 " orphan batches\n",
+              stats.decision_batches_sent, stats.decision_windows_sent, stats.protocol_errors,
+              stats.orphan_batches);
   const auto cache = gateway.engine().stats().cache;
   std::printf("         segment cache: %.1f%% hit rate (%" PRIu64 " hits, %" PRIu64
               " misses, %" PRIu64 " evictions)\n",

@@ -1,8 +1,8 @@
 #include "dsp/resample.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/assert.hpp"
 
@@ -61,16 +61,6 @@ void interpolate_grid(std::span<const double> times_s, std::span<const double> v
       out[i] = lerp_segment(times_s, values, hi, t);
     }
   }
-}
-
-void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
-                          double fs_hz, double& start_time_s, std::vector<double>& out_values) {
-  validate_series(times_s, values, "resample_linear_into");
-  if (fs_hz <= 0.0) throw std::invalid_argument("resample_linear_into: fs_hz <= 0");
-  start_time_s = times_s.front();
-  const double duration = times_s.back() - times_s.front();
-  out_values.resize(static_cast<std::size_t>(std::floor(duration * fs_hz)) + 1);
-  interpolate_grid(times_s, values, start_time_s, fs_hz, out_values);
 }
 
 }  // namespace svt::dsp

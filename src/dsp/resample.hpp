@@ -9,22 +9,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace svt::dsp {
 
-/// Linearly interpolate the samples (t[i], v[i]) onto a uniform grid at
-/// fs_hz spanning [t.front(), t.back()]: the grid origin t.front() lands in
-/// `start_time_s` and the floor((t.back() - t.front()) * fs_hz) + 1 grid
-/// values in `out_values` (resized; capacity reused across calls). Throws
-/// std::invalid_argument on a size mismatch, fewer than 2 samples,
-/// non-increasing times or fs_hz <= 0. Validates the series once up front,
-/// then runs interpolate_grid, so every grid value is bit-identical to
-/// interpolate_at at that grid time.
-void resample_linear_into(std::span<const double> times_s, std::span<const double> values,
-                          double fs_hz, double& start_time_s, std::vector<double>& out_values);
-
-/// The grid loop behind resample_linear_into, unchecked: out[i] is
+/// Linear interpolation onto a uniform grid, unchecked: out[i] is
 /// interpolate_at(times_s, values, start_time_s + i/fs_hz) for every i, with
 /// the same arithmetic. The grid is monotone, so the source segment advances
 /// by a forward walk instead of a binary search per point. Requires a

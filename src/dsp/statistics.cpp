@@ -97,12 +97,6 @@ double pearson(std::span<const double> x, std::span<const double> y) {
   return cov / (sx * sy);
 }
 
-std::vector<double> successive_differences(std::span<const double> x) {
-  std::vector<double> d;
-  successive_differences_into(x, d);
-  return d;
-}
-
 void successive_differences_into(std::span<const double> x, std::vector<double>& out) {
   if (x.size() < 2) throw std::invalid_argument("successive_differences: need at least 2 samples");
   out.resize(x.size() - 1);
@@ -115,11 +109,6 @@ double fraction_abs_above(std::span<const double> values, double threshold) {
     if (std::abs(v) > threshold) ++count;
   }
   return static_cast<double>(count) / static_cast<double>(values.size());
-}
-
-double rmssd(std::span<const double> x) {
-  const auto d = successive_differences(x);
-  return rms(d);
 }
 
 std::vector<double> autocorrelation(std::span<const double> x, std::size_t max_lag) {

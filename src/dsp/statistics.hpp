@@ -56,21 +56,15 @@ double covariance_population(std::span<const double> x, std::span<const double> 
 /// feature as uncorrelated rather than undefined).
 double pearson(std::span<const double> x, std::span<const double> y);
 
-/// Successive differences x[i+1]-x[i]; size N-1. Throws if x has < 2 samples.
-std::vector<double> successive_differences(std::span<const double> x);
-
-/// Scratch variant: differences land in `out` (resized; capacity reused).
-/// The allocating overload and the zero-allocation HRV path share this
-/// implementation. Throws if x has < 2 samples.
+/// Successive differences x[i+1]-x[i] into `out` (resized to N-1; capacity
+/// reused, so the HRV path allocates nothing once warm). Throws if x has
+/// < 2 samples.
 void successive_differences_into(std::span<const double> x, std::vector<double>& out);
 
 /// Fraction (in [0,1]) of values with |v| > threshold. Over successive
 /// differences this is the HRV "pNNx" primitive (the scratch HRV path's
 /// pNN50).
 double fraction_abs_above(std::span<const double> values, double threshold);
-
-/// Root mean square of successive differences (the HRV "RMSSD" primitive).
-double rmssd(std::span<const double> x);
 
 /// Biased autocorrelation r[k] = (1/N) * sum_{n} x[n] x[n+k], k = 0..max_lag.
 /// Throws if max_lag >= x.size().

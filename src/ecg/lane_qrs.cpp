@@ -217,16 +217,16 @@ LaneQrsDetector::LaneQrsDetector(double fs_hz) : tier_(common::simd_tier()) {
     throw std::invalid_argument("LaneQrsDetector: learning window exceeds 2^53 samples");
   const dsp::Biquad hp = dsp::butterworth_highpass(kParams.bandpass_lo_hz, fs_hz);
   const dsp::Biquad lp = dsp::butterworth_lowpass(kParams.bandpass_hi_hz, fs_hz);
-  coeffs_.hp_b0 = hp.b0();
-  coeffs_.hp_b1 = hp.b1();
-  coeffs_.hp_b2 = hp.b2();
-  coeffs_.hp_a1 = hp.a1();
-  coeffs_.hp_a2 = hp.a2();
-  coeffs_.lp_b0 = lp.b0();
-  coeffs_.lp_b1 = lp.b1();
-  coeffs_.lp_b2 = lp.b2();
-  coeffs_.lp_a1 = lp.a1();
-  coeffs_.lp_a2 = lp.a2();
+  coeffs_.hp_b0 = hp.b0;
+  coeffs_.hp_b1 = hp.b1;
+  coeffs_.hp_b2 = hp.b2;
+  coeffs_.hp_a1 = hp.a1;
+  coeffs_.hp_a2 = hp.a2;
+  coeffs_.lp_b0 = lp.b0;
+  coeffs_.lp_b1 = lp.b1;
+  coeffs_.lp_b2 = lp.b2;
+  coeffs_.lp_a1 = lp.a1;
+  coeffs_.lp_a2 = lp.a2;
   coeffs_.fs = fs_hz;
   win_ = std::max<std::size_t>(1, static_cast<std::size_t>(kParams.integration_window_s * fs_hz));
   coeffs_.win = static_cast<std::int64_t>(win_);

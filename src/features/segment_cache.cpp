@@ -90,7 +90,7 @@ void SegmentFeatureCache::build_chunk(const ecg::BeatRing& ring, std::int64_t m,
   if (out.empty) return;
 
   // EDR grid: chunk_len points at chunk-local times i / edr_fs, through
-  // resample_linear_into's grid loop with the grid anchored at 0. Points
+  // dsp::interpolate_grid with the grid anchored at 0. Points
   // past the last collected beat hold its amplitude (the causal tail hold).
   out.edr.resize(static_cast<std::size_t>(layout_.chunk_len));
   dsp::interpolate_grid(beat_t_, beat_a_, 0.0, layout_.edr_fs_hz, out.edr);

@@ -17,7 +17,7 @@
 // depend only on the final beats inside [(m-1)*S, (m+1)*S) — local beat
 // times are anchored at the chunk start, RR intervals are differences of
 // absolute integer sample indices, and the interpolation runs the exact
-// resample_linear_into arithmetic — so recomputing an entry from the same
+// dsp::interpolate_at arithmetic — so recomputing an entry from the same
 // stream yields the identical bits wherever it runs. A window is then
 // assembled purely by concatenating chunk products, so a live cache and a
 // fresh cache per window produce the same values (asserted by

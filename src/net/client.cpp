@@ -4,8 +4,7 @@
 
 namespace svt::net {
 
-GatewayClient::GatewayClient(const Endpoint& endpoint, std::size_t flush_bytes)
-    : flush_bytes_(flush_bytes), socket_(connect_to(endpoint)) {
+GatewayClient::GatewayClient(const Endpoint& endpoint) : socket_(connect_to(endpoint)) {
   HelloFrame hello;
   append_hello(sendbuf_, hello);
   flush();
@@ -44,7 +43,7 @@ bool GatewayClient::end_stream(std::int32_t patient_id) {
 }
 
 bool GatewayClient::append_and_maybe_flush() {
-  if (sendbuf_.size() >= flush_bytes_) return flush();
+  if (sendbuf_.size() >= kFlushBytes) return flush();
   return !send_failed_;
 }
 

@@ -4,14 +4,15 @@
 // stream-open, sample chunks, end-stream, bye) while an internal receiver
 // thread decodes the server's frames as they arrive — decisions are
 // collected continuously, so a client that streams for hours never lets the
-// kernel receive buffer fill (which would stall the gateway's writer and,
-// through the bounded send queue, eventually the patient's shard: both
-// sides blocked in send is the classic stream-protocol deadlock; the
-// receiver thread is what rules it out).
+// kernel receive buffer fill (which would block the gateway's shard worker
+// in its send of a decision frame and, through the shard queue, the
+// gateway's reader of this very connection: both sides blocked in send is
+// the classic stream-protocol deadlock; the receiver thread is what rules
+// it out).
 //
 // Sends are batched through a reusable buffer and flushed explicitly (or
-// automatically once flush_bytes accumulate), mirroring the gateway's
-// writer: many small frames become one send() syscall.
+// automatically once kFlushBytes accumulate): many small frames become one
+// send() syscall.
 //
 // finish() ends the conversation: it sends kBye, flushes, and blocks until
 // the server's kStats answer (which the gateway sends only after fencing
@@ -52,7 +53,7 @@ class GatewayClient {
   /// Connect and send the hello. Throws std::runtime_error if the endpoint
   /// is unreachable. The handshake completes asynchronously; hello_ack()
   /// waits for it.
-  explicit GatewayClient(const Endpoint& endpoint, std::size_t flush_bytes = 64 * 1024);
+  explicit GatewayClient(const Endpoint& endpoint);
   ~GatewayClient();
   GatewayClient(const GatewayClient&) = delete;
   GatewayClient& operator=(const GatewayClient&) = delete;
@@ -62,7 +63,7 @@ class GatewayClient {
   std::optional<HelloAckFrame> hello_ack();
 
   /// The following queue one frame into the send buffer (flushed once
-  /// flush_bytes accumulate) and return false if the connection has failed.
+  /// kFlushBytes accumulate) and return false if the connection has failed.
   bool open_stream(std::int32_t patient_id, double fs_hz);
   bool send_samples(std::int32_t patient_id, std::span<const double> samples_mv);
   bool end_stream(std::int32_t patient_id);
@@ -83,10 +84,12 @@ class GatewayClient {
   std::optional<ErrorFrame> error() const;
 
  private:
+  /// Send-buffer size that triggers an automatic flush.
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
   void receive_loop();
   bool append_and_maybe_flush();
 
-  std::size_t flush_bytes_;
   Socket socket_;
   std::vector<std::uint8_t> sendbuf_;
   bool send_failed_ = false;

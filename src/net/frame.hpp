@@ -147,7 +147,9 @@ struct EndStreamFrame {
 struct StatsFrame {
   std::uint64_t windows_delivered = 0;
   std::uint64_t windows_rejected = 0;
-  std::uint64_t chunks_dropped = 0;   ///< Engine kDropOldest evictions.
+  /// Always 0: no engine queue drops a chunk. The slot stays in the wire
+  /// layout until the next protocol version.
+  std::uint64_t chunks_dropped = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t samples_ingested = 0;
   std::uint64_t streams_opened = 0;

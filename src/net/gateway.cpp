@@ -12,18 +12,13 @@ constexpr std::size_t kRecvBufferBytes = 64 * 1024;
 }  // namespace
 
 ServeGateway::ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::StreamConfig config,
-                           GatewayOptions options)
-    : options_(options),
-      engine_(std::move(registry), config, [this, &options] {
-        // options.engine carries the workers and queues; the gateway owns
-        // delivery, so its routing sink replaces any user-provided one.
-        rt::EngineOptions engine = std::move(options.engine);
-        engine.sink = [this](std::span<const rt::WindowResult> batch) { deliver(batch); };
-        return engine;
-      }()) {
-  if (options_.send_queue_capacity == 0)
-    throw std::invalid_argument("ServeGateway: send_queue_capacity must be > 0");
-}
+                           rt::EngineOptions options)
+    : engine_(std::move(registry), config, [this, &options] {
+        // The gateway owns delivery: its routing sink replaces any
+        // user-provided one.
+        options.sink = [this](std::span<const rt::WindowResult> batch) { deliver(batch); };
+        return std::move(options);
+      }()) {}
 
 ServeGateway::~ServeGateway() { stop(); }
 
@@ -43,10 +38,9 @@ void ServeGateway::start() {
 }
 
 void ServeGateway::stop() {
-  if (stopping_.exchange(true)) {
-    // A second stop() (e.g. destructor after an explicit stop) still joins
-    // anything the first one left.
-  }
+  // Idempotent: a second stop() (e.g. the destructor after an explicit
+  // stop) joins whatever the first one left.
+  stopping_.store(true);
   // Wake the accept loops first, close the fds only after the joins: a
   // listener fd closed while another thread polls it is a race (and the fd
   // number could be reused under that thread).
@@ -56,23 +50,19 @@ void ServeGateway::stop() {
   accept_threads_.clear();
   for (auto& listener : listeners_) listener->close();
 
-  // Tear down live connections: waking the readers (socket shutdown) and the
-  // writers (queue close) lets every per-connection thread run its normal
-  // exit path, then join them all.
+  // Tear down live connections: a socket shutdown wakes the reader out of
+  // recv and any worker blocked sending to the peer (not under the send
+  // mutex, which that worker holds), so every reader runs its normal exit
+  // path; then join them all.
   std::vector<std::shared_ptr<Connection>> live;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
     for (auto& [id, conn] : connections_) live.push_back(conn);
     connections_.clear();
   }
-  for (auto& conn : live) {
-    conn->socket.shutdown_both();
-    conn->send_queue.close();
-  }
-  for (auto& conn : live) {
+  for (auto& conn : live) conn->socket.shutdown_both();
+  for (auto& conn : live)
     if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
 }
 
 void ServeGateway::wait_connections_closed(std::size_t n) {
@@ -90,7 +80,6 @@ GatewayStats ServeGateway::stats() const {
   s.samples_ingested = samples_ingested_.load();
   s.decision_batches_sent = decision_batches_sent_.load();
   s.decision_windows_sent = decision_windows_sent_.load();
-  s.decision_windows_dropped = decision_windows_dropped_.load();
   s.protocol_errors = protocol_errors_.load();
   s.orphan_batches = orphan_batches_.load();
   return s;
@@ -100,22 +89,20 @@ void ServeGateway::accept_loop(Listener& listener) {
   while (true) {
     Socket sock = listener.accept();
     if (!sock.valid()) return;  // Listener closed (stop()) or fatal error.
-    auto conn = std::make_shared<Connection>(std::move(sock), options_);
+    auto conn = std::make_shared<Connection>(std::move(sock));
     connections_accepted_.fetch_add(1);
-    {
-      const std::lock_guard<std::mutex> lock(conn_mutex_);
-      reap_finished_locked();
-      if (stopping_.load()) {
-        // Raced with stop(): do not register a connection nobody will join.
-        conn->socket.shutdown_both();
-        connections_closed_.fetch_add(1);
-        conn_cv_.notify_all();
-        continue;
-      }
-      const std::uint64_t id = next_conn_id_++;
-      connections_[id] = conn;
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    reap_finished_locked();
+    if (stopping_.load()) {
+      // Raced with stop(): do not register a connection nobody will join.
+      conn->socket.shutdown_both();
+      connections_closed_.fetch_add(1);
+      conn_cv_.notify_all();
+      continue;
     }
-    conn->writer = std::thread([this, conn] { writer_loop(conn); });
+    connections_[next_conn_id_++] = conn;
+    // Started under conn_mutex_, which the reader takes to mark itself done,
+    // so no other accept loop can reap the connection before `reader` is set.
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
   }
 }
@@ -124,7 +111,6 @@ void ServeGateway::reap_finished_locked() {
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (it->second->done.load()) {
       if (it->second->reader.joinable()) it->second->reader.join();
-      if (it->second->writer.joinable()) it->second->writer.join();
       it = connections_.erase(it);
     } else {
       ++it;
@@ -137,7 +123,6 @@ StatsFrame ServeGateway::snapshot_stats_frame() {
   StatsFrame stats;
   stats.windows_delivered = engine_stats.delivered_windows;
   stats.windows_rejected = engine_stats.rejected_windows;
-  stats.chunks_dropped = engine_stats.dropped_chunks;
   stats.frames_received = frames_received_.load();
   stats.samples_ingested = samples_ingested_.load();
   stats.streams_opened = streams_opened_.load();
@@ -148,18 +133,23 @@ StatsFrame ServeGateway::snapshot_stats_frame() {
   return stats;
 }
 
-void ServeGateway::fail_connection(const std::shared_ptr<Connection>& conn, ErrorCode code,
-                                   std::string message) {
+bool ServeGateway::send_frame(Connection& conn, std::span<const std::uint8_t> bytes, bool last) {
+  const std::lock_guard<std::mutex> lock(conn.send_mutex);
+  if (conn.closed) return false;
+  const bool sent = conn.socket.send_all(bytes);
+  if (!sent) conn.socket.shutdown_both();  // Peer gone: wake the reader out of recv.
+  conn.closed = last || !sent;
+  return sent;
+}
+
+void ServeGateway::fail_connection(Connection& conn, ErrorCode code, std::string message) {
   protocol_errors_.fetch_add(1);
-  OutItem item;
   ErrorFrame error;
   error.code = code;
   error.message = std::move(message);
-  append_error(item.bytes, error);
-  conn->send_queue.push_control(std::move(item));
-  // Closing the queue lets the writer drain (the error frame included) and
-  // exit; the reader stops consuming input after calling this.
-  conn->send_queue.close();
+  std::vector<std::uint8_t> bytes;
+  append_error(bytes, error);
+  send_frame(conn, bytes, /*last=*/true);  // The reader stops consuming input after this.
 }
 
 void ServeGateway::release_patients(const std::shared_ptr<Connection>& conn,
@@ -188,8 +178,9 @@ void ServeGateway::deliver(std::span<const rt::WindowResult> batch) {
     orphan_batches_.fetch_add(1);
     return;
   }
-  // One wire record per window; the scratch vector is thread-local so each
-  // shard worker reuses its own across batches (no per-window allocation).
+  // One wire record per window, encoded into one frame; both scratch
+  // vectors are thread-local, so each shard worker reuses its own across
+  // batches (no per-window allocation).
   thread_local std::vector<DecisionRecord> records;
   records.clear();
   records.reserve(batch.size());
@@ -203,64 +194,29 @@ void ServeGateway::deliver(std::span<const rt::WindowResult> batch) {
     d.quality = w.quality;
     records.push_back(d);
   }
-  OutItem item;
-  item.windows = batch.size();
-  append_decisions(item.bytes, batch.front().patient_id, records);
-  if (!conn->send_queue.push(std::move(item))) {
+  thread_local std::vector<std::uint8_t> bytes;
+  bytes.clear();
+  append_decisions(bytes, batch.front().patient_id, records);
+  if (!send_frame(*conn, bytes)) {
     orphan_batches_.fetch_add(1);  // Connection tearing down; batch dropped.
     return;
   }
-  if (options_.send_backpressure == rt::BackpressurePolicy::kDropOldest) {
-    // The queue logs what the push evicted; free it now rather than when
-    // the connection closes.
-    for (const OutItem& evicted : conn->send_queue.take_evicted())
-      decision_windows_dropped_.fetch_add(evicted.windows);
-  }
-}
-
-void ServeGateway::writer_loop(const std::shared_ptr<Connection>& conn) {
-  std::vector<std::uint8_t> sendbuf;
-  while (true) {
-    auto item = conn->send_queue.wait_pop();
-    if (!item) break;  // Queue closed and drained: connection is finished.
-    sendbuf.clear();
-    std::uint64_t batches = 0;
-    std::uint64_t windows = 0;
-    // Coalesce everything immediately available into this send, bounded by
-    // flush_bytes, then flush the whole batch with one explicit send call.
-    do {
-      sendbuf.insert(sendbuf.end(), item->bytes.begin(), item->bytes.end());
-      batches += item->windows > 0 ? 1 : 0;
-      windows += item->windows;
-    } while (sendbuf.size() < options_.flush_bytes && (item = conn->send_queue.try_pop()));
-    if (conn->socket.send_all(sendbuf)) {
-      decision_batches_sent_.fetch_add(batches);
-      decision_windows_sent_.fetch_add(windows);
-      continue;
-    }
-    // Peer is gone: unblock producers (sink pushes now fail fast) and wake
-    // the reader out of recv so the connection tears down.
-    conn->send_queue.close();
-    conn->socket.shutdown_both();
-    break;
-  }
-  // Drained (queue closed): everything queued — decisions, stats, or a
-  // typed error frame — has been sent; FIN tells the peer that is all.
-  conn->socket.shutdown_both();
-  finish_half(conn);
+  decision_batches_sent_.fetch_add(1);
+  decision_windows_sent_.fetch_add(batch.size());
 }
 
 void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
   FrameDecoder decoder;
   std::vector<std::uint8_t> recvbuf(kRecvBufferBytes);
   std::vector<double> samples_scratch;  ///< Reused per-connection decode buffer.
+  std::vector<std::uint8_t> reply;      ///< Hello-ack and stats encode buffer.
   std::map<int, bool> streams;          ///< pid -> still accepting samples.
   bool helloed = false;
   bool clean_bye = false;
   bool failed = false;
 
   const auto fail = [&](ErrorCode code, std::string message) {
-    fail_connection(conn, code, std::move(message));
+    fail_connection(*conn, code, std::move(message));
     failed = true;
   };
 
@@ -314,7 +270,6 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
             break;
           }
           helloed = true;
-          OutItem ack;
           HelloAckFrame payload;
           payload.fs_hz = engine_.config().fs_hz;
           payload.window_s = engine_.config().window_s;
@@ -325,8 +280,9 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
             desc.num_features = static_cast<std::uint16_t>(workload->num_features());
             payload.workloads.push_back(std::move(desc));
           }
-          append_hello_ack(ack.bytes, payload);
-          conn->send_queue.push_control(std::move(ack));
+          reply.clear();
+          append_hello_ack(reply, payload);
+          send_frame(*conn, reply);
           break;
         }
         case FrameType::kStreamOpen: {
@@ -375,9 +331,9 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
           }
           if (chunk.num_samples > 0) {
             chunk.copy_samples(samples_scratch);
-            // May block under kBlock shard backpressure: the un-recv'd
-            // bytes then back up into the kernel buffer and TCP throttles
-            // the remote producer.
+            // Blocks while the shard queue is full: the un-recv'd bytes
+            // then back up into the kernel buffer and TCP throttles the
+            // remote producer.
             engine_.push_samples(chunk.patient_id, samples_scratch);
             samples_ingested_.fetch_add(chunk.num_samples);
           }
@@ -411,8 +367,9 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
             }
           }
           // Fence so every queued chunk is classified and every decision
-          // frame is on this connection's send queue before the stats
-          // answer (which therefore marks end-of-decisions to the client).
+          // frame is sent before the stats answer (which therefore marks
+          // end-of-decisions to the client): a worker's sink call, send
+          // included, returns before it pops its next task.
           try {
             const std::lock_guard<std::mutex> lock(fence_mutex_);
             engine_.flush();
@@ -422,10 +379,9 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
           }
           release_patients(conn, streams);
           streams.clear();
-          OutItem stats;
-          append_stats(stats.bytes, snapshot_stats_frame());
-          conn->send_queue.push_control(std::move(stats));
-          conn->send_queue.close();  // Writer drains decisions + stats, then exits.
+          reply.clear();
+          append_stats(reply, snapshot_stats_frame());
+          send_frame(*conn, reply, /*last=*/true);
           clean_bye = true;
           break;
         }
@@ -437,16 +393,10 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
   }
 
   release_patients(conn, streams);
-  conn->send_queue.close();
-  finish_half(conn);
-}
-
-void ServeGateway::finish_half(const std::shared_ptr<Connection>& conn) {
-  if (conn->finished_halves.fetch_add(1) + 1 < 2) return;
-  // Both halves are done: every frame owed to the peer (decisions, stats,
-  // or a typed error) has been handed to the kernel and FIN sent, so the
-  // conversation is truly over — only now may wait_connections_closed(n)
-  // count this connection (the CI smoke exits the gateway on that count).
+  // FIN after everything sent: the conversation is over, so only now may
+  // wait_connections_closed(n) count this connection (the CI smoke exits
+  // the gateway on that count).
+  conn->socket.shutdown_both();
   connections_closed_.fetch_add(1);
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);

@@ -9,10 +9,10 @@
 //         throttles the           queue is full)             rt::WorkQueue
 //         sender)                                            per shard)
 //                                                               │ shard worker
-//   decision(p, windows) <──── writer thread (per connection) <─┘ ResultSink
-//        (batched sends:        bounded send queue; frames        (one patient
-//         coalesce + one        coalesced up to flush_bytes,      per batch,
-//         explicit flush)       then one explicit send)           time-ordered)
+//   decision(p, windows) <──── routing sink: encode, then one <─┘ ResultSink
+//        (a slow reader         send under the connection's      (one patient
+//         throttles the         send mutex, on the worker        per batch,
+//         patient's shard)      that classified the batch        time-ordered)
 //   end_stream(p) ───────────>   engine.end_stream(p)
 //   bye ─────────────────────>   fence; stats ──> client; close
 //
@@ -21,28 +21,28 @@
 // sample travels recv -> decode -> shard queue with no per-sample heap
 // traffic (the engine's per-chunk task copy is the only allocation, as in
 // the in-process path). Backpressure composes end to end: a full shard
-// queue blocks the reader (EngineOptions::backpressure = kBlock), the
-// un-recv'd bytes fill the kernel socket buffer, and TCP flow control
-// throttles the remote writer — the shard queue's semantics stretched over
-// the wire.
+// queue blocks the reader, the un-recv'd bytes fill the kernel socket
+// buffer, and TCP flow control throttles the remote writer — the shard
+// queue's semantics stretched over the wire.
 //
-// Decisions travel the reverse path: the engine's ResultSink (installed by
-// the gateway) routes each classified batch to the connection that opened
-// the patient's stream and enqueues the encoded frame on that connection's
-// bounded send WorkQueue — kBlock mirrors ingest losslessly (a slow client
-// eventually throttles its own shard), kDropOldest sheds stale decisions
-// for live monitoring (each evicted frame is freed at once and its windows
-// counted as dropped). The writer thread drains the queue, coalescing
-// everything immediately available into one buffer (up to flush_bytes)
-// before a single explicit send — the chained-buffer/flush idiom of
-// Galois' buffered transport.
+// Decisions travel the reverse path with no queue of their own: the
+// engine's ResultSink (installed by the gateway) routes each classified
+// batch to the connection that opened the patient's stream, encodes it
+// into a per-worker buffer, and sends it from the shard worker itself. The
+// kernel socket buffer is the only decision buffer, so a client that stops
+// reading blocks the worker in send and, through the shard queue, its own
+// ingest — lossless, like ingest. A connection therefore costs one thread,
+// its reader. Every frame on a connection (hello-ack, decisions, stats, a
+// typed error) goes out whole under the connection's send mutex; the first
+// failed send marks the connection closed and shuts its socket down, which
+// wakes the reader, and later decision batches for it count as orphans.
 //
 // Bit-exactness: the gateway adds no arithmetic. Samples cross the wire as
 // exact IEEE-754 bit patterns, chunk re-framing cannot change results (the
 // engine is chunking-invariant), and per-patient decision order is
-// preserved (a patient's id hashes to one shard, and its connection has one
-// send queue), so a loopback round trip is bit-identical to pushing the
-// same samples through the in-process engine at any worker count
+// preserved (a patient's id hashes to one shard, whose worker sends its
+// batches in order), so a loopback round trip is bit-identical to pushing
+// the same samples through the in-process engine at any worker count
 // (tests/test_net_gateway.cpp, the serving-smoke CI job).
 //
 // Robustness: a malformed frame (bad magic/version/length/CRC, bad
@@ -70,21 +70,6 @@
 
 namespace svt::net {
 
-struct GatewayOptions {
-  /// Configuration for the embedded engine: workers and shard-queue
-  /// sizing/backpressure (rt::EngineOptions). The sink field is ignored —
-  /// the gateway installs its own routing sink.
-  rt::EngineOptions engine;
-  /// Encoded decision batches queued per connection before the sink applies
-  /// backpressure; must be > 0 (the gateway throws std::invalid_argument at
-  /// construction on 0).
-  std::size_t send_queue_capacity = 1024;
-  rt::BackpressurePolicy send_backpressure = rt::BackpressurePolicy::kBlock;
-  /// Writer coalescing bound: queued frames are batched into one buffer up
-  /// to this many bytes, then flushed with a single send.
-  std::size_t flush_bytes = 64 * 1024;
-};
-
 struct GatewayStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -92,27 +77,24 @@ struct GatewayStats {
   std::uint64_t streams_closed = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t samples_ingested = 0;
-  /// Decision frames (and their windows) handed to the kernel by a
-  /// connection's writer. Frames evicted before sending never count.
+  /// Decision frames (and their windows) handed whole to the kernel.
   std::uint64_t decision_batches_sent = 0;
   std::uint64_t decision_windows_sent = 0;
-  /// Windows in decision frames evicted from a full send queue under
-  /// send_backpressure = kDropOldest.
-  std::uint64_t decision_windows_dropped = 0;
   std::uint64_t protocol_errors = 0;
-  /// Sink batches whose patient had no live connection (evicted mid-flight
-  /// or pushed in-process): counted, not delivered.
+  /// Sink batches whose patient had no live connection (evicted mid-flight,
+  /// pushed in-process, or its connection closed or failed a send):
+  /// counted, not delivered.
   std::uint64_t orphan_batches = 0;
 };
 
 class ServeGateway {
  public:
-  /// Serve `registry` through an embedded ShardedStreamClassifier whose
-  /// ResultSink is the gateway's own routing sink. Throws
-  /// std::invalid_argument on anything the engine rejects or on
-  /// send_queue_capacity == 0.
+  /// Serve `registry` through an embedded ShardedStreamClassifier
+  /// configured by `options` (workers, queue capacity), whose sink the
+  /// gateway replaces with its own routing sink. Throws
+  /// std::invalid_argument on anything the engine rejects.
   ServeGateway(std::shared_ptr<rt::ModelRegistry> registry, rt::StreamConfig config = {},
-               GatewayOptions options = {});
+               rt::EngineOptions options = {});
   ~ServeGateway();
   ServeGateway(const ServeGateway&) = delete;
   ServeGateway& operator=(const ServeGateway&) = delete;
@@ -125,7 +107,8 @@ class ServeGateway {
   /// Spawn the accept loops. Throws std::logic_error without a listener.
   void start();
 
-  /// Stop accepting, tear down every live connection (their patients'
+  /// Stop accepting, shut every live connection's socket down (waking its
+  /// reader in recv and any worker blocked sending to it; their patients'
   /// shard state is evicted), and join all gateway threads. The engine
   /// itself stays alive until destruction. Idempotent.
   void stop();
@@ -142,33 +125,27 @@ class ServeGateway {
   const rt::StreamConfig& config() const { return engine_.config(); }
 
  private:
-  struct OutItem {
-    std::vector<std::uint8_t> bytes;
-    std::size_t windows = 0;  ///< Decision records in `bytes` (0: not a decision frame).
-  };
-
   struct Connection {
-    explicit Connection(Socket sock, const GatewayOptions& options)
-        : socket(std::move(sock)),
-          send_queue(options.send_queue_capacity, options.send_backpressure) {}
+    explicit Connection(Socket sock) : socket(std::move(sock)) {}
     Socket socket;
-    rt::WorkQueue<OutItem> send_queue;
+    /// Held for one whole frame's send_all, so frames from the reader and
+    /// from any number of shard workers never interleave on the wire.
+    std::mutex send_mutex;
+    bool closed = false;  ///< No more frames may be sent (guarded by send_mutex).
     std::thread reader;
-    std::thread writer;
-    std::atomic<int> finished_halves{0};  ///< Reader + writer completions.
-    std::atomic<bool> done{false};        ///< Both halves finished; joinable.
+    std::atomic<bool> done{false};  ///< Reader finished; joinable.
   };
 
   void accept_loop(Listener& listener);
   void reader_loop(const std::shared_ptr<Connection>& conn);
-  void writer_loop(const std::shared_ptr<Connection>& conn);
-  /// Called by each of reader/writer as it exits; the second call marks the
-  /// connection closed (so wait_connections_closed cannot return while the
-  /// writer still owes the peer its final frames).
-  void finish_half(const std::shared_ptr<Connection>& conn);
-  /// Answer a protocol error with a typed frame and poison the connection.
-  void fail_connection(const std::shared_ptr<Connection>& conn, ErrorCode code,
-                       std::string message);
+  /// Send one encoded frame on `conn`; `last` closes the connection to
+  /// every later frame (after a stats answer or a typed error). Returns
+  /// false, sending nothing, once the connection is closed; the first
+  /// failed send closes it and shuts its socket down, which wakes its
+  /// reader.
+  bool send_frame(Connection& conn, std::span<const std::uint8_t> bytes, bool last = false);
+  /// Answer a protocol error with a typed frame, the connection's last.
+  void fail_connection(Connection& conn, ErrorCode code, std::string message);
   /// Deregister `conn`'s patients; evict shard state for streams never
   /// ended cleanly (`open` = pid -> still-streaming flag from the reader).
   void release_patients(const std::shared_ptr<Connection>& conn,
@@ -176,9 +153,6 @@ class ServeGateway {
   void deliver(std::span<const rt::WindowResult> batch);
   StatsFrame snapshot_stats_frame();
   void reap_finished_locked();  ///< Joins finished connections (conn_mutex_ held).
-
-  GatewayOptions options_;
-  rt::ShardedStreamClassifier engine_;
 
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::vector<std::thread> accept_threads_;
@@ -195,7 +169,7 @@ class ServeGateway {
 
   std::mutex fence_mutex_;  ///< flush() is not reentrant; serialise fences.
 
-  // Counters (atomic so readers, writers, and sink threads update freely).
+  // Counters (atomic so readers and sink threads update freely).
   std::atomic<std::uint64_t> connections_accepted_{0};
   std::atomic<std::uint64_t> connections_closed_{0};
   std::atomic<std::uint64_t> streams_opened_{0};
@@ -204,9 +178,13 @@ class ServeGateway {
   std::atomic<std::uint64_t> samples_ingested_{0};
   std::atomic<std::uint64_t> decision_batches_sent_{0};
   std::atomic<std::uint64_t> decision_windows_sent_{0};
-  std::atomic<std::uint64_t> decision_windows_dropped_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> orphan_batches_{0};
+
+  /// Last: constructed after, and destroyed before, everything deliver()
+  /// reads, so its workers start only once the routes and counters exist
+  /// and drain their last queued chunks into deliver() while they still do.
+  rt::ShardedStreamClassifier engine_;
 };
 
 }  // namespace svt::net

@@ -106,17 +106,11 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
       cohort.push_back(std::move(loaded));
       continue;
     }
-    const std::size_t channel = options.channel == ReplayOptions::kAutoChannel
-                                    ? io::ecg_channel(record.header)
-                                    : options.channel;
-    if (channel >= record.header.num_signals())
-      throw std::invalid_argument("replay: record " + name + " has no channel " +
-                                  std::to_string(channel));
     if (!patient_ids.insert(loaded.patient_id).second)
       throw std::invalid_argument("replay: duplicate patient id " +
                                   std::to_string(loaded.patient_id) +
                                   " (concurrent records must be distinct patients)");
-    loaded.samples_mv = record.signal_mv(channel);
+    loaded.samples_mv = record.signal_mv(io::ecg_channel(record.header));
     cohort.push_back(std::move(loaded));
   }
 
@@ -124,7 +118,7 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
     const std::lock_guard<std::mutex> lock(windows_mutex_);
     windows_per_patient_.clear();
   }
-  const EngineStats before = engine_.stats();
+  const features::SegmentCacheStats cache_before = engine_.stats().cache;
   const std::size_t chunk =
       std::max<std::size_t>(1, static_cast<std::size_t>(options.chunk_s * fs));
 
@@ -165,9 +159,7 @@ ReplayReport CohortReplayer::replay_records(const std::string& dir,
 
   ReplayReport report;
   report.wall_s = seconds_since(t0, t_end);
-  const EngineStats after = engine_.stats();  // Exact: fenced above.
-  report.dropped_chunks = after.dropped_chunks - before.dropped_chunks;
-  report.cache = after.cache - before.cache;
+  report.cache = engine_.stats().cache - cache_before;  // Exact: fenced above.
   const std::lock_guard<std::mutex> lock(windows_mutex_);
   for (std::size_t r = 0; r < cohort.size(); ++r) {
     RecordReplayStats stats;

@@ -27,7 +27,7 @@
 // Stats: per record, the replayer reports wall time to admit the record
 // (first chunk push -> end_stream), the achieved real-time multiple, and
 // the windows delivered for its patient; per cohort, the aggregate ×
-// real-time rate and the engine's dropped-chunk count over the replay.
+// real-time rate and the segment-cache activity over the replay.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +48,6 @@ struct ReplayOptions {
   /// Seconds of signal pushed per chunk (bounds queue memory; the default
   /// matches the 4 s telemetry chunks used across the benches).
   double chunk_s = 4.0;
-  /// Channel to stream; kAutoChannel picks io::ecg_channel per record.
-  static constexpr std::size_t kAutoChannel = static_cast<std::size_t>(-1);
-  std::size_t channel = kAutoChannel;
 };
 
 /// Replay outcome for one record.
@@ -74,11 +71,10 @@ struct ReplayReport {
   double wall_s = 0.0;
   double x_realtime = 0.0;        ///< total_duration_s / wall_s.
   std::size_t windows = 0;
-  std::size_t dropped_chunks = 0;  ///< Dropped during this replay (kDropOldest).
   std::size_t skipped_records = 0;  ///< Records skipped (per-record skip_reason).
   /// Segment-cache activity during this replay (delta over the engine's
-  /// counters, like dropped_chunks): how much per-stride feature work the
-  /// overlapping windows reused instead of recomputing.
+  /// counters): how much per-stride feature work the overlapping windows
+  /// reused instead of recomputing.
   features::SegmentCacheStats cache;
 };
 
@@ -103,8 +99,9 @@ class CohortReplayer {
   /// one mis-recorded monitor must not take the ward replay down. Throws
   /// std::invalid_argument on a non-finite or non-positive chunk_s, a chunk
   /// longer than 2^53 samples, a non-finite or negative speed, a name
-  /// without a trailing record number, duplicate patient ids, or an
-  /// out-of-range channel selection. Not reentrant: one replay at a time.
+  /// without a trailing record number, or duplicate patient ids. Each
+  /// record streams its io::ecg_channel. Not reentrant: one replay at a
+  /// time.
   ReplayReport replay_records(const std::string& dir, const std::vector<std::string>& names,
                               const ReplayOptions& options = {});
 

@@ -1,10 +1,9 @@
 // Result and configuration types shared by the serving engines.
 //
 // rt::EngineOptions carries everything the sharded engine needs beyond the
-// model registry and StreamConfig: worker count, queue sizing and
-// backpressure, and the ResultSink that every classified window leaves
-// through. CohortReplayer and net::ServeGateway take the same struct for the
-// engine they embed.
+// model registry and StreamConfig: worker count, queue sizing, and the
+// ResultSink that every classified window leaves through. CohortReplayer and
+// net::ServeGateway take the same struct for the engine they embed.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +13,14 @@
 
 #include "ecg/quality.hpp"
 #include "features/segment_cache.hpp"
-#include "rt/work_queue.hpp"
 
 namespace svt::rt {
+
+/// What a push onto a full shard queue does. Every queue blocks (see
+/// WorkQueue), so this has one value; it stays only because the frozen
+/// wardbench sources still set EngineOptions::backpressure, and goes with
+/// the next benchmark change.
+enum class BackpressurePolicy { kBlock };
 
 /// One classified window, for one workload. A stream serving W workloads
 /// yields W results per window position, sharing (patient_id, start_s) and
@@ -41,8 +45,11 @@ using ResultSink = std::function<void(std::span<const WindowResult>)>;
 /// net::ServeGateway.
 struct EngineOptions {
   /// Maximum raw-sample chunks queued per shard; must be > 0 (engines throw
-  /// std::invalid_argument at construction on 0).
+  /// std::invalid_argument at construction on 0). A push onto a full shard
+  /// queue blocks until the worker drains it.
   std::size_t queue_capacity = 1024;
+  /// Read by nothing: kept only because wardbench still sets it (see
+  /// BackpressurePolicy).
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// Worker threads / shards (clamped to >= 1).
   std::size_t num_workers = 1;
@@ -57,7 +64,9 @@ struct EngineOptions {
 struct EngineStats {
   std::size_t delivered_windows = 0;  ///< Results delivered (sink or flush()).
   std::size_t rejected_windows = 0;   ///< Windows with fewer than min_beats R peaks.
-  std::size_t dropped_chunks = 0;     ///< Chunks evicted by kDropOldest.
+  /// Always 0: no queue drops a chunk. Kept only because wardbench still
+  /// reads it; goes with the next benchmark change.
+  std::size_t dropped_chunks = 0;
   /// Live lane occupancy: detector samples stepped in SIMD lockstep / by
   /// the scalar per-lane step. Their sum is every sample extracted.
   std::uint64_t lane_vector_samples = 0;
@@ -70,7 +79,6 @@ struct EngineStats {
   EngineStats& operator+=(const EngineStats& o) {
     delivered_windows += o.delivered_windows;
     rejected_windows += o.rejected_windows;
-    dropped_chunks += o.dropped_chunks;
     lane_vector_samples += o.lane_vector_samples;
     lane_scalar_samples += o.lane_scalar_samples;
     cache += o.cache;

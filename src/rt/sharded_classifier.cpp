@@ -62,7 +62,7 @@ void ShardedStreamClassifier::evict_patient(int patient_id) {
   task.patient_id = patient_id;
   task.evict = true;
   // Control push: an eviction must reach the worker even when producers have
-  // the queue saturated, and must never be displaced by drop-oldest.
+  // the queue saturated.
   shards_[shard_of(patient_id)]->tasks.push_control(std::move(task));
 }
 
@@ -70,18 +70,16 @@ void ShardedStreamClassifier::end_stream(int patient_id) {
   Task task;
   task.patient_id = patient_id;
   task.end_stream = true;
-  // Control push, like evictions: the end of a stream must not be dropped.
+  // Control push, like evictions: the end of a stream must not wait behind
+  // producers.
   shards_[shard_of(patient_id)]->tasks.push_control(std::move(task));
 }
 
 EngineStats ShardedStreamClassifier::stats() const {
   EngineStats total;
   for (const auto& shard : shards_) {
-    {
-      const std::lock_guard<std::mutex> lock(shard->stats_mutex);
-      total += shard->published;
-    }
-    total.dropped_chunks += shard->tasks.dropped();
+    const std::lock_guard<std::mutex> lock(shard->stats_mutex);
+    total += shard->published;
   }
   return total;
 }
@@ -115,10 +113,6 @@ void ShardedStreamClassifier::worker_loop(Shard& shard) {
     if (!error_) error_ = std::current_exception();
   };
   for (;;) {
-    // Drain the queue's eviction log (kDropOldest) so it stays bounded, and
-    // keep the evicted chunks' buffers for the producers.
-    if (auto evicted = shard.tasks.take_evicted(); !evicted.empty()) recycle(shard, evicted);
-
     std::optional<Task> task =
         pending ? std::exchange(pending, std::nullopt) : shard.tasks.wait_pop();
     if (!task) break;  // Closed and drained.
@@ -231,7 +225,7 @@ void ShardedStreamClassifier::flush() {
   Task fence;
   fence.fence = true;
   // Control push: fences bypass queue capacity, so a flush cannot deadlock
-  // against a saturated shard queue, and drop-oldest can never evict one.
+  // against a saturated shard queue.
   for (auto& shard : shards_) shard->tasks.push_control(fence);
   {
     std::unique_lock<std::mutex> lock(fence_mutex_);

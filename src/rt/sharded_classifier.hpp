@@ -12,7 +12,7 @@
 //   │ bounded     │ round of     │  patients' chunks step SIMD lockstep)  │
 //   │ shard queue │ ≤8 patients' │  -> registry snapshot (per batch)      │
 //   │ (x N)       │ chunks       │  -> classify_windows (prepare + kernel)│
-//   └─────────────┘  block/drop  │  -> ResultSink(batch)   ──────────────────> results
+//   └─────────────┘  (blocks)    │  -> ResultSink(batch)   ──────────────────> results
 //                                └────────────────────────────────────────┘
 //
 // Shard assignment: a patient's shard is fibonacci_shard(id, num_workers()),
@@ -38,13 +38,12 @@
 //  * different patients' batches may be delivered concurrently from
 //    different workers — the sink must be thread-safe across patients.
 //
-// Backpressure: each shard queue is bounded (EngineOptions::queue_capacity)
-// with a configurable policy — kBlock throttles producers to pipeline
-// throughput (lossless), kDropOldest evicts the stalest queued chunk and
-// counts it in stats().dropped_chunks (freshest-data-wins for live
-// monitoring).
-// Control tasks (fences, end_stream, evict) bypass capacity, so flush()
-// works even against saturated queues.
+// Backpressure: each shard queue is bounded (EngineOptions::queue_capacity),
+// and a push onto a full queue blocks until the worker drains it, so
+// producers are throttled to pipeline throughput and no chunk is ever lost:
+// every window keeps its place in the patient's stream. Control tasks
+// (fences, end_stream, evict) bypass capacity, so flush() works even against
+// saturated queues.
 //
 // The sink is the only way results leave the engine (construction throws
 // without one). flush() is a pure fence: one control task to every shard,
@@ -65,9 +64,9 @@
 // (asserted by tests/test_rt_shard.cpp and test_rt_continuous.cpp).
 //
 // Thread-safety contract: push_samples may be called from many threads
-// concurrently (and may block under the kBlock policy); flush() must not
-// run concurrently with another flush(). Registry installs are safe at any
-// time from any thread.
+// concurrently (and blocks while the patient's shard queue is full);
+// flush() must not run concurrently with another flush(). Registry installs
+// are safe at any time from any thread.
 #pragma once
 
 #include <condition_variable>
@@ -116,10 +115,8 @@ class ShardedStreamClassifier {
   ShardedStreamClassifier(const ShardedStreamClassifier&) = delete;
   ShardedStreamClassifier& operator=(const ShardedStreamClassifier&) = delete;
 
-  /// Route a chunk of raw ECG samples (mV) to the patient's shard. Under
-  /// kBlock backpressure this may block until the shard drains a chunk; under
-  /// kDropOldest it returns immediately (possibly evicting the shard's
-  /// stalest queued chunk). Safe to call from multiple threads.
+  /// Route a chunk of raw ECG samples (mV) to the patient's shard, blocking
+  /// while that shard's queue is full. Safe to call from multiple threads.
   void push_samples(int patient_id, std::span<const double> samples_mv);
 
   /// Total fence: wait until every chunk pushed before this call has been
@@ -184,7 +181,7 @@ class ShardedStreamClassifier {
 
   struct Shard {
     explicit Shard(const StreamConfig& config, const EngineOptions& options)
-        : tasks(options.queue_capacity, options.backpressure),
+        : tasks(options.queue_capacity),
           extractor(config),
           models(extractor.num_workloads()) {}
     WorkQueue<Task> tasks;
@@ -204,8 +201,8 @@ class ShardedStreamClassifier {
     /// stats(). Leaf lock, held only for the copy.
     std::mutex stats_mutex;
     EngineStats published;
-    /// Recycled Task sample buffers: the worker returns each drained (or
-    /// evicted) chunk's vector here and push_samples reuses it for the next
+    /// Recycled Task sample buffers: the worker returns each drained
+    /// chunk's vector here and push_samples reuses it for the next
     /// chunk, so the steady-state ingest path stops allocating (and, more
     /// importantly, keeps re-copying into the same cache-warm pages instead
     /// of marching through fresh cold memory — a measured ~20x per-chunk

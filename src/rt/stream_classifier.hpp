@@ -104,8 +104,7 @@ class StreamClassifier {
   std::vector<WindowResult> flush();
 
   /// Every counter: the extractor's running totals, with delivered_windows
-  /// counting the results flush() has returned. This engine never drops
-  /// chunks, so dropped_chunks is always zero.
+  /// counting the results flush() has returned.
   EngineStats stats() const {
     EngineStats s = extractor_.stats();
     s.delivered_windows = delivered_windows_;

@@ -159,8 +159,8 @@ class WindowExtractor {
 
   /// Running totals over every patient this extractor has served, live or
   /// gone: rejected windows, lane occupancy, segment cache and quality gate.
-  /// O(1) — each count is added as the work happens. delivered_windows and
-  /// dropped_chunks stay 0; the engines fill those in.
+  /// O(1) — each count is added as the work happens. delivered_windows
+  /// stays 0; the engines fill it in.
   const EngineStats& stats() const { return stats_; }
 
   /// The resolved workload list (config.workloads, or the implicit

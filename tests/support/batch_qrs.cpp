@@ -4,13 +4,14 @@
 #include <stdexcept>
 
 #include "dsp/statistics.hpp"
+#include "support/biquad_filter.hpp"
 
 namespace svt::dsp {
 
-std::vector<double> filter(Biquad biquad, std::span<const double> x) {
-  biquad.reset();
+std::vector<double> filter(const Biquad& biquad, std::span<const double> x) {
+  BiquadFilter section(biquad);
   std::vector<double> y(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = biquad.process(x[i]);
+  for (std::size_t i = 0; i < x.size(); ++i) y[i] = section.process(x[i]);
   return y;
 }
 

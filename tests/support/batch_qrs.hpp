@@ -24,7 +24,7 @@
 namespace svt::dsp {
 
 /// Filter a whole series through `biquad` from zero state.
-std::vector<double> filter(Biquad biquad, std::span<const double> x);
+std::vector<double> filter(const Biquad& biquad, std::span<const double> x);
 
 /// Band-pass as a high-pass/low-pass cascade. Throws unless
 /// 0 < lo_hz < hi_hz < fs_hz/2.

@@ -28,8 +28,8 @@ StreamingQrsDetector::StreamingQrsDetector(double fs_hz, const PanTompkinsParams
   if (!(0.0 < params.bandpass_lo_hz && params.bandpass_lo_hz < params.bandpass_hi_hz &&
         params.bandpass_hi_hz < fs_hz / 2.0))
     throw std::invalid_argument("StreamingQrsDetector: need 0 < lo < hi < fs/2");
-  hp_ = dsp::butterworth_highpass(params.bandpass_lo_hz, fs_hz);
-  lp_ = dsp::butterworth_lowpass(params.bandpass_hi_hz, fs_hz);
+  hp_ = dsp::BiquadFilter(dsp::butterworth_highpass(params.bandpass_lo_hz, fs_hz));
+  lp_ = dsp::BiquadFilter(dsp::butterworth_lowpass(params.bandpass_hi_hz, fs_hz));
   win_ = std::max<std::size_t>(1, static_cast<std::size_t>(params.integration_window_s * fs_hz));
   refractory_ = static_cast<std::size_t>(params.refractory_s * fs_hz);
   learning_n_ = static_cast<std::int64_t>(static_cast<std::size_t>(params.learning_s * fs_hz));

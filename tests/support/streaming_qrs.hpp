@@ -38,8 +38,8 @@
 #include <span>
 #include <vector>
 
-#include "dsp/filter.hpp"
 #include "ecg/lane_qrs.hpp"
+#include "support/biquad_filter.hpp"
 
 namespace svt::ecg {
 
@@ -103,8 +103,8 @@ class StreamingQrsDetector {
   std::size_t decision_lag_ = 0;  ///< max(1, win/4): lookahead of a decision.
 
   // --- Filter chain state ----------------------------------------------------
-  dsp::Biquad hp_;
-  dsp::Biquad lp_;
+  dsp::BiquadFilter hp_;
+  dsp::BiquadFilter lp_;
   double f1_ = 0.0, f2_ = 0.0, f3_ = 0.0, f4_ = 0.0;  ///< Filtered-sample delay line.
   double integ_acc_ = 0.0;         ///< Running trailing-window sum.
   HistoryRing squared_;            ///< Squared derivative (for the subtraction).

@@ -9,6 +9,7 @@
 
 #include "dsp/statistics.hpp"
 #include "support/batch_qrs.hpp"
+#include "support/biquad_filter.hpp"
 
 namespace svt::dsp {
 namespace {
@@ -49,7 +50,7 @@ TEST(Biquad, CutoffValidation) {
 }
 
 TEST(Biquad, ResetClearsState) {
-  auto lp = butterworth_lowpass(10.0, 250.0);
+  BiquadFilter lp(butterworth_lowpass(10.0, 250.0));
   lp.process(100.0);
   lp.reset();
   // After reset, a zero input must produce exactly zero output.

@@ -10,8 +10,6 @@
 // the seed and iteration a failure prints replay that case alone.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
@@ -33,6 +31,7 @@
 #include "net/frame.hpp"
 #include "rt/cohort_replayer.hpp"
 #include "rt/model_registry.hpp"
+#include "support/temp_dir.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define SVT_MUTATION_ASAN 1
@@ -387,10 +386,8 @@ void edit_token(std::string& text, Rng& rng) {
 
 TEST(MutationFuzz, WfdbReadersSurviveMutatedRecords) {
   report_on_sanitizer_death();
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("svt_mutation_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const test::TempDir tmp("mutation");
+  const std::filesystem::path& dir = tmp.path();
   const std::vector<RecordFiles> records = valid_records(dir);
   Bytes donor;
   for (const auto& r : records) {
@@ -434,7 +431,6 @@ TEST(MutationFuzz, WfdbReadersSurviveMutatedRecords) {
     }
     for (const auto& [name, bytes] : record.signals) write_file(dir / name, bytes);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // --- Model files -------------------------------------------------------------

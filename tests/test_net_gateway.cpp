@@ -4,12 +4,14 @@
 // worker count, on both transports. Malformed or protocol-violating input
 // must poison only its own connection — answered with a typed kError frame,
 // patients' shard state released — while the gateway keeps serving
-// everybody else.
+// everybody else. A client that stops reading must throttle its shard and
+// lose no decision.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -17,7 +19,6 @@
 #include <mutex>
 #include <random>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,8 +57,9 @@ std::map<int, std::vector<double>> synth_ward(std::size_t patients, double durat
 /// Reference: the same ward through the in-process single-threaded engine
 /// serving the identical deterministic model.
 std::map<int, std::vector<rt::WindowResult>> direct_results(
-    const std::map<int, std::vector<double>>& ward) {
-  rt::StreamClassifier reference(rt::synthetic_full_feature_model(), ward_config());
+    const std::map<int, std::vector<double>>& ward,
+    const rt::StreamConfig& config = ward_config()) {
+  rt::StreamClassifier reference(rt::synthetic_full_feature_model(), config);
   for (const auto& [pid, samples] : ward) {
     reference.push_samples(pid, samples);
     reference.end_stream(pid);
@@ -67,16 +69,16 @@ std::map<int, std::vector<rt::WindowResult>> direct_results(
   return split;
 }
 
-net::GatewayOptions gateway_options(std::size_t workers) {
-  net::GatewayOptions options;
-  options.engine.num_workers = workers;
+rt::EngineOptions engine_options(std::size_t workers) {
+  rt::EngineOptions options;
+  options.num_workers = workers;
   return options;
 }
 
 std::unique_ptr<net::ServeGateway> make_gateway(std::size_t workers) {
   auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model());
   return std::make_unique<net::ServeGateway>(std::move(registry), ward_config(),
-                                             gateway_options(workers));
+                                             engine_options(workers));
 }
 
 std::string unique_uds_path(const std::string& tag) {
@@ -282,6 +284,11 @@ TEST(NetGateway, DuplicateStreamAcrossConnectionsRefused) {
   ASSERT_TRUE(first.hello_ack().has_value());
   ASSERT_TRUE(first.open_stream(1, 250.0));
   ASSERT_TRUE(first.flush());
+  // The claim exists once the gateway has read the open, not once it is
+  // sent: wait (bounded) for it, or the second open could be read first.
+  for (int i = 0; i < 10000 && gateway->stats().streams_opened < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(gateway->stats().streams_opened, 1u);
 
   net::GatewayClient second(bound);
   ASSERT_TRUE(second.hello_ack().has_value());
@@ -353,76 +360,83 @@ TEST(NetGateway, StatsAnswerAccountsForTheConversation) {
   gateway->stop();
 }
 
-TEST(NetGateway, DropOldestFreesAndCountsEvictedDecisionFrames) {
-  // A client that reads nothing until the engine has delivered everything:
-  // with a one-frame send queue under kDropOldest, most decision frames are
-  // evicted before the writer can send them. Each evicted frame must count
-  // as dropped and never as sent, so the client receives exactly what the
-  // gateway reports as sent.
+TEST(NetGateway, StalledReaderThrottlesWithoutLoss) {
+  // A client that reads nothing while it streams: far more decision frames
+  // than the socket buffers hold, from a one-worker gateway with a 4-chunk
+  // shard queue. The worker blocks sending, its queue fills, the reader
+  // blocks, and the client's own sends stall; once the client reads, every
+  // decision arrives, bit-identical to the in-process engine, before the
+  // stats answer.
   rt::StreamConfig config = ward_config();
   config.window_s = 4.0;
   config.stride_s = 1.0;
-  net::GatewayOptions options = gateway_options(1);
-  options.send_queue_capacity = 1;
-  options.send_backpressure = rt::BackpressurePolicy::kDropOldest;
+  rt::EngineOptions options = engine_options(1);
+  options.queue_capacity = 4;
   auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model());
   net::ServeGateway gateway(std::move(registry), config, options);
-  const auto bound = gateway.add_listener(net::Endpoint::unix_path(unique_uds_path("drop")));
+  const auto bound = gateway.add_listener(net::Endpoint::unix_path(unique_uds_path("stall")));
   gateway.start();
 
   const auto ward = synth_ward(8, 1200.0);
   std::vector<std::uint8_t> out;
   net::append_hello(out, net::HelloFrame{});
-  for (const auto& [pid, samples] : ward) {
+  for (const auto& [pid, samples] : ward)
     net::append_stream_open(out, net::StreamOpenFrame{pid, 250.0});
-    for (std::size_t off = 0; off < samples.size(); off += 1000) {
+  for (std::size_t off = 0; off < ward.begin()->second.size(); off += 1000) {
+    for (const auto& [pid, samples] : ward) {
+      if (off >= samples.size()) continue;
       const std::size_t n = std::min<std::size_t>(1000, samples.size() - off);
       net::append_sample_chunk(out, pid, std::span(samples).subspan(off, n));
     }
-    net::append_end_stream(out, net::EndStreamFrame{pid});
   }
-  net::Socket socket = net::connect_to(bound);
-  ASSERT_TRUE(socket.send_all(out));
-  while (gateway.stats().streams_closed < ward.size())
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  gateway.engine().flush();  // Every decision is sent, queued or dropped by now.
-
-  out.clear();
+  for (const auto& [pid, samples] : ward) net::append_end_stream(out, net::EndStreamFrame{pid});
   net::append_bye(out);
-  ASSERT_TRUE(socket.send_all(out));
+
+  net::Socket socket = net::connect_to(bound);
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    EXPECT_TRUE(socket.send_all(out));
+    sent = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(sent.load()) << "the stalled reader never throttled the client";
+
   net::FrameDecoder decoder;
   std::vector<std::uint8_t> buffer(64 * 1024);
-  while (true) {  // Everything the gateway sent, up to its FIN.
+  while (true) {  // Everything the gateway sends, up to its FIN.
     const auto n = socket.recv_some(buffer);
     if (n <= 0) break;
     decoder.feed(std::span<const std::uint8_t>(buffer.data(), static_cast<std::size_t>(n)));
   }
-  std::uint64_t received = 0;
+  sender.join();
+  std::map<int, std::vector<net::ReceivedDecision>> got;
   bool stats_answered = false;
   net::FrameDecoder::Frame frame;
   while (decoder.next(frame) == net::FrameDecoder::Status::kFrame) {
     net::DecisionBatchView batch;
-    if (frame.type == net::FrameType::kDecision && net::parse_decisions(frame.payload, batch))
-      received += batch.num_decisions;
+    if (frame.type == net::FrameType::kDecision && net::parse_decisions(frame.payload, batch)) {
+      EXPECT_FALSE(stats_answered) << "decision after the stats answer";
+      for (std::size_t i = 0; i < batch.num_decisions; ++i) {
+        const net::DecisionRecord r = batch.record(i);
+        net::ReceivedDecision d;
+        d.patient_id = batch.patient_id;
+        d.start_s = r.start_s;
+        d.decision_value = r.decision_value;
+        d.label = r.label;
+        d.num_beats = r.num_beats;
+        got[d.patient_id].push_back(d);
+      }
+    }
     stats_answered = stats_answered || frame.type == net::FrameType::kStats;
   }
   EXPECT_TRUE(stats_answered);
+  expect_bit_identical(got, direct_results(ward, config));
 
   gateway.wait_connections_closed(1);
   const auto stats = gateway.stats();
-  EXPECT_GT(stats.decision_windows_dropped, 0u);
-  EXPECT_EQ(stats.decision_windows_sent, received);
-  EXPECT_EQ(stats.decision_windows_sent + stats.decision_windows_dropped,
-            gateway.engine().stats().delivered_windows);
+  EXPECT_EQ(stats.decision_windows_sent, gateway.engine().stats().delivered_windows);
+  EXPECT_EQ(stats.orphan_batches, 0u);
   gateway.stop();
-}
-
-TEST(NetGateway, ZeroSendQueueCapacityIsRejected) {
-  // Every queue is bounded, the per-connection send queue included.
-  auto registry = std::make_shared<rt::ModelRegistry>(rt::synthetic_full_feature_model());
-  net::GatewayOptions options = gateway_options(2);
-  options.send_queue_capacity = 0;
-  EXPECT_THROW(net::ServeGateway(registry, ward_config(), options), std::invalid_argument);
 }
 
 }  // namespace

@@ -46,6 +46,13 @@ std::vector<double> served_beat_times(const EcgWaveform& ecg) {
   return times;
 }
 
+/// Intervals [s] between successive served beats.
+std::vector<double> served_rr(const EcgWaveform& ecg) {
+  std::vector<double> rr;
+  dsp::successive_differences_into(served_beat_times(ecg), rr);
+  return rr;
+}
+
 /// A one-feature workload that records each window's served EDR series.
 class EdrCapture final : public rt::Workload {
  public:
@@ -100,7 +107,7 @@ TEST(PanTompkins, RecoveredRrMatchesTruth) {
   EcgSynthParams params;
   std::mt19937_64 rng(3);
   const auto ecg = synthesize_ecg(rr, RespirationSeries{}, params, rng);
-  const auto recovered = dsp::successive_differences(served_beat_times(ecg));
+  const auto recovered = served_rr(ecg);
   ASSERT_GT(recovered.size(), 30u);
   // Median recovered interval within 10 ms of the true one.
   EXPECT_NEAR(dsp::median(recovered), 60.0 / 66.0, 0.010);
@@ -158,7 +165,7 @@ TEST_P(PanTompkinsRates, TracksHeartRate) {
   EcgSynthParams params;
   std::mt19937_64 rng(static_cast<unsigned>(hr));
   const auto ecg = synthesize_ecg(rr, RespirationSeries{}, params, rng);
-  const auto recovered = dsp::successive_differences(served_beat_times(ecg));
+  const auto recovered = served_rr(ecg);
   ASSERT_GT(recovered.size(), 20u);
   const double hr_est = 60.0 / dsp::median(recovered);
   EXPECT_NEAR(hr_est, hr, hr * 0.05);

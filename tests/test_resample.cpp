@@ -3,11 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <random>
 #include <vector>
 
 namespace svt::dsp {
 namespace {
+
+/// (t, v) interpolated onto the uniform grid at fs_hz spanning
+/// [t.front(), t.back()]: floor((t.back() - t.front()) * fs_hz) + 1 points
+/// from t.front().
+std::vector<double> resample_grid(const std::vector<double>& t, const std::vector<double>& v,
+                                  double fs_hz) {
+  std::vector<double> out(static_cast<std::size_t>(std::floor((t.back() - t.front()) * fs_hz)) +
+                          1);
+  interpolate_grid(t, v, t.front(), fs_hz, out);
+  return out;
+}
 
 TEST(Interpolate, ExactOnLinearFunction) {
   std::vector<double> t{0.0, 1.0, 3.0, 7.0};
@@ -39,10 +51,7 @@ TEST(Interpolate, Validation) {
 TEST(Resample, UniformGridProperties) {
   std::vector<double> t{0.0, 0.8, 1.7, 2.4, 4.0};
   std::vector<double> v{0.0, 0.8, 1.7, 2.4, 4.0};  // Identity: v = t.
-  double start = -1.0;
-  std::vector<double> values;
-  resample_linear_into(t, v, 4.0, start, values);
-  EXPECT_DOUBLE_EQ(start, 0.0);
+  const auto values = resample_grid(t, v, 4.0);
   EXPECT_EQ(values.size(), 17u);  // floor(4s * 4Hz) + 1.
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_NEAR(values[i], static_cast<double>(i) / 4.0, 1e-12);
@@ -52,13 +61,12 @@ TEST(Resample, UniformGridProperties) {
 TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
   // Irregular beat times: the intervals between them span no grid point,
   // one, or many, at offsets that do not line up with the grid.
-  // resample_linear_into walks the source segments forward; interpolate_at
+  // interpolate_grid walks the source segments forward; interpolate_at
   // binary-searches each query. Both must give the same bits everywhere.
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::uniform_real_distribution<double> amplitude(-1.5, 1.5);
   std::size_t spans[3] = {};  // Intervals covering 0, 1 and >= 3 grid points.
-  std::vector<double> out;
   for (const double fs : {4.0, 7.0}) {
     for (int series = 0; series < 40; ++series) {
       std::vector<double> t{10.0 * unit(rng)};
@@ -71,9 +79,8 @@ TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
         t.push_back(t.back() + steps / fs);
         v.push_back(amplitude(rng));
       }
-      double start = 0.0;
-      resample_linear_into(t, v, fs, start, out);
-      ASSERT_EQ(start, t.front());
+      const double start = t.front();
+      const auto out = resample_grid(t, v, fs);
       for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i], interpolate_at(t, v, start + static_cast<double>(i) / fs))
             << "fs " << fs << " series " << series << " point " << i;
@@ -91,14 +98,6 @@ TEST(Resample, GridBitIdenticalToInterpolateAtEveryPoint) {
   EXPECT_GT(spans[2], 0u);
 }
 
-TEST(Resample, RejectsBadRate) {
-  std::vector<double> t{0.0, 1.0};
-  std::vector<double> v{0.0, 1.0};
-  double start = 0.0;
-  std::vector<double> values;
-  EXPECT_THROW(resample_linear_into(t, v, 0.0, start, values), std::invalid_argument);
-}
-
 class ResampleSineProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(ResampleSineProperty, PreservesSlowSine) {
@@ -112,11 +111,9 @@ TEST_P(ResampleSineProperty, PreservesSlowSine) {
     v.push_back(std::sin(2.0 * std::numbers::pi * f * time));
     time += 0.7 + 0.3 * std::sin(static_cast<double>(i++));  // Uneven spacing.
   }
-  double start = 0.0;
-  std::vector<double> values;
-  resample_linear_into(t, v, 4.0, start, values);
+  const auto values = resample_grid(t, v, 4.0);
   for (std::size_t k = 0; k < values.size(); ++k) {
-    const double tk = start + static_cast<double>(k) / 4.0;
+    const double tk = t.front() + static_cast<double>(k) / 4.0;
     EXPECT_NEAR(values[k], std::sin(2.0 * std::numbers::pi * f * tk), 0.15);
   }
 }

@@ -6,8 +6,6 @@
 // sample count too large to allocate or to multiply out).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -20,17 +18,10 @@
 
 #include "io/cohort_fixture.hpp"
 #include "io/wfdb.hpp"
+#include "support/temp_dir.hpp"
 
 namespace svt {
 namespace {
-
-std::string test_dir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("svt_wfdb_" + tag + "_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 std::vector<int> random_adc(std::size_t n, int lo, int hi, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -137,7 +128,8 @@ TEST(WfdbHeader, RejectsMalformedInput) {
 }
 
 TEST(WfdbSignal, Format212RoundTripsBothParities) {
-  const auto dir = test_dir("fmt212");
+  const test::TempDir tmp("wfdb_fmt212");
+  const std::string dir = tmp.string();
   for (const std::size_t n : {std::size_t{4096}, std::size_t{4097}}) {  // Even AND odd.
     const auto name = "e" + std::to_string(n);
     const auto adc = random_adc(n, io::format_min_value(212), io::format_max_value(212), n);
@@ -153,7 +145,8 @@ TEST(WfdbSignal, Format212RoundTripsBothParities) {
 }
 
 TEST(WfdbSignal, Format16RoundTrips) {
-  const auto dir = test_dir("fmt16");
+  const test::TempDir tmp("wfdb_fmt16");
+  const std::string dir = tmp.string();
   const std::size_t n = 1023;
   const auto adc = random_adc(n, io::format_min_value(16), io::format_max_value(16), 5);
   io::write_record(dir, one_signal_header("r16", 16), {adc});
@@ -161,7 +154,8 @@ TEST(WfdbSignal, Format16RoundTrips) {
 }
 
 TEST(WfdbSignal, Format80RoundTripsOffsetBinary) {
-  const auto dir = test_dir("fmt80");
+  const test::TempDir tmp("wfdb_fmt80");
+  const std::string dir = tmp.string();
   const std::size_t n = 777;
   auto adc = random_adc(n, io::format_min_value(80), io::format_max_value(80), 13);
   io::write_record(dir, one_signal_header("r80", 80), {adc});
@@ -182,7 +176,8 @@ TEST(WfdbSignal, Format80RoundTripsOffsetBinary) {
 }
 
 TEST(WfdbSignal, Format80CorruptionAndRangeAreCaught) {
-  const auto dir = test_dir("fmt80bad");
+  const test::TempDir tmp("wfdb_fmt80bad");
+  const std::string dir = tmp.string();
   const auto adc = random_adc(64, io::format_min_value(80), io::format_max_value(80), 17);
   io::write_record(dir, one_signal_header("c80", 80), {adc});
   const auto dat = std::filesystem::path(dir) / "c80.dat";
@@ -208,7 +203,8 @@ TEST(WfdbSignal, Format80CorruptionAndRangeAreCaught) {
 }
 
 TEST(WfdbSignal, MultiChannelFramesDeinterleave) {
-  const auto dir = test_dir("multi");
+  const test::TempDir tmp("wfdb_multi");
+  const std::string dir = tmp.string();
   for (const int format : {212, 16, 80}) {
     for (const std::size_t n : {std::size_t{100}, std::size_t{101}}) {
       auto header = one_signal_header("m" + std::to_string(format) + std::to_string(n), format);
@@ -244,7 +240,8 @@ TEST(WfdbSignal, EcgChannelFallsBackToUnitsThenFirst) {
 }
 
 TEST(WfdbSignal, MvConversionAndQuantizationInvert) {
-  const auto dir = test_dir("mv");
+  const test::TempDir tmp("wfdb_mv");
+  const std::string dir = tmp.string();
   // Non-round gain + non-zero baseline: both must survive the header's text
   // round-trip exactly for signal_mv to stay the inverse of quantize_mv.
   auto header = one_signal_header("q", 212, 201.3330078125, 37);
@@ -269,7 +266,8 @@ TEST(WfdbSignal, MvConversionAndQuantizationInvert) {
 }
 
 TEST(WfdbSignal, CorruptFilesFailLoudly) {
-  const auto dir = test_dir("corrupt");
+  const test::TempDir tmp("wfdb_corrupt");
+  const std::string dir = tmp.string();
   const auto adc = random_adc(100, io::format_min_value(212), io::format_max_value(212), 3);
   io::write_record(dir, one_signal_header("c", 212), {adc});
   const auto dat = std::filesystem::path(dir) / "c.dat";
@@ -297,7 +295,8 @@ TEST(WfdbSignal, HeaderSampleCountIsCheckedBeforeAllocating) {
   // refused from the file size alone: no multi-GB zero fill first, no
   // std::length_error, and no size_t wrap (4 signals x (2^62 + 1) samples is
   // 4 modulo 2^64, which an unchecked product would accept).
-  const auto dir = test_dir("huge");
+  const test::TempDir tmp("wfdb_huge");
+  const std::string dir = tmp.string();
   {
     std::ofstream dat(std::filesystem::path(dir) / "h.dat", std::ios::binary);
     const char zeros[8] = {};
@@ -319,7 +318,8 @@ TEST(WfdbSignal, HeaderSampleCountIsCheckedBeforeAllocating) {
 }
 
 TEST(WfdbFixture, SyntheticCohortCoversFormatsParitiesAndChannels) {
-  const auto dir = test_dir("fixture");
+  const test::TempDir tmp("wfdb_fixture");
+  const std::string dir = tmp.string();
   io::CohortFixtureParams params;
   params.num_patients = 4;
   params.duration_s = 10.0;
@@ -355,7 +355,8 @@ TEST(WfdbFixture, SyntheticCohortCoversFormatsParitiesAndChannels) {
   EXPECT_TRUE(saw_multi);
 
   // Determinism: the same params rewrite byte-identical signal files.
-  const auto dir2 = test_dir("fixture2");
+  const test::TempDir tmp2("wfdb_fixture2");
+  const std::string dir2 = tmp2.string();
   io::write_synthetic_cohort(dir2, params);
   for (const auto& rec : written) {
     std::ifstream a(std::filesystem::path(dir) / (rec.name + ".dat"), std::ios::binary);

@@ -1,10 +1,10 @@
 // WorkQueue backpressure: every queue is bounded (capacity 0 is rejected); a
-// full queue with a slow consumer must block (kBlock) or drop the oldest data
-// item with an accurate count (kDropOldest), control items must bypass both
-// policies, and concurrent push + close must never deadlock — blocked
-// producers wake and their items are rejected.
+// full queue with a slow consumer must block the producer and lose nothing,
+// control items must bypass capacity, and concurrent push + close must never
+// deadlock — blocked producers wake and their items are rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -18,7 +18,6 @@ namespace {
 
 TEST(WorkQueue, ZeroCapacityIsRejected) {
   EXPECT_THROW(WorkQueue<int>(0), std::invalid_argument);
-  EXPECT_THROW(WorkQueue<int>(0, BackpressurePolicy::kDropOldest), std::invalid_argument);
 }
 
 TEST(WorkQueue, FifoBelowCapacity) {
@@ -26,11 +25,10 @@ TEST(WorkQueue, FifoBelowCapacity) {
   for (int i = 0; i < 100; ++i) EXPECT_TRUE(queue.push(i));
   EXPECT_EQ(queue.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(queue.wait_pop(), i);
-  EXPECT_EQ(queue.dropped(), 0u);
 }
 
 TEST(WorkQueue, BlockPolicyBlocksUntilConsumerDrains) {
-  WorkQueue<int> queue(2, BackpressurePolicy::kBlock);
+  WorkQueue<int> queue(2);
   EXPECT_TRUE(queue.push(1));
   EXPECT_TRUE(queue.push(2));
 
@@ -48,38 +46,16 @@ TEST(WorkQueue, BlockPolicyBlocksUntilConsumerDrains) {
   EXPECT_TRUE(third_pushed.load());
   EXPECT_EQ(queue.wait_pop(), 2);
   EXPECT_EQ(queue.wait_pop(), 3);
-  EXPECT_EQ(queue.dropped(), 0u);  // kBlock never drops.
 }
 
-TEST(WorkQueue, DropOldestEvictsWithAccurateCount) {
-  WorkQueue<int> queue(2, BackpressurePolicy::kDropOldest);
-  for (int i = 1; i <= 5; ++i) EXPECT_TRUE(queue.push(i));  // Never blocks.
-  EXPECT_EQ(queue.dropped(), 3u);                           // 1, 2, 3 evicted.
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.wait_pop(), 4);  // The freshest two survive, in order.
-  EXPECT_EQ(queue.wait_pop(), 5);
-  // Evictions are logged, in eviction order, until the consumer drains them.
-  EXPECT_EQ(queue.take_evicted(), (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(queue.take_evicted().empty());
-}
-
-TEST(WorkQueue, ControlItemsBypassCapacityAndEviction) {
-  WorkQueue<int> queue(1, BackpressurePolicy::kDropOldest);
-  EXPECT_TRUE(queue.push(10));
-  EXPECT_TRUE(queue.push_control(-1));  // Exempt from capacity: no eviction.
-  EXPECT_EQ(queue.dropped(), 0u);
-  EXPECT_TRUE(queue.push(11));  // Evicts 10, NOT the control item.
-  EXPECT_EQ(queue.dropped(), 1u);
-  EXPECT_EQ(queue.wait_pop(), -1);  // FIFO order preserved across kinds.
-  EXPECT_EQ(queue.wait_pop(), 11);
-
-  // Control pushes also skip the kBlock wait: on a full blocking queue a
-  // control item (a flush fence) must land immediately.
-  WorkQueue<int> blocking(1, BackpressurePolicy::kBlock);
-  EXPECT_TRUE(blocking.push(20));
-  EXPECT_TRUE(blocking.push_control(-2));  // Would deadlock if it blocked.
-  EXPECT_EQ(blocking.wait_pop(), 20);
-  EXPECT_EQ(blocking.wait_pop(), -2);
+TEST(WorkQueue, ControlItemsBypassCapacity) {
+  // Control pushes skip the capacity wait: on a full queue a control item
+  // (a flush fence) must land immediately, in FIFO order behind the data.
+  WorkQueue<int> queue(1);
+  EXPECT_TRUE(queue.push(20));
+  EXPECT_TRUE(queue.push_control(-2));  // Would deadlock if it blocked.
+  EXPECT_EQ(queue.wait_pop(), 20);
+  EXPECT_EQ(queue.wait_pop(), -2);
 }
 
 TEST(WorkQueue, CloseRejectsLatePushesAndDrainsBacklog) {
@@ -96,7 +72,7 @@ TEST(WorkQueue, CloseWakesBlockedProducersNoDeadlock) {
   // Many producers hammer a tiny blocking queue while a slow consumer takes
   // a few items; then the queue closes mid-stream. Every producer must
   // return (no deadlock) and blocked pushes must report rejection.
-  WorkQueue<int> queue(2, BackpressurePolicy::kBlock);
+  WorkQueue<int> queue(2);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 64;
   std::atomic<int> accepted{0};
@@ -124,27 +100,26 @@ TEST(WorkQueue, CloseWakesBlockedProducersNoDeadlock) {
 }
 
 TEST(WorkQueue, ConcurrentProducersConsumerStress) {
-  // Drop-oldest under contention: nothing deadlocks, and every pushed item
-  // is either consumed or counted as dropped.
-  WorkQueue<int> queue(8, BackpressurePolicy::kDropOldest);
+  // Producers contend for a small blocking queue: nothing deadlocks, and
+  // every pushed item is consumed exactly once.
+  WorkQueue<int> queue(8);
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(queue.push(i));
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) ASSERT_TRUE(queue.push(p * kPerProducer + i));
     });
   }
-  std::atomic<int> consumed{0};
+  std::vector<int> seen(kProducers * kPerProducer, 0);
   std::thread consumer([&] {
-    while (queue.wait_pop().has_value()) consumed.fetch_add(1);
+    while (const auto item = queue.wait_pop()) ++seen[static_cast<std::size_t>(*item)];
   });
   for (auto& t : producers) t.join();
   queue.close();
   consumer.join();
-  EXPECT_EQ(consumed.load() + static_cast<int>(queue.dropped()),
-            kProducers * kPerProducer);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kProducers * kPerProducer);
 }
 
 }  // namespace

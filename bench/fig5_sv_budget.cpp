@@ -15,7 +15,6 @@
 #include "common/csv.hpp"
 #include "core/experiment.hpp"
 #include "core/sv_budget.hpp"
-#include "core/tailoring.hpp"
 #include "svm/cross_validation.hpp"
 
 int main() {
@@ -27,10 +26,13 @@ int main() {
   common::CsvWriter csv({"budget", "gm_pct", "se_pct", "sp_pct", "mean_nsv", "energy_nj",
                          "area_mm2", "mode"});
 
-  // Unbudgeted reference first.
+  // One grid over the same per-fold models: the unbudgeted reference (budget
+  // 0), then each tighter budget continuing from the previous survivors.
   bench::Stopwatch total;
-  const auto base =
-      core::evaluate_design_point(data, config, /*keep=*/{}, /*sv_budget=*/0, std::nullopt);
+  const std::vector<std::size_t> budgets = {0, 160, 140, 120, 100, 80, 68, 60, 50, 40, 30, 20};
+  const auto results =
+      core::evaluate_design_points(data, config, /*keep=*/{}, budgets, {std::nullopt});
+  const auto& base = results.front();
   std::printf("%7s %8s %8s %8s %9s %12s %10s\n", "budget", "GM %", "Se %", "Sp %", "mean#SV",
               "energy[nJ]", "area[mm2]");
   std::printf("%7s %8.1f %8.1f %8.1f %9.1f %12.1f %10.4f\n", "none",
@@ -40,9 +42,7 @@ int main() {
               base.specificity * 100.0, base.mean_support_vectors, base.cost.energy.total_nj,
               base.cost.area.total_mm2, "unbudgeted");
 
-  const std::vector<std::size_t> budgets = {160, 140, 120, 100, 80, 68, 60, 50, 40, 30, 20};
-  const auto results = core::sweep_sv_budgets(data, config, /*keep=*/{}, budgets);
-  for (std::size_t b = 0; b < budgets.size(); ++b) {
+  for (std::size_t b = 1; b < budgets.size(); ++b) {
     const auto& r = results[b];
     const char* marker = budgets[b] == 50 ? "  <-- paper design point" : "";
     std::printf("%7zu %8.1f %8.1f %8.1f %9.1f %12.1f %10.4f%s\n", budgets[b],
@@ -72,14 +72,8 @@ int main() {
                                  std::span<const int>) {
       return core::truncate_support_vectors(m, budget);
     };
-    std::vector<int> groups = data.matrix.session_index;
-    if (config.max_folds > 0) {
-      for (int& g : groups) {
-        if (g >= static_cast<int>(config.max_folds)) g = -1;
-      }
-    }
-    const auto cv =
-        svm::cross_validate(data.matrix.samples, data.matrix.labels, groups, options);
+    const auto cv = svm::cross_validate(data.matrix.samples, data.matrix.labels,
+                                        data.groups(config.max_folds), options);
     std::printf("%7zu %8.1f  (vs retraining above)\n", budget,
                 cv.averages.geometric_mean * 100.0);
     csv.add_row(budget, cv.averages.geometric_mean * 100.0, cv.averages.sensitivity * 100.0,

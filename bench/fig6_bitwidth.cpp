@@ -34,25 +34,34 @@ int main() {
   // value).
   const std::size_t kBudget = core::env_u64("SVT_BUDGET", 100);
 
-  // Float reference at the same design point.
-  const auto float_ref = core::evaluate_design_point(data, config, keep, kBudget, std::nullopt);
-  std::printf("float reference: GM %.1f%% (Se %.1f, Sp %.1f), mean #SV %.1f\n\n",
-              float_ref.geometric_mean * 100.0, float_ref.sensitivity * 100.0,
-              float_ref.specificity * 100.0, float_ref.mean_support_vectors);
-
+  // One grid over the same budgeted per-fold models: the float reference,
+  // the per-feature Dbits x Abits sweep, then the homogeneous-scaling
+  // ablation (one global feature range, Dbits = Abits = B).
   const std::vector<int> dbits = {7, 8, 9, 10, 11, 13, 15, 17};
   const std::vector<int> abits = {13, 15, 17};
-
-  std::vector<core::QuantConfig> configs;
+  const std::vector<int> homog_bits = {9, 11, 13, 15, 17};
+  std::vector<std::optional<core::QuantConfig>> engines = {std::nullopt};
   for (int a : abits) {
     for (int d : dbits) {
       core::QuantConfig qc;
       qc.feature_bits = d;
       qc.alpha_bits = a;
-      configs.push_back(qc);
+      engines.push_back(qc);
     }
   }
-  const auto results = core::sweep_quant_configs(data, config, keep, kBudget, configs);
+  for (int b : homog_bits) {
+    core::QuantConfig qc;
+    qc.feature_bits = b;
+    qc.alpha_bits = b;
+    qc.homogeneous = true;
+    engines.push_back(qc);
+  }
+  const auto results = core::evaluate_design_points(data, config, keep, {kBudget}, engines);
+
+  const auto& float_ref = results.front();
+  std::printf("float reference: GM %.1f%% (Se %.1f, Sp %.1f), mean #SV %.1f\n\n",
+              float_ref.geometric_mean * 100.0, float_ref.sensitivity * 100.0,
+              float_ref.specificity * 100.0, float_ref.mean_support_vectors);
 
   common::CsvWriter csv({"dbits", "abits", "homogeneous", "gm_pct", "energy_nj", "area_mm2"});
   std::printf("per-feature Eq.6 ranges -- GM %% (energy nJ / area mm2):\n%6s", "D\\A");
@@ -61,7 +70,7 @@ int main() {
   for (std::size_t di = 0; di < dbits.size(); ++di) {
     std::printf("%6d", dbits[di]);
     for (std::size_t ai = 0; ai < abits.size(); ++ai) {
-      const auto& r = results[ai * dbits.size() + di];
+      const auto& r = results[1 + ai * dbits.size() + di];
       std::printf("  %5.1f (%7.1f/%6.4f)", r.geometric_mean * 100.0, r.cost.energy.total_nj,
                   r.cost.area.total_mm2);
       csv.add_row(dbits[di], abits[ai], 0, r.geometric_mean * 100.0, r.cost.energy.total_nj,
@@ -70,24 +79,13 @@ int main() {
     std::printf("%s\n", dbits[di] == 9 ? "   <-- Dbits=9 row (paper red circle at A=15)" : "");
   }
 
-  // Homogeneous-scaling ablation: one global feature range, equal widths.
   std::printf("\nhomogeneous scaling (global range, Dbits = Abits = B):\n");
-  std::vector<core::QuantConfig> homog;
-  for (int b : {9, 11, 13, 15, 17}) {
-    core::QuantConfig qc;
-    qc.feature_bits = b;
-    qc.alpha_bits = b;
-    qc.homogeneous = true;
-    homog.push_back(qc);
-  }
-  const auto hres = core::sweep_quant_configs(data, config, keep, kBudget, homog);
-  for (std::size_t i = 0; i < homog.size(); ++i) {
-    std::printf("  B=%2d  GM %5.1f%%  (energy %7.1f nJ, area %6.4f mm2)\n",
-                homog[i].feature_bits, hres[i].geometric_mean * 100.0,
-                hres[i].cost.energy.total_nj, hres[i].cost.area.total_mm2);
-    csv.add_row(homog[i].feature_bits, homog[i].alpha_bits, 1,
-                hres[i].geometric_mean * 100.0, hres[i].cost.energy.total_nj,
-                hres[i].cost.area.total_mm2);
+  for (std::size_t i = 0; i < homog_bits.size(); ++i) {
+    const auto& r = results[1 + abits.size() * dbits.size() + i];
+    std::printf("  B=%2d  GM %5.1f%%  (energy %7.1f nJ, area %6.4f mm2)\n", homog_bits[i],
+                r.geometric_mean * 100.0, r.cost.energy.total_nj, r.cost.area.total_mm2);
+    csv.add_row(homog_bits[i], homog_bits[i], 1, r.geometric_mean * 100.0,
+                r.cost.energy.total_nj, r.cost.area.total_mm2);
   }
 
   csv.write(config.csv_dir + "/fig6_bitwidth.csv");

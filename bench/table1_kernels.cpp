@@ -28,11 +28,11 @@ int main() {
 
   // RBF gamma by the "scale" heuristic in the *scaled* feature space the CV
   // driver trains in (z-score -> variance gain_j^2 per feature).
-  std::vector<std::size_t> all_idx(data.matrix.num_features());
-  for (std::size_t j = 0; j < all_idx.size(); ++j) all_idx[j] = j;
-  const auto g = features::category_gains(all_idx);
+  std::vector<std::size_t> all_features(data.matrix.num_features());
+  for (std::size_t j = 0; j < all_features.size(); ++j) all_features[j] = j;
+  const auto gains = features::category_gains(all_features);
   double gain2_acc = 0.0;
-  for (double v : g) gain2_acc += v * v;
+  for (double v : gains) gain2_acc += v * v;
   const double gamma = 1.0 / gain2_acc;  // = 1 / (nfeat * mean scaled variance).
 
   std::vector<svm::Kernel> kernels = {
@@ -45,17 +45,7 @@ int main() {
   common::CsvWriter csv({"kernel", "sp_pct", "se_pct", "gm_pct", "mean_nsv"});
   std::printf("%-12s %8s %8s %8s %10s\n", "SVM Kernel", "Sp %", "Se %", "GM", "mean#SV");
 
-  std::vector<int> groups = data.groups();
-  if (config.max_folds > 0) {
-    for (int& g : groups) {
-      if (g >= static_cast<int>(config.max_folds)) g = -1;
-    }
-  }
-
-  std::vector<std::size_t> all_features(data.matrix.num_features());
-  for (std::size_t j = 0; j < all_features.size(); ++j) all_features[j] = j;
-  const auto gains = features::category_gains(all_features);
-
+  const auto groups = data.groups(config.max_folds);
   for (const auto& kernel : kernels) {
     bench::Stopwatch timer;
     svm::CvOptions options;

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <set>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "common/assert.hpp"
+#include "core/sv_budget.hpp"
+#include "svm/cross_validation.hpp"
 
 namespace svt::core {
 
@@ -45,7 +46,14 @@ ExperimentConfig ExperimentConfig::from_env() {
   return config;
 }
 
-std::vector<int> PreparedData::groups() const { return matrix.session_index; }
+std::vector<int> PreparedData::groups(std::size_t max_folds) const {
+  std::vector<int> groups = matrix.session_index;
+  if (max_folds == 0) return groups;
+  for (int& g : groups) {
+    if (g >= static_cast<int>(max_folds)) g = -1;
+  }
+  return groups;
+}
 
 PreparedData prepare_data(const ExperimentConfig& config) {
   PreparedData data;
@@ -54,247 +62,82 @@ PreparedData prepare_data(const ExperimentConfig& config) {
   return data;
 }
 
-namespace {
-
-/// `keep` if non-empty, else the identity index list of length n.
-std::vector<std::size_t> all_indices_or(const std::vector<std::size_t>& keep, std::size_t n) {
-  if (!keep.empty()) return keep;
-  std::vector<std::size_t> idx(n);
-  for (std::size_t j = 0; j < n; ++j) idx[j] = j;
-  return idx;
-}
-
-/// Group vector with sessions beyond `max_folds` marked training-only.
-std::vector<int> capped_groups(const PreparedData& data, std::size_t max_folds) {
-  std::vector<int> groups = data.matrix.session_index;
-  if (max_folds == 0) return groups;
-  for (int& g : groups) {
-    if (g >= static_cast<int>(max_folds)) g = -1;
+std::vector<DesignPointResult> evaluate_design_points(
+    const PreparedData& data, const ExperimentConfig& config,
+    const std::vector<std::size_t>& keep, const std::vector<std::size_t>& budgets,
+    const std::vector<std::optional<QuantConfig>>& engines) {
+  // An optional leading 0 (unbudgeted), then strictly decreasing budgets.
+  for (std::size_t b = 1; b < budgets.size(); ++b) {
+    if (budgets[b] == 0 || (budgets[b - 1] > 0 && budgets[b] >= budgets[b - 1]))
+      throw std::invalid_argument("evaluate_design_points: budgets out of order");
   }
-  return groups;
-}
+  const features::FeatureMatrix matrix =
+      keep.empty() ? data.matrix : data.matrix.select_features(keep);
+  std::vector<std::size_t> columns = keep;
+  if (columns.empty()) {
+    columns.resize(matrix.num_features());
+    std::iota(columns.begin(), columns.end(), std::size_t{0});
+  }
+  auto folds = svt::svm::make_folds(matrix.samples, matrix.labels, data.groups(config.max_folds),
+                                    features::category_gains(columns));
 
-}  // namespace
+  const std::size_t cells = budgets.size() * engines.size();
+  std::vector<std::vector<svt::svm::ConfusionMatrix>> confusions(cells);
+  std::vector<double> sv_totals(budgets.size(), 0.0);
+  std::size_t trained = 0;
+  for (auto& fold : folds) {
+    if (!fold.usable) continue;
+    ++trained;
+    auto model = svt::svm::train_svm(fold.train_x, fold.train_y, svt::svm::quadratic_kernel(),
+                                     config.train);
+    std::vector<int> predicted(fold.test_x.size());
+    for (std::size_t b = 0; b < budgets.size(); ++b) {
+      if (budgets[b] > 0 && model.num_support_vectors() > budgets[b]) {
+        // The fold's training set shrinks to the survivors, where the next
+        // (tighter) budget continues.
+        BudgetParams bp;
+        bp.budget = budgets[b];
+        model = budget_support_vectors(model, fold.train_x, fold.train_y, config.train, bp,
+                                       /*report=*/nullptr, &fold.train_x, &fold.train_y);
+      }
+      sv_totals[b] += static_cast<double>(model.num_support_vectors());
+      for (std::size_t e = 0; e < engines.size(); ++e) {
+        if (engines[e]) {
+          const auto engine = QuantizedModel::build(model, *engines[e]);
+          for (std::size_t i = 0; i < fold.test_x.size(); ++i)
+            predicted[i] = engine.classify(fold.test_x[i]);
+        } else {
+          for (std::size_t i = 0; i < fold.test_x.size(); ++i)
+            predicted[i] = model.predict(fold.test_x[i]);
+        }
+        confusions[b * engines.size() + e].push_back(svt::svm::tally(fold.test_y, predicted));
+      }
+    }
+  }
+
+  std::vector<DesignPointResult> results(cells);
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    const double mean_nsv = trained > 0 ? sv_totals[b] / static_cast<double>(trained) : 0.0;
+    const auto nsv = std::max<std::size_t>(1, static_cast<std::size_t>(mean_nsv + 0.5));
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      DesignPointResult& r = results[b * engines.size() + e];
+      const auto avg = svt::svm::average_over_folds(confusions[b * engines.size() + e]);
+      r.sensitivity = avg.sensitivity;
+      r.specificity = avg.specificity;
+      r.geometric_mean = avg.geometric_mean;
+      r.mean_support_vectors = mean_nsv;
+      r.cost = hw::estimate_cost(design_pipeline(matrix.num_features(), nsv, engines[e]));
+    }
+  }
+  return results;
+}
 
 DesignPointResult evaluate_design_point(const PreparedData& data,
                                         const ExperimentConfig& config,
                                         const std::vector<std::size_t>& keep,
                                         std::size_t sv_budget,
-                                        const std::optional<QuantConfig>& quant,
-                                        std::size_t max_folds_override) {
-  const features::FeatureMatrix matrix =
-      keep.empty() ? data.matrix : data.matrix.select_features(keep);
-
-  TailoringConfig tailoring;
-  tailoring.num_features = 0;  // Selection already applied above.
-  tailoring.sv_budget = sv_budget;
-  tailoring.quant = quant;
-  tailoring.train = config.train;
-  tailoring.post_gains = features::category_gains(all_indices_or(keep, matrix.num_features()));
-  const auto options = make_cv_options(tailoring);
-
-  const std::size_t max_folds =
-      max_folds_override > 0 ? max_folds_override : config.max_folds;
-  const auto groups = capped_groups(data, max_folds);
-  const auto cv =
-      svt::svm::cross_validate(matrix.samples, matrix.labels, groups, options);
-
-  DesignPointResult result;
-  result.sensitivity = cv.averages.sensitivity;
-  result.specificity = cv.averages.specificity;
-  result.geometric_mean = cv.averages.geometric_mean;
-  result.mean_support_vectors = cv.mean_support_vectors();
-
-  hw::PipelineConfig pipeline;
-  pipeline.num_features = matrix.num_features();
-  pipeline.num_support_vectors = std::max<std::size_t>(
-      1, static_cast<std::size_t>(result.mean_support_vectors + 0.5));
-  if (quant) {
-    pipeline.feature_bits = quant->feature_bits;
-    pipeline.alpha_bits = quant->alpha_bits;
-    pipeline.dot_truncate_bits = quant->dot_truncate_bits;
-    pipeline.square_truncate_bits = quant->square_truncate_bits;
-  } else {
-    pipeline.feature_bits = 64;
-    pipeline.alpha_bits = 64;
-  }
-  result.cost = hw::estimate_cost(pipeline);
-  return result;
-}
-
-namespace {
-
-/// One fold's train/test split after feature selection and centring.
-struct FoldData {
-  std::vector<std::vector<double>> train_x, test_x;
-  std::vector<int> train_y, test_y;
-  bool usable = false;
-};
-
-std::vector<FoldData> build_folds(const features::FeatureMatrix& matrix,
-                                  const std::vector<int>& groups,
-                                  const std::vector<double>& gains) {
-  std::set<int> ids;
-  for (int g : groups) {
-    if (g >= 0) ids.insert(g);
-  }
-  std::vector<FoldData> folds;
-  folds.reserve(ids.size());
-  for (int g : ids) {
-    FoldData fold;
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-      if (groups[i] == g) {
-        fold.test_x.push_back(matrix.samples[i]);
-        fold.test_y.push_back(matrix.labels[i]);
-      } else {
-        fold.train_x.push_back(matrix.samples[i]);
-        fold.train_y.push_back(matrix.labels[i]);
-      }
-    }
-    const bool has_pos =
-        std::find(fold.train_y.begin(), fold.train_y.end(), +1) != fold.train_y.end();
-    const bool has_neg =
-        std::find(fold.train_y.begin(), fold.train_y.end(), -1) != fold.train_y.end();
-    fold.usable = !fold.test_x.empty() && has_pos && has_neg;
-    if (fold.usable) {
-      svt::svm::StandardScaler scaler(svt::svm::ScalerMode::kZScore);
-      scaler.set_post_gains(gains);
-      scaler.fit(fold.train_x);
-      fold.train_x = scaler.transform_all(fold.train_x);
-      fold.test_x = scaler.transform_all(fold.test_x);
-    }
-    folds.push_back(std::move(fold));
-  }
-  return folds;
-}
-
-hw::CostReport cost_at(std::size_t nfeat, double mean_nsv,
-                       const std::optional<QuantConfig>& quant) {
-  hw::PipelineConfig pipeline;
-  pipeline.num_features = nfeat;
-  pipeline.num_support_vectors =
-      std::max<std::size_t>(1, static_cast<std::size_t>(mean_nsv + 0.5));
-  if (quant) {
-    pipeline.feature_bits = quant->feature_bits;
-    pipeline.alpha_bits = quant->alpha_bits;
-    pipeline.dot_truncate_bits = quant->dot_truncate_bits;
-    pipeline.square_truncate_bits = quant->square_truncate_bits;
-  } else {
-    pipeline.feature_bits = 64;
-    pipeline.alpha_bits = 64;
-  }
-  return hw::estimate_cost(pipeline);
-}
-
-}  // namespace
-
-std::vector<DesignPointResult> sweep_sv_budgets(const PreparedData& data,
-                                                const ExperimentConfig& config,
-                                                const std::vector<std::size_t>& keep,
-                                                const std::vector<std::size_t>& budgets,
-                                                const std::optional<QuantConfig>& quant) {
-  for (std::size_t b = 1; b < budgets.size(); ++b) {
-    if (budgets[b] >= budgets[b - 1])
-      throw std::invalid_argument("sweep_sv_budgets: budgets must be strictly decreasing");
-  }
-  const features::FeatureMatrix matrix =
-      keep.empty() ? data.matrix : data.matrix.select_features(keep);
-  const auto groups = capped_groups(data, config.max_folds);
-  const auto gains = features::category_gains(all_indices_or(keep, matrix.num_features()));
-  auto folds = build_folds(matrix, groups, gains);
-
-  std::vector<std::vector<svt::svm::ConfusionMatrix>> confusions(budgets.size());
-  std::vector<std::vector<double>> sv_counts(budgets.size());
-
-  for (auto& fold : folds) {
-    if (!fold.usable) continue;
-    auto model = svt::svm::train_svm(fold.train_x, fold.train_y,
-                                     svt::svm::quadratic_kernel(), config.train);
-    std::vector<std::vector<double>> live_x = fold.train_x;
-    std::vector<int> live_y = fold.train_y;
-    for (std::size_t b = 0; b < budgets.size(); ++b) {
-      if (model.num_support_vectors() > budgets[b]) {
-        BudgetParams bp;
-        bp.budget = budgets[b];
-        model = budget_support_vectors(model, live_x, live_y, config.train, bp,
-                                       /*report=*/nullptr, &live_x, &live_y);
-      }
-      std::vector<int> predicted(fold.test_x.size());
-      if (quant) {
-        const auto engine = QuantizedModel::build(model, *quant);
-        for (std::size_t i = 0; i < fold.test_x.size(); ++i)
-          predicted[i] = engine.classify(fold.test_x[i]);
-      } else {
-        for (std::size_t i = 0; i < fold.test_x.size(); ++i)
-          predicted[i] = model.predict(fold.test_x[i]);
-      }
-      confusions[b].push_back(svt::svm::tally(fold.test_y, predicted));
-      sv_counts[b].push_back(static_cast<double>(model.num_support_vectors()));
-    }
-  }
-
-  std::vector<DesignPointResult> results(budgets.size());
-  for (std::size_t b = 0; b < budgets.size(); ++b) {
-    const auto avg = svt::svm::average_over_folds(confusions[b]);
-    results[b].sensitivity = avg.sensitivity;
-    results[b].specificity = avg.specificity;
-    results[b].geometric_mean = avg.geometric_mean;
-    double acc = 0.0;
-    for (double v : sv_counts[b]) acc += v;
-    results[b].mean_support_vectors =
-        sv_counts[b].empty() ? 0.0 : acc / static_cast<double>(sv_counts[b].size());
-    results[b].cost = cost_at(matrix.num_features(), results[b].mean_support_vectors, quant);
-  }
-  return results;
-}
-
-std::vector<DesignPointResult> sweep_quant_configs(const PreparedData& data,
-                                                   const ExperimentConfig& config,
-                                                   const std::vector<std::size_t>& keep,
-                                                   std::size_t sv_budget,
-                                                   const std::vector<QuantConfig>& configs) {
-  const features::FeatureMatrix matrix =
-      keep.empty() ? data.matrix : data.matrix.select_features(keep);
-  const auto groups = capped_groups(data, config.max_folds);
-  const auto gains = features::category_gains(all_indices_or(keep, matrix.num_features()));
-  auto folds = build_folds(matrix, groups, gains);
-
-  std::vector<std::vector<svt::svm::ConfusionMatrix>> confusions(configs.size());
-  std::vector<double> sv_counts;
-
-  for (auto& fold : folds) {
-    if (!fold.usable) continue;
-    auto model = svt::svm::train_svm(fold.train_x, fold.train_y,
-                                     svt::svm::quadratic_kernel(), config.train);
-    if (sv_budget > 0 && model.num_support_vectors() > sv_budget) {
-      BudgetParams bp;
-      bp.budget = sv_budget;
-      model = budget_support_vectors(model, fold.train_x, fold.train_y, config.train, bp);
-    }
-    sv_counts.push_back(static_cast<double>(model.num_support_vectors()));
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const auto engine = QuantizedModel::build(model, configs[c]);
-      std::vector<int> predicted(fold.test_x.size());
-      for (std::size_t i = 0; i < fold.test_x.size(); ++i)
-        predicted[i] = engine.classify(fold.test_x[i]);
-      confusions[c].push_back(svt::svm::tally(fold.test_y, predicted));
-    }
-  }
-
-  double mean_nsv = 0.0;
-  for (double v : sv_counts) mean_nsv += v;
-  if (!sv_counts.empty()) mean_nsv /= static_cast<double>(sv_counts.size());
-
-  std::vector<DesignPointResult> results(configs.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    const auto avg = svt::svm::average_over_folds(confusions[c]);
-    results[c].sensitivity = avg.sensitivity;
-    results[c].specificity = avg.specificity;
-    results[c].geometric_mean = avg.geometric_mean;
-    results[c].mean_support_vectors = mean_nsv;
-    results[c].cost = cost_at(matrix.num_features(), mean_nsv, configs[c]);
-  }
-  return results;
+                                        const std::optional<QuantConfig>& quant) {
+  return evaluate_design_points(data, config, keep, {sv_budget}, {quant}).front();
 }
 
 }  // namespace svt::core

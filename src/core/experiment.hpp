@@ -1,6 +1,7 @@
 // Shared experiment scaffolding for the benches: dataset/feature preparation
-// with environment-variable scaling, and the per-design-point evaluation
-// loops behind every table and figure.
+// with environment-variable scaling, and the one design-point loop behind
+// every figure (Table I's kernel comparison and the no-retraining ablation
+// run svm::cross_validate over the same folds).
 //
 // Environment knobs (all optional):
 //   SVT_WPS    windows per session (default 30; the paper's 140 h of data
@@ -8,6 +9,8 @@
 //   SVT_FOLDS  number of leave-one-session-out folds evaluated (default all
 //              24; lower it for quick runs).
 //   SVT_SEED   dataset generation seed (default 42).
+//   SVT_C      SVM soft-margin penalty C (default 1).
+//   SVT_BUDGET SV budget of the reduced design in fig6/fig7 (default 100).
 //   SVT_CSV_DIR  where benches drop their CSV dumps (default ".").
 #pragma once
 
@@ -17,11 +20,10 @@
 #include <vector>
 
 #include "core/quantize.hpp"
-#include "core/tailoring.hpp"
 #include "ecg/dataset.hpp"
 #include "features/extractor.hpp"
 #include "hw/accelerator_model.hpp"
-#include "svm/cross_validation.hpp"
+#include "svm/trainer.hpp"
 
 namespace svt::core {
 
@@ -40,15 +42,16 @@ struct PreparedData {
   ecg::Dataset dataset;
   features::FeatureMatrix matrix;
 
-  /// Group ids for cross_validate, truncated to `max_folds` distinct
-  /// sessions when requested (remaining sessions keep training-only roles).
-  std::vector<int> groups() const;
+  /// Fold id per sample: the session index, with sessions at or past
+  /// `max_folds` marked training-only (-1) so they still train every fold
+  /// (0 = every session is a fold).
+  std::vector<int> groups(std::size_t max_folds) const;
 };
 
 /// Generate the cohort and extract all 53 features (deterministic).
 PreparedData prepare_data(const ExperimentConfig& config);
 
-/// Evaluate one design point with leave-one-session-out CV.
+/// One design point, scored over the leave-one-session-out folds.
 struct DesignPointResult {
   double sensitivity = 0.0;
   double specificity = 0.0;
@@ -57,35 +60,28 @@ struct DesignPointResult {
   hw::CostReport cost;  ///< At the mean SV count of the folds.
 };
 
-/// `keep`: feature subset (empty = all). `sv_budget`: 0 = unbudgeted.
-/// `quant`: nullopt = float inference (costed as the 64-bit design point).
+/// The paper's design-space loop over the folds of
+/// `data.groups(config.max_folds)`, restricted to the `keep` features (empty =
+/// all, in order). Each fold trains one quadratic SVM, then applies `budgets`
+/// in order: an optional leading 0 (unbudgeted), then strictly decreasing SV
+/// budgets, each continuing from the previous budget's surviving training
+/// set (the paper's iterative removal, observed at several stop points).
+/// Every engine (nullopt = float; else the fixed-point QuantizedModel)
+/// classifies every budgeted model, and each cell is costed by
+/// design_pipeline at its mean SV count. Returns
+/// `results[b * engines.size() + e]`. Throws std::invalid_argument on a
+/// budget list of any other shape.
+std::vector<DesignPointResult> evaluate_design_points(
+    const PreparedData& data, const ExperimentConfig& config,
+    const std::vector<std::size_t>& keep, const std::vector<std::size_t>& budgets,
+    const std::vector<std::optional<QuantConfig>>& engines);
+
+/// One design point: the grid's 1x1 call. `sv_budget`: 0 = unbudgeted.
 DesignPointResult evaluate_design_point(const PreparedData& data,
                                         const ExperimentConfig& config,
                                         const std::vector<std::size_t>& keep,
                                         std::size_t sv_budget,
-                                        const std::optional<QuantConfig>& quant,
-                                        std::size_t max_folds_override = 0);
-
-/// Figure-5 sweep: progressively tighter SV budgets. Budgets must be strictly
-/// decreasing; each fold trains once and the budgeting continues from the
-/// previous budget's surviving training set (which is exactly the paper's
-/// iterative-removal procedure, observed at several stop points). Results are
-/// aligned with `budgets`. `quant` optionally evaluates each budget through
-/// the fixed-point engine.
-std::vector<DesignPointResult> sweep_sv_budgets(const PreparedData& data,
-                                                const ExperimentConfig& config,
-                                                const std::vector<std::size_t>& keep,
-                                                const std::vector<std::size_t>& budgets,
-                                                const std::optional<QuantConfig>& quant = {});
-
-/// Figure-6 sweep: evaluate many quantisation configs against the *same*
-/// per-fold trained (and optionally budgeted) models. Results align with
-/// `configs`.
-std::vector<DesignPointResult> sweep_quant_configs(const PreparedData& data,
-                                                   const ExperimentConfig& config,
-                                                   const std::vector<std::size_t>& keep,
-                                                   std::size_t sv_budget,
-                                                   const std::vector<QuantConfig>& configs);
+                                        const std::optional<QuantConfig>& quant);
 
 /// Read a size_t / uint64 environment variable (returns fallback if unset or
 /// unparseable).

@@ -15,6 +15,23 @@
 
 namespace svt::core {
 
+hw::PipelineConfig design_pipeline(std::size_t num_features, std::size_t num_support_vectors,
+                                   const std::optional<QuantConfig>& quant) {
+  hw::PipelineConfig pipeline;
+  pipeline.num_features = num_features;
+  pipeline.num_support_vectors = num_support_vectors;
+  if (quant) {
+    pipeline.feature_bits = quant->feature_bits;
+    pipeline.alpha_bits = quant->alpha_bits;
+    pipeline.dot_truncate_bits = quant->dot_truncate_bits;
+    pipeline.square_truncate_bits = quant->square_truncate_bits;
+  } else {
+    pipeline.feature_bits = 64;
+    pipeline.alpha_bits = 64;
+  }
+  return pipeline;
+}
+
 QuantizedModel QuantizedModel::build(const svt::svm::SvmModel& model, const QuantConfig& config) {
   using svt::svm::KernelType;
   if (model.kernel.type != KernelType::kPolynomial || model.kernel.degree != 2)

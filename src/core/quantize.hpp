@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -48,13 +49,21 @@ struct QuantConfig {
   /// discards 10 LSBs of raw-unit features whose typical values sit near the
   /// top of their power-of-two ranges; our features are mean-centred, so
   /// typical dot products sit ~4 bits lower in their range and the
-  /// *equivalent retained precision* is 6 bits of truncation (see DESIGN.md).
+  /// *equivalent retained precision* is 6 bits of truncation.
   /// The engine additionally truncates enough for the squarer input to stay
   /// bit-accurate in 64-bit arithmetic (width-driven truncation).
   int dot_truncate_bits = 6;
   int square_truncate_bits = 6;
   bool homogeneous = false;    ///< Single global feature scale (ablation).
 };
+
+/// The accelerator design point of a `num_features` x `num_support_vectors`
+/// model: `quant`'s widths and truncation depths, or the 64-bit pipeline for
+/// float inference (nullopt). This is what the benches and
+/// TailoredDetector::hardware_cost cost; it deliberately omits the engine's
+/// width-driven truncation (QuantizedModel::pipeline()).
+hw::PipelineConfig design_pipeline(std::size_t num_features, std::size_t num_support_vectors,
+                                   const std::optional<QuantConfig>& quant);
 
 /// A quadratic SVM quantised for the Figure-2 accelerator.
 class QuantizedModel {

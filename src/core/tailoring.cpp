@@ -1,15 +1,10 @@
 #include "core/tailoring.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include "common/assert.hpp"
 
 namespace svt::core {
-
-using svt::svm::CvOptions;
-using svt::svm::StandardScaler;
-using svt::svm::SvmModel;
 
 std::vector<double> TailoredDetector::prepare_row(std::span<const double> raw_features) const {
   std::vector<double> x;
@@ -34,19 +29,8 @@ double TailoredDetector::decision_value(std::span<const double> raw_features) co
 }
 
 hw::CostReport TailoredDetector::hardware_cost(const hw::TechModel& tech) const {
-  hw::PipelineConfig config;
-  config.num_features = model_.num_features();
-  config.num_support_vectors = model_.num_support_vectors();
-  if (quant_config_) {
-    config.feature_bits = quant_config_->feature_bits;
-    config.alpha_bits = quant_config_->alpha_bits;
-    config.dot_truncate_bits = quant_config_->dot_truncate_bits;
-    config.square_truncate_bits = quant_config_->square_truncate_bits;
-  } else {
-    config.feature_bits = 64;  // Float reference costed as the 64-bit design.
-    config.alpha_bits = 64;
-  }
-  return hw::estimate_cost(config, tech);
+  return hw::estimate_cost(
+      design_pipeline(model_.num_features(), model_.num_support_vectors(), quant_config_), tech);
 }
 
 TailoredDetector tailor_detector(std::span<const std::vector<double>> samples,
@@ -84,7 +68,6 @@ TailoredDetector tailor_detector(std::span<const std::vector<double>> samples,
   }
 
   // 2. Normalise and train.
-  detector.scaler_ = StandardScaler(config.scaler_mode);
   if (!config.post_gains.empty()) {
     if (config.post_gains.size() != detector.selected_.size())
       throw std::invalid_argument("tailor_detector: post_gains size mismatch");
@@ -93,7 +76,7 @@ TailoredDetector tailor_detector(std::span<const std::vector<double>> samples,
   detector.scaler_.fit(reduced);
   const auto scaled = detector.scaler_.transform_all(reduced);
   std::vector<int> y(labels.begin(), labels.end());
-  detector.model_ = svt::svm::train_svm(scaled, y, config.kernel, config.train);
+  detector.model_ = svt::svm::train_svm(scaled, y, svt::svm::quadratic_kernel(), config.train);
 
   // 3. SV budgeting.
   if (config.sv_budget > 0 && detector.model_.num_support_vectors() > config.sv_budget) {
@@ -107,36 +90,6 @@ TailoredDetector tailor_detector(std::span<const std::vector<double>> samples,
   detector.quant_config_ = config.quant;
   if (config.quant) detector.quantized_ = QuantizedModel::build(detector.model_, *config.quant);
   return detector;
-}
-
-CvOptions make_cv_options(const TailoringConfig& config) {
-  CvOptions options;
-  options.kernel = config.kernel;
-  options.train = config.train;
-  options.standardize = true;
-  options.scaler_mode = config.scaler_mode;
-  options.post_gains = config.post_gains;
-  if (config.sv_budget > 0) {
-    const auto budget = config.sv_budget;
-    const auto train_params = config.train;
-    options.transform = [budget, train_params](const SvmModel& model,
-                                               std::span<const std::vector<double>> x,
-                                               std::span<const int> y) {
-      if (model.num_support_vectors() <= budget) return model;
-      BudgetParams bp;
-      bp.budget = budget;
-      return budget_support_vectors(model, x, y, train_params, bp);
-    };
-  }
-  if (config.quant) {
-    const QuantConfig quant = *config.quant;
-    options.classifier = [quant](const SvmModel& model, std::span<const std::vector<double>>,
-                                 std::span<const int>) -> svt::svm::ClassifierFn {
-      auto engine = std::make_shared<QuantizedModel>(QuantizedModel::build(model, quant));
-      return [engine](std::span<const double> x) { return engine->classify(x); };
-    };
-  }
-  return options;
 }
 
 }  // namespace svt::core

@@ -18,7 +18,6 @@
 #include "core/quantize.hpp"
 #include "core/sv_budget.hpp"
 #include "hw/accelerator_model.hpp"
-#include "svm/cross_validation.hpp"
 #include "svm/model.hpp"
 #include "svm/scaler.hpp"
 #include "svm/trainer.hpp"
@@ -33,9 +32,8 @@ struct TailoringConfig {
   std::vector<std::size_t> explicit_features;
   std::size_t sv_budget = 68;     ///< 0 = no SV budget.
   std::optional<QuantConfig> quant = QuantConfig{};  ///< nullopt = float inference.
-  svt::svm::Kernel kernel = svt::svm::quadratic_kernel();
+  /// For the quadratic kernel, the only one the engines serve.
   svt::svm::TrainParams train;
-  svt::svm::ScalerMode scaler_mode = svt::svm::ScalerMode::kZScore;
   /// Per-feature post-normalisation gains (aligned with the *selected*
   /// features; empty = none). See features::category_gains.
   std::vector<double> post_gains;
@@ -83,10 +81,5 @@ class TailoredDetector {
 /// the available features.
 TailoredDetector tailor_detector(std::span<const std::vector<double>> samples,
                                  std::span<const int> labels, const TailoringConfig& config);
-
-/// Build the CV hooks corresponding to a tailoring config, so experiments can
-/// evaluate the *generalisation* of a design point with leave-one-session-out
-/// cross-validation (svm::cross_validate).
-svt::svm::CvOptions make_cv_options(const TailoringConfig& config);
 
 }  // namespace svt::core

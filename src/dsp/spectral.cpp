@@ -15,16 +15,6 @@ double PsdEstimate::resolution_hz() const {
   return frequency_hz[1] - frequency_hz[0];
 }
 
-PsdEstimate periodogram(std::span<const double> x, double fs_hz, WindowType window) {
-  if (x.empty()) throw std::invalid_argument("periodogram: empty input");
-  if (fs_hz <= 0.0) throw std::invalid_argument("periodogram: fs_hz <= 0");
-  WelchParams one_segment;
-  one_segment.segment_length = x.size();
-  one_segment.window = window;
-  one_segment.detrend_segments = false;
-  return welch_psd(x, fs_hz, one_segment);
-}
-
 PsdEstimate welch_psd(std::span<const double> x, double fs_hz, const WelchParams& params) {
   SpectralScratch scratch;
   PsdEstimate out;

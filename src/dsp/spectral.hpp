@@ -1,5 +1,5 @@
-// Power spectral density estimation (periodogram and Welch's method) and
-// band-power utilities.
+// Power spectral density estimation (Welch's method; one undetrended segment
+// spanning the series is the plain periodogram) and band-power utilities.
 //
 // The paper's PSD feature group (features 25-53) is the spectral density of
 // the ECG-derived respiration series "in various bands"; this module provides
@@ -25,12 +25,6 @@ struct PsdEstimate {
   /// Frequency resolution (spacing between bins) in Hz.
   double resolution_hz() const;
 };
-
-/// One-sided periodogram of a real series sampled at fs_hz: welch_psd with
-/// one segment spanning x and no detrending (detrend x first if needed).
-/// Throws on empty input or fs_hz <= 0.
-PsdEstimate periodogram(std::span<const double> x, double fs_hz,
-                        WindowType window = WindowType::kHann);
 
 /// Parameters for Welch's averaged-periodogram method.
 struct WelchParams {

@@ -2,11 +2,11 @@
 //
 // The paper's dataset is a proprietary clinical cohort (7 patients, 140 h,
 // 34 focal seizures recorded across 24 sessions in an epilepsy monitoring
-// unit). We substitute a physiologically-motivated synthetic cohort, per
-// DESIGN.md Section 2: each patient has an individual cardiac baseline, an
-// individual *ictal autonomic signature* (most patients exhibit ictal
-// tachycardia, a minority ictal bradycardia -- this bimodality is what makes
-// the detection problem non-linear, reproducing the paper's linear-vs-
+// unit) that is not publicly available. We substitute a physiologically
+// motivated synthetic cohort: each patient has an individual cardiac
+// baseline, an individual *ictal autonomic signature* (most patients exhibit
+// ictal tachycardia, a minority ictal bradycardia -- this bimodality is what
+// makes the detection problem non-linear, reproducing the paper's linear-vs-
 // quadratic kernel gap), and per-session variability.
 #pragma once
 

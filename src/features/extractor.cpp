@@ -76,14 +76,6 @@ std::vector<double> category_gains(const std::vector<std::size_t>& feature_indic
   return gains;
 }
 
-std::vector<double> extract_features(const ecg::RrSeries& rr,
-                                     const ecg::RespirationSeries& edr) {
-  FeatureScratch scratch;
-  std::vector<double> f(kNumFeatures);
-  extract_features(rr, edr, scratch, f);
-  return f;
-}
-
 void extract_features(const ecg::RrSeries& rr, const ecg::RespirationSeries& edr,
                       FeatureScratch& scratch, std::span<double> out) {
   SVT_ASSERT(out.size() == kNumFeatures);
@@ -98,7 +90,10 @@ void extract_features(const ecg::RrSeries& rr, const ecg::RespirationSeries& edr
 }
 
 std::vector<double> extract_features(const ecg::WindowRecord& window) {
-  return extract_features(window.rr, window.edr);
+  FeatureScratch scratch;
+  std::vector<double> f(kNumFeatures);
+  extract_features(window.rr, window.edr, scratch, f);
+  return f;
 }
 
 FeatureMatrix extract_feature_matrix(const ecg::Dataset& dataset) {

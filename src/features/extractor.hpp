@@ -31,15 +31,10 @@ struct FeatureMatrix {
 /// Extract the 53-dimensional feature vector of one window.
 std::vector<double> extract_features(const ecg::WindowRecord& window);
 
-/// Extract the same feature vector directly from the two physiological
-/// series (used by the streaming runtime, which rebuilds them per window
-/// from raw ECG samples via QRS detection rather than from a dataset).
-std::vector<double> extract_features(const ecg::RrSeries& rr,
-                                     const ecg::RespirationSeries& edr);
-
-/// Scratch variant: writes the kNumFeatures values into `out` (out.size()
-/// must equal kNumFeatures) with no heap allocation once the scratch is
-/// warm. Bit-identical to the allocating overloads, which delegate here.
+/// Scratch variant over the two physiological series: writes the
+/// kNumFeatures values into `out` (out.size() must equal kNumFeatures) with
+/// no heap allocation once the scratch is warm. Bit-identical to the
+/// allocating overload, which delegates here.
 void extract_features(const ecg::RrSeries& rr, const ecg::RespirationSeries& edr,
                       FeatureScratch& scratch, std::span<double> out);
 

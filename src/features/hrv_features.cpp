@@ -34,7 +34,8 @@ void compute_hrv_features(std::span<const double> rr_s, FeatureScratch& scratch,
   // Units follow HRV-analysis convention (intervals in milliseconds, rates
   // in bpm, fractions in percent). The resulting *heterogeneous* feature
   // magnitudes are what the paper's per-feature power-of-two ranges exist
-  // to handle, so they are preserved deliberately (see svm::ScalerMode).
+  // to handle, so they are preserved deliberately (the z-scoring scaler's
+  // post gains, features::category_gains, carry them to the accelerator).
   const double mean_nn = dsp::mean(x);
   f[0] = dsp::mean(hr);                                     // [bpm]
   f[1] = mean_nn * 1e3;                                     // [ms]

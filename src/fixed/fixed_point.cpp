@@ -47,34 +47,9 @@ __int128 saturate128(__int128 v, int bits) {
   return v > hi ? hi : v;
 }
 
-bool fits(std::int64_t v, int bits) {
-  return v >= min_signed_value(bits) && v <= max_signed_value(bits);
-}
-
 std::int64_t truncate_lsbs(std::int64_t v, int shift) {
   if (shift < 0 || shift > 62) throw std::invalid_argument("truncate_lsbs: shift outside [0,62]");
   return v >> shift;  // Arithmetic shift: implementation-defined pre-C++20, defined in C++20.
-}
-
-std::int64_t round_shift_right(std::int64_t v, int shift) {
-  if (shift < 0 || shift > 62)
-    throw std::invalid_argument("round_shift_right: shift outside [0,62]");
-  if (shift == 0) return v;
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-  return (v + half) >> shift;
-}
-
-int signed_bit_width(std::int64_t v) {
-  // Width w such that v fits in w signed bits: smallest w with
-  // -2^(w-1) <= v <= 2^(w-1)-1.
-  if (v == 0 || v == -1) return 1;
-  std::uint64_t mag = v < 0 ? ~static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v);
-  int w = 1;
-  while (mag != 0) {
-    mag >>= 1;
-    ++w;
-  }
-  return w;
 }
 
 std::string to_string_int128(__int128 v) {
@@ -135,12 +110,6 @@ std::int64_t QuantFormat::quantize(double v) const {
 double QuantFormat::dequantize(std::int64_t q) const {
   validate(*this);
   return static_cast<double>(q) * lsb();
-}
-
-double QuantFormat::max_real() const { return static_cast<double>(max_signed_value(bits)) * lsb(); }
-
-std::string QuantFormat::describe() const {
-  return "Q(" + std::to_string(bits) + " bits, R=" + std::to_string(range_log2) + ")";
 }
 
 void validate(const QuantFormat& fmt) {

@@ -9,7 +9,7 @@
 //  * out-of-range values saturate to the admissible extremes.
 //
 // This module provides the bit-exact integer primitives that the quantised
-// inference engine (svt::core::QuantizedEngine) is built from. Widths are
+// inference engine (svt::core::QuantizedModel) is built from. Widths are
 // runtime values (not template parameters) because the paper's exploration
 // sweeps them continuously; all storage is int64 and every operation states
 // the logical width of its result.
@@ -35,19 +35,10 @@ std::int64_t saturate(std::int64_t v, int bits);
 /// fixed-point engines, which must stay bit-identical.
 __int128 saturate128(__int128 v, int bits);
 
-/// True if v fits in `bits` signed bits without saturation.
-bool fits(std::int64_t v, int bits);
-
 /// Arithmetic shift right discarding the low `shift` bits (truncation toward
 /// negative infinity, which is what dropping LSBs of a two's-complement value
 /// in hardware does). shift in [0,62].
 std::int64_t truncate_lsbs(std::int64_t v, int shift);
-
-/// Round-to-nearest shift right (adds half an LSB before shifting).
-std::int64_t round_shift_right(std::int64_t v, int shift);
-
-/// Number of bits needed to represent v (including sign bit), minimum 1.
-int signed_bit_width(std::int64_t v);
 
 /// Decimal text of a signed 128-bit value (the MAC2 accumulator / bias scale
 /// exceeds int64; model persistence writes it through these).
@@ -72,12 +63,6 @@ struct QuantFormat {
 
   /// Reconstruct the real value of a quantised integer.
   double dequantize(std::int64_t q) const;
-
-  /// Largest representable real value.
-  double max_real() const;
-
-  /// e.g. "Q(9 bits, R=3)".
-  std::string describe() const;
 
   bool operator==(const QuantFormat&) const = default;
 };

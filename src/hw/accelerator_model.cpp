@@ -1,7 +1,6 @@
 #include "hw/accelerator_model.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -49,13 +48,6 @@ void PipelineConfig::validate() const {
     throw std::invalid_argument("PipelineConfig: alpha_bits outside [2,64]");
   if (dot_truncate_bits < 0 || square_truncate_bits < 0)
     throw std::invalid_argument("PipelineConfig: negative truncation");
-}
-
-std::string PipelineConfig::describe() const {
-  std::ostringstream os;
-  os << "pipeline(nfeat=" << num_features << ", nsv=" << num_support_vectors
-     << ", Dbits=" << feature_bits << ", Abits=" << alpha_bits << ")";
-  return os.str();
 }
 
 CostReport estimate_cost(const PipelineConfig& config, const TechModel& tech) {

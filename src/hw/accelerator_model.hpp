@@ -8,13 +8,12 @@
 //
 // This header also owns the *width contract*: the exact bit widths of every
 // pipeline stage as a function of (Dbits, Abits, truncations, Nfeat, NSV).
-// The bit-accurate quantised inference engine (svt::core::QuantizedEngine)
+// The bit-accurate quantised inference engine (svt::core::QuantizedModel)
 // uses the same widths, so the GM/energy/area trade-offs measured by the
 // benches are self-consistent.
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "hw/tech_model.hpp"
 
@@ -50,8 +49,6 @@ struct PipelineConfig {
   /// Validate (positive sizes, widths in [2,63], truncations >= 0); throws
   /// std::invalid_argument otherwise.
   void validate() const;
-
-  std::string describe() const;
 };
 
 /// Itemised cost estimate.

@@ -1,8 +1,8 @@
 // 40 nm technology constants for the analytic accelerator cost model.
 //
 // The paper evaluates area and energy "via hardware synthesis targeting a
-// 40nm technology" with a CACTI-style memory model [14]. We cannot run a
-// proprietary synthesis flow, so (per DESIGN.md Section 2) we substitute an
+// 40nm technology" with a CACTI-style memory model [14]. A proprietary
+// synthesis flow and its cell library are out of reach, so we substitute an
 // analytic model whose constants are calibrated so that the paper's baseline
 // design point (53 features, unbudgeted SV set, 64-bit datapath) lands near
 // the paper's reported ~2000 nJ / ~0.4 mm^2, and whose *scaling* with memory

@@ -53,7 +53,8 @@ void ServeGateway::stop() {
   // Tear down live connections: a socket shutdown wakes the reader out of
   // recv and any worker blocked sending to the peer (not under the send
   // mutex, which that worker holds), so every reader runs its normal exit
-  // path; then join them all.
+  // path; then join them all, and the readers that deregistered themselves
+  // before (with connections_ empty, no more can).
   std::vector<std::shared_ptr<Connection>> live;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
@@ -63,6 +64,16 @@ void ServeGateway::stop() {
   for (auto& conn : live) conn->socket.shutdown_both();
   for (auto& conn : live)
     if (conn->reader.joinable()) conn->reader.join();
+  join_finished();
+}
+
+void ServeGateway::join_finished() {
+  std::vector<std::thread> finished;
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    finished.swap(finished_);
+  }
+  for (auto& thread : finished) thread.join();
 }
 
 void ServeGateway::wait_connections_closed(std::size_t n) {
@@ -89,10 +100,10 @@ void ServeGateway::accept_loop(Listener& listener) {
   while (true) {
     Socket sock = listener.accept();
     if (!sock.valid()) return;  // Listener closed (stop()) or fatal error.
-    auto conn = std::make_shared<Connection>(std::move(sock));
+    join_finished();
     connections_accepted_.fetch_add(1);
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    reap_finished_locked();
+    auto conn = std::make_shared<Connection>(std::move(sock), next_conn_id_++);
     if (stopping_.load()) {
       // Raced with stop(): do not register a connection nobody will join.
       conn->socket.shutdown_both();
@@ -100,21 +111,10 @@ void ServeGateway::accept_loop(Listener& listener) {
       conn_cv_.notify_all();
       continue;
     }
-    connections_[next_conn_id_++] = conn;
-    // Started under conn_mutex_, which the reader takes to mark itself done,
-    // so no other accept loop can reap the connection before `reader` is set.
+    connections_[conn->id] = conn;
+    // Started under conn_mutex_, which the reader takes to hand its thread
+    // to finished_, so `reader` is set before the reader can take it.
     conn->reader = std::thread([this, conn] { reader_loop(conn); });
-  }
-}
-
-void ServeGateway::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if (it->second->done.load()) {
-      if (it->second->reader.joinable()) it->second->reader.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 
@@ -393,14 +393,31 @@ void ServeGateway::reader_loop(const std::shared_ptr<Connection>& conn) {
   }
 
   release_patients(conn, streams);
-  // FIN after everything sent: the conversation is over, so only now may
-  // wait_connections_closed(n) count this connection (the CI smoke exits
-  // the gateway on that count).
+  // FIN after everything sent: the conversation is over.
   conn->socket.shutdown_both();
-  connections_closed_.fetch_add(1);
+  // Deregister and hand this thread to the next accept or stop() to join,
+  // unless stop() has taken the connection already: it then shuts the
+  // socket down itself and joins this thread, so the fd must stay open.
+  bool owned = false;
   {
     const std::lock_guard<std::mutex> lock(conn_mutex_);
-    conn->done.store(true);
+    owned = connections_.erase(conn->id) > 0;
+    if (owned) finished_.push_back(std::move(conn->reader));
+  }
+  if (owned) {
+    // Release the fd now, not at the next accept: a worker mid-send holds
+    // the send mutex, and after this no send touches the socket.
+    const std::lock_guard<std::mutex> lock(conn->send_mutex);
+    conn->closed = true;
+    conn->socket.close();
+  }
+  // Only now may wait_connections_closed(n) count this connection (the CI
+  // smoke exits the gateway on that count). Counted under conn_mutex_, which
+  // a waiter holds from testing the count until it sleeps, so the wakeup is
+  // never lost.
+  {
+    const std::lock_guard<std::mutex> lock(conn_mutex_);
+    connections_closed_.fetch_add(1);
   }
   conn_cv_.notify_all();
 }

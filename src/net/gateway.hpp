@@ -126,14 +126,16 @@ class ServeGateway {
 
  private:
   struct Connection {
-    explicit Connection(Socket sock) : socket(std::move(sock)) {}
+    Connection(Socket sock, std::uint64_t conn_id) : socket(std::move(sock)), id(conn_id) {}
+    /// Closed by the exiting reader under send_mutex (unless stop() has
+    /// taken the connection, which then shuts it down and joins the reader).
     Socket socket;
+    const std::uint64_t id;  ///< Key in connections_.
     /// Held for one whole frame's send_all, so frames from the reader and
     /// from any number of shard workers never interleave on the wire.
     std::mutex send_mutex;
     bool closed = false;  ///< No more frames may be sent (guarded by send_mutex).
-    std::thread reader;
-    std::atomic<bool> done{false};  ///< Reader finished; joinable.
+    std::thread reader;   ///< Set and taken under conn_mutex_.
   };
 
   void accept_loop(Listener& listener);
@@ -152,7 +154,9 @@ class ServeGateway {
                         const std::map<int, bool>& streams);
   void deliver(std::span<const rt::WindowResult> batch);
   StatsFrame snapshot_stats_frame();
-  void reap_finished_locked();  ///< Joins finished connections (conn_mutex_ held).
+  /// Join the readers that deregistered themselves (takes conn_mutex_ to
+  /// collect them, joins outside it).
+  void join_finished();
 
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::vector<std::thread> accept_threads_;
@@ -162,6 +166,7 @@ class ServeGateway {
   mutable std::mutex conn_mutex_;
   std::condition_variable conn_cv_;  ///< Signalled when a connection closes.
   std::map<std::uint64_t, std::shared_ptr<Connection>> connections_;
+  std::vector<std::thread> finished_;  ///< Exited readers, not yet joined.
   std::uint64_t next_conn_id_ = 1;
 
   mutable std::mutex routes_mutex_;

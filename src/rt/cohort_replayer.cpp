@@ -211,7 +211,7 @@ ServableModel synthetic_model(std::size_t nfeat, std::size_t num_svs, std::uint6
   std::vector<std::vector<double>> fit_rows(16, std::vector<double>(nfeat));
   for (auto& row : fit_rows)
     for (auto& v : row) v = gauss(rng);
-  svm::StandardScaler scaler(svm::ScalerMode::kZScore);
+  svm::StandardScaler scaler;
   scaler.fit(fit_rows);
   auto quantized = core::QuantizedModel::build(model, core::QuantConfig{});
   return ServableModel(std::move(selected), std::move(scaler), std::move(model),

@@ -4,8 +4,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "common/assert.hpp"
-
 namespace svt::svm {
 
 double CvResult::mean_support_vectors() const {
@@ -20,73 +18,67 @@ double CvResult::mean_support_vectors() const {
   return count > 0 ? acc / static_cast<double>(count) : 0.0;
 }
 
+std::vector<Fold> make_folds(std::span<const std::vector<double>> samples,
+                             std::span<const int> labels, std::span<const int> groups,
+                             const std::vector<double>& post_gains) {
+  const std::size_t n = samples.size();
+  if (labels.size() != n || groups.size() != n)
+    throw std::invalid_argument("make_folds: size mismatch");
+  if (n == 0) throw std::invalid_argument("make_folds: empty dataset");
+
+  std::set<int> ids;
+  for (int g : groups) {
+    if (g >= 0) ids.insert(g);
+  }
+  std::vector<Fold> folds;
+  folds.reserve(ids.size());
+  for (int g : ids) {
+    Fold fold;
+    fold.group = g;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (groups[i] == g) {
+        fold.test_x.push_back(samples[i]);
+        fold.test_y.push_back(labels[i]);
+      } else {
+        fold.train_x.push_back(samples[i]);
+        fold.train_y.push_back(labels[i]);
+      }
+    }
+    const auto& y = fold.train_y;
+    fold.usable = std::find(y.begin(), y.end(), +1) != y.end() &&
+                  std::find(y.begin(), y.end(), -1) != y.end();
+    if (fold.usable) {
+      StandardScaler scaler;
+      scaler.set_post_gains(post_gains);
+      scaler.fit(fold.train_x);
+      fold.train_x = scaler.transform_all(fold.train_x);
+      fold.test_x = scaler.transform_all(fold.test_x);
+    }
+    folds.push_back(std::move(fold));
+  }
+  return folds;
+}
+
 CvResult cross_validate(std::span<const std::vector<double>> samples,
                         std::span<const int> labels, std::span<const int> groups,
                         const CvOptions& options) {
-  const std::size_t n = samples.size();
-  if (labels.size() != n || groups.size() != n)
-    throw std::invalid_argument("cross_validate: size mismatch");
-  if (n == 0) throw std::invalid_argument("cross_validate: empty dataset");
-
-  const std::set<int> group_ids(groups.begin(), groups.end());
   CvResult result;
-  result.folds.reserve(group_ids.size());
-
-  for (int g : group_ids) {
-    // Negative group ids mark training-only samples (used to cap the number
-    // of evaluated folds without shrinking the training sets).
-    if (g < 0) continue;
-    FoldOutcome outcome;
-    outcome.group = g;
-
-    std::vector<std::vector<double>> train_x, test_x;
-    std::vector<int> train_y, test_y;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (groups[i] == g) {
-        test_x.push_back(samples[i]);
-        test_y.push_back(labels[i]);
-      } else {
-        train_x.push_back(samples[i]);
-        train_y.push_back(labels[i]);
-      }
-    }
-    const bool has_pos = std::find(train_y.begin(), train_y.end(), +1) != train_y.end();
-    const bool has_neg = std::find(train_y.begin(), train_y.end(), -1) != train_y.end();
-    if (train_x.empty() || test_x.empty() || !has_pos || !has_neg) {
-      result.folds.push_back(outcome);
-      continue;
-    }
-
-    StandardScaler scaler(options.scaler_mode);
-    scaler.set_post_gains(options.post_gains);
-    if (options.standardize) {
-      scaler.fit(train_x);
-      train_x = scaler.transform_all(train_x);
-      test_x = scaler.transform_all(test_x);
-    }
-
-    SvmModel model = train_svm(train_x, train_y, options.kernel, options.train);
-    if (options.transform) model = options.transform(model, train_x, train_y);
-
-    ClassifierFn classify;
-    if (options.classifier) {
-      classify = options.classifier(model, train_x, train_y);
-    } else {
-      classify = [&model](std::span<const double> x) { return model.predict(x); };
-    }
-
-    std::vector<int> predicted(test_x.size());
-    for (std::size_t i = 0; i < test_x.size(); ++i) predicted[i] = classify(test_x[i]);
-
-    outcome.trained = true;
-    outcome.num_support_vectors = model.num_support_vectors();
-    outcome.confusion = tally(test_y, predicted);
-    result.folds.push_back(outcome);
-  }
-
   std::vector<ConfusionMatrix> confusions;
-  for (const auto& f : result.folds) {
-    if (f.trained) confusions.push_back(f.confusion);
+  for (const Fold& fold : make_folds(samples, labels, groups, options.post_gains)) {
+    FoldOutcome outcome;
+    outcome.group = fold.group;
+    if (fold.usable) {
+      SvmModel model = train_svm(fold.train_x, fold.train_y, options.kernel, options.train);
+      if (options.transform) model = options.transform(model, fold.train_x, fold.train_y);
+      std::vector<int> predicted(fold.test_x.size());
+      for (std::size_t i = 0; i < fold.test_x.size(); ++i)
+        predicted[i] = model.predict(fold.test_x[i]);
+      outcome.trained = true;
+      outcome.num_support_vectors = model.num_support_vectors();
+      outcome.confusion = tally(fold.test_y, predicted);
+      confusions.push_back(outcome.confusion);
+    }
+    result.folds.push_back(outcome);
   }
   result.averages = average_over_folds(confusions);
   return result;

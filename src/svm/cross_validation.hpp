@@ -1,16 +1,14 @@
-// Leave-one-group-out cross-validation driver.
+// Leave-one-group-out cross-validation.
 //
 // The paper evaluates every design point over 24 folds, each holding out one
-// recording session. This driver is generic over (samples, labels, group ids)
-// and over two customisation hooks used by the tailoring experiments:
-//  * `transform`  -- post-processes the trained model per fold (e.g. SV
-//    budgeting with retraining needs the fold's training data);
-//  * `classifier` -- builds the per-fold inference function (e.g. the
-//    fixed-point engine quantises the fold's model before predicting).
+// recording session. make_folds() is the one fold builder: it splits the
+// data by group id and z-scores each fold on its own training split.
+// cross_validate() trains one model per fold over it (any kernel, with an
+// optional per-fold model transform); core::evaluate_design_points runs the
+// paper's design-space grid over the same folds.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,13 +19,24 @@
 
 namespace svt::svm {
 
-/// Per-fold inference function over a *scaled* feature vector.
-using ClassifierFn = std::function<int(std::span<const double>)>;
+/// One fold: the held-out group and the rest, both z-scored by a scaler fitted
+/// on the training split (the usual guard against test-set leakage).
+struct Fold {
+  int group = 0;
+  std::vector<std::vector<double>> train_x, test_x;
+  std::vector<int> train_y, test_y;
+  bool usable = false;  ///< False if training lacks a class (then nothing is scaled).
+};
 
-/// Builds a ClassifierFn from the fold's trained model and (scaled) training
-/// data. Default: SvmModel::predict.
-using ClassifierFactory = std::function<ClassifierFn(
-    const SvmModel&, std::span<const std::vector<double>>, std::span<const int>)>;
+/// One fold per non-negative group id, in ascending id order. `groups[i]` is
+/// the fold id of sample i; negative ids mark training-only samples (used to
+/// cap the number of evaluated folds without shrinking the training sets).
+/// `post_gains` (empty = none) go to each fold's scaler, see
+/// StandardScaler::set_post_gains. Throws std::invalid_argument on size
+/// mismatches or an empty dataset.
+std::vector<Fold> make_folds(std::span<const std::vector<double>> samples,
+                             std::span<const int> labels, std::span<const int> groups,
+                             const std::vector<double>& post_gains);
 
 /// Post-processes the fold's trained model (scaled training data provided so
 /// the hook can retrain).
@@ -37,11 +46,8 @@ using ModelTransform = std::function<SvmModel(
 struct CvOptions {
   Kernel kernel = quadratic_kernel();
   TrainParams train;
-  bool standardize = true;
-  ScalerMode scaler_mode = ScalerMode::kZScore;
   std::vector<double> post_gains;  ///< See StandardScaler::set_post_gains.
-  ModelTransform transform;      ///< Optional.
-  ClassifierFactory classifier;  ///< Optional.
+  ModelTransform transform;        ///< Optional.
 };
 
 struct FoldOutcome {
@@ -59,9 +65,9 @@ struct CvResult {
   double mean_support_vectors() const;
 };
 
-/// Run leave-one-group-out CV. `groups[i]` is the fold id of sample i.
-/// Folds whose training split lacks one of the classes are skipped (marked
-/// trained=false). Throws std::invalid_argument on size mismatches.
+/// Run leave-one-group-out CV over make_folds(): train, transform, and
+/// predict with the float model per fold. Unusable folds are kept, marked
+/// trained=false. Throws std::invalid_argument as make_folds does.
 CvResult cross_validate(std::span<const std::vector<double>> samples,
                         std::span<const int> labels, std::span<const int> groups,
                         const CvOptions& options);

@@ -27,23 +27,6 @@ double ConfusionMatrix::geometric_mean() const {
   return std::sqrt(se * sp);
 }
 
-double ConfusionMatrix::accuracy() const {
-  const auto t = total();
-  return t == 0 ? kNaN : static_cast<double>(tp + tn) / static_cast<double>(t);
-}
-
-double ConfusionMatrix::precision() const {
-  const auto denom = tp + fp;
-  return denom == 0 ? kNaN : static_cast<double>(tp) / static_cast<double>(denom);
-}
-
-double ConfusionMatrix::f1() const {
-  const double p = precision();
-  const double r = sensitivity();
-  if (std::isnan(p) || std::isnan(r) || p + r == 0.0) return kNaN;
-  return 2.0 * p * r / (p + r);
-}
-
 ConfusionMatrix& ConfusionMatrix::operator+=(const ConfusionMatrix& other) {
   tp += other.tp;
   tn += other.tn;

@@ -23,9 +23,6 @@ struct ConfusionMatrix {
   double specificity() const;
   /// GM = sqrt(Se * Sp). NaN if either side is undefined.
   double geometric_mean() const;
-  double accuracy() const;
-  double precision() const;
-  double f1() const;
 
   /// Accumulate another window of results.
   ConfusionMatrix& operator+=(const ConfusionMatrix& other);

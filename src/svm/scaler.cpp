@@ -43,11 +43,7 @@ void StandardScaler::transform_inplace(std::span<double> sample) const {
   if (!gains_.empty() && gains_.size() != mean_.size())
     throw std::invalid_argument("StandardScaler::transform: post_gains size mismatch");
   for (std::size_t j = 0; j < sample.size(); ++j) {
-    if (mode_ == ScalerMode::kCenterOnly) {
-      sample[j] -= mean_[j];
-    } else {
-      sample[j] = std_[j] > 0.0 ? (sample[j] - mean_[j]) / std_[j] : 0.0;
-    }
+    sample[j] = std_[j] > 0.0 ? (sample[j] - mean_[j]) / std_[j] : 0.0;
     if (!gains_.empty()) sample[j] *= gains_[j];
   }
 }
@@ -68,7 +64,7 @@ std::vector<std::vector<double>> StandardScaler::transform_all(
 
 void StandardScaler::save(std::ostream& os) const {
   os << "svmtailor-scaler v1\n";
-  os << "mode " << static_cast<int>(mode_) << '\n';
+  os << "mode 0\n";  // The z-score mode; the only one the format still admits.
   os << "nfeat " << mean_.size() << '\n';
   os << std::setprecision(17);
   os << "means";
@@ -86,10 +82,7 @@ StandardScaler StandardScaler::load(std::istream& is) {
   int mode = 0;
   io::expect_tag(is, "mode", "StandardScaler::load");
   is >> mode;
-  if (is && mode != static_cast<int>(ScalerMode::kZScore) &&
-      mode != static_cast<int>(ScalerMode::kCenterOnly))
-    throw std::invalid_argument("StandardScaler::load: unknown scaler mode");
-  s.mode_ = static_cast<ScalerMode>(mode);
+  if (is && mode != 0) throw std::invalid_argument("StandardScaler::load: unknown scaler mode");
   std::size_t nfeat = 0;
   io::expect_tag(is, "nfeat", "StandardScaler::load");
   is >> nfeat;

@@ -1,13 +1,11 @@
 // Feature standardisation.
 //
 // Fitted on the training fold only and applied to both folds -- the usual
-// guard against test-set leakage. Two modes:
-//  * kZScore     -- subtract mean, divide by std (constant features -> 0);
-//  * kCenterOnly -- subtract mean, keep natural per-feature scales. This is
-//    the project default: the paper's per-feature power-of-two ranges
-//    (Eq. 6) exist precisely because physiological features span wildly
-//    different magnitudes, and full z-scoring would erase that heterogeneity
-//    (making the homogeneous-scaling ablation of Figures 6/7 meaningless).
+// guard against test-set leakage. Z-scores every column (subtract mean,
+// divide by std; constant features -> 0), then applies the optional
+// per-feature post gains: full z-scoring alone would erase the magnitude
+// heterogeneity the paper's per-feature power-of-two ranges (Eq. 6) exist to
+// handle, so the gains restore category-typical scales.
 #pragma once
 
 #include <iosfwd>
@@ -16,13 +14,8 @@
 
 namespace svt::svm {
 
-enum class ScalerMode { kZScore, kCenterOnly };
-
 class StandardScaler {
  public:
-  StandardScaler() = default;
-  explicit StandardScaler(ScalerMode mode) : mode_(mode) {}
-
   /// Fit means/stds per column. Throws std::invalid_argument on empty input
   /// or ragged rows.
   void fit(std::span<const std::vector<double>> samples);
@@ -57,12 +50,10 @@ class StandardScaler {
 
   bool fitted() const { return !mean_.empty(); }
   std::size_t num_features() const { return mean_.size(); }
-  ScalerMode mode() const { return mode_; }
   const std::vector<double>& means() const { return mean_; }
   const std::vector<double>& stds() const { return std_; }
 
  private:
-  ScalerMode mode_ = ScalerMode::kZScore;
   std::vector<double> mean_;
   std::vector<double> std_;
   std::vector<double> gains_;

@@ -68,19 +68,6 @@ TEST(CrossValidation, TransformHookRuns) {
   EXPECT_EQ(calls, 4);
 }
 
-TEST(CrossValidation, ClassifierHookOverridesPrediction) {
-  const auto d = make_grouped(4);
-  CvOptions options;
-  options.kernel = linear_kernel();
-  options.classifier = [](const SvmModel&, std::span<const std::vector<double>>,
-                          std::span<const int>) -> ClassifierFn {
-    return [](std::span<const double>) { return +1; };  // Predict all positive.
-  };
-  const auto result = cross_validate(d.x, d.y, d.groups, options);
-  EXPECT_NEAR(result.averages.sensitivity, 1.0, 1e-12);
-  EXPECT_NEAR(result.averages.specificity, 0.0, 1e-12);
-}
-
 TEST(CrossValidation, SingleClassTrainingFoldIsSkipped) {
   // Two groups; group 0 holds ALL positive samples, so the fold testing
   // group 0 trains on negatives only and must be marked untrained.

@@ -196,7 +196,8 @@ TEST(Extractor, ScratchPathBitIdenticalToAllocatingPath) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     std::mt19937_64 rng(seed);
     std::normal_distribution<double> jitter(0.0, 0.05);
-    ecg::RrSeries rr;
+    ecg::WindowRecord window;
+    ecg::RrSeries& rr = window.rr;
     double t = 0.0;
     const std::size_t nbeats = 20 + 30 * static_cast<std::size_t>(seed % 3);
     for (std::size_t i = 0; i < nbeats; ++i) {
@@ -205,13 +206,13 @@ TEST(Extractor, ScratchPathBitIdenticalToAllocatingPath) {
       rr.beat_times_s.push_back(t);
       rr.rr_s.push_back(interval);
     }
-    ecg::RespirationSeries edr;
+    ecg::RespirationSeries& edr = window.edr;
     edr.fs_hz = 4.0;
     const std::size_t nedr = 64 + 96 * static_cast<std::size_t>(seed % 2);
     for (std::size_t i = 0; i < nedr; ++i)
       edr.values.push_back(std::sin(0.5 * static_cast<double>(i)) + jitter(rng));
 
-    const auto want = extract_features(rr, edr);
+    const auto want = extract_features(window);
     extract_features(rr, edr, scratch, out);
     ASSERT_EQ(want.size(), out.size());
     for (std::size_t j = 0; j < want.size(); ++j)

@@ -23,13 +23,6 @@ TEST(FixedPoint, SaturateClamps) {
   EXPECT_EQ(saturate(100, 8), 100);
 }
 
-TEST(FixedPoint, FitsChecksRange) {
-  EXPECT_TRUE(fits(127, 8));
-  EXPECT_FALSE(fits(128, 8));
-  EXPECT_TRUE(fits(-128, 8));
-  EXPECT_FALSE(fits(-129, 8));
-}
-
 TEST(FixedPoint, TruncateLsbsIsArithmeticShift) {
   EXPECT_EQ(truncate_lsbs(1024, 4), 64);
   EXPECT_EQ(truncate_lsbs(-1, 4), -1);    // Rounds toward negative infinity.
@@ -39,27 +32,10 @@ TEST(FixedPoint, TruncateLsbsIsArithmeticShift) {
   EXPECT_THROW(truncate_lsbs(1, 63), std::invalid_argument);
 }
 
-TEST(FixedPoint, RoundShiftRight) {
-  EXPECT_EQ(round_shift_right(7, 2), 2);   // 1.75 -> 2.
-  EXPECT_EQ(round_shift_right(5, 2), 1);   // 1.25 -> 1.
-  EXPECT_EQ(round_shift_right(6, 2), 2);   // 1.5 -> 2 (round half up).
-  EXPECT_EQ(round_shift_right(-6, 2), -1); // -1.5 -> -1 (half toward +inf).
-}
-
-TEST(FixedPoint, SignedBitWidth) {
-  EXPECT_EQ(signed_bit_width(0), 1);
-  EXPECT_EQ(signed_bit_width(-1), 1);
-  EXPECT_EQ(signed_bit_width(1), 2);
-  EXPECT_EQ(signed_bit_width(-2), 2);
-  EXPECT_EQ(signed_bit_width(127), 8);
-  EXPECT_EQ(signed_bit_width(-128), 8);
-  EXPECT_EQ(signed_bit_width(128), 9);
-}
-
 TEST(QuantFormat, LsbWeight) {
   QuantFormat fmt{9, 3};  // 9 bits covering +-8.
   EXPECT_DOUBLE_EQ(fmt.lsb(), std::ldexp(1.0, 3 - 8));
-  EXPECT_NEAR(fmt.max_real(), 8.0, 2.0 * fmt.lsb());
+  EXPECT_NEAR(fmt.dequantize(max_signed_value(9)), 8.0, 2.0 * fmt.lsb());
 }
 
 TEST(QuantFormat, QuantizeDequantizeRoundTrip) {
@@ -77,9 +53,7 @@ TEST(QuantFormat, SaturatesOutOfRange) {
   EXPECT_EQ(fmt.quantize(std::nan("")), 0);
 }
 
-TEST(QuantFormat, DescribeAndValidate) {
-  QuantFormat fmt{9, 3};
-  EXPECT_EQ(fmt.describe(), "Q(9 bits, R=3)");
+TEST(QuantFormat, Validate) {
   QuantFormat bad{1, 0};
   EXPECT_THROW(validate(bad), std::invalid_argument);
 }
@@ -92,9 +66,9 @@ TEST_P(QuantFormatProperty, ErrorBoundedAndMonotone) {
   const int bits = GetParam();
   QuantFormat fmt{bits, 1};  // +-2 range.
   std::mt19937_64 rng(static_cast<unsigned>(bits));
-  // Stay inside the representable range: beyond max_real() the quantiser
-  // saturates by design and the lsb/2 bound does not apply.
-  const double span = fmt.max_real() - fmt.lsb();
+  // Stay inside the representable range: beyond its largest value the
+  // quantiser saturates by design and the lsb/2 bound does not apply.
+  const double span = fmt.dequantize(max_signed_value(bits)) - fmt.lsb();
   std::uniform_real_distribution<double> uni(-span, span);
   double prev_v = -2.0;
   std::int64_t prev_q = fmt.quantize(prev_v);
@@ -102,7 +76,8 @@ TEST_P(QuantFormatProperty, ErrorBoundedAndMonotone) {
     const double v = uni(rng);
     const auto q = fmt.quantize(v);
     EXPECT_LE(std::abs(fmt.dequantize(q) - v), fmt.lsb() / 2.0 + 1e-15);
-    EXPECT_TRUE(fits(q, bits));
+    EXPECT_GE(q, min_signed_value(bits));
+    EXPECT_LE(q, max_signed_value(bits));
   }
   // Monotonicity on a grid.
   for (double v = -2.2; v <= 2.2; v += 0.01) {

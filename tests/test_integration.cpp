@@ -4,6 +4,8 @@
 // depends on, at a scale small enough for CI.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/feature_selection.hpp"
 #include "core/quantize.hpp"
@@ -60,7 +62,7 @@ TEST(Integration, QuantizedPipelineMatchesFloatAtPaperPoint) {
 
 TEST(Integration, SvBudgetSweepIsWellBehaved) {
   const auto results =
-      sweep_sv_budgets(data(), test_config(), {}, {120, 80, 40});
+      evaluate_design_points(data(), test_config(), {}, {120, 80, 40}, {std::nullopt});
   ASSERT_EQ(results.size(), 3u);
   // SV counts respect the budgets and energy decreases monotonically.
   EXPECT_LE(results[0].mean_support_vectors, 120.5);
@@ -68,15 +70,18 @@ TEST(Integration, SvBudgetSweepIsWellBehaved) {
   EXPECT_LE(results[2].mean_support_vectors, 40.5);
   EXPECT_GT(results[0].cost.energy.total_nj, results[1].cost.energy.total_nj);
   EXPECT_GT(results[1].cost.energy.total_nj, results[2].cost.energy.total_nj);
-  EXPECT_THROW(sweep_sv_budgets(data(), test_config(), {}, {40, 80}),
+  // Budgets run tightest-last, and 0 (unbudgeted) may only lead.
+  EXPECT_THROW(evaluate_design_points(data(), test_config(), {}, {40, 80}, {std::nullopt}),
+               std::invalid_argument);
+  EXPECT_THROW(evaluate_design_points(data(), test_config(), {}, {80, 0}, {std::nullopt}),
                std::invalid_argument);
 }
 
 TEST(Integration, QuantSweepSharesTrainedModels) {
-  std::vector<QuantConfig> configs(2);
-  configs[0].feature_bits = 9;
-  configs[1].feature_bits = 15;
-  const auto results = sweep_quant_configs(data(), test_config(), {}, 0, configs);
+  QuantConfig q9, q15;
+  q9.feature_bits = 9;
+  q15.feature_bits = 15;
+  const auto results = evaluate_design_points(data(), test_config(), {}, {0}, {q9, q15});
   ASSERT_EQ(results.size(), 2u);
   // Same trained models -> identical SV counts; wider words cost more.
   EXPECT_DOUBLE_EQ(results[0].mean_support_vectors, results[1].mean_support_vectors);
@@ -85,24 +90,55 @@ TEST(Integration, QuantSweepSharesTrainedModels) {
 
 TEST(Integration, SessionFoldsNeverLeakTestSession) {
   // cross_validate with the session groups must train each fold without the
-  // held-out session; verified here via the public API by checking that a
-  // degenerate "classifier that memorises training sessions" cannot see the
-  // test session id among its training groups.
-  const auto groups = data().groups();
+  // held-out session; verified here via the public API: the transform hook
+  // sees each fold's training split, which must be every window but the
+  // held-out session's 12.
   std::vector<std::size_t> all_idx(data().matrix.num_features());
   for (std::size_t j = 0; j < all_idx.size(); ++j) all_idx[j] = j;
   svm::CvOptions options;
   options.train.c = 1.0;
   options.post_gains = features::category_gains(all_idx);
   bool leaked = false;
-  options.classifier = [&](const svm::SvmModel&, std::span<const std::vector<double>> train_x,
-                           std::span<const int>) -> svm::ClassifierFn {
-    // Count training rows: must equal total minus one session's windows.
+  options.transform = [&](const svm::SvmModel& model,
+                          std::span<const std::vector<double>> train_x, std::span<const int>) {
     if (train_x.size() != data().matrix.size() - 12u) leaked = true;
-    return [](std::span<const double>) { return -1; };
+    return model;
   };
-  svm::cross_validate(data().matrix.samples, data().matrix.labels, groups, options);
+  svm::cross_validate(data().matrix.samples, data().matrix.labels, data().groups(0), options);
   EXPECT_FALSE(leaked);
+}
+
+TEST(Integration, DesignGridRowsMatchSinglePoints) {
+  // Every cell of one grid call equals the single design point it stands
+  // for, and the unbudgeted float cell equals cross_validate over the same
+  // folds: one fold builder, one model per fold shared across the cells.
+  const auto order = rank_features_by_redundancy(data().matrix.samples);
+  const auto keep = order.keep_set(30);
+  const std::vector<std::size_t> budgets = {0, 40};
+  const std::vector<std::optional<QuantConfig>> engines = {std::nullopt, QuantConfig{}};
+  const auto grid = evaluate_design_points(data(), test_config(), keep, budgets, engines);
+  ASSERT_EQ(grid.size(), 4u);
+  for (std::size_t b = 0; b < budgets.size(); ++b) {
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      SCOPED_TRACE("budget " + std::to_string(budgets[b]) + ", engine " + std::to_string(e));
+      const auto& cell = grid[b * engines.size() + e];
+      const auto point = evaluate_design_point(data(), test_config(), keep, budgets[b], engines[e]);
+      EXPECT_EQ(cell.sensitivity, point.sensitivity);
+      EXPECT_EQ(cell.specificity, point.specificity);
+      EXPECT_EQ(cell.geometric_mean, point.geometric_mean);
+      EXPECT_EQ(cell.mean_support_vectors, point.mean_support_vectors);
+      EXPECT_EQ(cell.cost.energy.total_nj, point.cost.energy.total_nj);
+    }
+  }
+
+  svm::CvOptions options;
+  options.train = test_config().train;
+  options.post_gains = features::category_gains(keep);
+  const auto reduced = data().matrix.select_features(keep);
+  const auto cv = svm::cross_validate(reduced.samples, reduced.labels,
+                                      data().groups(test_config().max_folds), options);
+  EXPECT_EQ(grid[0].geometric_mean, cv.averages.geometric_mean);
+  EXPECT_EQ(grid[0].mean_support_vectors, cv.mean_support_vectors());
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -437,6 +439,34 @@ TEST(NetGateway, StalledReaderThrottlesWithoutLoss) {
   EXPECT_EQ(stats.decision_windows_sent, gateway.engine().stats().delivered_windows);
   EXPECT_EQ(stats.orphan_batches, 0u);
   gateway.stop();
+}
+
+std::size_t open_fd_count() {
+  const std::filesystem::directory_iterator fds("/proc/self/fd");
+  return static_cast<std::size_t>(std::distance(begin(fds), end(fds)));
+}
+
+TEST(NetGateway, ClosedConnectionReleasesItsSocket) {
+  // A finished connection gives its fd back when its reader exits, not at
+  // the next accept or at stop(): a gateway whose clients come and go
+  // rarely would otherwise hold every closed connection's socket open.
+  auto gateway = make_gateway(1);
+  const auto bound = gateway->add_listener(net::Endpoint::unix_path(unique_uds_path("fd")));
+  gateway->start();
+  const std::size_t before = open_fd_count();
+  {
+    net::GatewayClient client(bound);
+    ASSERT_TRUE(client.hello_ack().has_value());
+    ASSERT_TRUE(client.finish().has_value());
+  }
+  gateway->wait_connections_closed(1);
+  std::size_t after = open_fd_count();
+  for (int poll = 0; poll < 200 && after > before; ++poll) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    after = open_fd_count();
+  }
+  EXPECT_EQ(after, before);
+  gateway->stop();
 }
 
 }  // namespace

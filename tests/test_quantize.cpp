@@ -217,7 +217,14 @@ TEST(Quantize, SaveLoadRoundTripIsBitExact) {
     EXPECT_EQ(loaded.global_alpha_range_log2(), original.global_alpha_range_log2());
     EXPECT_EQ(loaded.num_features(), original.num_features());
     EXPECT_EQ(loaded.num_support_vectors(), original.num_support_vectors());
-    EXPECT_EQ(loaded.pipeline().describe(), original.pipeline().describe());
+    const auto& lp = loaded.pipeline();
+    const auto& op = original.pipeline();
+    EXPECT_EQ(lp.num_features, op.num_features);
+    EXPECT_EQ(lp.num_support_vectors, op.num_support_vectors);
+    EXPECT_EQ(lp.feature_bits, op.feature_bits);
+    EXPECT_EQ(lp.alpha_bits, op.alpha_bits);
+    EXPECT_EQ(lp.dot_truncate_bits, op.dot_truncate_bits);
+    EXPECT_EQ(lp.square_truncate_bits, op.square_truncate_bits);
     EXPECT_EQ(loaded.config().dot_truncate_bits, original.config().dot_truncate_bits);
 
     // Bit-exact inference: identical integer accumulators, identical scale.

@@ -18,6 +18,14 @@ std::vector<double> tone(double f_hz, double fs_hz, std::size_t n, double amplit
   return x;
 }
 
+/// A plain periodogram: Welch with one undetrended segment spanning x.
+PsdEstimate periodogram(std::span<const double> x, double fs_hz) {
+  WelchParams one_segment;
+  one_segment.segment_length = x.size();
+  one_segment.detrend_segments = false;
+  return welch_psd(x, fs_hz, one_segment);
+}
+
 TEST(Window, KnownShapes) {
   const auto rect = make_window(WindowType::kRectangular, 8);
   for (double v : rect) EXPECT_DOUBLE_EQ(v, 1.0);
@@ -48,33 +56,6 @@ TEST(Periodogram, Validation) {
   EXPECT_THROW(periodogram(empty, 4.0), std::invalid_argument);
   std::vector<double> x(16, 1.0);
   EXPECT_THROW(periodogram(x, 0.0), std::invalid_argument);
-}
-
-TEST(Periodogram, BitIdenticalToOneSegmentWelch) {
-  // The periodogram is Welch's single-segment case: one undetrended segment
-  // spanning the series, at every window and at power-of-two and ragged
-  // lengths. Every bin must carry the same bits.
-  std::mt19937_64 rng(17);
-  std::normal_distribution<double> gauss(0.0, 1.0);
-  const std::vector<WindowType> windows{WindowType::kRectangular, WindowType::kHann,
-                                        WindowType::kHamming, WindowType::kBlackman};
-  for (const std::size_t n : {3, 64, 100, 256, 257, 1000}) {
-    auto x = tone(0.4, 4.0, n, 2.0);
-    for (auto& v : x) v += gauss(rng) + 0.7;  // Noise plus a mean to keep.
-    for (const WindowType window : windows) {
-      const auto psd = periodogram(x, 4.0, window);
-      WelchParams params;
-      params.segment_length = n;
-      params.window = window;
-      params.detrend_segments = false;
-      const auto welch = welch_psd(x, 4.0, params);
-      ASSERT_EQ(psd.power.size(), welch.power.size()) << n << " " << window_name(window);
-      for (std::size_t k = 0; k < psd.power.size(); ++k) {
-        EXPECT_EQ(psd.frequency_hz[k], welch.frequency_hz[k]) << n << " bin " << k;
-        EXPECT_EQ(psd.power[k], welch.power[k]) << n << " " << window_name(window) << " bin " << k;
-      }
-    }
-  }
 }
 
 TEST(Welch, TotalPowerApproximatesVariance) {

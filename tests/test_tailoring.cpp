@@ -107,7 +107,14 @@ TEST(Experiment, PreparedDataShape) {
   config.dataset.windows_per_session = 4;
   const auto data = prepare_data(config);
   EXPECT_EQ(data.matrix.size(), data.dataset.num_windows());
-  EXPECT_EQ(data.groups().size(), data.matrix.size());
+  EXPECT_EQ(data.groups(0), data.matrix.session_index);
+  // The fold cap keeps sessions past it as training-only (-1) samples.
+  const auto capped = data.groups(6);
+  ASSERT_EQ(capped.size(), data.matrix.size());
+  for (std::size_t i = 0; i < capped.size(); ++i) {
+    const int session = data.matrix.session_index[i];
+    EXPECT_EQ(capped[i], session < 6 ? session : -1);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the inference engines and key DSP
-// substrates: float SVM decision vs bit-accurate fixed-point classification,
-// per-window feature extraction, FFT, and SMO training.
+// substrates: one window through the served float and bit-accurate
+// fixed-point engines, per-window feature extraction, FFT, and SMO training.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
 
 #include "core/quantize.hpp"
@@ -10,6 +11,7 @@
 #include "dsp/fft.hpp"
 #include "ecg/dataset.hpp"
 #include "features/extractor.hpp"
+#include "rt/model_registry.hpp"
 #include "svm/trainer.hpp"
 
 namespace {
@@ -48,23 +50,31 @@ struct Fixture {
   }
 };
 
-void BM_FloatDecision(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto& x = fx.matrix.samples.front();
+/// One raw feature vector per iteration through a served model: select +
+/// scale, then a one-window batch through its engine.
+void run_decision(benchmark::State& state, const rt::ServableModel& model) {
+  const auto& x = Fixture::get().matrix.samples.front();
+  std::vector<std::vector<double>> rows(1);
+  std::vector<double> values;
+  rt::KernelScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.detector.decision_value(x));
+    model.prepare_row(x, rows.front());
+    model.decision_values(rows, values, scratch);
+    benchmark::DoNotOptimize(values.front());
   }
+}
+
+void BM_FloatDecision(benchmark::State& state) {
+  const auto& d = Fixture::get().detector;
+  const rt::ServableModel float_model(d.selected_features(), d.scaler(), d.model(), std::nullopt);
+  run_decision(state, float_model);
 }
 BENCHMARK(BM_FloatDecision);
 
-void BM_QuantizedClassify(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto& x = fx.matrix.samples.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.detector.classify(x));
-  }
+void BM_QuantizedDecision(benchmark::State& state) {
+  run_decision(state, rt::ServableModel::from_detector(Fixture::get().detector));
 }
-BENCHMARK(BM_QuantizedClassify);
+BENCHMARK(BM_QuantizedDecision);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   const auto& fx = Fixture::get();

@@ -26,7 +26,7 @@ void print_cost(const char* label, const svt::hw::CostReport& r) {
 
 int main() {
   using namespace svt;
-  auto config = core::ExperimentConfig::from_env();
+  core::ExperimentConfig config;
   config.dataset.windows_per_session = 12;
   config.max_folds = 6;
   const auto data = core::prepare_data(config);
@@ -61,7 +61,5 @@ int main() {
     print_cost("   cost", r.cost);
     std::printf("\n");
   }
-
-  std::printf("Use SVT_WPS / SVT_FOLDS / SVT_C to rescale the exploration.\n");
   return 0;
 }

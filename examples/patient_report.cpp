@@ -15,7 +15,7 @@
 
 int main() {
   using namespace svt;
-  auto config = core::ExperimentConfig::from_env();
+  core::ExperimentConfig config;
   config.dataset.windows_per_session = 12;
   const auto data = core::prepare_data(config);
 

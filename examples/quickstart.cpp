@@ -1,11 +1,13 @@
 // Quickstart: generate a synthetic cohort, extract the paper's 53 features,
 // tailor an SVM inference engine (feature selection + SV budget + 9/15-bit
-// fixed point) and classify new windows -- the whole public API in ~60 lines.
+// fixed point) and classify new windows on the engine that serves them --
+// the whole public API in ~70 lines.
 #include <cstdio>
 
 #include "core/tailoring.hpp"
 #include "ecg/dataset.hpp"
 #include "features/extractor.hpp"
+#include "rt/model_registry.hpp"
 
 int main() {
   using namespace svt;
@@ -38,10 +40,18 @@ int main() {
   config.sv_budget = 100;
   const auto detector = core::tailor_detector(train.samples, train.labels, config);
 
-  // 5. Classify unseen windows with the bit-accurate fixed-point engine.
+  // 5. Classify unseen windows as the serving engines do: select + scale
+  //    each feature vector, then one batch through the bit-accurate
+  //    fixed-point engine; a decision value >= 0 means seizure.
+  const auto served = rt::ServableModel::from_detector(detector);
+  std::vector<std::vector<double>> rows(test.size());
+  for (std::size_t i = 0; i < test.size(); ++i) served.prepare_row(test.samples[i], rows[i]);
+  std::vector<double> values;
+  rt::KernelScratch scratch;
+  served.decision_values(rows, values, scratch);
   std::size_t tp = 0, tn = 0, fp = 0, fn = 0;
   for (std::size_t i = 0; i < test.size(); ++i) {
-    const int predicted = detector.classify(test.samples[i]);
+    const int predicted = values[i] >= 0.0 ? +1 : -1;
     if (test.labels[i] > 0) {
       (predicted > 0 ? tp : fn) += 1;
     } else {

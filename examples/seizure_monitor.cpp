@@ -57,7 +57,7 @@ int main() {
   stream.fs_hz = ecg_signal.fs_hz;
   stream.window_s = 180.0;
   stream.stride_s = 180.0;
-  rt::StreamClassifier node(detector, stream);
+  rt::StreamClassifier node(rt::ServableModel::from_detector(detector), stream);
   constexpr int kPatient = 0;
 
   const auto chunk = static_cast<std::size_t>(ecg_signal.fs_hz);

@@ -85,6 +85,8 @@ std::vector<DesignPointResult> evaluate_design_points(
   std::vector<std::vector<svt::svm::ConfusionMatrix>> confusions(cells);
   std::vector<double> sv_totals(budgets.size(), 0.0);
   std::size_t trained = 0;
+  rt::KernelScratch scratch;
+  std::vector<double> values;
   for (auto& fold : folds) {
     if (!fold.usable) continue;
     ++trained;
@@ -103,9 +105,11 @@ std::vector<DesignPointResult> evaluate_design_points(
       sv_totals[b] += static_cast<double>(model.num_support_vectors());
       for (std::size_t e = 0; e < engines.size(); ++e) {
         if (engines[e]) {
+          // The served batch kernel, one call per fold; the sign is the label.
           const auto engine = QuantizedModel::build(model, *engines[e]);
+          engine.dequantized_decisions(fold.test_x, scratch, values);
           for (std::size_t i = 0; i < fold.test_x.size(); ++i)
-            predicted[i] = engine.classify(fold.test_x[i]);
+            predicted[i] = values[i] >= 0.0 ? +1 : -1;
         } else {
           for (std::size_t i = 0; i < fold.test_x.size(); ++i)
             predicted[i] = model.predict(fold.test_x[i]);

@@ -66,8 +66,9 @@ struct DesignPointResult {
 /// in order: an optional leading 0 (unbudgeted), then strictly decreasing SV
 /// budgets, each continuing from the previous budget's surviving training
 /// set (the paper's iterative removal, observed at several stop points).
-/// Every engine (nullopt = float; else the fixed-point QuantizedModel)
-/// classifies every budgeted model, and each cell is costed by
+/// Every engine (nullopt = float, SvmModel::predict; else the fixed-point
+/// QuantizedModel through dequantized_decisions, the batch kernel the
+/// engines serve) classifies every budgeted model, and each cell is costed by
 /// design_pipeline at its mean SV count. Returns
 /// `results[b * engines.size() + e]`. Throws std::invalid_argument on a
 /// budget list of any other shape.

@@ -11,7 +11,6 @@
 #include "fixed/fixed_point.hpp"
 #include "fixed/range_selection.hpp"
 #include "hw/arith_model.hpp"
-#include "rt/packed_kernel.hpp"
 
 namespace svt::core {
 
@@ -58,7 +57,7 @@ QuantizedModel QuantizedModel::build(const svt::svm::SvmModel& model, const Quan
   if (config.homogeneous) {
     std::fill(qm.ranges_.begin(), qm.ranges_.end(), qm.max_range_log2_);
   }
-  // --- Quantise SVs (packed row-major, shared by both decision engines) --------
+  // --- Quantise SVs (packed row-major: the kernel's SV table) ------------------
   qm.q_sv_packed_.resize(nsv * nfeat);
   for (std::size_t i = 0; i < nsv; ++i) {
     for (std::size_t j = 0; j < nfeat; ++j) {
@@ -137,59 +136,6 @@ void QuantizedModel::compute_derived(std::size_t nsv) {
   const double kernel_out_scale =
       kernel_in_scale * kernel_in_scale * std::ldexp(1.0, config_.square_truncate_bits);
   acc2_scale_ = kernel_out_scale * alpha_fmt.lsb();
-}
-
-std::vector<std::int64_t> QuantizedModel::quantize_input(std::span<const double> x) const {
-  if (x.size() != num_features())
-    throw std::invalid_argument("QuantizedModel: feature-count mismatch");
-  std::vector<std::int64_t> qx(x.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    const fixed::QuantFormat fmt{config_.feature_bits, ranges_[j]};
-    qx[j] = fmt.quantize(x[j]);
-  }
-  return qx;
-}
-
-__int128 QuantizedModel::decision_accumulator(std::span<const std::int64_t> qx) const {
-  const int mac1_bits = pipeline_.mac1_accumulator_bits();
-  const int kin_bits = pipeline_.kernel_input_bits();
-  const int kout_bits = pipeline_.kernel_output_bits();
-  const int mac2_bits = std::min(126, pipeline_.mac2_accumulator_bits());
-
-  const std::size_t nfeat = num_features();
-  __int128 acc2 = q_bias_;
-  for (std::size_t i = 0; i < num_support_vectors(); ++i) {
-    const std::int64_t* qsv = q_sv_packed_.data() + i * nfeat;
-    // MAC1: dot product with per-feature scale-back shifts, saturating.
-    std::int64_t acc1 = 0;
-    for (std::size_t j = 0; j < nfeat; ++j) {
-      const std::int64_t product = qx[j] * qsv[j];  // <= 2^(2*Dbits-2): fits easily.
-      acc1 = fixed::saturate(acc1 + (product >> product_shifts_[j]), mac1_bits);
-    }
-    acc1 = fixed::saturate(acc1 + q_one_, mac1_bits);
-
-    // Truncate, square, truncate.
-    const std::int64_t kin =
-        fixed::saturate(acc1 >> config_.dot_truncate_bits, kin_bits);
-    const std::int64_t square = kin * kin;  // kin <= 31 bits: exact in int64.
-    const std::int64_t kout =
-        fixed::saturate(square >> config_.square_truncate_bits, kout_bits);
-
-    // MAC2: alpha_y-weighted accumulation (int128: product can exceed 63 bits).
-    const __int128 term = static_cast<__int128>(q_alpha_y_[i]) * kout;
-    acc2 = fixed::saturate128(acc2 + term, mac2_bits);
-  }
-  return acc2;
-}
-
-int QuantizedModel::classify(std::span<const double> x) const {
-  const auto qx = quantize_input(x);
-  return decision_accumulator(qx) >= 0 ? +1 : -1;
-}
-
-double QuantizedModel::dequantized_decision(std::span<const double> x) const {
-  const auto qx = quantize_input(x);
-  return static_cast<double>(decision_accumulator(qx)) * acc2_scale_;
 }
 
 void QuantizedModel::save(std::ostream& os) const {
@@ -292,8 +238,15 @@ void QuantizedModel::dequantized_decisions(std::span<const std::vector<double>> 
     }
   }
 
+  auto& accs = scratch.accs;
+  accs.resize(nwin);
+  rt::batch_quantized_accumulators(kernel(), qxt.data(), nwin, accs.data());
+  for (std::size_t w = 0; w < nwin; ++w) out[w] = static_cast<double>(accs[w]) * acc2_scale_;
+}
+
+rt::PackedQuantKernel QuantizedModel::kernel() const {
   rt::PackedQuantKernel kernel;
-  kernel.nfeat = nfeat;
+  kernel.nfeat = num_features();
   kernel.nsv = num_support_vectors();
   kernel.q_svs = q_sv_packed_.data();
   kernel.q_alpha_y = q_alpha_y_.data();
@@ -306,10 +259,7 @@ void QuantizedModel::dequantized_decisions(std::span<const std::vector<double>> 
   kernel.mac2_bits = std::min(126, pipeline_.mac2_accumulator_bits());
   kernel.dot_truncate_bits = config_.dot_truncate_bits;
   kernel.square_truncate_bits = config_.square_truncate_bits;
-  auto& accs = scratch.accs;
-  accs.resize(nwin);
-  rt::batch_quantized_accumulators(kernel, qxt.data(), nwin, accs.data());
-  for (std::size_t w = 0; w < nwin; ++w) out[w] = static_cast<double>(accs[w]) * acc2_scale_;
+  return kernel;
 }
 
 }  // namespace svt::core

@@ -1,4 +1,4 @@
-// Fixed-point quantisation of a trained quadratic SVM and the bit-accurate
+// Fixed-point quantisation of a trained quadratic SVM for the bit-accurate
 // integer inference engine (paper Section III, "Reducing bitwidths" +
 // Figure 2).
 //
@@ -22,6 +22,12 @@
 //                          with the quantised bias; the class is the sign of
 //                          the accumulator (its MSB in hardware).
 //
+// The integer pipeline runs in one place, the window-blocked
+// rt::batch_quantized_accumulators behind dequantized_decisions(): the
+// serving engines and the paper's figures both classify through it. Its
+// per-window scalar reference is a test oracle, built on kernel() and
+// mac2_lsb(): tests/support/quantized_oracle.hpp.
+//
 // The paper's comparison point "same bitwidth throughout the pipeline, same
 // scaling factor among features" (Figures 6/7, right) is the `homogeneous`
 // flag: every feature is forced to the global worst-case range Rmax.
@@ -34,11 +40,8 @@
 #include <vector>
 
 #include "hw/accelerator_model.hpp"
+#include "rt/packed_kernel.hpp"
 #include "svm/model.hpp"
-
-namespace svt::rt {
-struct KernelScratch;  // rt/packed_kernel.hpp
-}
 
 namespace svt::core {
 
@@ -74,26 +77,23 @@ class QuantizedModel {
   /// emulation supports (feature_bits <= 20 covers the paper's whole sweep).
   static QuantizedModel build(const svt::svm::SvmModel& model, const QuantConfig& config);
 
-  /// Classify a (real-valued) feature vector: quantise, run the integer
-  /// pipeline, return the sign (+1 / -1). Throws on dimension mismatch.
-  int classify(std::span<const double> x) const;
-
-  /// The decision value reconstructed from the final integer accumulator
-  /// (for tests and diagnostics; hardware only exposes the sign).
-  double dequantized_decision(std::span<const double> x) const;
-
-  /// The batch entry the serving engines use: quantise every window into
-  /// the feature-major layout, run the blocked packed-SV integer kernel
-  /// (rt::batch_quantized_accumulators) and scale each accumulator by the
-  /// MAC2 LSB. Bit-exact with dequantized_decision() per window. `out` is
-  /// resized; `scratch` stages the quantised batch and the accumulators, so
-  /// repeated calls allocate nothing once warm. Throws
+  /// The batch entry the serving engines and the figures use: quantise
+  /// every window into the feature-major layout, run the blocked packed-SV
+  /// integer kernel (rt::batch_quantized_accumulators) and scale each
+  /// accumulator by mac2_lsb(). The label is the sign: value >= 0 is +1.
+  /// `out` is resized; `scratch` stages the quantised batch and the
+  /// accumulators, so repeated calls allocate nothing once warm. Throws
   /// std::invalid_argument on dimension mismatch.
   void dequantized_decisions(std::span<const std::vector<double>> xs, rt::KernelScratch& scratch,
                              std::vector<double>& out) const;
 
-  /// Quantise a test vector into Dbits integers (saturating, per-feature).
-  std::vector<std::int64_t> quantize_input(std::span<const double> x) const;
+  /// The integer pipeline's description for rt::batch_quantized_accumulators.
+  /// Its pointers borrow this model's arrays, so it is built on each call
+  /// and must not outlive the model.
+  rt::PackedQuantKernel kernel() const;
+
+  /// Real value of one MAC2 accumulator LSB (positive).
+  double mac2_lsb() const { return acc2_scale_; }
 
   /// Text serialisation mirroring SvmModel's format: the quantised primaries
   /// (config, Eq.-6 ranges, packed SV table, alpha_y weights, kernel +1 and
@@ -124,9 +124,6 @@ class QuantizedModel {
   /// (config_, ranges_, alpha_range_log2_) and validate; shared by build()
   /// and load() so both construction paths agree bit-for-bit.
   void compute_derived(std::size_t nsv);
-
-  /// Integer decision accumulator (sign = class).
-  __int128 decision_accumulator(std::span<const std::int64_t> qx) const;
 
   QuantConfig config_;
   hw::PipelineConfig pipeline_;

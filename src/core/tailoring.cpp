@@ -6,28 +6,6 @@
 
 namespace svt::core {
 
-std::vector<double> TailoredDetector::prepare_row(std::span<const double> raw_features) const {
-  std::vector<double> x;
-  x.reserve(selected_.size());
-  for (std::size_t j : selected_) {
-    if (j >= raw_features.size())
-      throw std::invalid_argument("TailoredDetector::prepare_row: feature vector too short");
-    x.push_back(raw_features[j]);
-  }
-  scaler_.transform_inplace(x);
-  return x;
-}
-
-int TailoredDetector::classify(std::span<const double> raw_features) const {
-  const auto x = prepare_row(raw_features);
-  if (quantized_) return quantized_->classify(x);
-  return model_.predict(x);
-}
-
-double TailoredDetector::decision_value(std::span<const double> raw_features) const {
-  return model_.decision_value(prepare_row(raw_features));
-}
-
 hw::CostReport TailoredDetector::hardware_cost(const hw::TechModel& tech) const {
   return hw::estimate_cost(
       design_pipeline(model_.num_features(), model_.num_support_vectors(), quant_config_), tech);

@@ -1,13 +1,15 @@
 // The combined tailoring flow (paper Section III, "Combining approximation
-// techniques") and the user-facing tailored detector.
+// techniques") and the tailored detector it produces.
 //
 // tailor_detector() runs the full production flow on a training set:
 //   1. rank features by aggregated Pearson redundancy and keep the best k,
 //   2. train the quadratic SVM (class-weighted SMO),
 //   3. budget the support-vector set by low-norm removal + retraining,
 //   4. quantise the model for the Figure-2 fixed-point accelerator.
-// The result classifies raw (unscaled, full-length) feature vectors and
-// reports the hardware cost of its own design point.
+// The result is a training result, not a classifier: the selection, scaler,
+// model and quantised engine, plus the hardware cost of its design point.
+// rt::ServableModel::from_detector turns it into the one unit that
+// classifies, on the engines every serving path runs.
 #pragma once
 
 #include <optional>
@@ -39,24 +41,12 @@ struct TailoringConfig {
   std::vector<double> post_gains;
 };
 
-/// A fully tailored seizure detector: feature selection + scaler + (budgeted)
-/// SVM + optional fixed-point engine, bundled for deployment.
+/// A tailored seizure detector, as tailor_detector returns it: the feature
+/// selection, the scaler fitted to it, the (budgeted) SVM, the optional
+/// fixed-point engine and the design point's hardware cost. It does not
+/// classify; rt::ServableModel::from_detector serves it.
 class TailoredDetector {
  public:
-  /// Classify a raw full-length feature vector (all original features; the
-  /// detector applies its own selection and centring). Throws on mismatch.
-  int classify(std::span<const double> raw_features) const;
-
-  /// Float decision value on the same inputs (diagnostics).
-  double decision_value(std::span<const double> raw_features) const;
-
-  /// The shared front half of classification: select this detector's
-  /// features from a raw full-length vector and scale them. The returned
-  /// row is what the decision engines (float or fixed-point) consume; the
-  /// streaming runtime uses this to queue rows for batched classification.
-  /// Throws std::invalid_argument if the raw vector is too short.
-  std::vector<double> prepare_row(std::span<const double> raw_features) const;
-
   const std::vector<std::size_t>& selected_features() const { return selected_; }
   const svt::svm::SvmModel& model() const { return model_; }
   const std::optional<QuantizedModel>& quantized() const { return quantized_; }

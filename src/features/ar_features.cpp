@@ -8,18 +8,6 @@
 
 namespace svt::features {
 
-std::array<double, kNumArFeatures> compute_ar_features(const ecg::RespirationSeries& edr) {
-  std::array<double, kNumArFeatures> f{};
-  FeatureScratch scratch;
-  compute_ar_features(edr, scratch, f);
-  return f;
-}
-
-void compute_ar_features(const ecg::RespirationSeries& edr, FeatureScratch& scratch,
-                         std::span<double> f) {
-  compute_ar_features(edr.values, scratch, f);
-}
-
 void compute_ar_features(std::span<const double> edr_values, FeatureScratch& scratch,
                          std::span<double> f) {
   SVT_ASSERT(f.size() == kNumArFeatures);

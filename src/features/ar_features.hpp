@@ -5,10 +5,8 @@
 // 3-minute windows the paper uses).
 #pragma once
 
-#include <array>
 #include <span>
 
-#include "ecg/rr_model.hpp"
 #include "features/feature_scratch.hpp"
 #include "features/feature_types.hpp"
 
@@ -16,21 +14,12 @@ namespace svt::features {
 
 inline constexpr std::size_t kArOrder = kNumArFeatures;  // AR(9).
 
-/// AR(9) coefficients of the EDR series (all-zero if the window is too short
-/// or the series is constant).
-std::array<double, kNumArFeatures> compute_ar_features(const ecg::RespirationSeries& edr);
-
-/// Scratch variant: writes the kNumArFeatures values into `out` (out.size()
-/// must equal kNumArFeatures) with no heap allocation once the scratch is
-/// warm. Bit-identical to the allocating overload (delegates to the span
-/// entry point below).
-void compute_ar_features(const ecg::RespirationSeries& edr, FeatureScratch& scratch,
-                         std::span<double> out);
-
-/// Span-based entry point (the EDR rate does not enter the AR model, so a
-/// raw value span suffices). THE implementation — both overloads above
-/// delegate here, so every path is bit-identical by construction. The
-/// streaming segment cache feeds its assembled window span through this.
+/// The AR(9) coefficients a1..a9 of a window's EDR values, written into
+/// `out` (out.size() must equal kNumArFeatures) with no heap allocation once
+/// the scratch is warm; all-zero if the window is too short or the series is
+/// constant. The EDR rate does not enter the AR model, so the values
+/// suffice. Both the dataset path (extract_features) and the streaming
+/// segment cache call this.
 void compute_ar_features(std::span<const double> edr_values, FeatureScratch& scratch,
                          std::span<double> out);
 

@@ -80,13 +80,13 @@ void extract_features(const ecg::RrSeries& rr, const ecg::RespirationSeries& edr
                       FeatureScratch& scratch, std::span<double> out) {
   SVT_ASSERT(out.size() == kNumFeatures);
   std::size_t off = 0;
-  compute_hrv_features(rr, scratch, out.subspan(off, kNumHrvFeatures));
+  compute_hrv_features(rr.rr_s, scratch, out.subspan(off, kNumHrvFeatures));
   off += kNumHrvFeatures;
-  compute_lorentz_features(rr, scratch, out.subspan(off, kNumLorentzFeatures));
+  compute_lorentz_features(rr.rr_s, scratch, out.subspan(off, kNumLorentzFeatures));
   off += kNumLorentzFeatures;
-  compute_ar_features(edr, scratch, out.subspan(off, kNumArFeatures));
+  compute_ar_features(edr.values, scratch, out.subspan(off, kNumArFeatures));
   off += kNumArFeatures;
-  compute_psd_features(edr, scratch, out.subspan(off, kNumPsdFeatures));
+  compute_psd_features(edr.values, edr.fs_hz, scratch, out.subspan(off, kNumPsdFeatures));
 }
 
 std::vector<double> extract_features(const ecg::WindowRecord& window) {

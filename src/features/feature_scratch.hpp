@@ -14,9 +14,10 @@
 // sharded engine gives each worker thread its own scratch via the worker's
 // private WindowExtractor.
 //
-// Bit-exactness: the scratch overloads of compute_*_features and
-// extract_features are THE implementation; the allocating overloads
-// delegate to them with a local scratch, so both paths agree bit-for-bit.
+// Bit-exactness: each feature family has one entry point,
+// compute_*_features over value spans with a scratch, and the allocating
+// extract_features delegates to its scratch overload with a local scratch,
+// so every path agrees bit-for-bit.
 #pragma once
 
 #include <vector>

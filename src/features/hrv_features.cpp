@@ -8,18 +8,6 @@
 
 namespace svt::features {
 
-std::array<double, kNumHrvFeatures> compute_hrv_features(const ecg::RrSeries& rr) {
-  std::array<double, kNumHrvFeatures> f{};
-  FeatureScratch scratch;
-  compute_hrv_features(rr, scratch, f);
-  return f;
-}
-
-void compute_hrv_features(const ecg::RrSeries& rr, FeatureScratch& scratch,
-                          std::span<double> f) {
-  compute_hrv_features(std::span<const double>(rr.rr_s), scratch, f);
-}
-
 void compute_hrv_features(std::span<const double> rr_s, FeatureScratch& scratch,
                           std::span<double> f) {
   SVT_ASSERT(f.size() == kNumHrvFeatures);

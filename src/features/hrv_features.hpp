@@ -1,15 +1,19 @@
 // HRV time-domain features (paper features 1-8).
 #pragma once
 
-#include <array>
 #include <span>
 
-#include "ecg/rr_model.hpp"
 #include "features/feature_scratch.hpp"
 #include "features/feature_types.hpp"
 
 namespace svt::features {
 
+/// The HRV features of a window's RR intervals `rr_s` [s], written into
+/// `out` (out.size() must equal kNumHrvFeatures) with no heap allocation once
+/// the scratch is warm. Only the interval values enter the features (an
+/// RrSeries' beat times are carried for plotting). Both the dataset path
+/// (extract_features) and the streaming segment cache call this.
+///
 /// Features, in order (conventional HRV units -- ms / bpm / percent):
 ///  0 mean heart rate [bpm]
 ///  1 mean NN (RR) interval [ms]
@@ -22,20 +26,6 @@ namespace svt::features {
 ///
 /// Windows with fewer than 4 beats yield all-zero features (an unusable
 /// window; the generator never produces one, but the API stays total).
-std::array<double, kNumHrvFeatures> compute_hrv_features(const ecg::RrSeries& rr);
-
-/// Scratch variant: writes the kNumHrvFeatures values into `out`
-/// (out.size() must equal kNumHrvFeatures) with no heap allocation once
-/// the scratch is warm. Bit-identical to the allocating overload (delegates
-/// to the span entry point below).
-void compute_hrv_features(const ecg::RrSeries& rr, FeatureScratch& scratch,
-                          std::span<double> out);
-
-/// Span-based entry point: only the interval values enter the features (the
-/// beat times in RrSeries are carried for plotting, not used here). THE
-/// implementation — both overloads above delegate here, so every path is
-/// bit-identical by construction. The streaming segment cache feeds its
-/// assembled per-window interval span through this.
 void compute_hrv_features(std::span<const double> rr_s, FeatureScratch& scratch,
                           std::span<double> out);
 

@@ -9,18 +9,6 @@
 
 namespace svt::features {
 
-std::array<double, kNumLorentzFeatures> compute_lorentz_features(const ecg::RrSeries& rr) {
-  std::array<double, kNumLorentzFeatures> f{};
-  FeatureScratch scratch;
-  compute_lorentz_features(rr, scratch, f);
-  return f;
-}
-
-void compute_lorentz_features(const ecg::RrSeries& rr, FeatureScratch& scratch,
-                              std::span<double> f) {
-  compute_lorentz_features(std::span<const double>(rr.rr_s), scratch, f);
-}
-
 void compute_lorentz_features(std::span<const double> rr_s, FeatureScratch& scratch,
                               std::span<double> f) {
   SVT_ASSERT(f.size() == kNumLorentzFeatures);

@@ -7,15 +7,18 @@
 // cloud, which these features capture.
 #pragma once
 
-#include <array>
 #include <span>
 
-#include "ecg/rr_model.hpp"
 #include "features/feature_scratch.hpp"
 #include "features/feature_types.hpp"
 
 namespace svt::features {
 
+/// The Lorentz-plot features of a window's RR intervals `rr_s` [s], written
+/// into `out` (out.size() must equal kNumLorentzFeatures) with no heap
+/// allocation once the scratch is warm. Both the dataset path
+/// (extract_features) and the streaming segment cache call this.
+///
 /// Features, in order:
 ///  0 SD1 [ms]
 ///  1 SD2 [ms]
@@ -26,19 +29,6 @@ namespace svt::features {
 ///  6 centroid distance from origin [ms]
 ///
 /// Windows with fewer than 4 beats yield all-zero features.
-std::array<double, kNumLorentzFeatures> compute_lorentz_features(const ecg::RrSeries& rr);
-
-/// Scratch variant: writes the kNumLorentzFeatures values into `out`
-/// (out.size() must equal kNumLorentzFeatures) with no heap allocation once
-/// the scratch is warm. Bit-identical to the allocating overload (delegates
-/// to the span entry point below).
-void compute_lorentz_features(const ecg::RrSeries& rr, FeatureScratch& scratch,
-                              std::span<double> out);
-
-/// Span-based entry point: the plot geometry uses only the interval values.
-/// THE implementation — both overloads above delegate here, so every path
-/// is bit-identical by construction. The streaming segment cache feeds its
-/// assembled per-window interval span through this.
 void compute_lorentz_features(std::span<const double> rr_s, FeatureScratch& scratch,
                               std::span<double> out);
 

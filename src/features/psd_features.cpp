@@ -9,18 +9,6 @@
 
 namespace svt::features {
 
-std::array<double, kNumPsdFeatures> compute_psd_features(const ecg::RespirationSeries& edr) {
-  std::array<double, kNumPsdFeatures> f{};
-  FeatureScratch scratch;
-  compute_psd_features(edr, scratch, f);
-  return f;
-}
-
-void compute_psd_features(const ecg::RespirationSeries& edr, FeatureScratch& scratch,
-                          std::span<double> f) {
-  compute_psd_features(edr.values, edr.fs_hz, scratch, f);
-}
-
 void compute_psd_features(std::span<const double> edr_values, double edr_fs_hz,
                           FeatureScratch& scratch, std::span<double> f) {
   SVT_ASSERT(f.size() == kNumPsdFeatures);

@@ -7,10 +7,8 @@
 // observation that "most PSD features encode information redundantly".
 #pragma once
 
-#include <array>
 #include <span>
 
-#include "ecg/rr_model.hpp"
 #include "features/feature_scratch.hpp"
 #include "features/feature_types.hpp"
 
@@ -18,26 +16,19 @@ namespace svt::features {
 
 inline constexpr std::size_t kNumPsdBands = 25;
 
+/// The PSD features of a window's EDR values sampled at `edr_fs_hz`, written
+/// into `out` (out.size() must equal kNumPsdFeatures) with no heap
+/// allocation once the scratch is warm; all-zero below 32 values or for a
+/// constant series. The dataset path (extract_features) calls this; the
+/// streaming segment cache does not (it assembles the Welch PSD from
+/// memoized per-segment periodograms) but shares summarize_psd below.
+///
 /// Features, in order:
 ///  0..24  log10(band power + eps) over 25 equal bands spanning [0, fs/2)
 ///  25     log10(total power + eps)
 ///  26     low/high respiratory band power ratio ([0.1,0.25) / [0.25,0.5) Hz)
 ///  27     peak (dominant respiratory) frequency in [0.05, 0.6) Hz
 ///  28     95% spectral edge frequency
-std::array<double, kNumPsdFeatures> compute_psd_features(const ecg::RespirationSeries& edr);
-
-/// Scratch variant: writes the kNumPsdFeatures values into `out` (out.size()
-/// must equal kNumPsdFeatures) with no heap allocation once the scratch is
-/// warm. Bit-identical to the allocating overload (delegates to the span
-/// entry point below).
-void compute_psd_features(const ecg::RespirationSeries& edr, FeatureScratch& scratch,
-                          std::span<double> out);
-
-/// Span-based entry point: the EDR series as raw values + rate, no
-/// container required. THE implementation — both overloads above delegate
-/// here, so every path is bit-identical by construction. The streaming
-/// segment cache does not call this directly (it assembles the Welch PSD
-/// from memoized per-segment periodograms) but shares summarize_psd below.
 void compute_psd_features(std::span<const double> edr_values, double edr_fs_hz,
                           FeatureScratch& scratch, std::span<double> out);
 

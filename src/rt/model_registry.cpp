@@ -35,12 +35,6 @@ ServableModel ServableModel::from_detector(const core::TailoredDetector& detecto
                        detector.quantized());
 }
 
-std::vector<double> ServableModel::prepare_row(std::span<const double> raw_features) const {
-  std::vector<double> x;
-  prepare_row(raw_features, x);
-  return x;
-}
-
 void ServableModel::prepare_row(std::span<const double> raw_features,
                                 std::vector<double>& out) const {
   out.clear();

@@ -5,11 +5,13 @@
 // while that patient's stream is live (a retrained or requantised detector
 // arrives from the tailoring flow, or is loaded from disk). Two pieces:
 //
-//  * ServableModel — an immutable, self-contained deployable unit: the
-//    tailored front half (feature selection + scaler) plus one of two
-//    decision engines for the paper's quadratic kernel, the only kernel it
-//    accepts: the bit-exact fixed-point core::QuantizedModel when quantised,
-//    the packed float rt::PackedModel otherwise. Immutability is what makes
+//  * ServableModel — the library's one classifier: an immutable,
+//    self-contained deployable unit, built from a tailored detector
+//    (from_detector) or loaded from disk. It holds the tailored front half
+//    (feature selection + scaler) plus one of two decision engines for the
+//    paper's quadratic kernel, the only kernel it accepts: the bit-exact
+//    fixed-point core::QuantizedModel when quantised, the packed float
+//    rt::PackedModel otherwise. Immutability is what makes
 //    hot-swap safe: classification threads only ever read a ServableModel
 //    through a shared_ptr snapshot, so an in-flight batch keeps the model it
 //    started with even if the registry entry is replaced mid-batch.
@@ -59,17 +61,14 @@ class ServableModel {
   ServableModel(std::vector<std::size_t> selected, svm::StandardScaler scaler,
                 svm::SvmModel model, std::optional<core::QuantizedModel> quantized);
 
-  /// Copy the deployable parts out of a tailored detector.
+  /// Copy the deployable parts out of a tailored detector: the one bridge
+  /// from training (core::tailor_detector) to classification.
   static ServableModel from_detector(const core::TailoredDetector& detector);
 
   /// The front half of classification: select this model's features from a
-  /// raw full-length vector and scale them. Throws std::invalid_argument if
-  /// the raw vector is too short.
-  std::vector<double> prepare_row(std::span<const double> raw_features) const;
-
-  /// Scratch variant: the prepared row lands in `out` (resized; capacity
-  /// reused across calls), so the serving hot loop performs no allocation
-  /// once warm. Bit-identical to the allocating overload.
+  /// raw full-length vector and scale them into `out` (resized; capacity
+  /// reused across calls, so the serving hot loop allocates nothing once
+  /// warm). Throws std::invalid_argument if the raw vector is too short.
   void prepare_row(std::span<const double> raw_features, std::vector<double>& out) const;
 
   /// The back half: decision values for prepared rows through this model's

@@ -76,7 +76,7 @@ void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::in
       const std::int64_t alpha = kernel.q_alpha_y[i];
       for (std::size_t b = 0; b < nb; ++b) {
         // +1, truncate, square, truncate, MAC2 -- same chain as the
-        // per-window engine, so results are bit-exact.
+        // per-window oracle, so results are bit-exact.
         const std::int64_t acc1 = saturate64(acc1s[b] + kernel.q_one, mac1_hi, mac1_lo);
         const std::int64_t kin =
             saturate64(acc1 >> kernel.dot_truncate_bits, kin_hi, kin_lo);

@@ -5,14 +5,16 @@
 // feature vectors is evaluated per call, blocked so that each SV row is
 // streamed through the cache once per window block instead of once per
 // window. Per-window arithmetic order is identical to the per-window
-// engines (svm::SvmModel::decision_value, core::QuantizedModel), so results
-// match them: bit-exactly for the fixed-point path, and to rounding of
-// `pow(s,2)` vs `s*s` for the float path.
+// references, so results match them: the fixed-point oracle
+// (tests/support/quantized_oracle.hpp) bit for bit, and
+// svm::SvmModel::decision_value to rounding of `pow(s,2)` vs `s*s`.
 //
-// The fixed-point kernel is one portable, branch-free loop: saturation is
-// a pair of conditional selects, so the compiler is free to vectorise the
-// window-block loop, and its bits match the per-window engine across
-// feature widths (asserted by tests/test_simd_kernel.cpp).
+// The fixed-point kernel is the library's one integer engine: the serving
+// engines and the paper's figures classify through it. It is one portable,
+// branch-free loop: saturation is a pair of conditional selects, so the
+// compiler is free to vectorise the window-block loop, and its bits match
+// the oracle across Figure 6's feature and coefficient widths, homogeneous
+// or not (asserted by tests/test_simd_kernel.cpp).
 //
 // This header is a leaf (its source depends only on svt::fixed), so the
 // fixed-point core (core::QuantizedModel) and the packed float model
@@ -53,10 +55,10 @@ void batch_quadratic_decisions(const double* xt, std::size_t nwin, std::size_t n
                                const double* svs, std::size_t nsv, const double* alpha_y,
                                double bias, double coef0, double* out);
 
-/// Fixed-point pipeline description for the batched integer kernel; mirrors
-/// the per-window engine in core::QuantizedModel (MAC1 with per-feature
-/// scale-back shifts -> +1 -> truncate -> square -> truncate -> MAC2), with
-/// every stage saturating to the same widths. All pointers are borrowed.
+/// Fixed-point pipeline description for the batched integer kernel, as
+/// core::QuantizedModel::kernel() builds it: MAC1 with per-feature
+/// scale-back shifts -> +1 -> truncate -> square -> truncate -> MAC2, every
+/// stage saturating to its width. All pointers are borrowed.
 /// Contract: q_svs and the quantised inputs are Dbits integers with
 /// Dbits <= 20 (enforced by QuantizedModel::build), so products fit 32x32
 /// signed multiplies.
@@ -77,7 +79,7 @@ struct PackedQuantKernel {
 };
 
 /// Batched integer decision accumulators (sign = class), bit-exact with the
-/// per-window engine. `qxt` is the quantised batch in feature-major layout.
+/// per-window oracle. `qxt` is the quantised batch in feature-major layout.
 void batch_quantized_accumulators(const PackedQuantKernel& kernel, const std::int64_t* qxt,
                                   std::size_t nwin, __int128* out);
 

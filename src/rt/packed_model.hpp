@@ -2,8 +2,9 @@
 // streaming runtime: the SV table is stored once as a contiguous row-major
 // matrix plus a per-SV weight array, so repeated batch classification pays
 // no per-call packing cost and no vector<vector> pointer chasing. This is
-// the float engine of rt::ServableModel; the per-window reference it
-// matches is svm::SvmModel::decision_value.
+// the float engine of rt::ServableModel. It matches the per-window
+// svm::SvmModel::decision_value only to rounding (`s*s` against `pow(s,2)`),
+// so the paper's float design points keep classifying with SvmModel.
 #pragma once
 
 #include <span>
@@ -25,7 +26,8 @@ class PackedModel {
 
   /// Batched decision values, staging the feature-major batch in
   /// `scratch.xt` so repeated calls allocate nothing once warm. Matches
-  /// SvmModel::decision_value per window (same accumulation order).
+  /// SvmModel::decision_value per window to rounding (same accumulation
+  /// order).
   /// Throws std::invalid_argument unless `out.size()` equals `xs.size()`
   /// and every row has num_features() entries.
   void decision_values(std::span<const std::vector<double>> xs, std::span<double> out,

@@ -26,12 +26,6 @@ ShardedStreamClassifier::ShardedStreamClassifier(std::shared_ptr<ModelRegistry> 
   }
 }
 
-ShardedStreamClassifier::ShardedStreamClassifier(const core::TailoredDetector& detector,
-                                                 StreamConfig config, EngineOptions options)
-    : ShardedStreamClassifier(
-          std::make_shared<ModelRegistry>(ServableModel::from_detector(detector)), config,
-          std::move(options)) {}
-
 ShardedStreamClassifier::~ShardedStreamClassifier() {
   for (auto& shard : shards_) shard->tasks.close();
   for (auto& shard : shards_)

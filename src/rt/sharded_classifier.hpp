@@ -105,12 +105,6 @@ class ShardedStreamClassifier {
   ShardedStreamClassifier(std::shared_ptr<ModelRegistry> registry, StreamConfig config,
                           EngineOptions options);
 
-  /// Serve one cohort-wide detector (the registry holds it as the
-  /// workload-0 default; per-patient and per-workload models can still be
-  /// installed later).
-  ShardedStreamClassifier(const core::TailoredDetector& detector, StreamConfig config,
-                          EngineOptions options);
-
   ~ShardedStreamClassifier();
   ShardedStreamClassifier(const ShardedStreamClassifier&) = delete;
   ShardedStreamClassifier& operator=(const ShardedStreamClassifier&) = delete;

@@ -67,9 +67,6 @@ StreamClassifier::StreamClassifier(std::vector<ServableModel> models, StreamConf
     models_.push_back(std::make_shared<const ServableModel>(std::move(model)));
 }
 
-StreamClassifier::StreamClassifier(const core::TailoredDetector& detector, StreamConfig config)
-    : StreamClassifier(ServableModel::from_detector(detector), std::move(config)) {}
-
 void StreamClassifier::push_samples(int patient_id, std::span<const double> samples_mv) {
   extractor_.push_samples(patient_id, samples_mv, [this](ExtractedWindow&& window) {
     pending_.push_back(std::move(window));

@@ -15,7 +15,8 @@
 // engine); every window it emits is queued as extracted. flush() then runs
 // classify_windows over the queue: per workload, one prepare_row per window
 // (feature selection + scaling) and ONE batched ServableModel::decision_values
-// call — the bit-exact fixed-point pipeline when the model carries a
+// call — the fixed-point batch kernel (QuantizedModel::dequantized_decisions,
+// the engine the paper's figures are measured on) when the model carries a
 // quantised engine, the packed float kernel (rt::PackedModel) otherwise.
 // The sharded engine runs the same function on each patient batch, so a
 // window's decision and label are made in exactly one place. Patient
@@ -33,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "core/tailoring.hpp"
 #include "rt/engine.hpp"
 #include "rt/model_registry.hpp"
 #include "rt/window_extractor.hpp"
@@ -76,10 +76,6 @@ class StreamClassifier {
   /// w's windows). Throws std::invalid_argument when the count disagrees
   /// with the config's workload list.
   StreamClassifier(std::vector<ServableModel> models, StreamConfig config);
-
-  /// Wrap a tailored detector: serves ServableModel::from_detector(detector),
-  /// which copies the deployable parts bit-exactly.
-  explicit StreamClassifier(const core::TailoredDetector& detector, StreamConfig config = {});
 
   /// Ingest a chunk of raw ECG samples (mV) for one patient. Chunks may be
   /// of any size; windows are emitted as soon as enough samples accumulate.

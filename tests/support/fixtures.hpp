@@ -1,7 +1,9 @@
 // Helpers shared by the engine test suites: a synthetic ECG record, the
-// short 20 s / 10 s stream geometry, the tailored test detector, interleaved
-// pushing, a collecting sink that checks the sharded engine's delivery
-// guarantees, and bit-exact comparison of result streams.
+// short 20 s / 10 s stream geometry, the tailored test detector and the
+// served models and registry built from it, served decisions for raw
+// feature vectors, interleaved pushing, a collecting sink that checks the
+// sharded engine's delivery guarantees, and bit-exact comparison of result
+// streams.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <span>
@@ -23,6 +26,7 @@
 #include "ecg/rr_model.hpp"
 #include "features/extractor.hpp"
 #include "rt/engine.hpp"
+#include "rt/model_registry.hpp"
 #include "rt/window_extractor.hpp"
 
 namespace svt::test {
@@ -77,6 +81,43 @@ inline const core::TailoredDetector& detector() {
 inline const core::TailoredDetector& float_detector() {
   static const core::TailoredDetector d = tailor_test_detector(false);
   return d;
+}
+
+/// The quantised test detector as the engines serve it.
+inline const rt::ServableModel& servable() {
+  static const rt::ServableModel m = rt::ServableModel::from_detector(detector());
+  return m;
+}
+
+/// The float test detector as the engines serve it.
+inline const rt::ServableModel& float_servable() {
+  static const rt::ServableModel m = rt::ServableModel::from_detector(float_detector());
+  return m;
+}
+
+/// A fresh registry serving `model` as its cohort-wide default.
+inline std::shared_ptr<rt::ModelRegistry> default_registry(
+    const rt::ServableModel& model = servable()) {
+  return std::make_shared<rt::ModelRegistry>(model);
+}
+
+/// `model`'s prepared (selected + scaled) rows of raw full-length feature
+/// vectors.
+inline std::vector<std::vector<double>> prepared_rows(const rt::ServableModel& model,
+                                                      std::span<const std::vector<double>> raw) {
+  std::vector<std::vector<double>> rows(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) model.prepare_row(raw[i], rows[i]);
+  return rows;
+}
+
+/// `model`'s decision values for raw full-length feature vectors, as the
+/// engines serve windows with these features (label: value >= 0 is +1).
+inline std::vector<double> served_values(const rt::ServableModel& model,
+                                         std::span<const std::vector<double>> raw) {
+  std::vector<double> values;
+  rt::KernelScratch scratch;
+  model.decision_values(prepared_rows(model, raw), values, scratch);
+  return values;
 }
 
 /// Push every patient's stream in interleaved chunks of `chunk` samples

@@ -27,6 +27,35 @@ ecg::RrSeries constant_rr(double interval_s, std::size_t beats) {
   return rr;
 }
 
+/// Each feature family through its one entry point, with a fresh scratch.
+std::vector<double> hrv(const ecg::RrSeries& rr) {
+  FeatureScratch scratch;
+  std::vector<double> f(kNumHrvFeatures);
+  compute_hrv_features(rr.rr_s, scratch, f);
+  return f;
+}
+
+std::vector<double> lorentz(const ecg::RrSeries& rr) {
+  FeatureScratch scratch;
+  std::vector<double> f(kNumLorentzFeatures);
+  compute_lorentz_features(rr.rr_s, scratch, f);
+  return f;
+}
+
+std::vector<double> ar(const ecg::RespirationSeries& edr) {
+  FeatureScratch scratch;
+  std::vector<double> f(kNumArFeatures);
+  compute_ar_features(edr.values, scratch, f);
+  return f;
+}
+
+std::vector<double> psd(const ecg::RespirationSeries& edr) {
+  FeatureScratch scratch;
+  std::vector<double> f(kNumPsdFeatures);
+  compute_psd_features(edr.values, edr.fs_hz, scratch, f);
+  return f;
+}
+
 TEST(Catalog, FiftyThreeFeaturesInPaperOrder) {
   const auto& catalog = feature_catalog();
   ASSERT_EQ(catalog.size(), kNumFeatures);
@@ -63,7 +92,7 @@ TEST(Catalog, CategoryGainsArePowersOfTwoAndHeterogeneous) {
 
 TEST(HrvFeatures, ConstantRhythm) {
   const auto rr = constant_rr(60.0 / 75.0, 100);
-  const auto f = compute_hrv_features(rr);
+  const auto f = hrv(rr);
   EXPECT_NEAR(f[0], 75.0, 1e-9);              // mean HR.
   EXPECT_NEAR(f[1], 60.0 / 75.0 * 1e3, 1e-6); // mean NN [ms].
   EXPECT_NEAR(f[2], 0.0, 1e-9);               // SDNN.
@@ -73,7 +102,7 @@ TEST(HrvFeatures, ConstantRhythm) {
 
 TEST(HrvFeatures, TooFewBeatsYieldZeros) {
   const auto rr = constant_rr(0.8, 2);
-  const auto f = compute_hrv_features(rr);
+  const auto f = hrv(rr);
   for (double v : f) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -86,7 +115,7 @@ TEST(HrvFeatures, Pnn50CountsBigSteps) {
     rr.beat_times_s.push_back(t);
     rr.rr_s.push_back(interval);
   }
-  const auto f = compute_hrv_features(rr);
+  const auto f = hrv(rr);
   EXPECT_NEAR(f[4], 100.0, 1e-9);  // Every successive diff is 100 ms > 50 ms.
   EXPECT_GT(f[3], 90.0);           // RMSSD ~ 100 ms.
 }
@@ -100,7 +129,7 @@ TEST(LorentzFeatures, AlternatingRhythmHasLargeSd1) {
     alternating.beat_times_s.push_back(t);
     alternating.rr_s.push_back(interval);
   }
-  const auto f = compute_lorentz_features(alternating);
+  const auto f = lorentz(alternating);
   // Pure alternation: all variability is beat-to-beat -> SD1 >> SD2.
   EXPECT_GT(f[0], f[1]);
   EXPECT_GT(f[2], 1.0);  // SD1/SD2.
@@ -115,7 +144,7 @@ TEST(LorentzFeatures, SlowRampHasLargeSd2) {
     ramp.beat_times_s.push_back(t);
     ramp.rr_s.push_back(interval);
   }
-  const auto f = compute_lorentz_features(ramp);
+  const auto f = lorentz(ramp);
   EXPECT_GT(f[1], 5.0 * f[0]);  // SD2 dominates.
   EXPECT_GT(f[6], 900.0);       // Centroid distance ~ mean RR * sqrt(2) in ms.
 }
@@ -128,7 +157,7 @@ TEST(ArFeatures, SinusoidalEdrYieldsResonantModel) {
     edr.values[i] =
         std::sin(2.0 * std::numbers::pi * 0.25 * static_cast<double>(i) / edr.fs_hz);
   }
-  const auto f = compute_ar_features(edr);
+  const auto f = ar(edr);
   // An AR(9) fit of a sinusoid must place its spectral peak at the tone.
   svt::dsp::ArModel model{std::vector<double>(f.begin(), f.end()), 1.0};
   std::vector<double> freqs;
@@ -145,11 +174,11 @@ TEST(ArFeatures, DegenerateInputsYieldZeros) {
   ecg::RespirationSeries flat;
   flat.fs_hz = 4.0;
   flat.values.assign(100, 1.0);
-  for (double v : compute_ar_features(flat)) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (double v : ar(flat)) EXPECT_DOUBLE_EQ(v, 0.0);
   ecg::RespirationSeries tiny;
   tiny.fs_hz = 4.0;
   tiny.values.assign(5, 0.0);
-  for (double v : compute_ar_features(tiny)) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (double v : ar(tiny)) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(PsdFeatures, RespiratoryPeakDetected) {
@@ -160,7 +189,7 @@ TEST(PsdFeatures, RespiratoryPeakDetected) {
     edr.values[i] =
         std::sin(2.0 * std::numbers::pi * 0.30 * static_cast<double>(i) / edr.fs_hz);
   }
-  const auto f = compute_psd_features(edr);
+  const auto f = psd(edr);
   EXPECT_NEAR(f[27], 0.30, 0.05);  // Peak frequency feature.
   // The band containing 0.30 Hz dominates its neighbours 2 bands away.
   const auto band = static_cast<std::size_t>(0.30 / (2.0 / 25.0));
@@ -171,7 +200,7 @@ TEST(PsdFeatures, ShortSeriesYieldsZeros) {
   ecg::RespirationSeries edr;
   edr.fs_hz = 4.0;
   edr.values.assign(10, 0.5);
-  for (double v : compute_psd_features(edr)) EXPECT_DOUBLE_EQ(v, 0.0);
+  for (double v : psd(edr)) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(Extractor, FullVectorDimensions) {

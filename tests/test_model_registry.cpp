@@ -17,6 +17,7 @@
 #include "rt/model_registry.hpp"
 #include "svm/kernel.hpp"
 #include "support/fixtures.hpp"
+#include "support/quantized_oracle.hpp"
 
 namespace svt {
 namespace {
@@ -79,10 +80,11 @@ TEST(ModelRegistry, HotSwapIsAtomicUnderConcurrentResolves) {
     }
   });
   bool ok = true;
+  std::vector<double> row;
   for (int i = 0; i < 200; ++i) {
     const auto model = registry.resolve(1);
     if (!model || !model->quantized().has_value()) ok = false;
-    const auto row = model->prepare_row(raw[i % raw.size()]);
+    model->prepare_row(raw[i % raw.size()], row);
     if (row.size() != model->model().num_features()) ok = false;
   }
   writer.join();
@@ -100,14 +102,15 @@ TEST(ServableModel, RoundTripsQuantizedBitExact) {
   EXPECT_FALSE(loaded.packed().has_value());  // Quantised engine wins, as before.
 
   const auto raw = random_raw_vectors(64, raw_feature_count(detector()), 11);
-  for (const auto& x : raw) {
-    const auto row_a = original.prepare_row(x);
-    const auto row_b = loaded.prepare_row(x);
-    ASSERT_EQ(row_a, row_b);
-    // Bit-exact across the round trip: same integer accumulator, same scale.
-    EXPECT_EQ(original.quantized()->dequantized_decision(row_a),
-              loaded.quantized()->dequantized_decision(row_b));
-    EXPECT_EQ(original.quantized()->classify(row_a), loaded.quantized()->classify(row_b));
+  const auto rows = prepared_rows(original, raw);
+  ASSERT_EQ(prepared_rows(loaded, raw), rows);
+  // Bit-exact across the round trip (same integer accumulator, same scale),
+  // and the served batch kernel matches the per-window oracle.
+  const auto want = served_values(original, raw);
+  EXPECT_EQ(served_values(loaded, raw), want);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(want[i], core::dequantized_decision(*loaded.quantized(), rows[i])) << i;
+    EXPECT_EQ(want[i] >= 0.0 ? 1 : -1, core::classify(*loaded.quantized(), rows[i])) << i;
   }
 
   // Serialisation is a fixed point: saving the loaded model reproduces the
@@ -128,8 +131,7 @@ TEST(ServableModel, RoundTripsFloatWithPackedFastPath) {
   ASSERT_TRUE(loaded.packed().has_value());  // Rebuilt from the loaded SVM.
 
   const auto raw = random_raw_vectors(32, raw_feature_count(float_detector()), 13);
-  std::vector<std::vector<double>> rows;
-  for (const auto& x : raw) rows.push_back(original.prepare_row(x));
+  const auto rows = prepared_rows(original, raw);
   std::vector<double> want(rows.size()), got(rows.size());
   rt::KernelScratch scratch;
   original.packed()->decision_values(rows, want, scratch);
@@ -176,6 +178,11 @@ TEST(ServableModel, LoadRejectsCorruptInput) {
     std::stringstream is(input);
     EXPECT_THROW(rt::ServableModel::load(is), std::invalid_argument) << what;
   }
+}
+
+TEST(ServableModel, PrepareRowRejectsShortVectors) {
+  std::vector<double> row;
+  EXPECT_THROW(servable().prepare_row(std::vector<double>(5, 0.0), row), std::invalid_argument);
 }
 
 TEST(ServableModel, RejectsNonQuadraticKernels) {

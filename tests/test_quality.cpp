@@ -239,13 +239,13 @@ TEST(QualityGateEngine, AnnotatePolicyFlagsDirtyWindowsWithoutChangingDecisions)
   // Gate off: the baseline decisions.
   rt::StreamConfig off_config = quality_stream_config(ecg::QualityPolicy::kAnnotate);
   off_config.quality.enable = false;
-  rt::StreamClassifier baseline(detector(), off_config);
+  rt::StreamClassifier baseline(servable(), off_config);
   for (const auto& [pid, wf] : ward) baseline.push_samples(pid, wf.samples_mv);
   const auto plain = baseline.flush();
   ASSERT_FALSE(plain.empty());
 
   // Gate on, annotate: same windows, same decisions, only flags differ.
-  rt::StreamClassifier gated(detector(), quality_stream_config(ecg::QualityPolicy::kAnnotate));
+  rt::StreamClassifier gated(servable(), quality_stream_config(ecg::QualityPolicy::kAnnotate));
   for (const auto& [pid, wf] : ward) gated.push_samples(pid, wf.samples_mv);
   const auto flagged = gated.flush();
   ASSERT_EQ(flagged.size(), plain.size());
@@ -276,11 +276,11 @@ TEST(QualityGateEngine, AnnotatePolicyFlagsDirtyWindowsWithoutChangingDecisions)
 TEST(QualityGateEngine, SuppressPolicyWithholdsExactlyTheFlaggedPositions) {
   const auto ward = make_dirty_ward();
 
-  rt::StreamClassifier annotate(detector(), quality_stream_config(ecg::QualityPolicy::kAnnotate));
+  rt::StreamClassifier annotate(servable(), quality_stream_config(ecg::QualityPolicy::kAnnotate));
   for (const auto& [pid, wf] : ward) annotate.push_samples(pid, wf.samples_mv);
   const auto flagged = annotate.flush();
 
-  rt::StreamClassifier suppress(detector(), quality_stream_config(ecg::QualityPolicy::kSuppress));
+  rt::StreamClassifier suppress(servable(), quality_stream_config(ecg::QualityPolicy::kSuppress));
   for (const auto& [pid, wf] : ward) suppress.push_samples(pid, wf.samples_mv);
   const auto kept = suppress.flush();
 
@@ -297,7 +297,7 @@ TEST(QualityGateEngine, SuppressPolicyWithholdsExactlyTheFlaggedPositions) {
 TEST(QualityGateEngine, ShardedMatchesSingleThreadedGateExactly) {
   const auto ward = make_dirty_ward();
   for (const auto policy : {ecg::QualityPolicy::kAnnotate, ecg::QualityPolicy::kSuppress}) {
-    rt::StreamClassifier reference(detector(), quality_stream_config(policy));
+    rt::StreamClassifier reference(servable(), quality_stream_config(policy));
     for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
     auto want = reference.flush();
     const auto want_stats = reference.stats().quality;
@@ -305,7 +305,7 @@ TEST(QualityGateEngine, ShardedMatchesSingleThreadedGateExactly) {
 
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
       Collector collector;
-      rt::ShardedStreamClassifier sharded(detector(), quality_stream_config(policy),
+      rt::ShardedStreamClassifier sharded(default_registry(), quality_stream_config(policy),
                                           engine_options(workers, collector.sink()));
       push_interleaved(sharded, ward, 733);
       sharded.flush();
@@ -331,7 +331,7 @@ TEST(QualityGateEngine, ShardedMatchesSingleThreadedGateExactly) {
 
 TEST(QualityGateEngine, CleanSignalIsNeverFlagged) {
   const auto wf = synth_ecg(55.0, 99);
-  rt::StreamClassifier gated(detector(), quality_stream_config(ecg::QualityPolicy::kSuppress));
+  rt::StreamClassifier gated(servable(), quality_stream_config(ecg::QualityPolicy::kSuppress));
   gated.push_samples(1, wf.samples_mv);
   const auto results = gated.flush();
   ASSERT_FALSE(results.empty());

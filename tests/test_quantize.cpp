@@ -10,6 +10,7 @@
 
 #include "fixed/fixed_point.hpp"
 #include "rt/packed_kernel.hpp"
+#include "support/quantized_oracle.hpp"
 #include "svm/trainer.hpp"
 
 namespace svt::core {
@@ -52,6 +53,15 @@ SvmModel trained_model(const Toy& t) {
   return train_svm(t.x, t.y, quadratic_kernel(), params);
 }
 
+/// The quantised engine's decision values for every point, through the
+/// batch kernel it serves with.
+std::vector<double> served_values(const QuantizedModel& q, const Toy& t) {
+  rt::KernelScratch scratch;
+  std::vector<double> values;
+  q.dequantized_decisions(t.x, scratch, values);
+  return values;
+}
+
 /// Fraction of points classified identically by the float model and the
 /// quantised engine, restricted to points a margin away from the float
 /// decision boundary (sign flips *at* the boundary are the expected effect
@@ -60,11 +70,12 @@ double agreement(const SvmModel& m, const QuantizedModel& q, const Toy& t,
                  double margin_frac = 0.10) {
   double max_abs = 0.0;
   for (const auto& x : t.x) max_abs = std::max(max_abs, std::abs(m.decision_value(x)));
+  const auto values = served_values(q, t);
   std::size_t same = 0, counted = 0;
-  for (const auto& x : t.x) {
-    if (std::abs(m.decision_value(x)) < margin_frac * max_abs) continue;
+  for (std::size_t i = 0; i < t.x.size(); ++i) {
+    if (std::abs(m.decision_value(t.x[i])) < margin_frac * max_abs) continue;
     ++counted;
-    if (m.predict(x) == q.classify(x)) ++same;
+    if (m.predict(t.x[i]) == (values[i] >= 0.0 ? 1 : -1)) ++same;
   }
   return counted == 0 ? 1.0 : static_cast<double>(same) / static_cast<double>(counted);
 }
@@ -136,11 +147,15 @@ TEST(Quantize, InputQuantizationSaturates) {
   const auto m = trained_model(t);
   const auto q = QuantizedModel::build(m, QuantConfig{});
   std::vector<double> huge{1e9, -1e9};
-  const auto qx = q.quantize_input(huge);
+  const auto qx = quantize_input(q, huge);
   EXPECT_EQ(qx[0], svt::fixed::max_signed_value(9));
   EXPECT_EQ(qx[1], svt::fixed::min_signed_value(9));
-  // Saturated inputs still classify without UB.
-  (void)q.classify(huge);
+  // Saturated inputs still classify without UB, as the oracle does.
+  const std::vector<std::vector<double>> batch{huge};
+  rt::KernelScratch scratch;
+  std::vector<double> values;
+  q.dequantized_decisions(batch, scratch, values);
+  EXPECT_EQ(values.front(), dequantized_decision(q, huge));
 }
 
 TEST(Quantize, DequantizedDecisionTracksFloat) {
@@ -150,11 +165,12 @@ TEST(Quantize, DequantizedDecisionTracksFloat) {
   config.feature_bits = 15;
   config.alpha_bits = 20;
   const auto q = QuantizedModel::build(m, config);
+  const auto values = served_values(q, t);
   double max_rel_err = 0.0;
   double max_abs = 0.0;
   for (std::size_t i = 0; i < 50; ++i) {
     const double f = m.decision_value(t.x[i]);
-    const double g = q.dequantized_decision(t.x[i]);
+    const double g = values[i];
     max_abs = std::max(max_abs, std::abs(f));
     max_rel_err = std::max(max_rel_err, std::abs(f - g));
   }
@@ -195,9 +211,11 @@ TEST(Quantize, BuildValidation) {
   empty.kernel = quadratic_kernel();
   EXPECT_THROW(QuantizedModel::build(empty, QuantConfig{}), std::invalid_argument);
 
-  std::vector<double> wrong_dims{1.0};
+  const std::vector<std::vector<double>> wrong_dims{{1.0}};
   const auto q = QuantizedModel::build(m, QuantConfig{});
-  EXPECT_THROW(q.classify(wrong_dims), std::invalid_argument);
+  rt::KernelScratch scratch;
+  std::vector<double> values;
+  EXPECT_THROW(q.dequantized_decisions(wrong_dims, scratch, values), std::invalid_argument);
 }
 
 TEST(Quantize, SaveLoadRoundTripIsBitExact) {
@@ -227,18 +245,14 @@ TEST(Quantize, SaveLoadRoundTripIsBitExact) {
     EXPECT_EQ(lp.square_truncate_bits, op.square_truncate_bits);
     EXPECT_EQ(loaded.config().dot_truncate_bits, original.config().dot_truncate_bits);
 
-    // Bit-exact inference: identical integer accumulators, identical scale.
-    for (const auto& x : t.x) {
-      EXPECT_EQ(loaded.classify(x), original.classify(x));
-      EXPECT_EQ(loaded.dequantized_decision(x), original.dequantized_decision(x));
-      EXPECT_EQ(loaded.quantize_input(x), original.quantize_input(x));
+    // Bit-exact inference: identical integer accumulators, identical scale,
+    // and the served batch kernel matches the per-window oracle.
+    const auto want = served_values(original, t);
+    EXPECT_EQ(served_values(loaded, t), want);
+    for (std::size_t i = 0; i < t.x.size(); ++i) {
+      EXPECT_EQ(quantize_input(loaded, t.x[i]), quantize_input(original, t.x[i]));
+      EXPECT_EQ(dequantized_decision(loaded, t.x[i]), want[i]);
     }
-    const auto batch = std::vector<std::vector<double>>(t.x.begin(), t.x.begin() + 32);
-    rt::KernelScratch scratch;
-    std::vector<double> want, got;
-    original.dequantized_decisions(batch, scratch, want);
-    loaded.dequantized_decisions(batch, scratch, got);
-    EXPECT_EQ(got, want);
 
     // Serialisation is a fixed point: re-saving reproduces the bytes.
     std::stringstream again;

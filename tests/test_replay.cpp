@@ -53,7 +53,7 @@ std::map<int, std::vector<double>> decoded_cohort(const std::string& dir) {
 /// engine, with the same end-of-record semantics.
 std::map<int, std::vector<rt::WindowResult>> direct_results(
     const std::map<int, std::vector<double>>& cohort, bool end_streams = true) {
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(servable(), short_window_config());
   for (const auto& [pid, samples] : cohort) {
     reference.push_samples(pid, samples);
     if (end_streams) reference.end_stream(pid);
@@ -72,8 +72,7 @@ TEST(CohortReplay, BitIdenticalToDirectStreamingUnder124Workers) {
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
-    auto registry =
-        std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+    auto registry = default_registry();
     rt::CohortReplayer replayer(registry, short_window_config(),
                                 engine_options(workers, collector.sink()));
     const auto report = replayer.replay_directory(dir);
@@ -121,8 +120,7 @@ TEST(CohortReplay, EndStreamRecoversTrailingWindows) {
   ASSERT_GT(n_with, n_without);
 
   Collector collector;
-  auto registry =
-      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  auto registry = default_registry();
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(2, collector.sink()));
   const auto report = replayer.replay_directory(dir);
   EXPECT_EQ(report.windows, n_with);  // The replayer wires end_stream per record.
@@ -131,8 +129,7 @@ TEST(CohortReplay, EndStreamRecoversTrailingWindows) {
 TEST(CohortReplay, PacedReplayHonoursTheSpeedMultiple) {
   const TempDir fixture = fixture_dir("paced", 1, 12.0);
   const std::string dir = fixture.string();
-  auto registry =
-      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  auto registry = default_registry();
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   rt::ReplayOptions options;
   options.speed = 60.0;
@@ -161,8 +158,7 @@ TEST(CohortReplay, MismatchedSamplingRateSkipsTheRecordNotTheCohort) {
   good_cohort[good_pid] = good.signal_mv(io::ecg_channel(good.header));
   const auto want = direct_results(good_cohort);
 
-  auto registry =
-      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  auto registry = default_registry();
   Collector collector;
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(2, collector.sink()));
   const auto report = replayer.replay_directory(dir);
@@ -193,8 +189,7 @@ TEST(CohortReplay, MismatchedSamplingRateSkipsTheRecordNotTheCohort) {
 TEST(CohortReplay, DuplicatePatientIdsThrow) {
   const TempDir fixture = fixture_dir("dup", 1, 10.0);
   const std::string dir = fixture.string();
-  auto registry =
-      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  auto registry = default_registry();
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   EXPECT_THROW(replayer.replay_records(dir, {"p001", "p001"}, {}), std::invalid_argument);
 }
@@ -204,8 +199,7 @@ TEST(CohortReplay, RejectsNonFiniteOrOversizedOptions) {
   // float-to-size_t cast; a NaN speed would replay unpaced.
   const TempDir fixture = fixture_dir("options", 1, 30.0);
   const std::string dir = fixture.string();
-  auto registry =
-      std::make_shared<rt::ModelRegistry>(rt::ServableModel::from_detector(detector()));
+  auto registry = default_registry();
   rt::CohortReplayer replayer(registry, short_window_config(), engine_options(1, {}));
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -1,8 +1,8 @@
 // Parity tests for the packed batch kernels: each engine's one batch entry
 // (rt::PackedModel::decision_values, core::QuantizedModel::
-// dequantized_decisions) must match the per-window engine it stands in for
-// -- bit-exactly for the fixed-point pipeline, to floating rounding of
-// pow(s,2) vs s*s for the float path.
+// dequantized_decisions) must match its per-window reference -- the
+// fixed-point oracle in tests/support bit-exactly, svm::SvmModel to
+// floating rounding of pow(s,2) vs s*s for the float path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "core/quantize.hpp"
 #include "rt/packed_kernel.hpp"
 #include "rt/packed_model.hpp"
+#include "support/quantized_oracle.hpp"
 #include "svm/kernel.hpp"
 #include "svm/model.hpp"
 
@@ -119,9 +120,9 @@ TEST(BatchQuantized, BitExactVsPerWindowEngine) {
     ASSERT_EQ(values.size(), nwin);
     for (std::size_t w = 0; w < nwin; ++w) {
       // The serving label rule on the batch value is the engine's sign.
-      EXPECT_EQ(values[w] >= 0.0 ? +1 : -1, qm.classify(xs[w])) << "window " << w;
+      EXPECT_EQ(values[w] >= 0.0 ? +1 : -1, core::classify(qm, xs[w])) << "window " << w;
       // Same integer accumulator, same scale: bit-exact, not just close.
-      EXPECT_EQ(values[w], qm.dequantized_decision(xs[w])) << "window " << w;
+      EXPECT_EQ(values[w], core::dequantized_decision(qm, xs[w])) << "window " << w;
     }
   }
 }
@@ -139,7 +140,7 @@ TEST(BatchQuantized, BitExactAtNarrowWidths) {
   const auto xs = random_batch(48, 16, 6.0, 77);
   const auto values = quantized_values(qm, xs);
   for (std::size_t w = 0; w < xs.size(); ++w)
-    EXPECT_EQ(values[w], qm.dequantized_decision(xs[w])) << "window " << w;
+    EXPECT_EQ(values[w], core::dequantized_decision(qm, xs[w])) << "window " << w;
 }
 
 TEST(BatchQuantized, RejectsBadShapes) {

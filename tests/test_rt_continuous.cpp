@@ -33,7 +33,7 @@ std::map<int, ecg::EcgWaveform> make_ward() {
 }
 
 std::vector<rt::WindowResult> reference_results(const std::map<int, ecg::EcgWaveform>& ward) {
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(servable(), short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   return reference.flush();
 }
@@ -45,7 +45,7 @@ TEST(ContinuousDelivery, OrderedAndBitIdenticalUnder124Workers) {
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
-    rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+    rt::ShardedStreamClassifier engine(default_registry(), short_window_config(),
                                        engine_options(workers, collector.sink()));
     push_interleaved(engine, ward, 733);  // Odd chunk size: windows straddle chunks.
     engine.flush();
@@ -64,7 +64,7 @@ TEST(ContinuousDelivery, ResultsArriveBeforeAnyFlush) {
   // The whole point of continuous mode: no fence is needed to get results.
   const auto wf = synth_ecg(55.0, 77);
   Collector collector;
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+  rt::ShardedStreamClassifier engine(default_registry(), short_window_config(),
                                      engine_options(2, collector.sink()));
   engine.push_samples(1, wf.samples_mv);
   // Spin (bounded) until the pipeline classifies something — no flush().
@@ -83,7 +83,7 @@ TEST(ContinuousDelivery, BoundedBlockingQueueDoesNotChangeResults) {
   Collector collector;
   rt::EngineOptions options = engine_options(2, collector.sink());
   options.queue_capacity = 2;
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(), std::move(options));
+  rt::ShardedStreamClassifier engine(default_registry(), short_window_config(), std::move(options));
   push_interleaved(engine, ward, 733);
   engine.flush();
   EXPECT_TRUE(collector.time_ordered);
@@ -105,7 +105,7 @@ TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {
 
   auto run = [&](bool swap_mid_stream, bool coarse_from_start) {
     Collector collector;
-    rt::ShardedStreamClassifier engine(d, short_window_config(),
+    rt::ShardedStreamClassifier engine(default_registry(), short_window_config(),
                                        engine_options(2, collector.sink()));
     if (coarse_from_start) engine.registry().install(1, coarse_model);
     engine.push_samples(1, std::span(wf.samples_mv).first(half));
@@ -136,9 +136,9 @@ TEST(ContinuousDelivery, HotSwapFencesOnBatchBoundary) {
 }
 
 TEST(ContinuousDelivery, RegistryGenerationTracksSwaps) {
-  rt::ModelRegistry registry(rt::ServableModel::from_detector(detector()));
+  rt::ModelRegistry registry(servable());
   const auto g0 = registry.generation();
-  registry.install(1, rt::ServableModel::from_detector(detector()));
+  registry.install(1, servable());
   EXPECT_EQ(registry.generation(), g0 + 1);
   registry.erase(1);
   EXPECT_EQ(registry.generation(), g0 + 2);
@@ -149,7 +149,7 @@ TEST(ContinuousDelivery, RegistryGenerationTracksSwaps) {
 TEST(ContinuousDelivery, EvictPatientRestartsStreamFromScratch) {
   const auto wf = synth_ecg(55.0, 93);
   Collector collector;
-  rt::ShardedStreamClassifier engine(detector(), short_window_config(),
+  rt::ShardedStreamClassifier engine(default_registry(), short_window_config(),
                                      engine_options(2, collector.sink()));
   engine.push_samples(1, wf.samples_mv);
   engine.flush();
@@ -174,7 +174,7 @@ TEST(ContinuousDelivery, ThrowingFlushRetainsOtherPatientsResults) {
   // but patient 1's windows still reach the sink, bit-identical to the
   // oracle — a partial failure must not discard good results.
   auto registry = std::make_shared<rt::ModelRegistry>();  // No default.
-  registry->install(1, rt::ServableModel::from_detector(detector()));
+  registry->install(1, servable());
   Collector collector;
   rt::ShardedStreamClassifier engine(registry, short_window_config(),
                                      engine_options(2, collector.sink()));
@@ -183,7 +183,7 @@ TEST(ContinuousDelivery, ThrowingFlushRetainsOtherPatientsResults) {
   engine.push_samples(5, wf.samples_mv);
   EXPECT_THROW(engine.flush(), std::runtime_error);
   EXPECT_NO_THROW(engine.flush());  // Reported once; the engine stays usable.
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(servable(), short_window_config());
   reference.push_samples(1, wf.samples_mv);
   expect_bit_identical(collector.all(), reference.flush(), "patient 1 beside a failing patient");
 }
@@ -198,8 +198,7 @@ TEST(ContinuousDelivery, WorkerSurvivesMissingModelAndFlushRethrows) {
   EXPECT_THROW(engine.flush(), std::runtime_error);
   EXPECT_TRUE(collector.per_patient.empty());
   // The worker kept serving: install a model and the engine is usable again.
-  registry->set_default(
-      std::make_shared<const rt::ServableModel>(rt::ServableModel::from_detector(detector())));
+  registry->set_default(std::make_shared<const rt::ServableModel>(servable()));
   engine.push_samples(5, wf.samples_mv);
   engine.flush();
   EXPECT_FALSE(collector.per_patient.empty());

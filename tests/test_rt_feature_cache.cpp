@@ -398,7 +398,7 @@ TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
   for (int pid : {1, 2, 3, 7, 11})
     ward[pid] = synth_ecg(55.0, static_cast<std::uint64_t>(seed++));
 
-  rt::StreamClassifier reference(detector(), config);
+  rt::StreamClassifier reference(servable(), config);
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   const auto want = reference.flush();
   ASSERT_FALSE(want.empty());
@@ -407,7 +407,7 @@ TEST(IncrementalPipeline, ShardedEngineMatchesOracleAcrossWorkerCounts) {
 
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     Collector collector;
-    rt::ShardedStreamClassifier sharded(detector(), config,
+    rt::ShardedStreamClassifier sharded(default_registry(), config,
                                         engine_options(workers, collector.sink()));
     push_interleaved(sharded, ward, 1250);
     sharded.flush();

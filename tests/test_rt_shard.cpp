@@ -35,7 +35,7 @@ std::map<int, ecg::EcgWaveform> make_ward() {
   return ward;
 }
 
-void check_determinism(const core::TailoredDetector& model, const char* what) {
+void check_determinism(const rt::ServableModel& model, const char* what) {
   const auto ward = make_ward();
 
   // Reference: the single-threaded engine, whole streams pushed per patient.
@@ -46,7 +46,7 @@ void check_determinism(const core::TailoredDetector& model, const char* what) {
 
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     Collector collector;
-    rt::ShardedStreamClassifier sharded(model, short_window_config(),
+    rt::ShardedStreamClassifier sharded(default_registry(model), short_window_config(),
                                         engine_options(workers, collector.sink()));
     EXPECT_EQ(sharded.num_workers(), workers);
     push_interleaved(sharded, ward, 733);  // Odd chunk size: windows straddle chunks.
@@ -57,22 +57,22 @@ void check_determinism(const core::TailoredDetector& model, const char* what) {
 }
 
 TEST(ShardedStreamClassifier, BitIdenticalAcrossWorkerCountsQuantized) {
-  check_determinism(detector(), "quantized");
+  check_determinism(servable(), "quantized");
 }
 
 TEST(ShardedStreamClassifier, BitIdenticalAcrossWorkerCountsFloat) {
-  check_determinism(float_detector(), "float");
+  check_determinism(float_servable(), "float");
 }
 
 TEST(ShardedStreamClassifier, FlushCadenceDoesNotChangeResults) {
   const auto ward = make_ward();
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(servable(), short_window_config());
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   const auto want = reference.flush();
 
   // Same streams, four workers, flushing after every interleaving round.
   Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+  rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                       engine_options(4, collector.sink()));
   std::map<int, std::size_t> offsets;
   bool any_left = true;
@@ -94,7 +94,7 @@ TEST(ShardedStreamClassifier, FlushCadenceDoesNotChangeResults) {
 
 TEST(ShardedStreamClassifier, EmptyFlushAndUnknownPatient) {
   Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+  rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                       engine_options(3, collector.sink()));
   sharded.flush();
   sharded.flush();  // Fence protocol resets cleanly.
@@ -105,7 +105,7 @@ TEST(ShardedStreamClassifier, EmptyFlushAndUnknownPatient) {
 
 TEST(ShardedStreamClassifier, RejectsBeatlessWindows) {
   Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+  rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                       engine_options(2, collector.sink()));
   // A flat line has no QRS complexes: every full window must be rejected.
   const std::vector<double> flat(static_cast<std::size_t>(sharded.config().fs_hz * 45.0), 0.0);
@@ -120,7 +120,7 @@ TEST(ShardedStreamClassifier, ShardAssignmentIsStable) {
   // A patient's shard is the Fibonacci hash of its id and the worker count.
   for (std::size_t workers = 1; workers <= 4; ++workers) {
     Collector collector;
-    rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+    rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                         engine_options(workers, collector.sink()));
     for (int pid = -5; pid < 40; ++pid) {
       const auto shard = sharded.shard_of(pid);
@@ -147,7 +147,7 @@ TEST(ShardedStreamClassifier, HotSwapTakesEffectAtFlushBoundary) {
   // Windows delivered by the first flush, then by the second.
   auto run = [&](bool swap_mid_stream, bool coarse_from_start) {
     Collector collector;
-    rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+    rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                         engine_options(2, collector.sink()));
     if (coarse_from_start) sharded.registry().install(1, coarse_model);
     sharded.push_samples(1, std::span(wf.samples_mv).first(half));
@@ -185,7 +185,7 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
   // the sink exactly once, bit-identical to the single-threaded engine.
   const auto wf = synth_ecg(60.0, 55);
   Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), short_window_config(),
+  rt::ShardedStreamClassifier sharded(default_registry(), short_window_config(),
                                       engine_options(2, collector.sink()));
   std::thread producer([&] {
     std::span<const double> rest(wf.samples_mv);
@@ -199,7 +199,7 @@ TEST(ShardedStreamClassifier, FlushTerminatesAndLosesNothingUnderConcurrentPushe
   producer.join();
   sharded.flush();  // Drain the tail.
 
-  rt::StreamClassifier reference(detector(), short_window_config());
+  rt::StreamClassifier reference(servable(), short_window_config());
   reference.push_samples(2, wf.samples_mv);
   expect_bit_identical(collector.all(), reference.flush(), "concurrent push");
 }
@@ -246,7 +246,7 @@ TEST(ShardedStreamClassifier, StatsAreLiveMonotoneAndExactAfterFlush) {
   rt::StreamConfig config = short_window_config();
   config.quality.enable = true;
 
-  rt::StreamClassifier reference(detector(), config);
+  rt::StreamClassifier reference(servable(), config);
   for (const auto& [pid, wf] : ward) reference.push_samples(pid, wf.samples_mv);
   reference.flush();
   const rt::EngineStats want_pushed = reference.stats();
@@ -259,7 +259,8 @@ TEST(ShardedStreamClassifier, StatsAreLiveMonotoneAndExactAfterFlush) {
   ASSERT_GT(want_ended.delivered_windows, want_pushed.delivered_windows);
 
   Collector collector;
-  rt::ShardedStreamClassifier sharded(detector(), config, engine_options(2, collector.sink()));
+  rt::ShardedStreamClassifier sharded(default_registry(), config,
+                                      engine_options(2, collector.sink()));
   std::atomic<bool> done{false};
   std::size_t reads = 0;
   std::string violation;
@@ -320,15 +321,16 @@ TEST(ShardedStreamClassifier, RejectsBadConstruction) {
                std::invalid_argument);
   auto config = short_window_config();
   config.stride_s = 25.0;  // > window_s.
-  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), config, options), std::invalid_argument);
+  EXPECT_THROW(rt::ShardedStreamClassifier(default_registry(), config, options),
+               std::invalid_argument);
   // The sink is the only way results leave the engine, so it is required.
   const rt::EngineOptions no_sink = engine_options(2, {});
-  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), short_window_config(), no_sink),
+  EXPECT_THROW(rt::ShardedStreamClassifier(default_registry(), short_window_config(), no_sink),
                std::invalid_argument);
   // Every shard queue is bounded, so a zero capacity is rejected.
   rt::EngineOptions no_capacity = engine_options(2, collector.sink());
   no_capacity.queue_capacity = 0;
-  EXPECT_THROW(rt::ShardedStreamClassifier(detector(), short_window_config(), no_capacity),
+  EXPECT_THROW(rt::ShardedStreamClassifier(default_registry(), short_window_config(), no_capacity),
                std::invalid_argument);
 }
 

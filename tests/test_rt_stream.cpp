@@ -25,15 +25,15 @@ using namespace test;
 TEST(StreamClassifier, RejectsBadConfig) {
   auto config = short_window_config();
   config.stride_s = 25.0;  // > window_s.
-  EXPECT_THROW(rt::StreamClassifier(detector(), config), std::invalid_argument);
+  EXPECT_THROW(rt::StreamClassifier(servable(), config), std::invalid_argument);
   config = short_window_config();
   config.fs_hz = 0.0;
-  EXPECT_THROW(rt::StreamClassifier(detector(), config), std::invalid_argument);
+  EXPECT_THROW(rt::StreamClassifier(servable(), config), std::invalid_argument);
 }
 
 TEST(StreamClassifier, WindowBoundariesWithOverlap) {
   const auto config = short_window_config();
-  rt::StreamClassifier sc(detector(), config);
+  rt::StreamClassifier sc(servable(), config);
   const auto wf = synth_ecg(65.0, 1);
   const std::size_t n = wf.samples_mv.size();
   ASSERT_GT(n, sc.window_samples());
@@ -60,7 +60,7 @@ TEST(StreamClassifier, WindowBoundariesWithOverlap) {
 }
 
 TEST(StreamClassifier, PartialWindowEmitsNothing) {
-  rt::StreamClassifier sc(detector(), short_window_config());
+  rt::StreamClassifier sc(servable(), short_window_config());
   const auto wf = synth_ecg(30.0, 2);
   // A window classifies once the incremental detector's finality frontier
   // passes its end: window_samples + emission_lag_samples pushed samples.
@@ -78,11 +78,11 @@ TEST(StreamClassifier, PartialWindowEmitsNothing) {
 
 TEST(StreamClassifier, ChunkSizeDoesNotChangeResults) {
   const auto wf = synth_ecg(65.0, 3);
-  rt::StreamClassifier whole(detector(), short_window_config());
+  rt::StreamClassifier whole(servable(), short_window_config());
   whole.push_samples(1, wf.samples_mv);
   const auto expected = whole.flush();
 
-  rt::StreamClassifier chunked(detector(), short_window_config());
+  rt::StreamClassifier chunked(servable(), short_window_config());
   std::span<const double> rest(wf.samples_mv);
   while (!rest.empty()) {
     const std::size_t n = std::min<std::size_t>(997, rest.size());
@@ -101,7 +101,7 @@ TEST(StreamClassifier, ChunkSizeDoesNotChangeResults) {
 }
 
 TEST(StreamClassifier, EndStreamClassifiesHeldBackTailWindows) {
-  rt::StreamClassifier sc(detector(), short_window_config());
+  rt::StreamClassifier sc(servable(), short_window_config());
   const auto wf = synth_ecg(65.0, 9);
   // Trim so the final window ends exactly at the last sample.
   const std::size_t total = sc.window_samples() + 4 * sc.stride_samples();
@@ -126,13 +126,13 @@ TEST(StreamClassifier, MultiPatientStreamsAreIsolated) {
   // Reference: each patient classified through its own dedicated stream.
   std::vector<std::vector<rt::WindowResult>> solo;
   for (const auto* wf : {&wf_a, &wf_b}) {
-    rt::StreamClassifier sc(detector(), short_window_config());
+    rt::StreamClassifier sc(servable(), short_window_config());
     sc.push_samples(0, wf->samples_mv);
     solo.push_back(sc.flush());
   }
 
   // Interleave both patients through one classifier in small chunks.
-  rt::StreamClassifier shared(detector(), short_window_config());
+  rt::StreamClassifier shared(servable(), short_window_config());
   std::span<const double> rest_a(wf_a.samples_mv), rest_b(wf_b.samples_mv);
   while (!rest_a.empty() || !rest_b.empty()) {
     if (!rest_a.empty()) {
@@ -169,7 +169,7 @@ TEST(StreamClassifier, AgreesWithDetectorPerWindow) {
   // produces on the same extracted windows (same front half, batched back
   // half bit-exact vs the per-window engine).
   const auto wf = synth_ecg(45.0, 6);
-  rt::StreamClassifier sc(detector(), short_window_config());
+  rt::StreamClassifier sc(servable(), short_window_config());
   sc.push_samples(1, wf.samples_mv);
   const auto results = sc.flush();
   ASSERT_FALSE(results.empty());
@@ -183,7 +183,7 @@ TEST(StreamClassifier, AgreesWithDetectorPerWindow) {
 TEST(StreamClassifier, FloatDetectorPath) {
   // A float-only detector (no quantised engine) routes through PackedModel.
   const auto wf = synth_ecg(45.0, 8);
-  rt::StreamClassifier sc(float_detector(), short_window_config());
+  rt::StreamClassifier sc(float_servable(), short_window_config());
   sc.push_samples(3, wf.samples_mv);
   const auto results = sc.flush();
   ASSERT_FALSE(results.empty());

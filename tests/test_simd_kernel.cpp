@@ -1,16 +1,20 @@
 // Bit-exactness of the window-blocked fixed-point batch kernel against the
-// per-window QuantizedModel across feature widths 8-16 (full blocks plus a
-// ragged tail), and scratch-buffer reuse across interleaved models and
-// batch sizes.
+// per-window oracle on every engine Figure 6 sweeps (feature widths 7-17,
+// coefficient widths 13/15/17, per-feature or homogeneous ranges; full
+// blocks plus a ragged tail), and scratch-buffer reuse across interleaved
+// models and batch sizes.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/quantize.hpp"
 #include "rt/packed_kernel.hpp"
 #include "rt/packed_model.hpp"
+#include "support/quantized_oracle.hpp"
 #include "svm/kernel.hpp"
 #include "svm/model.hpp"
 
@@ -45,24 +49,39 @@ std::vector<std::vector<double>> random_batch(std::size_t nwin, std::size_t nfea
 
 TEST(SimdKernel, FullModelBatchBitExactVsPerWindowAcrossWidths) {
   // End-to-end: dequantized_decisions routes through the window-blocked
-  // packed kernel, the per-window engine does not. Equality at every width
-  // proves the whole quantise -> MAC1 -> square -> MAC2 chain is
-  // blocking-invariant. 67 windows = four 16-window blocks plus a 3-window
-  // tail, with inputs spread past the support vectors' +-2 (still inside the
-  // model's power-of-two ranges, so no stage saturates).
-  const auto model = random_quadratic_model(40, 30, 7);
-  const auto xs = random_batch(67, 30, 3.0, 11);
+  // packed kernel, the per-window oracle does not. Equality on every engine
+  // Figure 6 sweeps proves the whole quantise -> MAC1 -> square -> MAC2
+  // chain is blocking-invariant. 67 windows = four 16-window blocks plus a
+  // 3-window tail. Feature scales spread over four octaves, so the Eq. 6
+  // ranges differ (non-zero scale-back shifts, and homogeneous engines that
+  // differ from per-feature ones), and inputs spread to +-12 against the
+  // support vectors' +-2 (an Eq. 6 range of +-8), so the quantiser
+  // saturates about a third of them.
+  auto model = random_quadratic_model(40, 30, 7);
+  auto xs = random_batch(67, 30, 12.0, 11);
+  for (auto* rows : {&model.support_vectors, &xs})
+    for (auto& row : *rows)
+      for (std::size_t j = 0; j < row.size(); ++j)
+        row[j] = std::ldexp(row[j], static_cast<int>(j % 5) - 2);
   rt::KernelScratch scratch;
   std::vector<double> batch_values;
-  for (int bits = 8; bits <= 16; ++bits) {
-    core::QuantConfig qc;
-    qc.feature_bits = bits;
-    const auto qm = core::QuantizedModel::build(model, qc);
-    qm.dequantized_decisions(xs, scratch, batch_values);
-    ASSERT_EQ(batch_values.size(), xs.size());
-    for (std::size_t w = 0; w < xs.size(); ++w) {
-      EXPECT_EQ(batch_values[w] >= 0.0 ? +1 : -1, qm.classify(xs[w])) << "width " << bits;
-      EXPECT_EQ(batch_values[w], qm.dequantized_decision(xs[w])) << "width " << bits;
+  for (const bool homogeneous : {false, true}) {
+    for (const int alpha_bits : {13, 15, 17}) {
+      for (int bits = 7; bits <= 17; ++bits) {
+        core::QuantConfig qc;
+        qc.feature_bits = bits;
+        qc.alpha_bits = alpha_bits;
+        qc.homogeneous = homogeneous;
+        const auto qm = core::QuantizedModel::build(model, qc);
+        qm.dequantized_decisions(xs, scratch, batch_values);
+        ASSERT_EQ(batch_values.size(), xs.size());
+        const std::string what = std::to_string(bits) + "/" + std::to_string(alpha_bits) +
+                                 (homogeneous ? " homogeneous" : " per-feature");
+        for (std::size_t w = 0; w < xs.size(); ++w) {
+          EXPECT_EQ(batch_values[w] >= 0.0 ? +1 : -1, core::classify(qm, xs[w])) << what;
+          EXPECT_EQ(batch_values[w], core::dequantized_decision(qm, xs[w])) << what;
+        }
+      }
     }
   }
 }

@@ -158,7 +158,7 @@ struct RrReference {
 RrReference reference_rr_features(const std::vector<ecg::Beat>& beats, std::int64_t start,
                                   std::int64_t window, std::int64_t stride, double fs) {
   RrReference ref;
-  ecg::RrSeries rr;
+  std::vector<double> rr_s;
   for (std::size_t i = 0; i < beats.size(); ++i) {
     const std::int64_t n = beats[i].sample_index;
     if (n < start || n >= start + window) continue;
@@ -166,12 +166,13 @@ RrReference reference_rr_features(const std::vector<ecg::Beat>& beats, std::int6
     if (i == 0) continue;
     const std::int64_t prev = beats[i - 1].sample_index;
     if (prev >= std::max(start, (n / stride - 1) * stride))
-      rr.rr_s.push_back(static_cast<double>(n - prev) / fs);
+      rr_s.push_back(static_cast<double>(n - prev) / fs);
   }
-  const auto hrv = features::compute_hrv_features(rr);
-  const auto lorentz = features::compute_lorentz_features(rr);
-  ref.features.assign(hrv.begin(), hrv.end());
-  ref.features.insert(ref.features.end(), lorentz.begin(), lorentz.end());
+  features::FeatureScratch scratch;
+  ref.features.resize(features::kNumHrvFeatures + features::kNumLorentzFeatures);
+  const std::span<double> out(ref.features);
+  features::compute_hrv_features(rr_s, scratch, out.first(features::kNumHrvFeatures));
+  features::compute_lorentz_features(rr_s, scratch, out.subspan(features::kNumHrvFeatures));
   return ref;
 }
 

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "features/extractor.hpp"
+#include "rt/model_registry.hpp"
+#include "support/fixtures.hpp"
 
 namespace svt::core {
 namespace {
@@ -32,10 +38,13 @@ TEST(Tailoring, FullFlowProducesWorkingDetector) {
   EXPECT_EQ(detector.selected_features().size(), 30u);
   EXPECT_LE(detector.model().num_support_vectors(), 100u);
   ASSERT_TRUE(detector.quantized().has_value());
-  // Training-set accuracy should be far above chance.
+  // Training-set accuracy, served through the fixed-point engine, should be
+  // far above chance.
+  const auto served = rt::ServableModel::from_detector(detector);
+  const auto values = test::served_values(served, matrix().samples);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < matrix().size(); ++i) {
-    if (detector.classify(matrix().samples[i]) == matrix().labels[i]) ++correct;
+    if ((values[i] >= 0.0 ? 1 : -1) == matrix().labels[i]) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(matrix().size()), 0.85);
 }
@@ -45,9 +54,16 @@ TEST(Tailoring, FloatVariantSkipsQuantization) {
   config.quant.reset();
   const auto detector = tailor_detector(matrix().samples, matrix().labels, config);
   EXPECT_FALSE(detector.quantized().has_value());
-  // decision_value and classify agree in the float path.
-  const auto& x = matrix().samples.front();
-  EXPECT_EQ(detector.classify(x), detector.decision_value(x) >= 0.0 ? 1 : -1);
+  // Served through the packed float engine, which tracks the float model.
+  const auto served = rt::ServableModel::from_detector(detector);
+  ASSERT_TRUE(served.packed().has_value());
+  const std::span<const std::vector<double>> raw(matrix().samples.data(), 16);
+  const auto rows = test::prepared_rows(served, raw);
+  const auto values = test::served_values(served, raw);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double want = detector.model().decision_value(rows[i]);
+    EXPECT_NEAR(values[i], want, 1e-9 * (1.0 + std::abs(want))) << "window " << i;
+  }
 }
 
 TEST(Tailoring, ZeroMeansKeepEverything) {
@@ -87,13 +103,6 @@ TEST(Tailoring, InputValidation) {
   config.num_features = 999;
   EXPECT_THROW(tailor_detector(matrix().samples, matrix().labels, config),
                std::invalid_argument);
-}
-
-TEST(Tailoring, ClassifyRejectsShortVectors) {
-  auto config = standard_config();
-  const auto detector = tailor_detector(matrix().samples, matrix().labels, config);
-  std::vector<double> too_short(5, 0.0);
-  EXPECT_THROW(detector.classify(too_short), std::invalid_argument);
 }
 
 TEST(Experiment, EnvHelpers) {

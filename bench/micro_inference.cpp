@@ -1,17 +1,28 @@
 // Google-benchmark microbenchmarks of the inference engines and key DSP
 // substrates: one window through the served float and bit-accurate
-// fixed-point engines, per-window feature extraction, FFT, and SMO training.
+// fixed-point engines, each seizure feature family on a served 180 s window
+// (HRV, Lorentz, the AR(9) fit alone and in a pair, the PSD summary), FFT,
+// and SMO training.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <optional>
 #include <random>
+#include <string>
 
 #include "core/quantize.hpp"
 #include "core/tailoring.hpp"
+#include "dsp/ar_model.hpp"
 #include "dsp/fft.hpp"
 #include "ecg/dataset.hpp"
+#include "ecg/ecg_synth.hpp"
+#include "features/ar_features.hpp"
 #include "features/extractor.hpp"
+#include "features/hrv_features.hpp"
+#include "features/lorentz_features.hpp"
+#include "features/psd_features.hpp"
 #include "rt/model_registry.hpp"
+#include "rt/window_extractor.hpp"
 #include "svm/trainer.hpp"
 
 namespace {
@@ -76,14 +87,111 @@ void BM_QuantizedDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizedDecision);
 
-void BM_FeatureExtraction(benchmark::State& state) {
-  const auto& fx = Fixture::get();
-  const auto& window = fx.dataset.sessions.front().windows.front();
+/// What the seizure workload reads from one served window's substrate.
+struct ServedWindow {
+  std::vector<double> rr;   ///< RR intervals [s].
+  std::vector<double> edr;  ///< Uniform EDR series (720 points at 180 s, 4 Hz).
+  dsp::PsdEstimate psd;     ///< The window's Welch PSD.
+};
+
+/// A workload that copies each window's substrate out of the extractor.
+class SubstrateCapture final : public rt::Workload {
+ public:
+  explicit SubstrateCapture(std::vector<ServedWindow>& windows) : windows_(windows) {}
+  const char* name() const override { return "capture"; }
+  std::size_t num_features() const override { return 1; }
+  std::string feature_name(std::size_t) const override { return "captured"; }
+  void extract(const rt::WindowSubstrate& s, features::FeatureScratch& scratch,
+               std::span<double> out) const override {
+    ServedWindow& w = windows_.emplace_back();
+    w.rr.assign(s.rr_s.begin(), s.rr_s.end());
+    w.edr.assign(s.edr.begin(), s.edr.end());
+    if (const dsp::PsdEstimate* psd = s.psd->window_psd(scratch)) w.psd = *psd;
+    out[0] = 0.0;
+  }
+
+ private:
+  std::vector<ServedWindow>& windows_;
+};
+
+/// The paper configuration's served windows (180 s every 30 s, 250 Hz ECG
+/// through the lane detector) of one 5-minute synthetic session, built once.
+const std::vector<ServedWindow>& served_windows() {
+  static const std::vector<ServedWindow> windows = [] {
+    std::vector<ServedWindow> captured;
+    rt::StreamConfig config;
+    config.window_s = 180.0;
+    config.stride_s = 30.0;
+    config.workloads = {std::make_shared<SubstrateCapture>(captured)};
+    ecg::SessionSignalParams session;
+    session.duration_s = 300.0;
+    std::mt19937_64 rng(7);
+    const auto ecg =
+        ecg::synthesize_session(ecg::PatientProfile{}, ecg::SessionEvents{}, session, {}, rng);
+    rt::WindowExtractor extractor(config);
+    const rt::WindowSink sink = [](rt::ExtractedWindow&&) {};
+    extractor.push_samples(0, ecg.samples_mv, sink);
+    extractor.end_patient(0, sink);
+    return captured;
+  }();
+  return windows;
+}
+
+void BM_HrvFeatures(benchmark::State& state) {
+  const ServedWindow& w = served_windows().front();
+  features::FeatureScratch scratch;
+  std::array<double, features::kNumHrvFeatures> out{};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(features::extract_features(window));
+    features::compute_hrv_features(w.rr, scratch, out);
+    benchmark::DoNotOptimize(out);
   }
 }
-BENCHMARK(BM_FeatureExtraction);
+BENCHMARK(BM_HrvFeatures);
+
+void BM_LorentzFeatures(benchmark::State& state) {
+  const ServedWindow& w = served_windows().front();
+  features::FeatureScratch scratch;
+  std::array<double, features::kNumLorentzFeatures> out{};
+  for (auto _ : state) {
+    features::compute_lorentz_features(w.rr, scratch, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_LorentzFeatures);
+
+/// One window's AR(9) fit, alone: the series runs in both lanes.
+void BM_ArFitLone(benchmark::State& state) {
+  const ServedWindow& w = served_windows().front();
+  dsp::BurgScratch scratch;
+  for (auto _ : state) {
+    dsp::ar_burg(w.edr, w.edr, features::kArOrder, scratch);
+    benchmark::DoNotOptimize(scratch.model[0].coefficients.data());
+  }
+}
+BENCHMARK(BM_ArFitLone);
+
+/// Two windows' AR(9) fits in one call, as the extractor pairs them;
+/// items_per_second counts windows.
+void BM_ArFitPair(benchmark::State& state) {
+  const auto& windows = served_windows();
+  dsp::BurgScratch scratch;
+  for (auto _ : state) {
+    dsp::ar_burg(windows[0].edr, windows[1].edr, features::kArOrder, scratch);
+    benchmark::DoNotOptimize(scratch.model[1].coefficients.data());
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_ArFitPair);
+
+void BM_SummarizePsd(benchmark::State& state) {
+  const ServedWindow& w = served_windows().front();
+  std::array<double, features::kNumPsdFeatures> out{};
+  for (auto _ : state) {
+    features::summarize_psd(w.psd, 4.0, out);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_SummarizePsd);
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

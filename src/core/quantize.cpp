@@ -125,6 +125,9 @@ void QuantizedModel::compute_derived(std::size_t nsv) {
     if (needed > config_.dot_truncate_bits) pipeline_.dot_truncate_bits = needed;
   }
   config_.dot_truncate_bits = pipeline_.dot_truncate_bits;
+  // The kernel shifts int64 values right by each truncation.
+  if (config_.dot_truncate_bits > 63 || config_.square_truncate_bits > 63)
+    throw std::invalid_argument("QuantizedModel: truncation wider than 63 bits");
   pipeline_.validate();
   SVT_ASSERT(pipeline_.kernel_input_bits() <= 31);
 
@@ -214,6 +217,23 @@ QuantizedModel QuantizedModel::load(std::istream& is) {
   // of the primaries just read; recomputing them keeps the file format
   // minimal and the loaded engine bit-identical to the built one.
   qm.compute_derived(nsv);
+  // Every integer must be one build() could have written: it saturates each
+  // to its stage's width, and the kernel's int64/int128 arithmetic is sized
+  // on those widths (a wider one overflows it).
+  const auto fits = [](std::int64_t v, int bits) {
+    return v >= fixed::min_signed_value(bits) && v <= fixed::max_signed_value(bits);
+  };
+  for (const std::int64_t q : qm.q_sv_packed_)
+    if (!fits(q, qm.config_.feature_bits))
+      throw std::invalid_argument("QuantizedModel::load: SV integer outside feature_bits");
+  for (const std::int64_t q : qm.q_alpha_y_)
+    if (!fits(q, qm.config_.alpha_bits))
+      throw std::invalid_argument("QuantizedModel::load: alpha_y integer outside alpha_bits");
+  if (!fits(qm.q_one_, qm.pipeline_.mac1_accumulator_bits()))
+    throw std::invalid_argument("QuantizedModel::load: qone outside the MAC1 accumulator");
+  const int bias_bits = std::min(126, qm.pipeline_.mac2_accumulator_bits());
+  if (fixed::saturate128(qm.q_bias_, bias_bits) != qm.q_bias_)
+    throw std::invalid_argument("QuantizedModel::load: qbias outside the MAC2 accumulator");
   return qm;
 }
 

@@ -1,11 +1,15 @@
 #include "dsp/ar_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <numbers>
 #include <stdexcept>
 
-#include "common/assert.hpp"
+#if defined(__SSE2__) || defined(_M_X64)
+#include <emmintrin.h>
+#endif
+
 #include "dsp/statistics.hpp"
 
 namespace svt::dsp {
@@ -60,63 +64,137 @@ ArModel ar_yule_walker(std::span<const double> x, std::size_t order) {
   return levinson_durbin(r, order);
 }
 
-ArModel ar_burg(std::span<const double> x, std::size_t order) {
-  BurgScratch scratch;
-  ar_burg(x, order, scratch);
-  return ArModel{std::move(scratch.a), scratch.noise_variance};
+namespace {
+
+// Two lanes of doubles: one SSE2 register on x86-64 (the baseline ISA, so
+// no flag is needed), a plain pair elsewhere. Every operation acts on each
+// lane alone and rounds like its scalar counterpart, so a lane computes
+// exactly what the scalar recursion computes on its series. The build's
+// -ffp-contract=off keeps mul and add from fusing.
+#if defined(__SSE2__) || defined(_M_X64)
+using Lanes = __m128d;
+inline Lanes load(const double* p) { return _mm_loadu_pd(p); }
+inline void store(double* p, Lanes v) { _mm_storeu_pd(p, v); }
+inline Lanes splat(double v) { return _mm_set1_pd(v); }
+inline Lanes pair(double lane0, double lane1) { return _mm_set_pd(lane1, lane0); }
+inline Lanes add(Lanes a, Lanes b) { return _mm_add_pd(a, b); }
+inline Lanes sub(Lanes a, Lanes b) { return _mm_sub_pd(a, b); }
+inline Lanes mul(Lanes a, Lanes b) { return _mm_mul_pd(a, b); }
+inline Lanes div(Lanes a, Lanes b) { return _mm_div_pd(a, b); }
+inline double lane(Lanes v, std::size_t l) {
+  double out[2];
+  _mm_storeu_pd(out, v);
+  return out[l];
 }
+/// den > 0 ? 2 * num / den : 0 per lane (a NaN den gives 0, as in the
+/// scalar compare; the masked-off quotient is discarded).
+inline Lanes reflection(Lanes num, Lanes den) {
+  const __m128d positive = _mm_cmpgt_pd(den, _mm_setzero_pd());
+  return _mm_and_pd(positive, _mm_div_pd(_mm_mul_pd(_mm_set1_pd(2.0), num), den));
+}
+/// e < 0 ? 0 : e per lane.
+inline Lanes clamp_negative(Lanes e) {
+  return _mm_andnot_pd(_mm_cmplt_pd(e, _mm_setzero_pd()), e);
+}
+#else
+struct Lanes {
+  double v[2];
+};
+inline Lanes load(const double* p) { return {{p[0], p[1]}}; }
+inline void store(double* p, Lanes x) {
+  p[0] = x.v[0];
+  p[1] = x.v[1];
+}
+inline Lanes splat(double v) { return {{v, v}}; }
+inline Lanes pair(double lane0, double lane1) { return {{lane0, lane1}}; }
+inline Lanes add(Lanes a, Lanes b) { return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}}; }
+inline Lanes sub(Lanes a, Lanes b) { return {{a.v[0] - b.v[0], a.v[1] - b.v[1]}}; }
+inline Lanes mul(Lanes a, Lanes b) { return {{a.v[0] * b.v[0], a.v[1] * b.v[1]}}; }
+inline Lanes div(Lanes a, Lanes b) { return {{a.v[0] / b.v[0], a.v[1] / b.v[1]}}; }
+inline double lane(Lanes x, std::size_t l) { return x.v[l]; }
+inline Lanes reflection(Lanes num, Lanes den) {
+  Lanes k;
+  for (std::size_t l = 0; l < 2; ++l) k.v[l] = den.v[l] > 0.0 ? 2.0 * num.v[l] / den.v[l] : 0.0;
+  return k;
+}
+inline Lanes clamp_negative(Lanes e) {
+  for (double& v : e.v)
+    if (v < 0.0) v = 0.0;
+  return e;
+}
+#endif
 
-void ar_burg(std::span<const double> x, std::size_t order, BurgScratch& scratch) {
+}  // namespace
+
+void ar_burg(std::span<const double> x0, std::span<const double> x1, std::size_t order,
+             BurgScratch& scratch) {
   if (order == 0) throw std::invalid_argument("ar_burg: order == 0");
-  if (x.size() <= order) throw std::invalid_argument("ar_burg: series too short");
-  auto& centred = scratch.centred;
-  centred.assign(x.begin(), x.end());
-  remove_mean(centred);
-  const std::size_t n = centred.size();
+  if (x0.size() != x1.size()) throw std::invalid_argument("ar_burg: series lengths differ");
+  if (x0.size() <= order) throw std::invalid_argument("ar_burg: series too short");
+  const std::size_t n = x0.size();
+  const Lanes count = splat(static_cast<double>(n));
 
-  auto& f = scratch.f;  // Forward prediction errors.
-  auto& b = scratch.b;  // Backward prediction errors.
-  auto& a = scratch.a;  // Predictor coefficients built incrementally.
-  f.assign(centred.begin(), centred.end());
-  b.assign(centred.begin(), centred.end());
-  a.clear();
-  a.reserve(order);
-
-  double err = 0.0;
-  for (double v : centred) err += v * v;
-  err /= static_cast<double>(n);
-  if (err <= 0.0) {
-    a.assign(order, 0.0);
-    scratch.noise_variance = 0.0;
-    return;
+  // Remove each series' mean (an in-order sum, one divide), then seed the
+  // forward and backward errors with the centred values and the error
+  // power with their mean square. The loops work through raw pointers: the
+  // vector stores may alias anything, so a vector's own data pointer would
+  // be reloaded after every one.
+  Lanes sum = splat(0.0);
+  for (std::size_t i = 0; i < n; ++i) sum = add(sum, pair(x0[i], x1[i]));
+  const Lanes mean = div(sum, count);
+  scratch.f.resize(2 * n);
+  scratch.b.resize(2 * n);
+  double* const f = scratch.f.data();  // Forward prediction errors.
+  double* const b = scratch.b.data();  // Backward prediction errors.
+  Lanes energy = splat(0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Lanes c = sub(pair(x0[i], x1[i]), mean);
+    store(f + 2 * i, c);
+    store(b + 2 * i, c);
+    energy = add(energy, mul(c, c));
   }
+  Lanes err = div(energy, count);
+  // A constant series (zero error power) gets the all-zero model; its lane
+  // still steps, and its results are discarded below.
+  const bool flat[2] = {lane(err, 0) <= 0.0, lane(err, 1) <= 0.0};
 
-  for (std::size_t m = 0; m < order; ++m) {
+  scratch.a.assign(2 * order, 0.0);
+  scratch.prev.resize(2 * order);
+  double* const a = scratch.a.data();  // Predictor coefficients built incrementally.
+  double* const prev = scratch.prev.data();
+  for (std::size_t m = 0; m < order && !(flat[0] && flat[1]); ++m) {
     // Reflection coefficient k_m = 2 * sum f[i] b[i-1] / (sum f^2 + sum b^2).
-    double num = 0.0, den = 0.0;
+    Lanes num = splat(0.0), den = splat(0.0);
     for (std::size_t i = m + 1; i < n; ++i) {
-      num += f[i] * b[i - 1];
-      den += f[i] * f[i] + b[i - 1] * b[i - 1];
+      const Lanes fi = load(f + 2 * i);
+      const Lanes bi = load(b + 2 * (i - 1));
+      num = add(num, mul(fi, bi));
+      den = add(den, add(mul(fi, fi), mul(bi, bi)));
     }
-    const double k = den > 0.0 ? 2.0 * num / den : 0.0;
+    const Lanes k = reflection(num, den);
 
     // Update predictor coefficients (step-up recursion).
-    auto& prev = scratch.prev;
-    prev.assign(a.begin(), a.end());
-    a.push_back(k);
-    for (std::size_t j = 0; j < m; ++j) a[j] = prev[j] - k * prev[m - 1 - j];
+    std::copy(a, a + 2 * m, prev);
+    store(a + 2 * m, k);
+    for (std::size_t j = 0; j < m; ++j)
+      store(a + 2 * j, sub(load(prev + 2 * j), mul(k, load(prev + 2 * (m - 1 - j)))));
 
     // Update prediction errors (backwards in index to reuse b[i-1]).
     for (std::size_t i = n - 1; i > m; --i) {
-      const double fi = f[i];
-      const double bi = b[i - 1];
-      f[i] = fi - k * bi;
-      b[i] = bi - k * fi;
+      const Lanes fi = load(f + 2 * i);
+      const Lanes bi = load(b + 2 * (i - 1));
+      store(f + 2 * i, sub(fi, mul(k, bi)));
+      store(b + 2 * i, sub(bi, mul(k, fi)));
     }
-    err *= (1.0 - k * k);
-    if (err < 0.0) err = 0.0;
+    err = clamp_negative(mul(err, sub(splat(1.0), mul(k, k))));
   }
-  scratch.noise_variance = err;
+
+  for (std::size_t l = 0; l < 2; ++l) {
+    ArModel& model = scratch.model[l];
+    model.coefficients.resize(order);
+    for (std::size_t j = 0; j < order; ++j) model.coefficients[j] = flat[l] ? 0.0 : a[2 * j + l];
+    model.noise_variance = flat[l] ? 0.0 : lane(err, l);
+  }
 }
 
 }  // namespace svt::dsp

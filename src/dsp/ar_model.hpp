@@ -4,13 +4,15 @@
 // coefficients of an auto-regressive model of the ECG-derived respiration
 // time series. We provide both classic estimators:
 //  * autocorrelation method solved with Levinson-Durbin recursion, and
-//  * Burg's method (forward/backward prediction-error minimisation),
+//  * Burg's method (forward/backward prediction-error minimisation), which
+//    fits two series at once in SIMD lanes,
 // plus the model's parametric spectrum for validation.
 //
 // Convention: x[n] = sum_{k=1..p} a[k] * x[n-k] + e[n]; coefficients() returns
 // [a1..ap]. The prediction-error (driving noise) variance is also reported.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -37,19 +39,27 @@ ArModel levinson_durbin(std::span<const double> autocorr, std::size_t order);
 /// Throws if x.size() <= order or order == 0.
 ArModel ar_yule_walker(std::span<const double> x, std::size_t order);
 
-/// AR estimation by Burg's method. Throws if x.size() <= order or order == 0.
-ArModel ar_burg(std::span<const double> x, std::size_t order);
-
-/// Reusable workspace for the scratch Burg path (forward/backward error
-/// series, coefficient vectors). Allocation-free once warm.
+/// Workspace for ar_burg: both lanes' forward/backward prediction errors
+/// and coefficients, lane-interleaved (element 2 * i + lane), plus the two
+/// fitted models. Allocation-free once warm.
 struct BurgScratch {
-  std::vector<double> centred, f, b, a, prev;
-  double noise_variance = 0.0;
+  std::vector<double> f, b, a, prev;
+  std::array<ArModel, 2> model;  ///< model[l]: the fit of lane l's series.
 };
 
-/// Scratch variant of ar_burg: coefficients land in scratch.a (size =
-/// order) and the prediction-error variance in scratch.noise_variance.
-/// Bit-identical to ar_burg — the allocating overload delegates here.
-void ar_burg(std::span<const double> x, std::size_t order, BurgScratch& scratch);
+/// AR estimation by Burg's method, two equal-length series in lockstep:
+/// lane l fits x0 (l = 0) or x1 (l = 1), and its model lands in
+/// scratch.model[l] (coefficients sized `order`, capacity reused). Each lane
+/// runs the scalar recursion's operations in the scalar order (mean
+/// removal, the reflection sums, the step-up and error updates), so each
+/// model is bit-identical to fitting its series alone; the lanes share one
+/// SSE2 instruction per step on x86-64, and run the same loop in plain C++
+/// elsewhere. The recursion is bound by its serial sums, so a second series
+/// costs little more than the first. A lone series runs in both lanes
+/// (pass it twice). A constant series gets the all-zero model with zero
+/// noise variance. Throws if the lengths differ, x0.size() <= order or
+/// order == 0.
+void ar_burg(std::span<const double> x0, std::span<const double> x1, std::size_t order,
+             BurgScratch& scratch);
 
 }  // namespace svt::dsp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "dsp/fft.hpp"
@@ -111,15 +112,31 @@ void welch_segment_psd(std::span<const double> x, double fs_hz, const WelchParam
                      /*accumulate=*/false);
 }
 
+namespace {
+
+/// The bins [first, last) a full scan would select for the band [f_lo,
+/// f_hi): those with f >= f_lo and f < f_hi. Over ascending frequencies the
+/// first test fails on a prefix and the second holds on a prefix, so two
+/// binary searches with those same comparisons find the run. A NaN edge
+/// fails its comparison everywhere, and the run comes out empty, as in a
+/// scan.
+std::pair<std::size_t, std::size_t> band_bins(const PsdEstimate& psd, double f_lo, double f_hi) {
+  const auto& f = psd.frequency_hz;
+  const auto first =
+      std::partition_point(f.begin(), f.end(), [f_lo](double v) { return !(v >= f_lo); });
+  const auto last = std::partition_point(first, f.end(), [f_hi](double v) { return v < f_hi; });
+  return {static_cast<std::size_t>(first - f.begin()), static_cast<std::size_t>(last - f.begin())};
+}
+
+}  // namespace
+
 double band_power(const PsdEstimate& psd, double f_lo, double f_hi) {
   if (f_hi < f_lo) throw std::invalid_argument("band_power: f_hi < f_lo");
   const double df = psd.resolution_hz();
   if (df <= 0.0) return 0.0;
+  const auto [first, last] = band_bins(psd, f_lo, f_hi);
   double acc = 0.0;
-  for (std::size_t k = 0; k < psd.frequency_hz.size(); ++k) {
-    const double f = psd.frequency_hz[k];
-    if (f >= f_lo && f < f_hi) acc += psd.power[k] * df;
-  }
+  for (std::size_t k = first; k < last; ++k) acc += psd.power[k] * df;
   return acc;
 }
 
@@ -133,11 +150,11 @@ double total_power(const PsdEstimate& psd) {
 double peak_frequency(const PsdEstimate& psd, double f_lo, double f_hi) {
   double best_f = f_lo;
   double best_p = -1.0;
-  for (std::size_t k = 0; k < psd.frequency_hz.size(); ++k) {
-    const double f = psd.frequency_hz[k];
-    if (f >= f_lo && f < f_hi && psd.power[k] > best_p) {
+  const auto [first, last] = band_bins(psd, f_lo, f_hi);
+  for (std::size_t k = first; k < last; ++k) {
+    if (psd.power[k] > best_p) {
       best_p = psd.power[k];
-      best_f = f;
+      best_f = psd.frequency_hz[k];
     }
   }
   return best_f;

@@ -18,9 +18,11 @@
 namespace svt::dsp {
 
 /// A one-sided PSD estimate: power[k] corresponds to frequency_hz[k].
+/// frequency_hz ascends (every producer writes df * k), which is what lets
+/// band_power and peak_frequency find a band's bins by binary search.
 struct PsdEstimate {
-  std::vector<double> frequency_hz;
-  std::vector<double> power;  ///< Units: input^2 / Hz.
+  std::vector<double> frequency_hz;  ///< Ascending bin frequencies [Hz].
+  std::vector<double> power;         ///< Units: input^2 / Hz.
 
   /// Frequency resolution (spacing between bins) in Hz.
   double resolution_hz() const;
@@ -74,14 +76,17 @@ void welch_segment_psd(std::span<const double> x, double fs_hz, const WelchParam
 
 /// Integrated power in [f_lo, f_hi) via trapezoid-free bin summation
 /// (power * resolution for bins whose centre falls in the band).
-/// Throws if f_hi < f_lo.
+/// Throws if f_hi < f_lo. Visits only the band's run of bins, found by
+/// binary search with the comparisons a full scan would make (f >= f_lo,
+/// f < f_hi), so it adds the same terms in the same order as that scan.
 double band_power(const PsdEstimate& psd, double f_lo, double f_hi);
 
 /// Total power over the whole estimate.
 double total_power(const PsdEstimate& psd);
 
-/// Frequency of the largest PSD bin within [f_lo, f_hi). Returns f_lo if the
-/// band contains no bins.
+/// Frequency of the largest PSD bin within [f_lo, f_hi) (the first one on a
+/// tie). Returns f_lo if the band contains no bins. Visits only the band's
+/// run of bins, like band_power.
 double peak_frequency(const PsdEstimate& psd, double f_lo, double f_hi);
 
 /// Spectral edge frequency: smallest f such that the cumulative power up to f

@@ -61,20 +61,25 @@ double max_value(std::span<const double> x) {
 
 double percentile(std::span<const double> x, double p) {
   require_non_empty(x, "percentile");
-  std::vector<double> sorted(x.begin(), x.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> copy(x.begin(), x.end());
+  return percentile_select(copy, p);
 }
 
-double percentile_sorted(std::span<const double> sorted, double p) {
-  require_non_empty(sorted, "percentile_sorted");
+double percentile_select(std::span<double> x, double p) {
+  require_non_empty(x, "percentile");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of [0,100]");
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  if (x.size() == 1) return x.front();
+  const double pos = p / 100.0 * static_cast<double>(x.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(pos));
   const auto hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  // x[lo] becomes the lo-th order statistic, with everything after it no
+  // smaller, so the (lo+1)-th is the minimum of that upper part.
+  const auto nth = x.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(x.begin(), nth, x.end());
+  const double at_lo = *nth;
+  const double at_hi = hi == lo ? at_lo : *std::min_element(nth + 1, x.end());
+  return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
 double median(std::span<const double> x) { return percentile(x, 50.0); }

@@ -38,14 +38,19 @@ double max_value(std::span<const double> x);
 /// Median (interpolated for even-sized inputs). Throws on empty input.
 double median(std::span<const double> x);
 
-/// Linear-interpolated percentile, p in [0,100]. Throws on empty input or
-/// out-of-range p.
+/// Linear-interpolated percentile, p in [0,100]: the value at position
+/// p/100 * (N-1) of the ascending order, interpolated between the two order
+/// statistics around it. Copies x, then runs percentile_select on the copy.
+/// Throws on empty input or out-of-range p.
 double percentile(std::span<const double> x, double p);
 
-/// percentile() over an ALREADY ascending-sorted span (no copy, no sort).
-/// The scratch feature path sorts once and reads several percentiles from
-/// the same buffer; percentile() delegates here, so both agree bit-for-bit.
-double percentile_sorted(std::span<const double> sorted, double p);
+/// percentile() in place, without a sort: reorders x (std::nth_element for
+/// the lower order statistic, then a min over the part above it for the
+/// upper one) and interpolates the two exactly as percentile() does, so
+/// both agree bit for bit. Any order of x is valid input, so several
+/// percentiles can be read from one buffer (the HRV path reads its IQR this
+/// way). Same throws as percentile().
+double percentile_select(std::span<double> x, double p);
 
 /// Population covariance between two equally-sized series. Throws on size
 /// mismatch or empty input.

@@ -12,10 +12,11 @@ void compute_ar_features(std::span<const double> edr_values, FeatureScratch& scr
                          std::span<double> f) {
   SVT_ASSERT(f.size() == kNumArFeatures);
   std::fill(f.begin(), f.end(), 0.0);
-  if (edr_values.size() <= kArOrder + 1) return;
-  if (dsp::stddev_population(edr_values) <= 0.0) return;
-  dsp::ar_burg(edr_values, kArOrder, scratch.burg);
-  for (std::size_t i = 0; i < kNumArFeatures; ++i) f[i] = scratch.burg.a[i];
+  const bool flat = edr_values.empty() || dsp::stddev_population(edr_values) <= 0.0;
+  if (!ar_fit_gate(edr_values.size(), flat)) return;
+  dsp::ar_burg(edr_values, edr_values, kArOrder, scratch.burg);
+  const auto& a = scratch.burg.model[0].coefficients;
+  std::copy(a.begin(), a.end(), f.begin());
 }
 
 }  // namespace svt::features

@@ -6,29 +6,39 @@
 #include <string>
 #include <utility>
 
+#include "dsp/ar_model.hpp"
 #include "dsp/statistics.hpp"
+#include "features/ar_features.hpp"
 
 namespace svt::rt {
 
 namespace {
 
-/// Segment-cached PSD source: applies the compute_psd_features gates to the
-/// assembled window, then serves the averaged memoized periodograms.
+/// Segment-cached PSD source: serves the averaged memoized periodograms of
+/// the assembled window when compute_psd_features' gates (at least 32
+/// values, not flat) passed for it.
 class CachePsdSource final : public WindowPsdSource {
  public:
-  CachePsdSource(features::SegmentFeatureCache& cache, std::int64_t m0,
-                 std::span<const double> edr)
-      : cache_(cache), m0_(m0), edr_(edr) {}
+  CachePsdSource(features::SegmentFeatureCache& cache, std::int64_t m0, bool gate_passed)
+      : cache_(cache), m0_(m0), gate_passed_(gate_passed) {}
 
   const dsp::PsdEstimate* window_psd(features::FeatureScratch& scratch) override {
-    if (edr_.size() < 32 || dsp::stddev_population(edr_) <= 0.0) return nullptr;
-    return &cache_.window_psd(m0_, scratch.spectral);
+    return gate_passed_ ? &cache_.window_psd(m0_, scratch.spectral) : nullptr;
   }
 
  private:
   features::SegmentFeatureCache& cache_;
   std::int64_t m0_;
-  std::span<const double> edr_;
+  bool gate_passed_;
+};
+
+/// Empties a vector on scope exit. Around an emission it keeps a workload
+/// or sink that throws from leaving a pending window whose views would
+/// dangle.
+template <class T>
+struct ClearOnExit {
+  std::vector<T>& values;
+  ~ClearOnExit() { values.clear(); }
 };
 
 }  // namespace
@@ -167,8 +177,9 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
     stats_.lane_scalar_samples += detector.scalar_samples() - scalar_before;
   }
 
-  // Emission runs per patient in chunk order, so each patient's windows
-  // arrive contiguously and in stream order.
+  // Every patient's bookkeeping catches up with its detector before any
+  // window is emitted, so a workload or sink that throws below cannot leave
+  // a patient's sample count behind its lane.
   for (const auto& chunk : chunks) {
     PatientState& state = patients_.find(chunk.patient_id)->second;
     // Quality gate: scan the raw chunk at its absolute stream offset. The
@@ -180,9 +191,19 @@ void WindowExtractor::push_batch(std::span<const PatientChunk> chunks, const Win
       stats_.quality += state.gate->stats() - before;
     }
     state.pushed += static_cast<std::int64_t>(chunk.samples_mv.size());
-    emit_ready_windows(chunk.patient_id, state, packs_[state.pack]->final_through(state.lane),
-                       sink);
   }
+
+  // Emission runs in two phases. Each patient, in chunk order, assembles
+  // and gates its ready windows; then emit_pending fits their AR models in
+  // pairs and runs the workloads and the sink over them in that order, so
+  // each patient's windows arrive contiguously and in stream order.
+  const ClearOnExit<PendingWindow> clear{pending_};
+  for (const auto& chunk : chunks) {
+    PatientState& state = patients_.find(chunk.patient_id)->second;
+    queue_ready_windows(chunk.patient_id, state, packs_[state.pack]->final_through(state.lane),
+                        sink);
+  }
+  emit_pending(sink);
 }
 
 void WindowExtractor::push_samples(int patient_id, std::span<const double> samples_mv,
@@ -191,16 +212,18 @@ void WindowExtractor::push_samples(int patient_id, std::span<const double> sampl
   push_batch({&chunk, 1}, sink);
 }
 
-void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
-                                         std::int64_t frontier, const WindowSink& sink) {
+void WindowExtractor::queue_ready_windows(int patient_id, PatientState& state,
+                                          std::int64_t frontier, const WindowSink& sink) {
   // A window [start, start + W) is complete once every beat that can fall
   // inside it is final — i.e. the frontier has passed its end.
   const auto window = static_cast<std::int64_t>(window_samples_);
   auto& detector = *packs_[state.pack];
+  bool queued = false;
   while (frontier >= state.consumed + window) {
-    const features::SegmentCacheStats cache_before = state.cache->stats();
-    emit_window(patient_id, state, sink);
-    stats_.cache += state.cache->stats() - cache_before;
+    // The patient's next assembly overwrites the views (and may evict the
+    // chunks) of the window it queued last: emit the batch first.
+    if (queued) emit_pending(sink);
+    queued = queue_window(patient_id, state);
     state.consumed += static_cast<std::int64_t>(stride_samples_);
     // The chunked pipeline keeps one stride of left context behind the next
     // window (a chunk at m interpolates from beats in [(m-1)*S, (m+1)*S)).
@@ -212,7 +235,7 @@ void WindowExtractor::emit_ready_windows(int patient_id, PatientState& state,
   }
 }
 
-void WindowExtractor::emit_window(int patient_id, PatientState& state, const WindowSink& sink) {
+bool WindowExtractor::queue_window(int patient_id, PatientState& state) {
   features::SegmentFeatureCache& cache = *state.cache;
   const auto& layout = cache.layout();
   const std::int64_t start = state.consumed;
@@ -221,12 +244,14 @@ void WindowExtractor::emit_window(int patient_id, PatientState& state, const Win
   // Ensure every covered chunk's products (EDR values, RR slice, beat
   // count), then assemble the window by concatenation — at 6x overlap five
   // of the six chunks are already resident in steady state.
+  const features::SegmentCacheStats cache_before = cache.stats();
   const auto& ring = packs_[state.pack]->beats(state.lane);
   for (std::int64_t j = 0; j < layout.chunks_per_window; ++j) cache.chunk(ring, m0 + j);
   const auto view = cache.assemble_window(m0);
+  stats_.cache += cache.stats() - cache_before;
   if (view.beats < config_.min_beats || view.beats < 2) {
     ++stats_.rejected_windows;
-    return;
+    return false;
   }
 
   // Quality gating happens once per window position, before any workload
@@ -244,35 +269,79 @@ void WindowExtractor::emit_window(int patient_id, PatientState& state, const Win
     if (flags != 0) {
       if (config_.quality.policy == ecg::QualityPolicy::kSuppress) {
         ++stats_.quality.windows_suppressed;
-        return;
+        return false;
       }
       ++stats_.quality.windows_annotated;
     }
   }
 
-  // The substrate is built once and shared by every registered workload.
-  // Its PSD source serves the average of the memoized per-segment
-  // periodograms instead of re-running Welch over the window (applying
-  // compute_psd_features' gates to the assembled EDR first).
-  CachePsdSource psd_source(cache, m0, view.edr);
-  WindowSubstrate substrate;
-  substrate.rr_s = view.rr;
-  substrate.edr = view.edr;
-  substrate.edr_fs_hz = config_.edr_fs_hz;
-  substrate.num_beats = view.beats;
-  substrate.psd = &psd_source;
-  for (std::uint32_t w = 0; w < workloads_.size(); ++w) {
-    const Workload& workload = *workloads_[w];
-    ExtractedWindow out;
-    out.patient_id = patient_id;
-    out.start_s = static_cast<double>(start) / config_.fs_hz;
-    out.num_beats = view.beats;
-    out.workload = w;
-    out.quality = flags;
-    out.num_features = workload.num_features();
-    workload.extract(substrate, scratch_, {out.raw_features.data(), out.num_features});
-    sink(std::move(out));
+  // The flatness test is shared by the AR and the PSD gates (the
+  // assembled EDR is never empty).
+  const bool flat = dsp::stddev_population(view.edr) <= 0.0;
+  PendingWindow& pending = pending_.emplace_back();
+  pending.patient_id = patient_id;
+  pending.cache = &cache;
+  pending.start = start;
+  pending.flags = flags;
+  pending.view = view;
+  pending.fit_ar = features::ar_fit_gate(view.edr.size(), flat);
+  pending.psd_gate = view.edr.size() >= 32 && !flat;
+  return true;
+}
+
+void WindowExtractor::emit_pending(const WindowSink& sink) {
+  // Fit the AR models of the windows that pass the gate two at a time, in
+  // queue order; an odd one out runs in both lanes. Every window of one
+  // extractor has the same EDR length, so any two pair up.
+  PendingWindow* lone = nullptr;
+  const auto fit = [this](PendingWindow& w0, PendingWindow& w1) {
+    dsp::ar_burg(w0.view.edr, w1.view.edr, features::kArOrder, scratch_.burg);
+    const auto& a0 = scratch_.burg.model[0].coefficients;
+    const auto& a1 = scratch_.burg.model[1].coefficients;
+    std::copy(a0.begin(), a0.end(), w0.ar.begin());
+    std::copy(a1.begin(), a1.end(), w1.ar.begin());
+  };
+  for (PendingWindow& window : pending_) {
+    if (!window.fit_ar) continue;
+    if (lone == nullptr) {
+      lone = &window;
+    } else {
+      fit(*lone, window);
+      lone = nullptr;
+    }
   }
+  if (lone != nullptr) fit(*lone, *lone);
+
+  // The substrate is built once per window and shared by every registered
+  // workload. Its PSD source serves the average of the memoized per-segment
+  // periodograms instead of re-running Welch over the window.
+  for (PendingWindow& window : pending_) {
+    features::SegmentFeatureCache& cache = *window.cache;
+    const features::SegmentCacheStats cache_before = cache.stats();
+    CachePsdSource psd_source(cache, window.start / cache.layout().stride_samples,
+                              window.psd_gate);
+    WindowSubstrate substrate;
+    substrate.rr_s = window.view.rr;
+    substrate.edr = window.view.edr;
+    substrate.edr_fs_hz = config_.edr_fs_hz;
+    substrate.num_beats = window.view.beats;
+    substrate.ar = window.ar;
+    substrate.psd = &psd_source;
+    for (std::uint32_t w = 0; w < workloads_.size(); ++w) {
+      const Workload& workload = *workloads_[w];
+      ExtractedWindow out;
+      out.patient_id = window.patient_id;
+      out.start_s = static_cast<double>(window.start) / config_.fs_hz;
+      out.num_beats = window.view.beats;
+      out.workload = w;
+      out.quality = window.flags;
+      out.num_features = workload.num_features();
+      workload.extract(substrate, scratch_, {out.raw_features.data(), out.num_features});
+      sink(std::move(out));
+    }
+    stats_.cache += cache.stats() - cache_before;
+  }
+  pending_.clear();
 }
 
 bool WindowExtractor::end_patient(int patient_id, const WindowSink& sink) {
@@ -282,7 +351,11 @@ bool WindowExtractor::end_patient(int patient_id, const WindowSink& sink) {
   // finish() runs the remaining decisions with the batch detector's
   // end-of-record clamping, so every beat is final through the last sample.
   packs_[state.pack]->finish(state.lane);
-  emit_ready_windows(patient_id, state, state.pushed, sink);
+  {
+    const ClearOnExit<PendingWindow> clear{pending_};
+    queue_ready_windows(patient_id, state, state.pushed, sink);
+    emit_pending(sink);
+  }
   release_patient(state);
   patients_.erase(it);
   return true;

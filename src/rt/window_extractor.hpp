@@ -5,8 +5,9 @@
 //   ┌──────────────────────────┐ beats ┌───────────────────────────────────┐
 //   │ lane packs: up to 8      │ ring  │ per-stride chunks (RR, EDR, Welch)│  sink(
 //   │ patients' Pan-Tompkins   │ ────> │ -> memoized, assembled per window │ ─ ExtractedWindow)
-//   │ chains in SIMD lockstep  │       │ -> raw features per workload      │
-//   └──────────────────────────┘       └───────────────────────────────────┘
+//   │ chains in SIMD lockstep  │       │ -> AR fits in pairs               │
+//   └──────────────────────────┘       │ -> raw features per workload      │
+//                                      └───────────────────────────────────┘
 //
 // Extraction is *incremental*: each raw sample runs through the online
 // Pan-Tompkins chain exactly once as it arrives, and a window is assembled
@@ -32,6 +33,15 @@
 // pooled for the next same-pack patient, and a fully empty pack is
 // released outright — resident detector memory is bounded by the number of
 // concurrently active patients, not by patient churn.
+//
+// Each call emits in two phases: every patient first assembles and gates
+// its completed windows (rejecting or suppressing some), then the queued
+// windows' Burg AR(9) models are fitted two at a time (dsp::ar_burg, two
+// windows per SSE2 instruction, each lane bit-identical to a lone fit),
+// and the workloads and the sink run over the queue in order. The
+// substrate carries each window's fit. A patient's assembled window is
+// valid only until its next assembly, so the queue is emitted before a
+// patient assembles a second window in one call.
 //
 // Because detection is causal with a bounded lookahead (the R-peak search
 // runs behind the integrator), a window is emitted once the detector's
@@ -133,7 +143,10 @@ class WindowExtractor {
   /// window whose beats have become final, grouped per patient in chunk
   /// order. A first chunk creates the patient's stream (claiming a lane in
   /// the first pack with a free slot). Throws std::invalid_argument, before
-  /// any state changes, when a patient id appears twice in one call.
+  /// any state changes, when a patient id appears twice in one call. A
+  /// workload or sink that throws propagates out after every chunk has
+  /// been ingested; the call's windows that had not reached the sink are
+  /// lost, and none stays pending.
   void push_batch(std::span<const PatientChunk> chunks, const WindowSink& sink);
 
   /// Single-patient convenience: exactly push_batch of one chunk.
@@ -200,15 +213,34 @@ class WindowExtractor {
     std::unique_ptr<ecg::SignalQualityGate> gate;
   };
 
+  /// A window assembled and gated in an emission's first phase, waiting for
+  /// its AR fit and its workloads. Its views stay valid until its patient's
+  /// next assembly.
+  struct PendingWindow {
+    int patient_id = 0;
+    features::SegmentFeatureCache* cache = nullptr;  ///< The patient's cache.
+    std::int64_t start = 0;                          ///< Window start (samples).
+    std::uint32_t flags = 0;                         ///< ecg::quality_flags bitmask.
+    features::SegmentFeatureCache::WindowView view;
+    bool fit_ar = false;                                ///< features::ar_fit_gate passed.
+    bool psd_gate = false;                              ///< compute_psd_features' gates passed.
+    std::array<double, features::kNumArFeatures> ar{};  ///< The fit; zero unless fit_ar.
+  };
+
   PatientState& find_or_create(int patient_id);
   std::size_t claim_pack();  ///< Pack index with a free lane (first fit).
   void release_patient(PatientState& state);
-  void emit_ready_windows(int patient_id, PatientState& state, std::int64_t frontier,
-                          const WindowSink& sink);
-  /// Assemble the window at state.consumed from its stride chunks, gate it
-  /// (annotate or suppress), then run every registered workload over the
-  /// substrate and sink one ExtractedWindow per workload.
-  void emit_window(int patient_id, PatientState& state, const WindowSink& sink);
+  /// Queue every window the frontier has completed, emitting the batch
+  /// before the patient assembles a second one.
+  void queue_ready_windows(int patient_id, PatientState& state, std::int64_t frontier,
+                           const WindowSink& sink);
+  /// Assemble the window at state.consumed from its stride chunks and gate
+  /// it (reject, annotate or suppress). Returns whether it was queued.
+  bool queue_window(int patient_id, PatientState& state);
+  /// Fit the pending windows' AR models two at a time, then run every
+  /// registered workload over each pending window in queue order, sinking
+  /// one ExtractedWindow per workload, and empty the batch.
+  void emit_pending(const WindowSink& sink);
 
   StreamConfig config_;
   std::size_t window_samples_ = 0;
@@ -226,6 +258,7 @@ class WindowExtractor {
   // Per-extractor scratch (extractors are single-threaded): reused across
   // every patient and window, so steady-state emission never allocates.
   features::FeatureScratch scratch_;
+  std::vector<PendingWindow> pending_;  ///< One emission's queued windows.
   std::vector<ecg::LaneQrsDetector::LaneChunk> lane_chunks_;  ///< push_batch scratch.
 };
 

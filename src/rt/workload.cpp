@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "features/af_features.hpp"
-#include "features/ar_features.hpp"
 #include "features/feature_types.hpp"
 #include "features/hrv_features.hpp"
 #include "features/lorentz_features.hpp"
@@ -37,8 +36,9 @@ class ApneaWorkload final : public Workload {
     features::compute_lorentz_features(s.rr_s, scratch,
                                        out.subspan(off, features::kNumLorentzFeatures));
     off += features::kNumLorentzFeatures;
-    features::compute_ar_features(s.edr, scratch,
-                                  out.subspan(off, features::kNumArFeatures));
+    // The extractor fitted the AR model (in pairs, behind the AR gate).
+    SVT_ASSERT(s.ar.size() == features::kNumArFeatures);
+    std::copy(s.ar.begin(), s.ar.end(), out.begin() + static_cast<std::ptrdiff_t>(off));
     off += features::kNumArFeatures;
     // The provider applies the PSD gates and hands back the averaged
     // memoized periodograms (null = gates failed, keep the zero fill —

@@ -6,12 +6,20 @@
 // per-window half of the pipeline: it owns its feature *schema* (count +
 // names) and its extraction hook over the per-patient substrate the
 // extractor computes ONCE per window regardless of how many workloads
-// consume it — the window's RR tachogram, its uniform EDR series, and the
-// memoized window PSD, all assembled from segment-cached stride chunks:
+// consume it — the window's RR tachogram, its uniform EDR series, the
+// Burg AR fit of that series, and the memoized window PSD, all assembled
+// from segment-cached stride chunks:
 //
 //                      ┌ Workload 0 (apnea, 53) ─> ExtractedWindow{w=0}
 //   beat ring ─> RR ───┤
 //            └─> EDR ──┴ Workload 1 (AF,     3) ─> ExtractedWindow{w=1}
+//                 └─> AR fit, PSD (read by workload 0)
+//
+// The AR fit is the one product the extractor computes before any workload
+// runs: it fits the windows of one push_batch / end_patient call two at a
+// time (dsp::ar_burg's lanes), so the fits of two patients share each SSE2
+// instruction. It fits every window that passes the AR gate, whichever
+// workloads the stream serves.
 //
 // What a workload does NOT own: windowing (geometry is per stream, shared),
 // QRS detection, the quality gate, or classification back ends — models are
@@ -20,9 +28,10 @@
 //
 // Bit-exactness contract: a config whose `workloads` list is empty serves
 // exactly {apnea_workload()} as workload 0, and ApneaWorkload::extract runs
-// the same span-based kernels (and the same PSD gates) as the pre-workload
-// segment-cached extractor did — so single-workload results are
-// bit-identical to the old engine.
+// the same span-based kernels (and the same AR and PSD gates) as the
+// dataset path's extract_features, on the substrate's series — so the
+// features of a series do not depend on which path, or which Burg lane,
+// computed them.
 // Extraction hooks must be pure (no per-call state beyond the scratch):
 // workloads are shared across shards and threads by const pointer.
 #pragma once
@@ -61,6 +70,9 @@ struct WindowSubstrate {
   std::span<const double> edr;   ///< Uniform mean-removed EDR series.
   double edr_fs_hz = 0.0;
   std::size_t num_beats = 0;     ///< R peaks inside the window.
+  /// The Burg AR(features::kArOrder) coefficients a1..a9 of `edr`, all zero
+  /// where features::ar_fit_gate fails; always set by the extractor.
+  std::span<const double> ar;
   /// The window's PSD; always set by the extractor.
   WindowPsdSource* psd = nullptr;
 };

@@ -354,54 +354,74 @@ void expect_windows_equal(const std::vector<rt::ExtractedWindow>& got,
 
 // push_batch over lane packs emits byte-identical windows to the dedicated
 // per-patient push_samples path — for every tier, and with 9 patients the
-// population spills into a second pack.
+// population spills into a second pack. Two inputs: short windows with
+// each patient's chunk length drawn on its own, and the paper's 180 s / 30 s
+// windows with one length per round, so every patient completes its
+// windows in the same round and the extractor fits their 720-point AR
+// models in pairs, against the solo path's one fit per call.
 TEST(LaneWindowExtractor, BatchWindowsBitIdenticalToPerPatientPath) {
+  struct Input {
+    const char* name;
+    rt::StreamConfig config;
+    double duration_s;
+    bool shared_lengths;  ///< One chunk length per round for every patient.
+  };
+  rt::StreamConfig paper;
+  paper.window_s = 180.0;
+  paper.stride_s = 30.0;
+  const Input inputs[] = {{"5 s / 2.5 s", short_windows(), 40.0, false},
+                          {"180 s / 30 s", paper, 280.0, true}};
   constexpr std::size_t kPatients = ecg::LaneQrsDetector::kMaxLanes + 1;
-  std::vector<ecg::EcgWaveform> records;
-  for (std::size_t p = 0; p < kPatients; ++p) records.push_back(synth_ecg(40.0, 2200 + p));
-  const auto config = short_windows();
-
-  // Reference: each patient alone through its own extractor, whole record.
-  std::vector<std::vector<rt::ExtractedWindow>> want(kPatients);
-  for (std::size_t p = 0; p < kPatients; ++p) {
-    rt::WindowExtractor solo(config);
-    auto sink = [&](rt::ExtractedWindow&& window) { want[p].push_back(std::move(window)); };
-    solo.push_samples(static_cast<int>(p), records[p].samples_mv, sink);
-    solo.end_patient(static_cast<int>(p), sink);
-  }
-
-  for (const auto tier : available_tiers()) {
-    TierGuard guard(tier);
-    rt::WindowExtractor batch(config);
-    std::vector<std::vector<rt::ExtractedWindow>> got(kPatients);
-    auto sink = [&](rt::ExtractedWindow&& window) {
-      got[static_cast<std::size_t>(window.patient_id)].push_back(std::move(window));
-    };
-
-    std::mt19937_64 rng(31 + static_cast<std::uint64_t>(tier));
-    std::uniform_int_distribution<std::size_t> len_dist(0, 800);
-    std::vector<std::size_t> offset(kPatients, 0);
-    bool any_left = true;
-    while (any_left) {
-      any_left = false;
-      std::vector<rt::WindowExtractor::PatientChunk> chunks;
-      for (std::size_t p = 0; p < kPatients; ++p) {
-        const auto& samples = records[p].samples_mv;
-        if (offset[p] >= samples.size()) continue;
-        any_left = true;
-        const std::size_t len = std::min(len_dist(rng), samples.size() - offset[p]);
-        if (len == 0) continue;
-        chunks.push_back({static_cast<int>(p),
-                          std::span<const double>(samples).subspan(offset[p], len)});
-        offset[p] += len;
-      }
-      if (!chunks.empty()) batch.push_batch(chunks, sink);
-    }
-    for (std::size_t p = 0; p < kPatients; ++p) batch.end_patient(static_cast<int>(p), sink);
-
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    std::vector<ecg::EcgWaveform> records;
     for (std::size_t p = 0; p < kPatients; ++p)
-      expect_windows_equal(got[p], want[p], static_cast<int>(p));
-    EXPECT_GT(want[0].size(), 2u);  // The comparison is not vacuous.
+      records.push_back(synth_ecg(input.duration_s, 2200 + p));
+
+    // Reference: each patient alone through its own extractor, whole record.
+    std::vector<std::vector<rt::ExtractedWindow>> want(kPatients);
+    for (std::size_t p = 0; p < kPatients; ++p) {
+      rt::WindowExtractor solo(input.config);
+      auto sink = [&](rt::ExtractedWindow&& window) { want[p].push_back(std::move(window)); };
+      solo.push_samples(static_cast<int>(p), records[p].samples_mv, sink);
+      solo.end_patient(static_cast<int>(p), sink);
+    }
+
+    for (const auto tier : available_tiers()) {
+      TierGuard guard(tier);
+      rt::WindowExtractor batch(input.config);
+      std::vector<std::vector<rt::ExtractedWindow>> got(kPatients);
+      auto sink = [&](rt::ExtractedWindow&& window) {
+        got[static_cast<std::size_t>(window.patient_id)].push_back(std::move(window));
+      };
+
+      std::mt19937_64 rng(31 + static_cast<std::uint64_t>(tier));
+      std::uniform_int_distribution<std::size_t> len_dist(0, 800);
+      std::vector<std::size_t> offset(kPatients, 0);
+      bool any_left = true;
+      while (any_left) {
+        any_left = false;
+        const std::size_t round_len = len_dist(rng);
+        std::vector<rt::WindowExtractor::PatientChunk> chunks;
+        for (std::size_t p = 0; p < kPatients; ++p) {
+          const auto& samples = records[p].samples_mv;
+          if (offset[p] >= samples.size()) continue;
+          any_left = true;
+          const std::size_t drawn = input.shared_lengths ? round_len : len_dist(rng);
+          const std::size_t len = std::min(drawn, samples.size() - offset[p]);
+          if (len == 0) continue;
+          chunks.push_back({static_cast<int>(p),
+                            std::span<const double>(samples).subspan(offset[p], len)});
+          offset[p] += len;
+        }
+        if (!chunks.empty()) batch.push_batch(chunks, sink);
+      }
+      for (std::size_t p = 0; p < kPatients; ++p) batch.end_patient(static_cast<int>(p), sink);
+
+      for (std::size_t p = 0; p < kPatients; ++p)
+        expect_windows_equal(got[p], want[p], static_cast<int>(p));
+      EXPECT_GT(want[0].size(), 2u);  // The comparison is not vacuous.
+    }
   }
 }
 

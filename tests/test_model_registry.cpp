@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/tailoring.hpp"
+#include "fixed/fixed_point.hpp"
 #include "rt/model_registry.hpp"
 #include "svm/kernel.hpp"
 #include "support/fixtures.hpp"
@@ -154,6 +155,29 @@ std::string edit_field(const std::string& text, const std::string& tag, int occu
   return text.substr(0, begin) + value + text.substr(end);
 }
 
+/// `text` with token `column` (0-based) of the `row`-th line after the
+/// first line starting with `tag` replaced by `value`; row 0 is that line
+/// itself, whose column 0 is the tag.
+std::string edit_token(const std::string& text, const std::string& tag, std::size_t row,
+                       std::size_t column, const std::string& value) {
+  std::size_t at = text.find("\n" + tag + " ");
+  EXPECT_NE(at, std::string::npos) << tag;
+  if (at == std::string::npos) return text;
+  for (std::size_t line = 0; line < row; ++line) at = text.find('\n', at + 1);
+  std::size_t begin = at + 1;
+  for (std::size_t c = 0; c < column; ++c) begin = text.find(' ', begin) + 1;
+  const std::size_t end = text.find_first_of(" \n", begin);
+  return text.substr(0, begin) + value + text.substr(end);
+}
+
+/// `text` with token `column` of SV row `row` of its quantised engine's
+/// table (column 0 is the SV's alpha_y, then one integer per feature)
+/// replaced by `value`.
+std::string edit_sv_table(const std::string& text, std::size_t row, std::size_t column,
+                          const std::string& value) {
+  return edit_token(text, "qbias", row + 1, column, value);
+}
+
 TEST(ServableModel, LoadRejectsCorruptInput) {
   const auto original = rt::ServableModel::from_detector(detector());
   std::stringstream stream;
@@ -174,9 +198,44 @@ TEST(ServableModel, LoadRejectsCorruptInput) {
     for (const char* value : {"1000000000000000", "-1"})
       inputs.emplace_back(std::string(tag) + "#" + std::to_string(occurrence) + " = " + value,
                           edit_field(text, tag, occurrence, value));
+  // Integers build() could never write: it saturates each SV integer to
+  // feature_bits, each alpha_y to alpha_bits, qone to the MAC1 accumulator
+  // and qbias to min(126, the MAC2 accumulator). One past each bound, and
+  // an SV integer of 2^62, whose product overflowed the int64 kernel.
+  const core::QuantizedModel& quantized = *original.quantized();
+  const auto max_of = [](int bits) { return (__int128{1} << (bits - 1)) - 1; };
+  const auto text_of = [](__int128 v) { return fixed::to_string_int128(v); };
+  const int feature_bits = quantized.config().feature_bits;
+  const int alpha_bits = quantized.config().alpha_bits;
+  const int mac1_bits = quantized.pipeline().mac1_accumulator_bits();
+  const int bias_bits = std::min(126, quantized.pipeline().mac2_accumulator_bits());
+  const std::pair<std::string, std::string> at_bound[] = {
+      {"SV integer at max", edit_sv_table(text, 0, 1, text_of(max_of(feature_bits)))},
+      {"SV integer at min", edit_sv_table(text, 2, 3, text_of(-max_of(feature_bits) - 1))},
+      {"alpha_y at max", edit_sv_table(text, 1, 0, text_of(max_of(alpha_bits)))},
+      {"qone at max", edit_field(text, "qone", 0, text_of(max_of(mac1_bits)))},
+      {"qbias at min", edit_field(text, "qbias", 0, text_of(-max_of(bias_bits) - 1))}};
+  inputs.emplace_back("SV integer 2^62", edit_sv_table(text, 0, 1, "4611686018427387904"));
+  inputs.emplace_back("SV integer past max",
+                      edit_sv_table(text, 0, 1, text_of(max_of(feature_bits) + 1)));
+  inputs.emplace_back("SV integer past min",
+                      edit_sv_table(text, 2, 3, text_of(-max_of(feature_bits) - 2)));
+  inputs.emplace_back("alpha_y past max",
+                      edit_sv_table(text, 1, 0, text_of(max_of(alpha_bits) + 1)));
+  inputs.emplace_back("qone past max", edit_field(text, "qone", 0, text_of(max_of(mac1_bits) + 1)));
+  inputs.emplace_back("qbias past min",
+                      edit_field(text, "qbias", 0, text_of(-max_of(bias_bits) - 2)));
+  // A truncation the kernel's int64 shifts cannot take.
+  inputs.emplace_back("dot truncation 64", edit_token(text, "bits", 0, 3, "64"));
+  inputs.emplace_back("square truncation 80", edit_token(text, "bits", 0, 4, "80"));
   for (const auto& [what, input] : inputs) {
     std::stringstream is(input);
     EXPECT_THROW(rt::ServableModel::load(is), std::invalid_argument) << what;
+  }
+  for (const auto& [what, input] : at_bound) {
+    ASSERT_NE(input, text) << what;
+    std::stringstream is(input);
+    EXPECT_NO_THROW(rt::ServableModel::load(is)) << what;
   }
 }
 

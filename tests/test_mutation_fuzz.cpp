@@ -439,7 +439,9 @@ TEST(MutationFuzz, ModelLoaderSurvivesMutatedModelFiles) {
   // A quantised and a float model file (the AF model: 3 features, 16 SVs),
   // edited token by token with edge values (counts far past memory or
   // negative among them) or truncated. Every outcome must be a clean load
-  // or std::invalid_argument.
+  // or std::invalid_argument, and every model that loads classifies one
+  // window of extreme features, so a sanitizer sees any overflow a loaded
+  // model can drive the kernels into.
   report_on_sanitizer_death();
   const rt::ServableModel quantized = rt::synthetic_af_model();
   const rt::ServableModel float_model(quantized.selected_features(), quantized.scaler(),
@@ -450,6 +452,11 @@ TEST(MutationFuzz, ModelLoaderSurvivesMutatedModelFiles) {
     model->save(os);
     texts.push_back(os.str());
   }
+  // Raw features at both extremes: every quantised input saturates.
+  std::vector<double> window(rt::kMaxWorkloadFeatures);
+  for (std::size_t j = 0; j < window.size(); ++j) window[j] = j % 2 == 0 ? 1e9 : -1e9;
+  std::vector<double> decisions;
+  rt::KernelScratch scratch;
   for (std::size_t i = 0; i < kModelFiles && !::testing::Test::HasFailure(); ++i) {
     Rng rng = begin_iteration("model file", 4, i);
     std::string text = texts[pick(rng, texts.size())];
@@ -460,10 +467,14 @@ TEST(MutationFuzz, ModelLoaderSurvivesMutatedModelFiles) {
     }
     try {
       std::istringstream is(text);
-      (void)rt::ServableModel::load(is);
+      const rt::ServableModel model = rt::ServableModel::load(is);
+      std::vector<std::vector<double>> rows(1);
+      model.prepare_row(window, rows.front());
+      model.decision_values(rows, decisions, scratch);
     } catch (const std::invalid_argument&) {
     } catch (const std::exception& e) {
-      ADD_FAILURE() << where() << ": ServableModel::load threw " << e.what();
+      ADD_FAILURE() << where() << ": ServableModel::load or its classification threw "
+                    << e.what();
     }
   }
 }

@@ -9,6 +9,7 @@
 // computed, never the values.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -21,6 +22,7 @@
 #include "dsp/spectral.hpp"
 #include "dsp/statistics.hpp"
 #include "ecg/lane_qrs.hpp"
+#include "features/ar_features.hpp"
 #include "features/feature_scratch.hpp"
 #include "features/segment_cache.hpp"
 #include "rt/cohort_replayer.hpp"
@@ -286,11 +288,14 @@ std::vector<rt::ExtractedWindow> reference_windows(const rt::StreamConfig& confi
     const auto view = cache.assemble_window(m0);
     if (view.beats < config.min_beats || view.beats < 2) continue;
     GatedWindowPsd psd(cache, m0, view.edr);
+    std::array<double, features::kNumArFeatures> ar{};
+    features::compute_ar_features(view.edr, scratch, ar);  // A lone fit per window.
     rt::WindowSubstrate substrate;
     substrate.rr_s = view.rr;
     substrate.edr = view.edr;
     substrate.edr_fs_hz = config.edr_fs_hz;
     substrate.num_beats = view.beats;
+    substrate.ar = ar;
     substrate.psd = &psd;
     rt::ExtractedWindow out;
     out.patient_id = 1;

@@ -12,7 +12,9 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ecg/quality.hpp"
@@ -21,6 +23,7 @@
 #include "rt/cohort_replayer.hpp"
 #include "rt/sharded_classifier.hpp"
 #include "rt/stream_classifier.hpp"
+#include "rt/window_extractor.hpp"
 #include "rt/workload.hpp"
 #include "support/fixtures.hpp"
 
@@ -47,6 +50,94 @@ std::map<int, ecg::EcgWaveform> make_ward() {
   int seed = 80;
   for (int pid : {1, 2, 3, 7, 11}) ward[pid] = synth_ecg(55.0, static_cast<std::uint64_t>(seed++));
   return ward;
+}
+
+/// A one-feature workload that throws on its `throw_on`-th call (never
+/// when throw_on is 0) and otherwise writes its call count.
+class ThrowingWorkload final : public rt::Workload {
+ public:
+  explicit ThrowingWorkload(int throw_on) : throw_on_(throw_on) {}
+  const char* name() const override { return "throwing"; }
+  std::size_t num_features() const override { return 1; }
+  std::string feature_name(std::size_t) const override { return "calls"; }
+  void extract(const rt::WindowSubstrate&, features::FeatureScratch&,
+               std::span<double> out) const override {
+    if (++calls_ == throw_on_) throw std::runtime_error("workload failed");
+    out[0] = 0.0;
+  }
+
+ private:
+  int throw_on_;
+  mutable int calls_ = 0;
+};
+
+// A workload that throws mid-batch loses the windows of its call that had
+// not reached the sink, and leaves none of them pending: the next call
+// emits only windows assembled afresh, each bit-identical to an extractor
+// whose workload never threw. Every patient's sample count still advances
+// with its chunk.
+TEST(Workloads, ThrowingWorkloadLeavesNoWindowPending) {
+  const int patients[] = {1, 2, 3};
+  std::map<int, ecg::EcgWaveform> ward;
+  for (const int p : patients) ward[p] = synth_ecg(70.0, 600 + static_cast<std::uint64_t>(p));
+  using Key = std::tuple<int, double, std::uint32_t>;  // Patient, start, workload.
+  const auto run = [&](int throw_on, std::map<Key, rt::ExtractedWindow>& out,
+                       std::map<int, double>* consumed_at_throw) {
+    rt::StreamConfig config = short_window_config();
+    config.workloads = {rt::apnea_workload(), std::make_shared<ThrowingWorkload>(throw_on)};
+    rt::WindowExtractor extractor(config);
+    const auto sink = [&](rt::ExtractedWindow&& w) {
+      const Key key{w.patient_id, w.start_s, w.workload};
+      EXPECT_TRUE(out.emplace(key, std::move(w)).second) << "window emitted twice";
+    };
+    // 10 s rounds: each patient completes one window per round, so every
+    // emission holds three pending windows.
+    const std::size_t round = 2500;
+    for (std::size_t at = 0; at < ward.begin()->second.samples_mv.size(); at += round) {
+      std::vector<rt::WindowExtractor::PatientChunk> chunks;
+      for (const int p : patients) {
+        const std::span<const double> samples(ward[p].samples_mv);
+        chunks.push_back({p, samples.subspan(at, std::min(round, samples.size() - at))});
+      }
+      try {
+        extractor.push_batch(chunks, sink);
+      } catch (const std::runtime_error&) {
+        ASSERT_NE(consumed_at_throw, nullptr);
+        for (const int p : patients) {
+          const auto pushed = static_cast<double>(at + chunks.front().samples_mv.size());
+          (*consumed_at_throw)[p] =
+              (pushed - static_cast<double>(extractor.buffered_samples(p))) / config.fs_hz;
+        }
+      }
+    }
+    for (const int p : patients) extractor.end_patient(p, sink);
+  };
+
+  std::map<Key, rt::ExtractedWindow> want, got;
+  run(0, want, nullptr);
+  std::map<int, double> consumed;
+  run(4, got, &consumed);  // The first window of the second emitting round.
+  ASSERT_EQ(consumed.size(), 3u);
+
+  std::size_t lost = 0;
+  for (const auto& [key, window] : want) {
+    const auto it = got.find(key);
+    if (it == got.end()) {
+      ++lost;
+      // Only windows of the failed call are lost: each ends before where
+      // its patient stood when the workload threw.
+      EXPECT_LT(window.start_s, consumed[std::get<0>(key)]);
+      continue;
+    }
+    ASSERT_EQ(it->second.num_features, window.num_features);
+    if (std::get<2>(key) == 0)
+      for (std::size_t f = 0; f < window.num_features; ++f)
+        EXPECT_EQ(it->second.raw_features[f], window.raw_features[f]);
+  }
+  EXPECT_EQ(got.size() + lost, want.size());
+  // The throwing call held one window per patient: the first reached the
+  // sink for workload 0 before workload 1 threw, the other two not at all.
+  EXPECT_EQ(lost, 1u + 2u * 2);
 }
 
 TEST(Workloads, SchemasAreStable) {

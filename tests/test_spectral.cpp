@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <random>
+#include <string>
 
 #include "dsp/window.hpp"
 
@@ -123,6 +128,88 @@ TEST(SpectralEdge, MonotoneInFraction) {
   }
   EXPECT_THROW(spectral_edge_frequency(psd, 0.0), std::invalid_argument);
   EXPECT_THROW(spectral_edge_frequency(psd, 1.5), std::invalid_argument);
+}
+
+/// band_power as a scan of every bin: the reference the binary-searched
+/// run must reproduce term for term.
+double full_scan_band_power(const PsdEstimate& psd, double f_lo, double f_hi) {
+  const double df = psd.resolution_hz();
+  if (df <= 0.0) return 0.0;
+  double acc = 0.0;
+  for (std::size_t k = 0; k < psd.frequency_hz.size(); ++k) {
+    const double f = psd.frequency_hz[k];
+    if (f >= f_lo && f < f_hi) acc += psd.power[k] * df;
+  }
+  return acc;
+}
+
+/// peak_frequency as a scan of every bin.
+double full_scan_peak_frequency(const PsdEstimate& psd, double f_lo, double f_hi) {
+  double best_f = f_lo;
+  double best_p = -1.0;
+  for (std::size_t k = 0; k < psd.frequency_hz.size(); ++k) {
+    const double f = psd.frequency_hz[k];
+    if (f >= f_lo && f < f_hi && psd.power[k] > best_p) {
+      best_p = psd.power[k];
+      best_f = f;
+    }
+  }
+  return best_f;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// band_power and peak_frequency visit only the band's run of bins; over
+// every FFT size from 2 to 512 points they must return the bits of a full
+// scan for band edges on bins, between bins, one ulp either side of a bin,
+// below 0 Hz, past Nyquist, infinite or NaN, and for empty and inverted
+// bands. The powers repeat values, so the first-maximum rule of
+// peak_frequency is exercised too.
+TEST(BandPower, BinRunBitIdenticalToFullScan) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(17);
+  std::size_t checked = 0;
+  for (const double fs : {4.0, 3.0, 250.0}) {
+    for (std::size_t nfft = 2; nfft <= 512 && !HasFailure(); nfft *= 2) {
+      // A producer's estimate: frequency df * k, power with ties.
+      const double df = fs / static_cast<double>(nfft);
+      PsdEstimate psd;
+      std::uniform_int_distribution<int> level(0, 7);
+      for (std::size_t k = 0; k <= nfft / 2; ++k) {
+        psd.frequency_hz.push_back(df * static_cast<double>(k));
+        psd.power.push_back(std::ldexp(1.0 + level(rng), -level(rng)));
+      }
+      std::vector<double> edges{kNan, kInf, -kInf, -1.0, -0.0, 0.0, fs / 2.0 + df, 2.0 * fs};
+      for (const double f : psd.frequency_hz)
+        for (const double e : {f, f + df / 2.0, f - df / 2.0, std::nextafter(f, kInf),
+                               std::nextafter(f, -kInf)})
+          edges.push_back(e);
+      // Large sizes: a random sample of the edges keeps the pairs few.
+      if (edges.size() > 80) {
+        std::shuffle(edges.begin() + 8, edges.end(), rng);
+        edges.resize(80);
+      }
+      for (const double lo : edges) {
+        for (const double hi : edges) {
+          const auto what = [&] {
+            return "fs=" + std::to_string(fs) + " nfft=" + std::to_string(nfft) + " band [" +
+                   std::to_string(lo) + ", " + std::to_string(hi) + ")";
+          };
+          if (hi < lo) {
+            EXPECT_THROW(band_power(psd, lo, hi), std::invalid_argument) << what();
+          } else {
+            EXPECT_EQ(bits(band_power(psd, lo, hi)), bits(full_scan_band_power(psd, lo, hi)))
+                << what();
+          }
+          EXPECT_EQ(bits(peak_frequency(psd, lo, hi)), bits(full_scan_peak_frequency(psd, lo, hi)))
+              << what();
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 30000u);
 }
 
 class WindowPowerProperty : public ::testing::TestWithParam<WindowType> {};

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace svt::dsp {
@@ -60,6 +62,48 @@ TEST(Statistics, PercentileBoundsAndInterpolation) {
   EXPECT_DOUBLE_EQ(percentile(x, 50.0), 25.0);
   EXPECT_THROW(percentile(x, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(x, 101.0), std::invalid_argument);
+}
+
+/// The percentile of a sorted copy, interpolated between its two order
+/// statistics: the reference the selecting percentile must reproduce.
+double sorted_percentile(std::vector<double> x, double p) {
+  std::sort(x.begin(), x.end());
+  if (x.size() == 1) return x.front();
+  const double pos = p / 100.0 * static_cast<double>(x.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return x[lo] * (1.0 - frac) + x[hi] * frac;
+}
+
+// percentile and percentile_select return the bits of sort-then-interpolate
+// for every size from 1 to 400, with and without ties, and
+// percentile_select stays exact when several percentiles are read from one
+// buffer in turn (as the HRV IQR does).
+TEST(Statistics, PercentileSelectMatchesSortThenInterpolate) {
+  const double ps[] = {0.0, 1.0, 25.0, 33.3, 50.0, 75.0, 99.0, 100.0};
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> uni(0.3, 1.6);
+  std::uniform_int_distribution<int> level(0, 9);
+  for (std::size_t n = 1; n <= 400 && !HasFailure(); ++n) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> x(n);
+      for (double& v : x) v = ties ? 0.6 + 0.05 * level(rng) : uni(rng);
+      std::vector<double> buffer = x;  // Reordered by every read below.
+      for (const double p : ps) {
+        const double want = sorted_percentile(x, p);
+        const auto what = [&] {
+          return "n=" + std::to_string(n) + (ties ? " ties" : "") + " p=" + std::to_string(p);
+        };
+        EXPECT_EQ(percentile(x, p), want) << what();
+        EXPECT_EQ(percentile_select(buffer, p), want) << what();
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(percentile_select(empty, 50.0), std::invalid_argument);
+  std::vector<double> one{1.0};
+  EXPECT_THROW(percentile_select(one, 100.5), std::invalid_argument);
 }
 
 TEST(Statistics, CovarianceMatchesManual) {
